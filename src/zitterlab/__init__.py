@@ -60,6 +60,7 @@ from .observables import (
 from .schrodinger import (
     Grid2D,
     Potential,
+    Propagator,
     WaveFunction,
     analytic_free_gaussian,
     density_and_phase_gradients,

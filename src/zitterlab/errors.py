@@ -26,7 +26,8 @@ class PacketTouchesBoundary(ZitterlabError):
 
 
 class ResolutionLoss(ZitterlabError):
-    """High-wavenumber spectral mass exceeds the aliasing guard threshold."""
+    """The solver lost resolution: high-wavenumber spectral mass exceeds the
+    aliasing guard threshold, or the evolving wave function is no longer finite."""
 
 
 class NodeRegion(ZitterlabError):

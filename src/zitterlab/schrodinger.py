@@ -3,7 +3,8 @@
 Strang-split spectral scheme: half potential kick, exact kinetic phase in
 Fourier space, half potential kick.  Packets must stay well away from the box
 boundary; guards reject under-resolved or boundary-touching initial data and
-an aliasing check aborts evolutions that fill the top of the spectrum.
+an aliasing check aborts evolutions that fill the top of the spectrum or turn
+non-finite.
 
 i hbar dPsi/dt = -(hbar^2/2m) Lap Psi + V(x) Psi
 """
@@ -156,13 +157,93 @@ def init_gaussian(grid: Grid2D, center, sigma0: float, k0) -> WaveFunction:
     return WaveFunction(grid, values, 0.0)
 
 
-def _alias_band_mass(grid: Grid2D, spectrum: np.ndarray) -> float:
-    k = np.abs(grid.wavenumbers)
-    band = np.maximum.outer(k, k) >= ALIAS_BAND_FRACTION * grid.nyquist
-    total = float(np.sum(np.abs(spectrum) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(spectrum[band]) ** 2)) / total
+def _fft2(src: np.ndarray, out: np.ndarray, tmp: np.ndarray, inverse: bool = False) -> None:
+    """2D FFT (or inverse) of src into out, one axis pass at a time through tmp.
+
+    Passing the last axis first reproduces np.fft.fft2/ifft2 bit for bit.
+    """
+    # not np.fft.ifft2(..., out=): numpy 2.4 leaves that out wrong; the 1D passes are exact
+    transform = np.fft.ifft if inverse else np.fft.fft
+    transform(src, axis=1, out=tmp)
+    transform(tmp, axis=0, out=out)
+
+
+class Propagator:
+    """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
+
+    The constructor builds k^2, the one-step kinetic phase, the half and full
+    potential kicks (none for the free potential), the aliasing-band mask and
+    two n x n work buffers once; advance() reuses them for every call.
+    """
+
+    def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        self.grid = grid
+        self.dt = dt
+        self._hbar_over_2m = 0.5 * hbar / mass
+        k = grid.wavenumbers
+        self._k2 = k[:, None] ** 2 + k[None, :] ** 2
+        self._kinetic = np.exp(-1j * self._hbar_over_2m * dt * self._k2)
+        if pot.kind is PotentialKind.FREE:
+            self._half_kick = self._full_kick = None
+        else:
+            v = pot.values(grid, mass)
+            self._half_kick = np.exp(-0.5j * dt * v / hbar)
+            self._full_kick = np.exp(-1j * dt * v / hbar)
+        self._band = np.maximum.outer(np.abs(k), np.abs(k)) >= ALIAS_BAND_FRACTION * grid.nyquist
+        self._work = np.empty((grid.n, grid.n), dtype=complex)
+        self._tmp = np.empty_like(self._work)
+        self._free_steps = None
+        self._free_phase = None
+
+    def _free_phase_for(self, n_steps: int) -> np.ndarray:
+        # evolve_frames advances by one stride throughout, so one cached n suffices
+        if n_steps != self._free_steps:
+            self._free_phase = np.exp(-1j * self._hbar_over_2m * n_steps * self.dt * self._k2)
+            self._free_steps = n_steps
+        return self._free_phase
+
+    def _check_spectrum(self, spectrum: np.ndarray) -> None:
+        power = np.abs(spectrum) ** 2
+        total = float(power.sum())
+        if not math.isfinite(total):
+            raise ResolutionLoss("wave function became non-finite (NaN or inf)")
+        if total > 0.0 and float(power[self._band].sum()) / total > ALIAS_MASS_LIMIT:
+            raise ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
+
+    def advance(self, psi: WaveFunction, n_steps: int) -> WaveFunction:
+        """psi advanced by n_steps of dt, in a freshly allocated WaveFunction.
+
+        Adjacent half kicks are fused into full kicks, so a call costs
+        half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half;
+        with the free potential the kicks are the identity and the call is one
+        FFT, one n-step kinetic phase and one IFFT.  The aliasing and
+        finiteness guard reads the last spectrum of the call.
+        """
+        if psi.grid != self.grid:
+            raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        if n_steps == 0:
+            return psi.copy()
+        work, tmp = self._work, self._tmp
+        if self._half_kick is None:
+            _fft2(psi.values, work, tmp)
+            work *= self._free_phase_for(n_steps)
+        else:
+            np.multiply(psi.values, self._half_kick, out=work)
+            for _ in range(n_steps - 1):
+                _fft2(work, work, tmp)
+                work *= self._kinetic
+                _fft2(work, work, tmp, inverse=True)
+                work *= self._full_kick
+            _fft2(work, work, tmp)
+            work *= self._kinetic
+        self._check_spectrum(work)
+        _fft2(work, work, tmp, inverse=True)
+        values = work.copy() if self._half_kick is None else work * self._half_kick
+        return WaveFunction(self.grid, values, psi.time + n_steps * self.dt)
 
 
 def split_step_evolve(
@@ -177,24 +258,10 @@ def split_step_evolve(
 
     Second-order accurate in dt; each factor is unitary so the discrete norm
     is conserved to roundoff.  Raises ResolutionLoss if more than 1e-8 of the
-    spectral mass ends up in the top quarter of the wavenumber range.
+    spectral mass ends up in the top quarter of the wavenumber range, or if
+    the wave function turns non-finite.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    grid = psi.grid
-    v = pot.values(grid, mass)
-    half_kick = np.exp(-0.5j * dt * v / hbar)
-    k = grid.wavenumbers
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    kinetic_phase = np.exp(-0.5j * hbar * dt * k2 / mass)
-    values = psi.values
-    spectrum = None
-    for _ in range(n_steps):
-        spectrum = np.fft.fft2(values * half_kick) * kinetic_phase
-        values = np.fft.ifft2(spectrum) * half_kick
-    if spectrum is not None and _alias_band_mass(grid, np.fft.fft2(values)) > ALIAS_MASS_LIMIT:
-        raise ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
-    return WaveFunction(grid, values, psi.time + n_steps * dt)
+    return Propagator(psi.grid, pot, dt, hbar, mass).advance(psi, n_steps)
 
 
 def evolve_frames(
@@ -206,14 +273,16 @@ def evolve_frames(
     hbar: float = 1.0,
     mass: float = 1.0,
 ) -> list[WaveFunction]:
-    """Evolve and snapshot every frame_stride steps (the t = 0 frame included)."""
+    """Evolve and snapshot every frame_stride steps (the t = 0 frame included).
+
+    One Propagator serves every frame, so the guards run once per frame.
+    """
     if n_steps % frame_stride != 0:
         raise ValueError("n_steps must be a multiple of frame_stride")
+    propagator = Propagator(psi.grid, pot, dt, hbar, mass)
     frames = [psi.copy()]
-    current = psi
     for _ in range(n_steps // frame_stride):
-        current = split_step_evolve(current, pot, dt, frame_stride, hbar, mass)
-        frames.append(current)
+        frames.append(propagator.advance(frames[-1], frame_stride))
     return frames
 
 

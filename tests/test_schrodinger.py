@@ -19,6 +19,22 @@ def l2_diff(grid, a, b):
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * grid.cell_area()))
 
 
+def reference_split_step(psi, pot, dt, n_steps, hbar=1.0, mass=1.0):
+    """Unfused Strang loop: half kick, FFT, kinetic phase, IFFT, half kick per step."""
+    grid = psi.grid
+    half_kick = np.exp(-0.5j * dt * pot.values(grid, mass) / hbar)
+    k = grid.wavenumbers
+    kinetic_phase = np.exp(-0.5j * hbar * dt * (k[:, None] ** 2 + k[None, :] ** 2) / mass)
+    values = psi.values
+    for _ in range(n_steps):
+        values = np.fft.ifft2(np.fft.fft2(values * half_kick) * kinetic_phase) * half_kick
+    return values
+
+
+def rel_l2(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
 class TestGrid:
     def test_geometry(self, grid128):
         assert grid128.spacing == pytest.approx(20.0 / 128)
@@ -162,8 +178,19 @@ class TestSplitStep:
         rng = np.random.default_rng(1)
         noise = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         noise /= math.sqrt(np.sum(np.abs(noise) ** 2) * grid128.cell_area())
+        # the harmonic path reads the spectrum before its last half kick
+        for pot in (zl.free_potential(), zl.harmonic_potential(1.0)):
+            with pytest.raises(zl.ResolutionLoss):
+                zl.split_step_evolve(zl.WaveFunction(grid128, noise, 0.0), pot, 1e-3, 1)
+
+    @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
+    def test_non_finite_psi_rejected(self, pot):
+        grid = zl.Grid2D(16, 10.0)
+        values = np.zeros((16, 16), dtype=complex)
+        values[8, 8] = 1.0
+        values[3, 5] = np.nan
         with pytest.raises(zl.ResolutionLoss):
-            zl.split_step_evolve(zl.WaveFunction(grid128, noise, 0.0), zl.free_potential(), 1e-3, 1)
+            zl.split_step_evolve(zl.WaveFunction(grid, values, 0.0), pot, 1e-3, 3)
 
     def test_evolve_frames_timestamps(self, grid128):
         psi0 = zl.init_gaussian(grid128, (0, 0), 1.0, (0, 0))
@@ -172,6 +199,49 @@ class TestSplitStep:
         assert [round(f.time, 9) for f in frames] == [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
         with pytest.raises(ValueError):
             zl.evolve_frames(psi0, zl.free_potential(), 1e-3, 100, 30)
+
+
+class TestPropagator:
+    @pytest.fixture(scope="class")
+    def grid64(self):
+        return zl.Grid2D(64, 8.0)
+
+    @pytest.mark.parametrize("kind", ["free", "harmonic", "grid_sampled"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    def test_matches_unfused_reference(self, grid64, kind, n_steps):
+        X, Y = grid64.mesh()
+        pot = {
+            "free": zl.free_potential(),
+            "harmonic": zl.harmonic_potential(1.0, 1.5),
+            "grid_sampled": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.3 * X**2 + 0.1 * X * Y),
+        }[kind]
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi = zl.Propagator(grid64, pot, 2e-2, hbar=1.0, mass=1.0).advance(psi0, n_steps)
+        assert psi.time == pytest.approx(n_steps * 2e-2)
+        assert rel_l2(psi.values, reference_split_step(psi0, pot, 2e-2, n_steps)) <= 1e-12
+
+    @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
+    def test_last_frame_matches_one_call(self, grid64, pot):
+        psi0 = zl.init_gaussian(grid64, (0.5, 0), 1.0, (0.5, 0))
+        frames = zl.evolve_frames(psi0, pot, 1e-2, 40, 5)
+        whole = zl.split_step_evolve(psi0, pot, 1e-2, 40)
+        assert rel_l2(frames[-1].values, whole.values) <= 1e-12
+
+    def test_advance_returns_fresh_arrays(self, grid64):
+        psi0 = zl.init_gaussian(grid64, (0, 0), 1.0, (0, 0))
+        prop = zl.Propagator(grid64, zl.harmonic_potential(1.0), 1e-2)
+        a = prop.advance(psi0, 3)
+        b = prop.advance(psi0, 3)
+        assert a.values is not b.values and np.array_equal(a.values, b.values)
+        assert prop.advance(psi0, 0).values is not psi0.values
+
+    def test_rejects_bad_input(self, grid64):
+        psi0 = zl.WaveFunction(zl.Grid2D(64, 12.0), np.ones((64, 64), dtype=complex))
+        prop = zl.Propagator(grid64, zl.free_potential(), 1e-2)
+        with pytest.raises(ValueError):
+            prop.advance(psi0, 1)
+        with pytest.raises(ValueError):
+            zl.Propagator(grid64, zl.free_potential(), 0.0)
 
 
 class TestGradientFields:
