@@ -22,6 +22,7 @@ from .errors import (
     PacketTooNarrow,
     PacketTouchesBoundary,
     ResolutionLoss,
+    StepBudgetExceeded,
     UnknownField,
     UnknownScenario,
     ZitterlabError,

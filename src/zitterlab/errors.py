@@ -13,6 +13,10 @@ class EpsilonUnderflow(ZitterlabError):
     """De Broglie epsilon refresh fell below the configured floor."""
 
 
+class StepBudgetExceeded(ZitterlabError):
+    """A de_broglie-mode run needed more cycles than its step budget allows."""
+
+
 class MisalignedCycle(ZitterlabError):
     """Cycle observables were asked for a window not starting at n = 4q."""
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EnsembleFailure, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, ProcessRun, gamma
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, spectral_gradient
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
 
 
 @dataclass
@@ -26,7 +26,9 @@ class VelocityField:
     """Complex guiding velocity sampled on the grid at one instant.
 
     v has shape (n, n, 2); node_mask is True where the field is invalid.
-    At every unmasked node m*v = grad S - i (hbar/2) grad log rho.
+    At every unmasked node m*v = grad S - i (hbar/2) grad log rho.  A field
+    used only for Bohmian transport may hold the real part Re V alone, as a
+    real array of the same shape.
     """
 
     grid: Grid2D
@@ -38,60 +40,80 @@ class VelocityField:
 def velocity_field(
     psi: WaveFunction, hbar: float = 1.0, mass: float = 1.0, rho_floor: float = DEFAULT_RHO_FLOOR
 ) -> VelocityField:
-    rho = psi.density()
-    mask = rho < rho_floor * float(rho.max())
-    gx, gy = spectral_gradient(psi.grid, psi.values)
-    safe = np.where(mask, 1.0, psi.values)
-    ratio = np.stack([gx, gy], axis=-1) / safe[..., None]
-    ratio[mask] = 0.0
+    ratio, mask, _ = psi_ratios(psi, rho_floor)
     return VelocityField(psi.grid, -1j * (hbar / mass) * ratio, mask, psi.time)
 
 
-def _bilinear(fld: VelocityField, pts: np.ndarray):
-    """Bilinear sample of the complex field at pts (M, 2) on the periodic grid.
+def _re_field(psi: WaveFunction, hbar: float, mass: float, rho_floor: float) -> VelocityField:
+    """velocity_field keeping Re V only, as contiguous float64: all that
+    Bohmian transport reads, in half the memory of the complex field."""
+    vf = velocity_field(psi, hbar, mass, rho_floor)
+    return VelocityField(vf.grid, np.ascontiguousarray(vf.v.real), vf.node_mask, vf.time)
 
-    Returns (values (M, 2) complex, ok (M,) bool); ok is False where a point
-    is outside [-L, L) or any of its four surrounding nodes is masked.
+
+# Along each axis a cell has a lower (0) and an upper (1) corner node.
+_UPPER = np.array([0, 1]).reshape(2, 1, 1)
+_LOWER = 1.0 - _UPPER
+
+
+def _stencil(grid: Grid2D, pts: np.ndarray):
+    """Bilinear stencil of the points pts (M, 2) on the periodic grid.
+
+    Returns the flat node indices (4, M) of the corners (i0, j0), (i1, j0),
+    (i0, j1), (i1, j1), their weights (4, M, 1) and the in-box flags (M,).
+    One stencil serves every frame sampled at the same points.  The large
+    temporaries are updated in place: at 1e4 points each fresh one costs
+    more in page faults than in arithmetic.
     """
-    grid = fld.grid
     n, h, L = grid.n, grid.spacing, grid.half_width
-    inside = np.all((pts >= -L) & (pts < L), axis=1)
-    fx = (pts[:, 0] + L) / h
-    fy = (pts[:, 1] + L) / h
-    i0 = np.floor(fx).astype(np.int64)
-    j0 = np.floor(fy).astype(np.int64)
-    tx = (fx - i0)[:, None]
-    ty = (fy - j0)[:, None]
-    i0 = np.clip(i0, 0, n - 1)
-    j0 = np.clip(j0, 0, n - 1)
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
-    m = fld.node_mask
-    ok = inside & ~(m[i0, j0] | m[i1, j0] | m[i0, j1] | m[i1, j1])
-    v = fld.v
-    vals = (
-        (1 - tx) * (1 - ty) * v[i0, j0]
-        + tx * (1 - ty) * v[i1, j0]
-        + (1 - tx) * ty * v[i0, j1]
-        + tx * ty * v[i1, j1]
-    )
-    return vals, ok
+    box = (pts >= -L) & (pts < L)
+    f = pts + L
+    f /= h
+    c = np.floor(f)
+    f -= c  # the position inside the cell, in [0, 1) per axis
+    c = c.astype(np.int64)
+    np.maximum(c, 0, out=c)
+    np.minimum(c, n - 1, out=c)
+    c = c.T + _UPPER  # (corner, axis, M): i0 | i0 + 1 and j0 | j0 + 1
+    c[c == n] = 0  # the periodic wrap
+    c[:, 0] *= n
+    t = np.abs(_LOWER - f.T)  # their weights per axis: 1 - t | t
+    idx = (c[None, :, 0] + c[:, None, 1]).reshape(4, -1)
+    w = (t[None, :, 0] * t[:, None, 1]).reshape(4, -1, 1)
+    return idx, w, box[:, 0] & box[:, 1]
+
+
+def _gather(fld: VelocityField, idx: np.ndarray, w: np.ndarray):
+    """Apply a stencil to one field: (values (M, 2), masked (M,) bool).
+
+    v may be complex or real (Re V only); the values keep its dtype.  masked
+    is True where any of the four corner nodes is masked.
+    """
+    g = w * fld.v.reshape(-1, 2).take(idx, axis=0)
+    m = fld.node_mask.ravel().take(idx)
+    return g[0] + g[1] + g[2] + g[3], m[0] | m[1] | m[2] | m[3]
 
 
 def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
     """Re V interpolated at one position; the Bohmian velocity grad(S)/m."""
     pts = np.asarray(x, dtype=float).reshape(1, 2)
     L = fld.grid.half_width
-    if not np.all((pts >= -L) & (pts < L)):
+    idx, w, inside = _stencil(fld.grid, pts)
+    if not inside[0]:
         raise LeftDomain(f"query {tuple(pts[0])} is outside the box [-{L}, {L})^2")
-    vals, ok = _bilinear(fld, pts)
-    if not ok[0]:
+    vals, masked = _gather(fld, idx, w)
+    if masked[0]:
         raise NodeRegion(f"query {tuple(pts[0])} touches masked wave-function nodes")
     return vals[0].real
 
 
 class FrameInterpolator:
-    """Linear-in-time interpolation between velocity-field frames."""
+    """Linear-in-time interpolation between velocity-field frames.
+
+    Queries are valid for times in [times[0], t_end], up to a roundoff slack
+    of 1e-9 frame spacings; a single frame is valid at its own time only.
+    Anything else raises ValueError instead of holding the end frames.
+    """
 
     def __init__(self, frames):
         if len(frames) < 1:
@@ -101,6 +123,7 @@ class FrameInterpolator:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("frames must be strictly increasing in time")
         self.grid = self.frames[0].grid
+        self.slack = 1e-9 * self.spacing if len(self.frames) > 1 else 0.0
 
     @property
     def t_end(self) -> float:
@@ -113,16 +136,26 @@ class FrameInterpolator:
         return float(self.times[1] - self.times[0])
 
     def complex_at(self, t: float, pts: np.ndarray):
-        if len(self.frames) == 1:
-            return _bilinear(self.frames[0], pts)
-        i = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.frames) - 2))
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        w = float(np.clip(w, 0.0, 1.0))
-        v0, ok0 = _bilinear(self.frames[i], pts)
-        if w == 0.0:
-            return v0, ok0
-        v1, ok1 = _bilinear(self.frames[i + 1], pts)
-        return (1.0 - w) * v0 + w * v1, ok0 & ok1
+        """Field values (M, 2) at time t and points pts, and the ok flags (M,).
+
+        ok is False where a point is outside the box or any corner node of
+        its cell is masked in either bracketing frame.
+        """
+        if not self.times[0] - self.slack <= t <= self.t_end + self.slack:
+            raise ValueError(
+                f"t = {t:g} is outside the frame span [{self.times[0]:g}, {self.t_end:g}]"
+            )
+        idx, w, inside = _stencil(self.grid, pts)
+        i, a = 0, 0.0
+        if len(self.frames) > 1:
+            i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.frames) - 2)
+            t0, t1 = float(self.times[i]), float(self.times[i + 1])
+            a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        v0, masked = _gather(self.frames[i], idx, w)
+        if a == 0.0:
+            return v0, inside & ~masked
+        v1, masked1 = _gather(self.frames[i + 1], idx, w)
+        return (1.0 - a) * v0 + a * v1, inside & ~(masked | masked1)
 
     def real_at(self, t: float, pts: np.ndarray):
         vals, ok = self.complex_at(t, pts)
@@ -188,6 +221,8 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
         raise ValueError(f"dt = {dt:g} exceeds the frame spacing {interp.spacing:g}")
     if T is None:
         T = interp.t_end
+    if T > interp.t_end + interp.slack:
+        raise ValueError(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
     x0 = np.asarray(x0, dtype=float).reshape(1, 2)
@@ -216,6 +251,8 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     eps = params.epsilon
     if eps > interp.spacing * (1 + 1e-9):
         raise ValueError(f"eps = {eps:g} exceeds the frame spacing {interp.spacing:g}")
+    if T > interp.t_end + interp.slack:
+        raise ValueError(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
     n_cycles = int(math.floor(T / (4.0 * eps) + 1e-9))
     if n_cycles < 1:
         raise ValueError("T does not cover a single 4-step cycle")
@@ -361,8 +398,7 @@ def ensemble_equivariance(
     seeds = sample_from_density(psi_frames[0], n_samples, rng)
     failures = 0
     if T > 0:
-        fields = [velocity_field(f, hbar, mass, rho_floor) for f in psi_frames]
-        interp = FrameInterpolator(fields)
+        interp = FrameInterpolator([_re_field(f, hbar, mass, rho_floor) for f in psi_frames])
         if dt is None:
             dt = interp.spacing
         n_steps = max(1, int(round(T / dt)))

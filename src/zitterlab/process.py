@@ -19,11 +19,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EpsilonUnderflow, NonFiniteVelocity
+from .errors import EpsilonUnderflow, NonFiniteVelocity, StepBudgetExceeded
 from .fileio import atomic_write_text, fmt17
 
 # Unit-square vertices u^1..u^4 in the fixed listing order.
 VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
+
+# Most 4-step cycles one de_broglie-mode run may take before it is abandoned.
+DE_BROGLIE_CYCLE_BUDGET = 10_000_000
 
 
 class Sense(Enum):
@@ -416,8 +419,10 @@ def _run_de_broglie(params, perm, vel, z0, T) -> ProcessRun:
             epsilons.append(eps)
         t += 4 * eps
         guard += 1
-        if guard > 10_000_000:
-            raise MemoryError("de_broglie run exceeded the step budget")
+        if guard > DE_BROGLIE_CYCLE_BUDGET:
+            raise StepBudgetExceeded(
+                f"de_broglie run exceeded {DE_BROGLIE_CYCLE_BUDGET} cycles before t = {T:g}"
+            )
     epsilons[0] = first_eps if first_eps is not None else params.epsilon
     means_arr = np.asarray(means)
     vertices = means_arr[:, None, :] + np.asarray(rows_offsets)

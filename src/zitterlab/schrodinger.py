@@ -354,15 +354,25 @@ class GradientFields:
     node_mask: np.ndarray
 
 
-def density_and_phase_gradients(
-    psi: WaveFunction, hbar: float = 1.0, rho_floor: float = DEFAULT_RHO_FLOOR
-) -> GradientFields:
+def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR):
+    """(ratio, node_mask, rho): the spectral grad(Psi)/Psi as an (n, n, 2)
+    complex array, the mask rho < rho_floor * max(rho), and rho itself.
+
+    The ratio is set to 0 at masked nodes, where it must not be used.
+    """
     rho = psi.density()
     mask = rho < rho_floor * float(rho.max())
     gx, gy = spectral_gradient(psi.grid, psi.values)
     safe = np.where(mask, 1.0, psi.values)
     ratio = np.stack([gx, gy], axis=-1) / safe[..., None]
     ratio[mask] = 0.0
+    return ratio, mask, rho
+
+
+def density_and_phase_gradients(
+    psi: WaveFunction, hbar: float = 1.0, rho_floor: float = DEFAULT_RHO_FLOOR
+) -> GradientFields:
+    ratio, mask, rho = psi_ratios(psi, rho_floor)
     return GradientFields(
         rho=rho,
         grad_log_rho=2.0 * ratio.real,

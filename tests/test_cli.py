@@ -152,6 +152,17 @@ class TestMainEntry:
         assert main(["run", str(cfg)]) == 3
         assert "PacketTooNarrow" in capsys.readouterr().err
 
+    def test_step_budget_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(zl.process, "DE_BROGLIE_CYCLE_BUDGET", 1)
+        cfg = tmp_path / "long.cfg"
+        # two de_broglie cycles (4*eps = 1.57 at speed 2) against a budget of one
+        cfg.write_text(
+            "scenario = process_free\nepsilon_mode = de_broglie\nvelocity = constant\n"
+            "velocity_x = 2.0\nvelocity_y = 0.0\nT = 3.0\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "StepBudgetExceeded" in capsys.readouterr().err
+
     def test_check_failure_exit_one(self, tmp_path, capsys):
         # 1000 samples leave multinomial noise well above the TV thresholds
         cfg = tmp_path / "thin.cfg"

@@ -110,6 +110,122 @@ class TestBohmVelocityAt:
             zl.bohm_velocity_at(field, (10.5, 0.0))
 
 
+def bilinear_oracle(fld, pts):
+    """The direct four-corner formula the shared stencil kernel replaced."""
+    grid = fld.grid
+    n, h, L = grid.n, grid.spacing, grid.half_width
+    inside = np.all((pts >= -L) & (pts < L), axis=1)
+    fx = (pts[:, 0] + L) / h
+    fy = (pts[:, 1] + L) / h
+    i0 = np.floor(fx).astype(np.int64)
+    j0 = np.floor(fy).astype(np.int64)
+    tx = (fx - i0)[:, None]
+    ty = (fy - j0)[:, None]
+    i0 = np.clip(i0, 0, n - 1)
+    j0 = np.clip(j0, 0, n - 1)
+    i1 = (i0 + 1) % n
+    j1 = (j0 + 1) % n
+    m = fld.node_mask
+    ok = inside & ~(m[i0, j0] | m[i1, j0] | m[i0, j1] | m[i1, j1])
+    v = fld.v
+    vals = (
+        (1 - tx) * (1 - ty) * v[i0, j0]
+        + tx * (1 - ty) * v[i1, j0]
+        + (1 - tx) * ty * v[i0, j1]
+        + tx * ty * v[i1, j1]
+    )
+    return vals, ok
+
+
+def kernel_probe_points(grid, m, rng):
+    """m points: random ones plus the wrap row and column (i0 = n - 1), cells
+    next to masked nodes, and points outside the box."""
+    L, h = grid.half_width, grid.spacing
+    pts = rng.uniform(-L, L, size=(m, 2))
+    special = np.array(
+        [
+            [L - 0.3 * h, 0.1],  # wrap row: i1 = 0
+            [0.2, L - 0.7 * h],  # wrap column: j1 = 0
+            [L - 0.5 * h, L - 0.5 * h],  # wrap corner
+            [grid.axis[40] + 0.4 * h, grid.axis[17] + 0.6 * h],  # next to a masked node
+            [grid.axis[41], grid.axis[18]],  # on the masked node itself
+            [L + 0.1, 0.0],  # outside the box
+            [-L - 1e-9, -L],  # just below the lower edge
+            [0.0, L],  # on the open upper edge
+        ]
+    )
+    pts[: min(m, len(special))] = special[:m]
+    return pts
+
+
+class TestTransportKernel:
+    """The stencil/gather kernel reproduces the four-corner formula."""
+
+    @pytest.fixture(scope="class")
+    def masked_field(self):
+        grid = zl.Grid2D(64, 8.0)
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(64, 64, 2)) + 1j * rng.normal(size=(64, 64, 2))
+        mask = np.zeros((64, 64), dtype=bool)
+        mask[41, 18] = True
+        mask[63, 5] = True
+        mask[10, 63] = True
+        return pilot.VelocityField(grid, v, mask, 0.0)
+
+    @pytest.mark.parametrize("m", [1, 1000])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_four_corner_oracle(self, masked_field, m, real):
+        fld = masked_field
+        if real:
+            fld = pilot.VelocityField(fld.grid, np.ascontiguousarray(fld.v.real), fld.node_mask, 0.0)
+        pts = kernel_probe_points(fld.grid, m, np.random.default_rng(m))  # m = 1: a wrap-row point
+        expected, ok_expected = bilinear_oracle(fld, pts)
+        idx, w, inside = pilot._stencil(fld.grid, pts)
+        vals, masked = pilot._gather(fld, idx, w)
+        assert vals.dtype == fld.v.dtype
+        # same products summed in the same order: equal, not merely within 1e-14
+        np.testing.assert_array_equal(vals, expected)
+        assert np.array_equal(inside & ~masked, ok_expected)
+        interp_vals, interp_ok = pilot.FrameInterpolator([fld]).complex_at(0.0, pts)
+        np.testing.assert_array_equal(interp_vals, expected)
+        assert np.array_equal(interp_ok, ok_expected)
+
+    def test_probe_points_cover_every_case(self, masked_field):
+        grid = masked_field.grid
+        L = grid.half_width
+        pts = kernel_probe_points(grid, 1000, np.random.default_rng(1000))
+        _, ok = bilinear_oracle(masked_field, pts)
+        i0 = np.floor((pts + L) / grid.spacing).astype(int)
+        inside = np.all((pts >= -L) & (pts < L), axis=1)
+        assert np.any(inside & (i0[:, 0] == grid.n - 1)) and np.any(inside & (i0[:, 1] == grid.n - 1))
+        assert np.any(~inside)
+        assert np.any(inside & ~ok)  # masked corners
+
+    def test_two_frames_match_oracle_blend(self, masked_field):
+        fld = masked_field
+        later_mask = np.zeros_like(fld.node_mask)
+        later_mask[30, 30] = True
+        later = pilot.VelocityField(fld.grid, 2.0 * fld.v[::-1].copy(), later_mask, 0.1)
+        interp = pilot.FrameInterpolator([fld, later])
+        pts = kernel_probe_points(fld.grid, 1000, np.random.default_rng(5))
+        pts[9] = (fld.grid.axis[30] + 0.5 * fld.grid.spacing, fld.grid.axis[30])
+        v0, ok0 = bilinear_oracle(fld, pts)
+        v1, ok1 = bilinear_oracle(later, pts)
+        vals, ok = interp.complex_at(0.025, pts)
+        np.testing.assert_array_equal(vals, 0.75 * v0 + 0.25 * v1)
+        assert np.array_equal(ok, ok0 & ok1)
+        assert not ok[9]
+
+    def test_real_transport_gives_the_same_report(self, free_frames, monkeypatch):
+        real = zl.ensemble_equivariance(free_frames, 2000, 21)
+        # hand the transport the full complex fields instead of Re V only
+        monkeypatch.setattr(pilot, "_re_field", pilot.velocity_field)
+        full = zl.ensemble_equivariance(free_frames, 2000, 21)
+        assert full.tv_distance == real.tv_distance
+        assert full.failures == real.failures
+        assert np.array_equal(full.empirical, real.empirical)
+
+
 class TestIntegrateTrajectory:
     def test_ground_state_is_stationary(self, ground_fields):
         traj = zl.integrate_trajectory(ground_fields, (0.5, -0.3), dt=2 * math.pi / 50)
@@ -142,6 +258,41 @@ class TestIntegrateTrajectory:
     def test_dt_larger_than_frame_spacing_rejected(self, free_fields):
         with pytest.raises(ValueError):
             zl.integrate_trajectory(free_fields, (0.5, 0.0), dt=0.1)
+
+
+class TestFrameSpan:
+    """Queries past the frames raise instead of holding the last frame."""
+
+    @pytest.fixture(scope="class")
+    def short_fields(self):
+        grid = zl.Grid2D(64, 8.0)
+        psi0 = zl.init_gaussian(grid, (0, 0), 1.0, (0, 0))
+        frames = zl.evolve_frames(psi0, zl.free_potential(), 1e-2, 20, 5)  # t = 0, 0.05, ..., 0.2
+        return [zl.velocity_field(f) for f in frames]
+
+    def test_trajectory_past_last_frame_rejected(self, short_fields):
+        with pytest.raises(ValueError, match="past the last frame"):
+            zl.integrate_trajectory(short_fields, (0.5, 0.0), dt=0.05, T=5.0)
+
+    def test_guided_process_past_last_frame_rejected(self, short_fields):
+        with pytest.raises(ValueError, match="past the last frame"):
+            zl.guide_process(short_fields, zl.PhysParams(epsilon=0.01), zl.Permutation(), (0.5, 0.0), 1.0)
+
+    def test_query_outside_span_rejected(self, short_fields):
+        interp = pilot.FrameInterpolator(short_fields)
+        pts = np.array([[0.5, 0.0]])
+        for t in (-0.01, 0.2 + 1e-6, 5.0):
+            with pytest.raises(ValueError, match="outside the frame span"):
+                interp.complex_at(t, pts)
+        # roundoff past either end is still served by the end frame
+        for t, frame in ((-1e-13, short_fields[0]), (0.2 + 1e-13, short_fields[-1])):
+            vals, ok = interp.complex_at(t, pts)
+            assert ok[0]
+            np.testing.assert_array_equal(vals, pilot.FrameInterpolator([frame]).complex_at(frame.time, pts)[0])
+
+    def test_span_end_still_integrates(self, short_fields):
+        traj = zl.integrate_trajectory(short_fields, (0.5, 0.0), dt=0.05)
+        assert traj.times[-1] == pytest.approx(0.2)
 
 
 class TestGuideProcess:
