@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     EnsembleFailure,
     EpsilonUnderflow,
+    InvalidInput,
     LeftDomain,
     MisalignedCycle,
     MissingRequired,

@@ -64,3 +64,8 @@ class OutOfRange(ConfigError):
 
 class MissingRequired(ConfigError):
     """Config omits a required key."""
+
+
+class InvalidInput(ConfigError, ValueError):
+    """Inputs that parse one by one but do not fit together (a too-short eps
+    sweep, a step count that is no multiple of the frame stride)."""

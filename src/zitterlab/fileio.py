@@ -1,7 +1,8 @@
-"""Deterministic file output helpers: 17-digit floats, atomic writes, ZLAB frames."""
+"""Deterministic file output helpers: 17-digit CSV cells, atomic writes, ZLAB frames."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -11,11 +12,6 @@ import numpy as np
 
 ZLAB_MAGIC = b"ZLAB"
 ZLAB_VERSION = 1
-
-
-def fmt17(x) -> str:
-    """Render a float with 17 significant digits (round-trip safe)."""
-    return f"{float(x):.17g}"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -51,19 +47,21 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@functools.lru_cache(maxsize=256)
+def _row_format(cell_types: tuple) -> str:
+    """%-format of one CSV row: ints verbatim, strings as-is, and every other
+    number with 17 significant digits (round-trip safe)."""
+    return ",".join(
+        "%d" if issubclass(t, (int, np.integer)) else "%s" if issubclass(t, str) else "%.17g" for t in cell_types
+    )
+
+
 def write_csv(path, header, rows) -> None:
-    """rows: iterable of iterables; floats are formatted with fmt17, ints verbatim."""
+    """rows: iterable of sequences, each rendered by one cached %-format."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(fmt17(cell))
-        lines.append(",".join(cells))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

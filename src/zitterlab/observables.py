@@ -9,7 +9,7 @@ eps, mass and the drift program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +49,45 @@ def _cycle_window(states: Sequence[ProcessState]):
     r = np.stack([st.real_vertices() for st in states])  # (5, 4, 2)
     rm = np.stack([st.real_mean() for st in states])  # (5, 2)
     eps = states[1].params.epsilon  # eps in effect for the cycle's steps
-    mass = states[0].params.mass
-    return r, rm, eps, mass
+    return r[None], rm[None], np.array([eps]), states[0].params.mass  # a batch of one for _cycle_kernel
+
+
+def _perimeter(r: np.ndarray) -> np.ndarray:
+    """Perimeter of the closed quadrilateral 1-2-3-4-1 over (..., 4, 2) vertices."""
+    return np.sum(np.linalg.norm(np.roll(r, -1, axis=-2) - r, axis=-1), axis=-1)
+
+
+def _cycle_kernel(r: np.ndarray, rm: np.ndarray, eps: np.ndarray, mass: float):
+    """Observables of C cycles from (C, 5, 4, 2) real vertex windows over
+    n = 4q..4q+4, their (C, 5, 2) means and the (C,) eps of each cycle.
+
+    Returns the (C,) arrays sigma_z, sigma_orbital, sigma_intrinsic, delta_x,
+    delta_px and the (C, 4) string lengths at n = 4q..4q+3.  Each 16-term
+    average is one row reduction, summed in the same order for any C.
+    """
+    c = len(r)
+    eps = eps[:, None, None]
+    p = mass * np.diff(r, axis=1) / eps[..., None]  # (C, 4, 4, 2) forward-difference momenta
+    pm = mass * np.diff(rm, axis=1) / eps  # (C, 4, 2)
+    sigma_z = np.mean(_wedge(r[:, :4], p).reshape(c, 16), axis=1)
+    sigma_orbital = np.mean(_wedge(rm[:, :4], pm), axis=1)
+    dx2 = np.mean(((r[:, :4, :, 0] - rm[:, :4, None, 0]) ** 2).reshape(c, 16), axis=1)
+    dp2 = np.mean(((p[..., 0] - pm[:, :, None, 0]) ** 2).reshape(c, 16), axis=1)
+    return sigma_z, sigma_orbital, sigma_z - sigma_orbital, np.sqrt(dx2), np.sqrt(dp2), _perimeter(r[:, :4])
+
+
+def _records(first_q: int, t_start, columns) -> list[CycleObservables]:
+    """CycleObservables for consecutive cycles from the kernel's columns."""
+    sigma_z, sigma_orb, sigma_int, delta_x, delta_px, lengths = (a.tolist() for a in columns)
+    product = (columns[3] * columns[4]).tolist()
+    cycles = range(first_q, first_q + len(sigma_z))
+    fields = (sigma_z, sigma_orb, sigma_int, delta_x, delta_px, product, map(tuple, lengths))
+    return list(map(CycleObservables, cycles, t_start, *fields))
+
+
+def _one_cycle(states: Sequence[ProcessState]) -> CycleObservables:
+    """The kernel on the one cycle that 5 consecutive states span."""
+    return _records(states[0].step_index // 4, [states[0].time], _cycle_kernel(*_cycle_window(states)))[0]
 
 
 def cycle_spin(states: Sequence[ProcessState]):
@@ -61,12 +98,8 @@ def cycle_spin(states: Sequence[ProcessState]):
     average for the gravity center itself, so the intrinsic part is carried
     entirely by the vertex fluctuations and is +-hbar/2 to roundoff.
     """
-    r, rm, eps, mass = _cycle_window(states)
-    p = mass * np.diff(r, axis=0) / eps  # (4, 4, 2)
-    pm = mass * np.diff(rm, axis=0) / eps  # (4, 2)
-    sigma_total = float(np.mean(_wedge(r[:4], p)))
-    sigma_orbital = float(np.mean(_wedge(rm[:4], pm)))
-    return sigma_total, sigma_orbital, sigma_total - sigma_orbital
+    c = _one_cycle(states)
+    return c.sigma_z, c.sigma_orbital, c.sigma_intrinsic
 
 
 def intrinsic_spin_closed_form(perm: Permutation, hbar: float) -> float:
@@ -77,12 +110,8 @@ def intrinsic_spin_closed_form(perm: Permutation, hbar: float) -> float:
 
 def cycle_uncertainties(states: Sequence[ProcessState]):
     """(delta_x, delta_px) along the x axis from the 16-term spreads."""
-    r, rm, eps, mass = _cycle_window(states)
-    p = mass * np.diff(r, axis=0) / eps
-    pm = mass * np.diff(rm, axis=0) / eps
-    dx2 = float(np.mean((r[:4, :, 0] - rm[:4, None, 0]) ** 2))
-    dp2 = float(np.mean((p[:, :, 0] - pm[:, None, 0]) ** 2))
-    return np.sqrt(dx2), np.sqrt(dp2)
+    c = _one_cycle(states)
+    return c.delta_x, c.delta_px
 
 
 def string_length(state: ProcessState) -> float:
@@ -90,61 +119,24 @@ def string_length(state: ProcessState) -> float:
 
     Zero at cycle boundaries, maximal (corner configuration) at n = 4q+2.
     """
-    r = state.real_vertices()
-    return float(np.sum(np.linalg.norm(np.roll(r, -1, axis=0) - r, axis=1)))
+    return float(_perimeter(state.real_vertices()))
 
 
 def measure_cycle(states: Sequence[ProcessState], cycle_index: int | None = None) -> CycleObservables:
-    sigma_z, sigma_orb, sigma_int = cycle_spin(states)
-    delta_x, delta_px = cycle_uncertainties(states)
-    lengths = tuple(string_length(st) for st in states[:4])
-    q = states[0].step_index // 4 if cycle_index is None else cycle_index
-    return CycleObservables(
-        cycle_index=q,
-        t_start=states[0].time,
-        sigma_z=sigma_z,
-        sigma_orbital=sigma_orb,
-        sigma_intrinsic=sigma_int,
-        delta_x=delta_x,
-        delta_px=delta_px,
-        heisenberg_product=delta_x * delta_px,
-        string_lengths=lengths,
-    )
+    c = _one_cycle(states)
+    return c if cycle_index is None else replace(c, cycle_index=cycle_index)
 
 
 def measure_run(run: ProcessRun) -> list[CycleObservables]:
-    """Observables for every complete cycle of a run (vectorized)."""
-    q_max = run.n_cycles
-    out = []
-    r_all = run.real_vertices()
-    rm_all = run.real_means()
-    for q in range(q_max):
-        lo = 4 * q
-        r = r_all[lo : lo + 5]
-        rm = rm_all[lo : lo + 5]
-        eps = run.epsilons[lo + 1]
-        mass = run.params.mass
-        p = mass * np.diff(r, axis=0) / eps
-        pm = mass * np.diff(rm, axis=0) / eps
-        sigma_total = float(np.mean(_wedge(r[:4], p)))
-        sigma_orbital = float(np.mean(_wedge(rm[:4], pm)))
-        dx2 = float(np.mean((r[:4, :, 0] - rm[:4, None, 0]) ** 2))
-        dp2 = float(np.mean((p[:, :, 0] - pm[:, None, 0]) ** 2))
-        sides = np.linalg.norm(np.roll(r[:4], -1, axis=1) - r[:4], axis=2)  # (4 steps, 4 sides)
-        out.append(
-            CycleObservables(
-                cycle_index=q,
-                t_start=float(run.times[lo]),
-                sigma_z=sigma_total,
-                sigma_orbital=sigma_orbital,
-                sigma_intrinsic=sigma_total - sigma_orbital,
-                delta_x=float(np.sqrt(dx2)),
-                delta_px=float(np.sqrt(dp2)),
-                heisenberg_product=float(np.sqrt(dx2) * np.sqrt(dp2)),
-                string_lengths=tuple(float(s) for s in sides.sum(axis=1)),
-            )
-        )
-    return out
+    """Observables for every complete cycle of a run.
+
+    All windows are gathered with one fancy index and measured by one kernel
+    call; cycle q uses the eps of its own steps, so de_broglie runs are exact.
+    """
+    starts = 4 * np.arange(run.n_cycles)
+    window = starts[:, None] + np.arange(5)  # (C, 5) step indices
+    r, rm = run.real_vertices()[window], run.real_means()[window]
+    return _records(0, run.times[starts].tolist(), _cycle_kernel(r, rm, run.epsilons[starts + 1], run.params.mass))
 
 
 def observables_to_csv(path, cycles: Sequence[CycleObservables]) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EnsembleFailure, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
-from .process import PhysParams, Permutation, ProcessRun, gamma
+from .process import PhysParams, Permutation, _assemble_run
 from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
 
 
@@ -257,8 +257,6 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     if n_cycles < 1:
         raise ValueError("T does not cover a single 4-step cycle")
     x0 = np.asarray(x0, dtype=float).reshape(2)
-    g = gamma(params)
-    offsets = perm.offset_table()
     n_steps = 4 * n_cycles
     means = np.empty((n_steps + 1, 2), dtype=complex)
     means[0] = x0.astype(complex)
@@ -278,9 +276,7 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
         for r in range(1, 5):
             mean = mean + v_q * eps
             means[4 * q + r] = mean
-    times = np.arange(n_steps + 1) * eps
-    vertices = means[:, None, :] + g * offsets[np.arange(n_steps + 1) % 4]
-    run = ProcessRun(times, vertices, means, np.full(n_steps + 1, eps), params, perm)
+    run = _assemble_run(np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
     reference = integrate_trajectory(interp, x0, dt=eps, T=n_steps * eps)
     return run, reference
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EpsilonUnderflow, NonFiniteVelocity, StepBudgetExceeded
-from .fileio import atomic_write_text, fmt17
+from .fileio import write_csv
 
 # Unit-square vertices u^1..u^4 in the fixed listing order.
 VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
@@ -343,16 +343,10 @@ class ProcessRun:
         for j in range(1, 5):
             header += [f"re_z1_{j}", f"im_z1_{j}", f"re_z2_{j}", f"im_z2_{j}"]
         header += ["re_mean1", "im_mean1", "re_mean2", "im_mean2"]
-        lines = [",".join(header)]
-        for n in range(len(self)):
-            row = [str(n), fmt17(self.times[n])]
-            for j in range(4):
-                z = self.vertices[n, j]
-                row += [fmt17(z[0].real), fmt17(z[0].imag), fmt17(z[1].real), fmt17(z[1].imag)]
-            m = self.means[n]
-            row += [fmt17(m[0].real), fmt17(m[0].imag), fmt17(m[1].real), fmt17(m[1].imag)]
-            lines.append(",".join(row))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        m = len(self)
+        parts = [np.stack([z.real, z.imag], axis=-1).reshape(m, -1) for z in (self.vertices, self.means)]
+        table = np.column_stack([self.times, *parts])  # re/im interleaved per component
+        write_csv(path, header, ((n, *row.tolist()) for n, row in enumerate(table)))
 
 
 def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0, T: float) -> ProcessRun:
@@ -373,6 +367,18 @@ def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0,
     return _run_de_broglie(params, perm, vel, z0, T)
 
 
+def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation) -> ProcessRun:
+    """ProcessRun from the mean path: vertex n = mean_n + gamma(eps_n) (s^n u^j - u^j).
+
+    gamma is taken per step from epsilons, which covers de_broglie runs whose
+    eps changes from cycle to cycle.
+    """
+    g = (1.0 + 1.0j) * np.sqrt(params.hbar * epsilons / (4.0 * params.mass))
+    offsets = perm.offset_table()[np.arange(len(times)) % 4]  # (M, 4, 2)
+    vertices = means[:, None, :] + g[:, None, None] * offsets
+    return ProcessRun(times, vertices, means, epsilons, params, perm)
+
+
 def _run_fixed(params, perm, vel, z0, T) -> ProcessRun:
     eps = params.epsilon
     n_steps = int(math.floor(T / eps + 1e-9))
@@ -385,29 +391,20 @@ def _run_fixed(params, perm, vel, z0, T) -> ProcessRun:
     means[0] = z0
     np.cumsum(v * eps, axis=0, out=means[1:])
     means[1:] += z0
-    offsets = perm.offset_table()[n % 4]  # (M, 4, 2)
-    vertices = means[:, None, :] + gamma(params) * offsets
-    epsilons = np.full(n_steps + 1, eps)
-    return ProcessRun(times, vertices, means, epsilons, params, perm)
+    return _assemble_run(times, means, np.full(n_steps + 1, eps), params, perm)
 
 
 def _run_de_broglie(params, perm, vel, z0, T) -> ProcessRun:
     times = [0.0]
     means = [z0]
     epsilons = [math.nan]  # placeholder; patched to the first cycle's eps below
-    tab = perm.offset_table()
     mean = z0.copy()
     t = 0.0
-    rows_offsets = [np.zeros((4, 2))]
-    first_eps = None
     guard = 0
     while t < T - 1e-12:
         v_boundary = _eval_velocity(vel, t)
         speed = float(np.linalg.norm(v_boundary.real))
         eps = params.de_broglie_epsilon(speed)
-        if first_eps is None:
-            first_eps = eps
-        g = gamma(replace(params, epsilon=eps))
         for r in range(1, 5):
             # literal indexing: the step landing on the next boundary (r = 4)
             # reads the velocity at that boundary
@@ -415,7 +412,6 @@ def _run_de_broglie(params, perm, vel, z0, T) -> ProcessRun:
             mean = mean + v_step * eps
             times.append(t + r * eps)
             means.append(mean)
-            rows_offsets.append(g * tab[r % 4])
             epsilons.append(eps)
         t += 4 * eps
         guard += 1
@@ -423,10 +419,8 @@ def _run_de_broglie(params, perm, vel, z0, T) -> ProcessRun:
             raise StepBudgetExceeded(
                 f"de_broglie run exceeded {DE_BROGLIE_CYCLE_BUDGET} cycles before t = {T:g}"
             )
-    epsilons[0] = first_eps if first_eps is not None else params.epsilon
-    means_arr = np.asarray(means)
-    vertices = means_arr[:, None, :] + np.asarray(rows_offsets)
-    return ProcessRun(np.asarray(times), vertices, means_arr, np.asarray(epsilons), params, perm)
+    epsilons[0] = epsilons[1] if len(epsilons) > 1 else params.epsilon
+    return _assemble_run(np.asarray(times), np.asarray(means), np.asarray(epsilons), params, perm)
 
 
 @dataclass(frozen=True)

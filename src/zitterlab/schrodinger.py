@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PacketTooNarrow, PacketTouchesBoundary, ResolutionLoss
+from .errors import InvalidInput, PacketTooNarrow, PacketTouchesBoundary, ResolutionLoss
 from .fileio import write_csv, write_zlab_frame
 
 # fraction of max rho below which a cell counts as a node
@@ -278,7 +278,7 @@ def evolve_frames(
     One Propagator serves every frame, so the guards run once per frame.
     """
     if n_steps % frame_stride != 0:
-        raise ValueError("n_steps must be a multiple of frame_stride")
+        raise InvalidInput(f"n_steps = {n_steps} is not a multiple of frame_stride = {frame_stride}")
     propagator = Propagator(psi.grid, pot, dt, hbar, mass)
     frames = [psi.copy()]
     for _ in range(n_steps // frame_stride):

@@ -145,6 +145,22 @@ class TestMainEntry:
         assert "config error" in capsys.readouterr().err
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = convergence\nepsilons = 0.01, 0.001\n",
+            # 12 steps do not split into frames of frame_stride = 5
+            "scenario = free_gaussian\nn_grid = 64\nbox_half_width = 8\nT = 0.012\ndt = 0.001\n",
+        ],
+        ids=["short_sweep", "stride_mismatch"],
+    )
+    def test_inconsistent_inputs_exit_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "narrow.cfg"
         # valid config, but the packet is unresolvable on this grid

@@ -2,13 +2,55 @@
 
 The spin oracle below re-derives the 16-term average directly from the raw
 real positions of a run, independently of the library's implementation.
+``loop_measure_run`` is the earlier per-cycle implementation of
+``measure_run``, kept here as an independent oracle for the batched kernel.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import zitterlab as zl
+from zitterlab.observables import CycleObservables
+
+
+def _wedge(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def loop_measure_run(run):
+    """One cycle at a time, in the summation order the kernel must keep."""
+    out = []
+    r_all = run.real_vertices()
+    rm_all = run.real_means()
+    for q in range(run.n_cycles):
+        lo = 4 * q
+        r = r_all[lo : lo + 5]
+        rm = rm_all[lo : lo + 5]
+        eps = run.epsilons[lo + 1]
+        mass = run.params.mass
+        p = mass * np.diff(r, axis=0) / eps
+        pm = mass * np.diff(rm, axis=0) / eps
+        sigma_total = float(np.mean(_wedge(r[:4], p)))
+        sigma_orbital = float(np.mean(_wedge(rm[:4], pm)))
+        dx2 = float(np.mean((r[:4, :, 0] - rm[:4, None, 0]) ** 2))
+        dp2 = float(np.mean((p[:, :, 0] - pm[:, None, 0]) ** 2))
+        sides = np.linalg.norm(np.roll(r[:4], -1, axis=1) - r[:4], axis=2)  # (4 steps, 4 sides)
+        out.append(
+            CycleObservables(
+                cycle_index=q,
+                t_start=float(run.times[lo]),
+                sigma_z=sigma_total,
+                sigma_orbital=sigma_orbital,
+                sigma_intrinsic=sigma_total - sigma_orbital,
+                delta_x=float(np.sqrt(dx2)),
+                delta_px=float(np.sqrt(dp2)),
+                heisenberg_product=float(np.sqrt(dx2) * np.sqrt(dp2)),
+                string_lengths=tuple(float(s) for s in sides.sum(axis=1)),
+            )
+        )
+    return out
 
 
 def brute_force_cycle_spin(run, q):
@@ -191,3 +233,47 @@ def test_observables_csv(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[7]) == pytest.approx(0.5, rel=1e-12)
+
+
+ORACLE_RUNS = {
+    "fixed_s_plus": (zl.PhysParams(epsilon=0.03), zl.Sense.S_PLUS, zl.CircularVelocity(omega=2.0), 6.0),
+    "fixed_s_minus": (zl.PhysParams(epsilon=0.03), zl.Sense.S_MINUS, zl.CircularVelocity(omega=2.0), 6.0),
+    "compton": (
+        zl.PhysParams(mass=2.0, light_speed=3.0, epsilon_mode=zl.EpsilonMode.COMPTON),
+        zl.Sense.S_PLUS,
+        zl.ConstantVelocity(0.8, -0.5),
+        5.0,
+    ),
+    # the drift speed grows with t, so every cycle has its own eps
+    "de_broglie_s_plus": (
+        zl.PhysParams(hbar=0.7, mass=1.3, epsilon_mode=zl.EpsilonMode.DE_BROGLIE),
+        zl.Sense.S_PLUS,
+        zl.PolynomialVelocity((2.0, 1.5), (0.5, -0.25)),
+        6.0,
+    ),
+    "de_broglie_s_minus": (
+        zl.PhysParams(epsilon_mode=zl.EpsilonMode.DE_BROGLIE),
+        zl.Sense.S_MINUS,
+        zl.PolynomialVelocity((3.0, 2.0), (0.0,)),
+        4.0,
+    ),
+    "no_complete_cycle": (zl.PhysParams(epsilon=0.1), zl.Sense.S_PLUS, zl.CircularVelocity(), 0.35),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_RUNS))
+def test_measure_run_equals_per_cycle_loop(name):
+    params, sense, vel, T = ORACLE_RUNS[name]
+    run = zl.run_process(params, zl.Permutation(sense), vel, (0.3, -1.2), T)
+    expected = loop_measure_run(run)
+    got = zl.measure_run(run)
+    assert isinstance(got, list)
+    assert len(got) == run.n_cycles
+    if name.startswith("de_broglie"):
+        assert len(set(run.epsilons[1::4])) == run.n_cycles >= 3
+    if name == "no_complete_cycle":
+        assert got == []
+    # dataclass equality compares every field with ==, floats included
+    assert got == expected
+    for q in (0, run.n_cycles - 1) if run.n_cycles else ():
+        assert zl.measure_cycle([run[n] for n in range(4 * q, 4 * q + 5)]) == expected[q]

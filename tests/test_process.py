@@ -1,6 +1,7 @@
 """Core four-point process: recurrence, invariants, classical reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ class TestEpsilonModes:
         vel = zl.PolynomialVelocity((2.0, 3.0), (0.0,))
         run = zl.run_process(p, zl.Permutation(), vel, (0, 0), 3.0)
         assert len(set(np.round(run.epsilons[1:], 12))) > 1
+        # n = 0 carries the first cycle's eps, not the template's
+        assert run.epsilons[0] == run.epsilons[1] != p.epsilon
+        assert run[0].params.epsilon == run.epsilons[1]
+
+    def test_de_broglie_vertices_use_each_cycle_gamma(self):
+        p = zl.PhysParams(hbar=0.7, mass=1.3, epsilon_mode=zl.EpsilonMode.DE_BROGLIE)
+        run = zl.run_process(p, zl.Permutation(), zl.PolynomialVelocity((2.0, 1.5), (0.5,)), (0, 0), 4.0)
+        assert len(set(run.epsilons)) > 3
+        offsets = zl.Permutation().offset_table()
+        for n in range(len(run)):
+            g = zl.gamma(replace(p, epsilon=float(run.epsilons[n])))
+            assert np.array_equal(run.vertices[n], run.means[n] + g * offsets[n % 4])
 
     def test_epsilon_underflow(self):
         p = zl.PhysParams(
@@ -269,3 +282,70 @@ def test_run_csv_format(tmp_path):
     assert float(row[1]) == run.times[1]
     run.to_csv(tmp_path / "run2.csv")
     assert (tmp_path / "run2.csv").read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CSV output against the earlier per-cell formatter
+# ---------------------------------------------------------------------------
+
+
+def cell_text(cell):
+    """The earlier per-cell rule: ints verbatim, strings as-is, 17-digit floats."""
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    if isinstance(cell, str):
+        return cell
+    return f"{float(cell):.17g}"
+
+
+def oracle_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(cell_text(c) for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_run_csv(run) -> bytes:
+    """run.csv as the earlier ProcessRun.to_csv wrote it, cell by cell."""
+    header = ["n", "t"]
+    for j in range(1, 5):
+        header += [f"re_z1_{j}", f"im_z1_{j}", f"re_z2_{j}", f"im_z2_{j}"]
+    header += ["re_mean1", "im_mean1", "re_mean2", "im_mean2"]
+    rows = []
+    for n in range(len(run)):
+        row = [n, run.times[n]]
+        for z in (*run.vertices[n], run.means[n]):
+            row += [z[0].real, z[0].imag, z[1].real, z[1].imag]
+        rows.append(row)
+    return oracle_csv(header, rows)
+
+
+def test_write_csv_matches_per_cell_rule(tmp_path):
+    from zitterlab.fileio import write_csv
+
+    header = ["a", "b", "c", "d", "e", "f"]
+    rows = [
+        [1, np.int64(-7), True, "tag", np.float64(0.1), 1.0],
+        (np.int32(3), np.uint8(255), False, "", float("nan"), float("inf")),
+        [0, -0, np.bool_(True), "x,y", -0.0, float("-inf")],
+        [2**70, np.int64(2**62), np.float32(0.1), "%d %s", 5e-324, -1.7976931348623157e308],
+        [1, np.int64(-7), True, "tag", np.float64(0.1), 1.0],  # a repeated row shape
+        np.array([1.5, 2.0, 3e-300, -4.25, 0.0, 1e22]),
+    ]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == oracle_csv(header, rows)
+    write_csv(path, header, [])
+    assert path.read_bytes() == b"a,b,c,d,e,f\n"
+
+
+@pytest.mark.parametrize(
+    "mode,vel",
+    [
+        (zl.EpsilonMode.FIXED, zl.CircularVelocity(omega=2.0, amplitude=0.7)),
+        (zl.EpsilonMode.DE_BROGLIE, zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25))),
+    ],
+    ids=["circular", "de_broglie"],
+)
+def test_run_csv_matches_per_cell_rule(tmp_path, mode, vel):
+    run = zl.run_process(params(0.01, hbar=0.7, mass=1.3, epsilon_mode=mode), zl.Permutation(), vel, (0.3, -1j), 3.0)
+    run.to_csv(tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_bytes() == oracle_run_csv(run)

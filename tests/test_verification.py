@@ -11,6 +11,30 @@ from zitterlab import verification as ver
 SWEEP = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
+def point_dynkin_apply(f, z, t, vel_value, params):
+    """The generator at one point, as computed before dynkin_apply took batches."""
+    z = np.asarray(z, dtype=complex).reshape(2)
+    vel_value = np.asarray(vel_value, dtype=complex).reshape(2)
+    drift = np.sum(vel_value * f.grad(z, t))
+    return complex(f.dt(z, t) + drift - 0.5j * params.hbar / params.mass * f.laplacian(z, t))
+
+
+def loop_increment_residuals(f, params, perm, vel, T):
+    """One boundary at a time: the oracle for the batched residuals."""
+    eps = params.epsilon
+    n_cycles = int(math.floor(T / (4.0 * eps) + 1e-9))
+    run = zl.run_process(params, perm, vel, np.zeros(2, dtype=complex), 4 * n_cycles * eps)
+    residuals = np.empty(n_cycles)
+    for q in range(1, n_cycles + 1):
+        n = 4 * q
+        t = run.times[n]
+        y_now = np.mean(f.value(run.vertices[n], t))
+        y_prev = np.mean(f.value(run.vertices[n - 1], run.times[n - 1]))
+        generator = point_dynkin_apply(f, run.means[n], t, vel(t), params)
+        residuals[q - 1] = abs((y_now - y_prev) / eps - generator)
+    return residuals
+
+
 class TestDynkinApply:
     def test_quadratic_laplacian_term(self):
         f = ver.CATALOG["quadratic"]
@@ -46,7 +70,58 @@ class TestDynkinApply:
             np.testing.assert_allclose(lap, fd_lap, rtol=1e-4, atol=1e-4, err_msg=name)
 
 
+    @pytest.mark.parametrize("name", list(ver.CATALOG))
+    def test_batch_equals_points(self, name):
+        f = ver.CATALOG[name]
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+        v = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+        params = zl.PhysParams(hbar=0.7, mass=1.9)
+        batch = ver.dynkin_apply(f, z, 0.0, v, params)
+        assert batch.shape == (3, 4)
+        points = np.empty((3, 4), dtype=complex)
+        for idx in np.ndindex(3, 4):
+            single = ver.dynkin_apply(f, z[idx], 0.0, v[idx], params)
+            assert type(single) is complex
+            assert single == point_dynkin_apply(f, z[idx], 0.0, v[idx], params)
+            points[idx] = single
+        if name == "gaussian_series":
+            # one point runs its series on numpy scalars, whose complex product
+            # may round differently from the array loop's (last bit only)
+            np.testing.assert_allclose(batch, points, rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(batch, points)
+
+
 class TestCycleIncrementIdentity:
+    @pytest.mark.parametrize("name", list(ver.CATALOG))
+    @pytest.mark.parametrize(
+        "sense,vel",
+        [
+            (zl.Sense.S_PLUS, zl.CircularVelocity(omega=3.0, amplitude=1.5)),
+            (zl.Sense.S_MINUS, zl.PolynomialVelocity((0.5, -1.0), (-0.25, 0.0, 0.3))),
+        ],
+        ids=["circular", "polynomial"],
+    )
+    def test_residuals_equal_per_boundary_loop(self, name, sense, vel):
+        f, params, perm = ver.CATALOG[name], zl.PhysParams(epsilon=2e-3, hbar=1.3), zl.Permutation(sense)
+        res = ver.cycle_increment_residuals(f, params, perm, vel, 1.0)
+        assert res.shape == (125,)
+        assert np.array_equal(res, loop_increment_residuals(f, params, perm, vel, 1.0))
+
+    @pytest.mark.parametrize("name", list(ver.CATALOG))
+    def test_residuals_under_complex_drift(self, name):
+        f, params, perm = ver.CATALOG[name], zl.PhysParams(epsilon=2e-3), zl.Permutation()
+        vel = zl.PolynomialVelocity((0.5, 1j), (-0.25 + 0.5j, 0.0, 0.3))
+        res = ver.cycle_increment_residuals(f, params, perm, vel, 1.0)
+        expected = loop_increment_residuals(f, params, perm, vel, 1.0)
+        if name == "gaussian_series":
+            # complex means: the generator may differ in its last bit (see
+            # TestDynkinApply.test_batch_equals_points), which is ~1e-16 here
+            np.testing.assert_allclose(res, expected, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(res, expected)
+
     def test_rate_one_for_quadratic_under_rotating_drift(self):
         report = ver.generator_identity_check(
             ver.CATALOG["quadratic"], zl.PhysParams(), zl.Permutation(), zl.CircularVelocity(), 1.0, SWEEP
@@ -77,6 +152,13 @@ class TestCycleIncrementIdentity:
             ver.CATALOG["quadratic"], zl.PhysParams(epsilon=1e-3), zl.Permutation(), zl.zero_velocity(), 1.0
         )
         assert res.max() <= 1e-13
+
+    def test_sweep_validation_is_a_config_error(self):
+        with pytest.raises(zl.InvalidInput) as err:
+            ver.generator_identity_check(
+                ver.CATALOG["linear"], zl.PhysParams(), zl.Permutation(), zl.CircularVelocity(), 1.0, (1e-2, 1e-3)
+            )
+        assert isinstance(err.value, zl.ConfigError) and isinstance(err.value, ValueError)
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
