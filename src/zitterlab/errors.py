@@ -68,4 +68,5 @@ class MissingRequired(ConfigError):
 
 class InvalidInput(ConfigError, ValueError):
     """Inputs that parse one by one but do not fit together (a too-short eps
-    sweep, a step count that is no multiple of the frame stride)."""
+    sweep, a step count that is no multiple of the frame stride, a time
+    outside the span of the velocity frames)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnsembleFailure, LeftDomain, NodeRegion, NonFiniteVelocity
+from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run
 from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
@@ -112,7 +112,8 @@ class FrameInterpolator:
 
     Queries are valid for times in [times[0], t_end], up to a roundoff slack
     of 1e-9 frame spacings; a single frame is valid at its own time only.
-    Anything else raises ValueError instead of holding the end frames.
+    Anything else raises InvalidInput (a ValueError) instead of holding the
+    end frames.
     """
 
     def __init__(self, frames):
@@ -142,7 +143,7 @@ class FrameInterpolator:
         its cell is masked in either bracketing frame.
         """
         if not self.times[0] - self.slack <= t <= self.t_end + self.slack:
-            raise ValueError(
+            raise InvalidInput(
                 f"t = {t:g} is outside the frame span [{self.times[0]:g}, {self.t_end:g}]"
             )
         idx, w, inside = _stencil(self.grid, pts)
@@ -176,7 +177,8 @@ class Trajectory:
 
 
 def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int, keep_history: bool):
-    """Vectorized RK4 transport of a batch of points through the frame stack.
+    """Vectorized RK4 transport of a batch of points through the frame stack,
+    from the first frame's time.
 
     Failed points (masked cells or outside the box) freeze in place; their
     first bad step index is recorded in fail_step.
@@ -189,8 +191,9 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
     history = np.empty((n_steps + 1, m, 2)) if keep_history else None
     if keep_history:
         history[0] = x
+    t0 = float(interp.times[0])
     for s in range(n_steps):
-        t = s * dt
+        t = t0 + s * dt
         k1, ok1 = interp.real_at(t, x)
         k2, ok2 = interp.real_at(t + dt / 2, x + (dt / 2) * k1)
         k3, ok3 = interp.real_at(t + dt / 2, x + (dt / 2) * k2)
@@ -209,7 +212,8 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
 
 
 def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Trajectory:
-    """RK4 integration of dX/dt = Re V(X, t) with linear-in-time frames.
+    """RK4 integration of dX/dt = Re V(X, t) with linear-in-time frames,
+    from the first frame's time t0 to T (default: the last frame's time).
 
     dt must not exceed the frame spacing; position error is O(dt^4) plus
     O(frame spacing^2) from the time interpolation.
@@ -222,26 +226,28 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
     if T is None:
         T = interp.t_end
     if T > interp.t_end + interp.slack:
-        raise ValueError(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
-    n_steps = max(1, int(round(T / dt)))
-    dt = T / n_steps
+        raise InvalidInput(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
+    t0 = float(interp.times[0])
+    n_steps = max(1, int(round((T - t0) / dt)))
+    dt = (T - t0) / n_steps
     x0 = np.asarray(x0, dtype=float).reshape(1, 2)
     finals, alive, fail_step, left_box, history = _rk4_batch(interp, x0, dt, n_steps, keep_history=True)
     if not alive[0]:
         s = int(fail_step[0])
         pos = history[s, 0]
-        where = f"t = {s * dt:g}, position ({pos[0]:g}, {pos[1]:g})"
+        where = f"t = {t0 + s * dt:g}, position ({pos[0]:g}, {pos[1]:g})"
         if left_box[0]:
             raise LeftDomain(f"trajectory from {tuple(x0[0])} left the box at {where}")
         raise NodeRegion(f"trajectory from {tuple(x0[0])} hit a masked region at {where}")
-    times = np.arange(n_steps + 1) * dt
+    times = t0 + np.arange(n_steps + 1) * dt
     return Trajectory(times, history[:, 0, :], x0[0].copy(), dt)
 
 
 def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     """Drive the four-point process with the wave field along its own path.
 
-    At every cycle boundary t = 4q*eps the full complex field is read at the
+    The process starts at the first frame's time t0 and runs to T.  At every
+    cycle boundary t = t0 + 4q*eps the full complex field is read at the
     current real gravity center and held for the cycle's four steps (velocity
     decisions happen only at creation/annihilation instants).  Returns the
     process record together with the Bohmian reference trajectory from the
@@ -252,8 +258,9 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     if eps > interp.spacing * (1 + 1e-9):
         raise ValueError(f"eps = {eps:g} exceeds the frame spacing {interp.spacing:g}")
     if T > interp.t_end + interp.slack:
-        raise ValueError(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
-    n_cycles = int(math.floor(T / (4.0 * eps) + 1e-9))
+        raise InvalidInput(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
+    t0 = float(interp.times[0])
+    n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
     if n_cycles < 1:
         raise ValueError("T does not cover a single 4-step cycle")
     x0 = np.asarray(x0, dtype=float).reshape(2)
@@ -262,7 +269,7 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     means[0] = x0.astype(complex)
     mean = means[0].copy()
     for q in range(n_cycles):
-        t_q = 4 * q * eps
+        t_q = t0 + 4 * q * eps
         center = mean.real.reshape(1, 2)
         vals, ok = interp.complex_at(t_q, center)
         if not ok[0]:
@@ -276,8 +283,8 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
         for r in range(1, 5):
             mean = mean + v_q * eps
             means[4 * q + r] = mean
-    run = _assemble_run(np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
-    reference = integrate_trajectory(interp, x0, dt=eps, T=n_steps * eps)
+    run = _assemble_run(t0 + np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
+    reference = integrate_trajectory(interp, x0, dt=eps, T=t0 + n_steps * eps)
     return run, reference
 
 
@@ -376,8 +383,9 @@ def ensemble_equivariance(
     rho_floor: float = DEFAULT_RHO_FLOOR,
     max_failure_fraction: float = 1e-3,
 ) -> EquivarianceReport:
-    """Transport a rho_0 sample along Bohmian trajectories and compare with
-    |Psi(T)|^2 on a coarse grid (total-variation distance).
+    """Transport a sample of |Psi|^2 at the first frame's time t0 along
+    Bohmian trajectories to T and compare with |Psi(T)|^2 on a coarse grid
+    (total-variation distance).
 
     A transported ensemble keeping the quantum density is exactly the content
     of the continuity equation d(rho)/dt + div(rho grad(S)/m) = 0.
@@ -393,12 +401,13 @@ def ensemble_equivariance(
     rng = np.random.default_rng(seed)
     seeds = sample_from_density(psi_frames[0], n_samples, rng)
     failures = 0
-    if T > 0:
+    t0 = float(frame_times[0])
+    if T > t0:
         interp = FrameInterpolator([_re_field(f, hbar, mass, rho_floor) for f in psi_frames])
         if dt is None:
             dt = interp.spacing
-        n_steps = max(1, int(round(T / dt)))
-        dt = T / n_steps
+        n_steps = max(1, int(round((T - t0) / dt)))
+        dt = (T - t0) / n_steps
         finals, alive, _, _, _ = _rk4_batch(interp, seeds, dt, n_steps, keep_history=False)
         failures = int(np.sum(~alive))
         if failures > max_failure_fraction * n_samples:

@@ -374,10 +374,16 @@ def _stationary_frames(grid, omega, times, hbar, mass):
     ]
 
 
-def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
+def _small_grid(cfg: ScenarioConfig) -> Grid2D:
+    """The grid of the harmonic and guided scenarios, whose defaults are 128
+    points and a half width of 10 instead of the config's 256 and 20."""
     n = cfg.n_grid if "n_grid" in cfg.provided else 128
     box = cfg.box_half_width if "box_half_width" in cfg.provided else 10.0
-    grid = Grid2D(n, box)
+    return Grid2D(n, box)
+
+
+def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
+    grid = _small_grid(cfg)
     pot = schrodinger.harmonic_potential(cfg.omega)
     ground = schrodinger.harmonic_ground_state(grid, cfg.omega, cfg.hbar, cfg.mass)
     T = cfg.T if "T" in cfg.provided else 2.0 * math.pi / cfg.omega
@@ -416,9 +422,7 @@ def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_harmonic_coherent(cfg: ScenarioConfig, out) -> ScenarioResult:
-    n = cfg.n_grid if "n_grid" in cfg.provided else 128
-    box = cfg.box_half_width if "box_half_width" in cfg.provided else 10.0
-    grid = Grid2D(n, box)
+    grid = _small_grid(cfg)
     pot = schrodinger.harmonic_potential(cfg.omega)
     sigma0 = math.sqrt(cfg.hbar / (2.0 * cfg.mass * cfg.omega))
     center = (cfg.center_x if "center_x" in cfg.provided else 2.0, cfg.center_y)
@@ -547,9 +551,7 @@ def _scenario_hj_residual(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
-    n = cfg.n_grid if "n_grid" in cfg.provided else 128
-    box = cfg.box_half_width if "box_half_width" in cfg.provided else 10.0
-    grid = Grid2D(n, box)
+    grid = _small_grid(cfg)
     psi0 = schrodinger.init_gaussian(
         grid, (cfg.center_x, cfg.center_y), cfg.sigma0, (cfg.k0_x, cfg.k0_y)
     )
@@ -590,7 +592,7 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
         json_path,
         {
             "check": "guided_process_tracking",
-            "parameters": {"seed": list(seed), "T": cfg.T, "n": n},
+            "parameters": {"seed": list(seed), "T": cfg.T, "n": grid.n},
             "samples": [{"eps_or_N": e, "error": g} for e, g in zip(cfg.guided_epsilons, gaps)],
             "fitted_rate": rate,
             "max_spin_deviation": spin_dev,

@@ -25,6 +25,8 @@ DEFAULT_RHO_FLOOR = 1e-12
 # spectral band |k|_inf >= ALIAS_BAND_FRACTION * k_max watched by the aliasing guard
 ALIAS_BAND_FRACTION = 0.75
 ALIAS_MASS_LIMIT = 1e-8
+# V counts as a(x) + b(y) when it deviates by at most this times max(1, max|V|)
+SEPARABLE_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -168,12 +170,45 @@ def _fft2(src: np.ndarray, out: np.ndarray, tmp: np.ndarray, inverse: bool = Fal
     transform(tmp, axis=0, out=out)
 
 
+def _axis_parts(v: np.ndarray):
+    """(a, b) with V = a(x) + b(y) to SEPARABLE_TOLERANCE, or None.
+
+    a is the column and b the row of V through its smallest-|V| node, b
+    shifted to vanish there.
+    """
+    i0, j0 = np.unravel_index(np.argmin(np.abs(v)), v.shape)
+    a = v[:, j0]
+    b = v[i0, :] - v[i0, j0]
+    deviation = float(np.abs(a[:, None] + b[None, :] - v).max())
+    if deviation > SEPARABLE_TOLERANCE * max(1.0, float(np.abs(v).max())):
+        return None
+    return a, b
+
+
+def _axis_operator(half_kick: np.ndarray, full_kick: np.ndarray, kinetic: np.ndarray, n_steps: int) -> np.ndarray:
+    """A^T for one axis, where A = K F (D^2 F^-1 K F)^(n-1) D is the fused
+    Strang sequence of advance() in 1D: that sequence run along the rows of
+    the identity."""
+    op = np.diag(half_kick)
+    for _ in range(n_steps - 1):
+        np.fft.fft(op, axis=1, out=op)
+        op *= kinetic
+        np.fft.ifft(op, axis=1, out=op)
+        op *= full_kick
+    np.fft.fft(op, axis=1, out=op)
+    op *= kinetic
+    return op
+
+
 class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
-    The constructor builds k^2, the one-step kinetic phase, the half and full
-    potential kicks (none for the free potential), the aliasing-band mask and
-    two n x n work buffers once; advance() reuses them for every call.
+    The constructor builds the operators of one of three paths once, plus
+    the aliasing-band mask and two n x n work buffers; advance() reuses them
+    for every call.  The free potential needs k^2 only.  A separable
+    V = a(x) + b(y) needs the 1D kinetic phase and the half and full kicks of
+    each axis.  Any other V needs the 2D kinetic phase and full kick.  Both
+    potential paths end with the 2D half kick.
     """
 
     def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
@@ -184,25 +219,37 @@ class Propagator:
         self._hbar_over_2m = 0.5 * hbar / mass
         k = grid.wavenumbers
         self._k2 = k[:, None] ** 2 + k[None, :] ** 2
-        self._kinetic = np.exp(-1j * self._hbar_over_2m * dt * self._k2)
-        if pot.kind is PotentialKind.FREE:
-            self._half_kick = self._full_kick = None
-        else:
+        self._half_kick = self._full_kick = self._kinetic = self._axes = None
+        if pot.kind is not PotentialKind.FREE:
             v = pot.values(grid, mass)
             self._half_kick = np.exp(-0.5j * dt * v / hbar)
-            self._full_kick = np.exp(-1j * dt * v / hbar)
+            parts = _axis_parts(v)
+            if parts is None:
+                self._kinetic = np.exp(-1j * self._hbar_over_2m * dt * self._k2)
+                self._full_kick = np.exp(-1j * dt * v / hbar)
+            else:
+                # an isotropic V on the square grid has one distinct axis
+                if np.array_equal(*parts):
+                    parts = parts[:1]
+                kinetic = np.exp(-1j * self._hbar_over_2m * dt * k**2)
+                self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
         self._band = np.maximum.outer(np.abs(k), np.abs(k)) >= ALIAS_BAND_FRACTION * grid.nyquist
         self._work = np.empty((grid.n, grid.n), dtype=complex)
         self._tmp = np.empty_like(self._work)
-        self._free_steps = None
-        self._free_phase = None
-
-    def _free_phase_for(self, n_steps: int) -> np.ndarray:
         # evolve_frames advances by one stride throughout, so one cached n suffices
-        if n_steps != self._free_steps:
-            self._free_phase = np.exp(-1j * self._hbar_over_2m * n_steps * self.dt * self._k2)
-            self._free_steps = n_steps
-        return self._free_phase
+        self._cached_steps = None
+        self._cached = None
+
+    def _cached_for(self, n_steps: int):
+        """The free n-step phase, or the (A_x^T, A_y^T) pair of a separable V."""
+        if n_steps != self._cached_steps:
+            if self._axes is None:
+                self._cached = np.exp(-1j * self._hbar_over_2m * n_steps * self.dt * self._k2)
+            else:
+                ops = [_axis_operator(*axis, n_steps) for axis in self._axes]
+                self._cached = (ops[0], ops[-1])
+            self._cached_steps = n_steps
+        return self._cached
 
     def _check_spectrum(self, spectrum: np.ndarray) -> None:
         power = np.abs(spectrum) ** 2
@@ -216,10 +263,13 @@ class Propagator:
         """psi advanced by n_steps of dt, in a freshly allocated WaveFunction.
 
         Adjacent half kicks are fused into full kicks, so a call costs
-        half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half;
-        with the free potential the kicks are the identity and the call is one
-        FFT, one n-step kinetic phase and one IFFT.  The aliasing and
-        finiteness guard reads the last spectrum of the call.
+        half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half.
+        With the free potential the kicks are the identity and the call is one
+        FFT, one n-step kinetic phase and one IFFT.  With a separable V every
+        factor but the last half kick splits by axis, so the spectrum before
+        the last IFFT is A_x psi A_y^T: two n x n matrix products with the
+        per-axis operators, built once per n_steps.  The aliasing and
+        finiteness guard reads that spectrum.
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
@@ -230,7 +280,11 @@ class Propagator:
         work, tmp = self._work, self._tmp
         if self._half_kick is None:
             _fft2(psi.values, work, tmp)
-            work *= self._free_phase_for(n_steps)
+            work *= self._cached_for(n_steps)
+        elif self._axes is not None:
+            at_x, at_y = self._cached_for(n_steps)
+            np.matmul(at_x.T, psi.values, out=tmp)
+            np.matmul(tmp, at_y, out=work)
         else:
             np.multiply(psi.values, self._half_kick, out=work)
             for _ in range(n_steps - 1):
@@ -323,19 +377,24 @@ def harmonic_ground_state(grid: Grid2D, omega: float, hbar: float = 1.0, mass: f
     return WaveFunction(grid, values, 0.0)
 
 
+def _gradient_of_spectrum(grid: Grid2D, spectrum: np.ndarray):
+    k = grid.wavenumbers
+    return np.fft.ifft2(1j * k[:, None] * spectrum), np.fft.ifft2(1j * k[None, :] * spectrum)
+
+
+def _laplacian_of_spectrum(grid: Grid2D, spectrum: np.ndarray) -> np.ndarray:
+    k = grid.wavenumbers
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    return np.fft.ifft2(-k2 * spectrum)
+
+
 def spectral_gradient(grid: Grid2D, values: np.ndarray):
     """(d/dx, d/dy) of a periodic field via FFT; returns two arrays."""
-    k = grid.wavenumbers
-    spectrum = np.fft.fft2(values)
-    gx = np.fft.ifft2(1j * k[:, None] * spectrum)
-    gy = np.fft.ifft2(1j * k[None, :] * spectrum)
-    return gx, gy
+    return _gradient_of_spectrum(grid, np.fft.fft2(values))
 
 
 def spectral_laplacian(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    k = grid.wavenumbers
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    return np.fft.ifft2(-k2 * np.fft.fft2(values))
+    return _laplacian_of_spectrum(grid, np.fft.fft2(values))
 
 
 @dataclass
@@ -354,19 +413,26 @@ class GradientFields:
     node_mask: np.ndarray
 
 
-def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR):
+def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacian: bool = False):
     """(ratio, node_mask, rho): the spectral grad(Psi)/Psi as an (n, n, 2)
     complex array, the mask rho < rho_floor * max(rho), and rho itself.
 
-    The ratio is set to 0 at masked nodes, where it must not be used.
+    With laplacian=True a fourth item follows: Lap(Psi)/Psi as an (n, n)
+    complex array, from the same forward FFT.  The ratios are set to 0 at
+    masked nodes, where they must not be used.
     """
     rho = psi.density()
     mask = rho < rho_floor * float(rho.max())
-    gx, gy = spectral_gradient(psi.grid, psi.values)
+    spectrum = np.fft.fft2(psi.values)
+    gx, gy = _gradient_of_spectrum(psi.grid, spectrum)
     safe = np.where(mask, 1.0, psi.values)
     ratio = np.stack([gx, gy], axis=-1) / safe[..., None]
     ratio[mask] = 0.0
-    return ratio, mask, rho
+    if not laplacian:
+        return ratio, mask, rho
+    lap_ratio = _laplacian_of_spectrum(psi.grid, spectrum) / safe
+    lap_ratio[mask] = 0.0
+    return ratio, mask, rho, lap_ratio
 
 
 def density_and_phase_gradients(

@@ -30,7 +30,7 @@ from .process import (
     run_process,
     _eval_velocity,
 )
-from .schrodinger import Potential, WaveFunction, spectral_gradient, spectral_laplacian
+from .schrodinger import Potential, WaveFunction, psi_ratios
 
 HJ_RHO_FLOOR = 1e-4  # relative density floor for residual statistics
 
@@ -389,15 +389,10 @@ def complex_hj_residual(
     for i in range(1, len(psi_frames) - 1):
         prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
         dt_frame = 0.5 * (next_f.time - prev_f.time)
-        rho = here.density()
-        mask = rho < rho_floor * float(rho.max())
-        safe = np.where(mask, 1.0, here.values)
-        gx, gy = spectral_gradient(grid, here.values)
-        ratio_x = gx / safe
-        ratio_y = gy / safe
-        lap_ratio = spectral_laplacian(grid, here.values) / safe
-        grad_s_sq = (-1j * hbar) ** 2 * (ratio_x**2 + ratio_y**2)
-        lap_s = -1j * hbar * (lap_ratio - (ratio_x**2 + ratio_y**2))
+        ratio, mask, _, lap_ratio = psi_ratios(here, rho_floor, laplacian=True)
+        ratio_sq = ratio[..., 0] ** 2 + ratio[..., 1] ** 2
+        grad_s_sq = (-1j * hbar) ** 2 * ratio_sq
+        lap_s = -1j * hbar * (lap_ratio - ratio_sq)
         ds_dt = -1j * hbar * np.log(next_f.values / prev_f.values) / (2.0 * dt_frame)
         residual = ds_dt + grad_s_sq / (2.0 * mass) + v_grid - 0.5j * hbar / mass * lap_s
         bulk = np.abs(residual[~mask])
@@ -465,14 +460,9 @@ def least_action_saddle_check(
     amount (the saddle that defines a complex minimum).
     """
     grid = psi.grid
-    rho = psi.density()
-    mask = rho < rho_floor * float(rho.max())
-    gx, gy = spectral_gradient(grid, psi.values)
-    safe = np.where(mask, 1.0, psi.values)
-    grad_s = -1j * hbar * np.stack([gx, gy], axis=-1) / safe[..., None]
-    lap_s = -1j * hbar * (
-        spectral_laplacian(grid, psi.values) / safe - (gx / safe) ** 2 - (gy / safe) ** 2
-    )
+    ratio, mask, _, lap_ratio = psi_ratios(psi, rho_floor, laplacian=True)
+    grad_s = -1j * hbar * ratio
+    lap_s = -1j * hbar * (lap_ratio - ratio[..., 0] ** 2 - ratio[..., 1] ** 2)
     v_grid = pot.values(grid, mass)
     rng = np.random.default_rng(seed)
     unmasked = np.argwhere(~mask)

@@ -271,19 +271,22 @@ class TestFrameSpan:
         return [zl.velocity_field(f) for f in frames]
 
     def test_trajectory_past_last_frame_rejected(self, short_fields):
-        with pytest.raises(ValueError, match="past the last frame"):
+        with pytest.raises(ValueError, match="past the last frame") as err:
             zl.integrate_trajectory(short_fields, (0.5, 0.0), dt=0.05, T=5.0)
+        assert err.type is zl.InvalidInput
 
     def test_guided_process_past_last_frame_rejected(self, short_fields):
-        with pytest.raises(ValueError, match="past the last frame"):
+        with pytest.raises(ValueError, match="past the last frame") as err:
             zl.guide_process(short_fields, zl.PhysParams(epsilon=0.01), zl.Permutation(), (0.5, 0.0), 1.0)
+        assert err.type is zl.InvalidInput
 
     def test_query_outside_span_rejected(self, short_fields):
         interp = pilot.FrameInterpolator(short_fields)
         pts = np.array([[0.5, 0.0]])
         for t in (-0.01, 0.2 + 1e-6, 5.0):
-            with pytest.raises(ValueError, match="outside the frame span"):
+            with pytest.raises(ValueError, match="outside the frame span") as err:
                 interp.complex_at(t, pts)
+            assert err.type is zl.InvalidInput
         # roundoff past either end is still served by the end frame
         for t, frame in ((-1e-13, short_fields[0]), (0.2 + 1e-13, short_fields[-1])):
             vals, ok = interp.complex_at(t, pts)
@@ -293,6 +296,50 @@ class TestFrameSpan:
     def test_span_end_still_integrates(self, short_fields):
         traj = zl.integrate_trajectory(short_fields, (0.5, 0.0), dt=0.05)
         assert traj.times[-1] == pytest.approx(0.2)
+
+
+class TestTransportClock:
+    """Transport starts at the first frame's time, wherever that lies."""
+
+    SHIFT = 1.0
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        grid = zl.Grid2D(64, 8.0)
+        psi0 = zl.init_gaussian(grid, (0, 0), 1.0, (0.5, 0))
+        return zl.evolve_frames(psi0, zl.free_potential(), 1e-2, 20, 5)  # t = 0, 0.05, ..., 0.2
+
+    @pytest.fixture(scope="class")
+    def shifted(self, frames):
+        return [zl.WaveFunction(f.grid, f.values, f.time + self.SHIFT) for f in frames]
+
+    @staticmethod
+    def fields(frames):
+        return [zl.velocity_field(f) for f in frames]
+
+    def test_trajectory(self, frames, shifted):
+        traj = zl.integrate_trajectory(self.fields(frames), (0.5, 0.2), dt=0.05)
+        later = zl.integrate_trajectory(self.fields(shifted), (0.5, 0.2), dt=0.05)
+        assert later.times[0] == self.SHIFT
+        np.testing.assert_allclose(later.times, traj.times + self.SHIFT, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(later.positions, traj.positions, rtol=0, atol=1e-12)
+
+    def test_guided_process(self, frames, shifted):
+        params = zl.PhysParams(epsilon=0.01)
+        run, ref = zl.guide_process(self.fields(frames), params, zl.Permutation(), (0.5, 0.2), 0.2)
+        later, later_ref = zl.guide_process(
+            self.fields(shifted), params, zl.Permutation(), (0.5, 0.2), 0.2 + self.SHIFT
+        )
+        assert len(later) == len(run)
+        np.testing.assert_allclose(later.times, run.times + self.SHIFT, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(later.means, run.means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(later_ref.positions, ref.positions, rtol=0, atol=1e-12)
+
+    def test_ensemble(self, frames, shifted):
+        rep = zl.ensemble_equivariance(frames, 1000, 3)
+        later = zl.ensemble_equivariance(shifted, 1000, 3)
+        assert later.T == rep.T + self.SHIFT and later.failures == rep.failures == 0
+        assert np.array_equal(later.empirical, rep.empirical)
 
 
 class TestGuideProcess:

@@ -206,19 +206,47 @@ class TestPropagator:
     def grid64(self):
         return zl.Grid2D(64, 8.0)
 
-    @pytest.mark.parametrize("kind", ["free", "harmonic", "grid_sampled"])
+    # separable V (harmonic, harmonic_heavy, separable_sampled) runs on the
+    # per-axis operators; the others run the per-step loop
+    @pytest.mark.parametrize(
+        "kind",
+        ["free", "harmonic", "grid_sampled", "harmonic_heavy", "separable_sampled", "near_separable"],
+    )
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
     def test_matches_unfused_reference(self, grid64, kind, n_steps):
         X, Y = grid64.mesh()
-        pot = {
-            "free": zl.free_potential(),
-            "harmonic": zl.harmonic_potential(1.0, 1.5),
-            "grid_sampled": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.3 * X**2 + 0.1 * X * Y),
+
+        def sampled(v):
+            return sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=v)
+
+        pot, mass = {
+            "free": (zl.free_potential(), 1.0),
+            "harmonic": (zl.harmonic_potential(1.0, 1.5), 1.0),
+            "grid_sampled": (sampled(0.3 * X**2 + 0.1 * X * Y), 1.0),
+            "harmonic_heavy": (zl.harmonic_potential(1.0, 1.5), 2.5),
+            "separable_sampled": (sampled(0.3 * X**2 + np.cos(Y)), 1.0),
+            # off by 1e-6 XY, far above the separability tolerance: the loop
+            # path, which the per-axis operators would miss by ~1e-7
+            "near_separable": (sampled(0.5 * (X**2 + Y**2) + 1e-6 * X * Y), 1.0),
         }[kind]
         psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
-        psi = zl.Propagator(grid64, pot, 2e-2, hbar=1.0, mass=1.0).advance(psi0, n_steps)
+        psi = zl.Propagator(grid64, pot, 2e-2, hbar=1.0, mass=mass).advance(psi0, n_steps)
         assert psi.time == pytest.approx(n_steps * 2e-2)
-        assert rel_l2(psi.values, reference_split_step(psi0, pot, 2e-2, n_steps)) <= 1e-12
+        assert rel_l2(psi.values, reference_split_step(psi0, pot, 2e-2, n_steps, mass=mass)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "pot",
+        [zl.free_potential(), zl.harmonic_potential(1.0), zl.harmonic_potential(1.0, 1.5)],
+        ids=["free", "harmonic", "anisotropic"],
+    )
+    def test_cache_follows_n_steps(self, grid64, pot):
+        psi0 = zl.init_gaussian(grid64, (0.5, 0), 1.0, (0.5, 0))
+        prop = zl.Propagator(grid64, pot, 1e-2)
+        psi, fresh = psi0, psi0
+        for n_steps in (3, 5, 3):
+            psi = prop.advance(psi, n_steps)
+            fresh = zl.Propagator(grid64, pot, 1e-2).advance(fresh, n_steps)
+            assert np.array_equal(psi.values, fresh.values)
 
     @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
     def test_last_frame_matches_one_call(self, grid64, pot):
@@ -271,6 +299,17 @@ class TestGradientFields:
         fields = zl.density_and_phase_gradients(psi, rho_floor=1e-4)
         assert fields.node_mask.any() and not fields.node_mask.all()
         assert np.all(fields.grad_s[fields.node_mask] == 0.0)
+
+    def test_laplacian_ratio_shares_the_spectrum(self, grid128):
+        psi = zl.analytic_free_gaussian(grid128, 1.0, (1.0, 0.5), (0, 0), 0.4)
+        ratio, mask, rho = sch.psi_ratios(psi, 1e-8)
+        ratio_l, mask_l, rho_l, lap_ratio = sch.psi_ratios(psi, 1e-8, laplacian=True)
+        assert np.array_equal(ratio_l, ratio) and np.array_equal(mask_l, mask) and np.array_equal(rho_l, rho)
+        live = ~mask
+        assert live.any() and mask.any()
+        expected = sch.spectral_laplacian(grid128, psi.values)[live] / psi.values[live]
+        assert np.array_equal(lap_ratio[live], expected)
+        assert np.all(lap_ratio[mask] == 0.0)
 
     def test_spectral_matches_fd4_at_h4(self):
         devs = []
