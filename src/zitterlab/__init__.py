@@ -15,7 +15,6 @@ from .errors import (
     EpsilonUnderflow,
     InvalidInput,
     LeftDomain,
-    MisalignedCycle,
     MissingRequired,
     NodeRegion,
     NonFiniteVelocity,
@@ -37,27 +36,20 @@ from .process import (
     PhysParams,
     PolynomialVelocity,
     ProcessRun,
-    ProcessState,
     SampledVelocity,
     Sense,
     VelocityProgram,
     classical_trajectory,
     gamma,
-    initial_state,
     run_process,
-    step,
     vertex_offset,
     zero_velocity,
 )
 from .observables import (
-    CycleObservables,
-    cycle_spin,
-    cycle_uncertainties,
+    CycleTable,
     intrinsic_spin_closed_form,
-    measure_cycle,
     measure_run,
     observables_to_csv,
-    string_length,
 )
 from .schrodinger import (
     Grid2D,

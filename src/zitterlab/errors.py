@@ -17,10 +17,6 @@ class StepBudgetExceeded(ZitterlabError):
     """A de_broglie-mode run needed more cycles than its step budget allows."""
 
 
-class MisalignedCycle(ZitterlabError):
-    """Cycle observables were asked for a window not starting at n = 4q."""
-
-
 class PacketTooNarrow(ZitterlabError):
     """Initial packet width is below the resolvable minimum (4 grid spacings)."""
 
@@ -68,5 +64,7 @@ class MissingRequired(ConfigError):
 
 class InvalidInput(ConfigError, ValueError):
     """Inputs that parse one by one but do not fit together (a too-short eps
-    sweep, a step count that is no multiple of the frame stride, a time
-    outside the span of the velocity frames)."""
+    sweep, a grid size that is no power of two >= 16, a step count that is no
+    multiple of the frame stride, a time outside the span of the velocity
+    frames or with no frame at it, an eps or dt longer than the frame spacing,
+    a T shorter than one 4-step cycle, fewer than 1e3 ensemble samples)."""

@@ -222,7 +222,7 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if dt > interp.spacing * (1 + 1e-9):
-        raise ValueError(f"dt = {dt:g} exceeds the frame spacing {interp.spacing:g}")
+        raise InvalidInput(f"dt = {dt:g} exceeds the frame spacing {interp.spacing:g}")
     if T is None:
         T = interp.t_end
     if T > interp.t_end + interp.slack:
@@ -256,13 +256,13 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     interp = frames if isinstance(frames, FrameInterpolator) else FrameInterpolator(frames)
     eps = params.epsilon
     if eps > interp.spacing * (1 + 1e-9):
-        raise ValueError(f"eps = {eps:g} exceeds the frame spacing {interp.spacing:g}")
+        raise InvalidInput(f"eps = {eps:g} exceeds the frame spacing {interp.spacing:g}")
     if T > interp.t_end + interp.slack:
         raise InvalidInput(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
     t0 = float(interp.times[0])
     n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
     if n_cycles < 1:
-        raise ValueError("T does not cover a single 4-step cycle")
+        raise InvalidInput("T does not cover a single 4-step cycle")
     x0 = np.asarray(x0, dtype=float).reshape(2)
     n_steps = 4 * n_cycles
     means = np.empty((n_steps + 1, 2), dtype=complex)
@@ -391,13 +391,13 @@ def ensemble_equivariance(
     of the continuity equation d(rho)/dt + div(rho grad(S)/m) = 0.
     """
     if n_samples < 1000:
-        raise ValueError(f"need at least 1e3 samples, got {n_samples}")
+        raise InvalidInput(f"need at least 1e3 samples, got {n_samples}")
     frame_times = np.array([f.time for f in psi_frames])
     if T is None:
         T = float(frame_times[-1])
     i_target = int(np.argmin(np.abs(frame_times - T)))
     if abs(frame_times[i_target] - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"no frame at T = {T}")
+        raise InvalidInput(f"no frame at T = {T}")
     rng = np.random.default_rng(seed)
     seeds = sample_from_density(psi_frames[0], n_samples, rng)
     failures = 0

@@ -14,7 +14,7 @@ guidance from a wave function lives in :mod:`zitterlab.pilot`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -233,70 +233,11 @@ def _eval_velocity(vel: VelocityProgram, t) -> np.ndarray:
     return v
 
 
-# ---------------------------------------------------------------------------
-# process state and stepping
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProcessState:
-    """Snapshot of the four vertex processes at one step.
-
-    vertices has shape (4, 2) complex (rows j = 1..4), mean shape (2,).
-    The decomposition vertices[j] = mean + gamma * (s^n u^j - u^j) holds
-    exactly at every step, so at n = 0 mod 4 all vertices equal the mean.
-    """
-
-    step_index: int
-    time: float
-    vertices: np.ndarray
-    mean: np.ndarray
-    params: PhysParams
-    perm: Permutation = field(default_factory=Permutation)
-
-    def __post_init__(self):
-        self.vertices.setflags(write=False)
-        self.mean.setflags(write=False)
-
-    def real_vertices(self) -> np.ndarray:
-        return self.vertices.real
-
-    def real_mean(self) -> np.ndarray:
-        return self.mean.real
-
-
-def initial_state(params: PhysParams, perm: Permutation, z0) -> ProcessState:
-    z0 = np.asarray(z0, dtype=complex).reshape(2)
-    vertices = np.repeat(z0[None, :], 4, axis=0)
-    return ProcessState(0, 0.0, vertices, z0.copy(), params, perm)
-
-
-def step(state: ProcessState, vel: VelocityProgram) -> ProcessState:
-    """Advance all four vertices and the mean by one step of eps.
-
-    The drift is sampled at the cycle-boundary time 4q*eps with q = n//4 of
-    the new step index n, i.e. the step landing on a boundary reads the
-    velocity at that boundary.  The new state is built from the offset
-    decomposition, which therefore holds to the last bit.
-    """
-    params, perm = state.params, state.perm
-    eps = params.epsilon
-    n_new = state.step_index + 1
-    t_new = state.time + eps
-    t_boundary = t_new - (n_new % 4) * eps
-    v = _eval_velocity(vel, t_boundary)
-    mean = state.mean + v * eps
-    offsets = perm.offset_table()[n_new % 4]
-    vertices = mean[None, :] + gamma(params) * offsets
-    return ProcessState(n_new, t_new, vertices, mean, params, perm)
-
-
 class ProcessRun:
-    """Record of a full run: one state per step n = 0..n_steps.
-
-    Behaves as a sequence of :class:`ProcessState`; bulk arrays are exposed
-    for vectorized consumers (times (M,), means (M, 2), vertices (M, 4, 2),
-    epsilons (M,) giving the eps in effect for the step ending at each index).
+    """Record of a full run over the steps n = 0..n_steps, as read-only arrays:
+    times (M,), means (M, 2) and vertices (M, 4, 2) complex, and epsilons (M,)
+    giving the eps in effect for the step ending at each index (n = 0 carries
+    the first cycle's eps).
     """
 
     def __init__(self, times, vertices, means, epsilons, params, perm):
@@ -311,20 +252,6 @@ class ProcessRun:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def __getitem__(self, n: int) -> ProcessState:
-        if isinstance(n, slice):
-            return [self[i] for i in range(*n.indices(len(self)))]
-        if n < 0:
-            n += len(self)
-        if not 0 <= n < len(self):
-            raise IndexError(n)
-        params = self.params
-        if self.epsilons[n] != params.epsilon:
-            params = replace(params, epsilon=float(self.epsilons[n]))
-        return ProcessState(
-            n, float(self.times[n]), self.vertices[n].copy(), self.means[n].copy(), params, self.perm
-        )
 
     @property
     def n_cycles(self) -> int:

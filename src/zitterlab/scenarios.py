@@ -200,18 +200,18 @@ def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
             for i, eps in enumerate(eps_list):
                 params = cfg.phys(eps)
                 run = run_process(params, perm, vel, (0, 0), 4 * cfg.cycles * eps)
-                cycles = obs.measure_run(run)
+                table = obs.measure_run(run)
                 csv_path = os.path.join(out, f"obs_{sense.value}_{vel_name}_e{i}.csv")
-                obs.observables_to_csv(csv_path, cycles)
+                obs.observables_to_csv(csv_path, table)
                 files.append(csv_path)
-                dev = max(abs(c.sigma_intrinsic - target) for c in cycles)
+                dev = float(np.max(np.abs(table.sigma_intrinsic - target)))
                 worst = max(worst, dev)
                 rows.append(
                     {
                         "sense": sense.value,
                         "velocity": vel_name,
                         "epsilon": eps,
-                        "cycles": len(cycles),
+                        "cycles": len(table),
                         "intrinsic_target": target,
                         "max_abs_deviation": dev,
                     }
@@ -234,18 +234,18 @@ def _scenario_heisenberg_table(cfg: ScenarioConfig, out) -> ScenarioResult:
         for eps in eps_list:
             params = cfg.phys(eps)
             run = run_process(params, perm, vel, (0, 0), 4 * cfg.cycles * eps)
-            cycles = obs.measure_run(run)
+            table = obs.measure_run(run)
             target = 0.5 * cfg.hbar
-            rel = max(abs(c.heisenberg_product - target) / target for c in cycles)
+            rel = float(np.max(np.abs(table.heisenberg_product - target) / target))
             worst_rel = max(worst_rel, rel)
-            delta_x_by_eps.setdefault(eps, cycles[0].delta_x)
+            delta_x_by_eps.setdefault(eps, float(table.delta_x[0]))
             rows.append(
                 {
                     "velocity": vel_name,
                     "epsilon": eps,
-                    "delta_x": cycles[0].delta_x,
-                    "delta_px": cycles[0].delta_px,
-                    "product": cycles[0].heisenberg_product,
+                    "delta_x": float(table.delta_x[0]),
+                    "delta_px": float(table.delta_px[0]),
+                    "product": float(table.heisenberg_product[0]),
                     "max_rel_product_error": rel,
                 }
             )
@@ -580,8 +580,7 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
         )
         gaps.append(gap)
         target = obs.intrinsic_spin_closed_form(perm, cfg.hbar)
-        for c in obs.measure_run(run):
-            spin_dev = max(spin_dev, abs(c.sigma_intrinsic - target))
+        spin_dev = max(spin_dev, float(np.max(np.abs(obs.measure_run(run).sigma_intrinsic - target))))
         for b in boundaries:
             center_rows.append([idx, run.times[b], run.real_means()[b][0], run.real_means()[b][1]])
     rate = verification.fit_rate(cfg.guided_epsilons, gaps)

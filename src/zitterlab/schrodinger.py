@@ -38,7 +38,7 @@ class Grid2D:
 
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+            raise InvalidInput(f"n must be a power of two >= 16, got {self.n}")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
 

@@ -79,9 +79,9 @@ def test_criterion_1_spin_emergence():
         for _, vel in PROGRAMS:
             for eps in EPS_TABLE:
                 run = zl.run_process(zl.PhysParams(epsilon=eps), perm, vel, (0, 0), 400 * eps)
-                cycles = zl.measure_run(run)
-                assert len(cycles) == 100
-                worst = max(worst, max(abs(c.sigma_intrinsic - target) for c in cycles))
+                table = zl.measure_run(run)
+                assert len(table) == 100
+                worst = max(worst, float(np.max(np.abs(table.sigma_intrinsic - target))))
     crit.check("intrinsic_spin", worst <= 1e-12, f"max |dev| {worst:.2e}")
     crit.conclude()
 
@@ -95,9 +95,9 @@ def test_criterion_2_heisenberg_product():
         for _, vel in PROGRAMS:
             for eps in EPS_TABLE:
                 run = zl.run_process(zl.PhysParams(epsilon=eps), perm, vel, (0, 0), 400 * eps)
-                for c in zl.measure_run(run):
-                    worst_rel = max(worst_rel, abs(c.heisenberg_product - 0.5) / 0.5)
-                delta_x.setdefault(eps, zl.measure_run(run)[0].delta_x)
+                table = zl.measure_run(run)
+                worst_rel = max(worst_rel, float(np.max(np.abs(table.heisenberg_product - 0.5) / 0.5)))
+                delta_x.setdefault(eps, float(table.delta_x[0]))
     slope = ver.fit_rate(list(delta_x), list(delta_x.values()))
     crit.check("product", worst_rel <= 1e-12, f"max rel dev {worst_rel:.2e}")
     crit.check("sqrt_eps_slope", abs(slope - 0.5) <= 1e-6, f"slope {slope:.9f}")
@@ -230,8 +230,7 @@ def test_criterion_9_guided_process(free_fields_128):
         gaps.append(
             float(np.max(np.linalg.norm(run.real_means()[boundaries] - ref.positions[boundaries], axis=1)))
         )
-        for c in zl.measure_run(run):
-            spin_dev = max(spin_dev, abs(c.sigma_intrinsic + 0.5))
+        spin_dev = max(spin_dev, float(np.max(np.abs(zl.measure_run(run).sigma_intrinsic + 0.5))))
     rate = ver.fit_rate(eps_list, gaps)
     crit.check("tracking_rate", rate >= 0.8, f"rate {rate:.3f}")
     crit.check("spin_along_guidance", spin_dev <= 1e-12, f"max dev {spin_dev:.2e}")

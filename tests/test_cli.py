@@ -151,8 +151,21 @@ class TestMainEntry:
             "scenario = convergence\nepsilons = 0.01, 0.001\n",
             # 12 steps do not split into frames of frame_stride = 5
             "scenario = free_gaussian\nn_grid = 64\nbox_half_width = 8\nT = 0.012\ndt = 0.001\n",
+            # eps = 0.04 is longer than the frame spacing 0.005
+            "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\n"
+            "guided_epsilons = 0.04, 0.02, 0.01\n",
+            "scenario = free_gaussian\nn_grid = 8\n",
+            "scenario = hj_residual\nhj_ns = 8, 16\n",
+            "scenario = equivariance\nensemble_n = 500\n",
         ],
-        ids=["short_sweep", "stride_mismatch"],
+        ids=[
+            "short_sweep",
+            "stride_mismatch",
+            "eps_over_frame_spacing",
+            "grid_too_small",
+            "hj_grid_too_small",
+            "too_few_samples",
+        ],
     )
     def test_inconsistent_inputs_exit_two(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"

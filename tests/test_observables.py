@@ -3,7 +3,9 @@
 The spin oracle below re-derives the 16-term average directly from the raw
 real positions of a run, independently of the library's implementation.
 ``loop_measure_run`` is the earlier per-cycle implementation of
-``measure_run``, kept here as an independent oracle for the batched kernel.
+``measure_run``, kept here as an independent oracle for the columnar table,
+and ``records_to_csv`` is the earlier record-by-record row builder of
+``observables_to_csv``, kept as a byte oracle for the columnar writer.
 """
 
 import math
@@ -11,8 +13,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 import zitterlab as zl
-from zitterlab.observables import CycleObservables
+from zitterlab.fileio import write_csv
+
+FIELDS = (
+    "cycle_index",
+    "t_start",
+    "sigma_z",
+    "sigma_orbital",
+    "sigma_intrinsic",
+    "delta_x",
+    "delta_px",
+    "heisenberg_product",
+    "string_lengths",
+)
 
 
 def _wedge(a, b):
@@ -20,7 +36,8 @@ def _wedge(a, b):
 
 
 def loop_measure_run(run):
-    """One cycle at a time, in the summation order the kernel must keep."""
+    """One record per cycle, one cycle at a time, in the summation order the
+    columnar kernel must keep."""
     out = []
     r_all = run.real_vertices()
     rm_all = run.real_means()
@@ -38,7 +55,7 @@ def loop_measure_run(run):
         dp2 = float(np.mean((p[:, :, 0] - pm[:, None, 0]) ** 2))
         sides = np.linalg.norm(np.roll(r[:4], -1, axis=1) - r[:4], axis=2)  # (4 steps, 4 sides)
         out.append(
-            CycleObservables(
+            dict(
                 cycle_index=q,
                 t_start=float(run.times[lo]),
                 sigma_z=sigma_total,
@@ -51,6 +68,39 @@ def loop_measure_run(run):
             )
         )
     return out
+
+
+def records_to_csv(path, cycles):
+    """The row-per-record CSV writer that observables_to_csv replaced."""
+    header = [
+        "q",
+        "t_start",
+        "sigma_z",
+        "sigma_orbital",
+        "sigma_intrinsic",
+        "delta_x",
+        "delta_px",
+        "product",
+        "len0",
+        "len1",
+        "len2",
+        "len3",
+    ]
+    rows = [
+        [
+            c["cycle_index"],
+            c["t_start"],
+            c["sigma_z"],
+            c["sigma_orbital"],
+            c["sigma_intrinsic"],
+            c["delta_x"],
+            c["delta_px"],
+            c["heisenberg_product"],
+            *c["string_lengths"],
+        ]
+        for c in cycles
+    ]
+    write_csv(path, header, rows)
 
 
 def brute_force_cycle_spin(run, q):
@@ -97,22 +147,21 @@ def any_run(request):
 
 class TestCycleSpin:
     def test_total_matches_brute_force(self, any_run):
+        table = zl.measure_run(any_run)
         for q in (0, 7, 19):
-            states = [any_run[n] for n in range(4 * q, 4 * q + 5)]
-            sigma_z, _, _ = zl.cycle_spin(states)
-            assert sigma_z == pytest.approx(brute_force_cycle_spin(any_run, q), abs=1e-13)
+            assert table.sigma_z[q] == pytest.approx(brute_force_cycle_spin(any_run, q), abs=1e-13)
 
     def test_intrinsic_is_minus_half(self, any_run):
-        for c in zl.measure_run(any_run):
-            assert abs(c.sigma_intrinsic + 0.5) < 1e-12
-            assert c.sigma_z == pytest.approx(c.sigma_orbital + c.sigma_intrinsic, abs=1e-14)
+        table = zl.measure_run(any_run)
+        assert np.max(np.abs(table.sigma_intrinsic + 0.5)) < 1e-12
+        assert table.sigma_z == pytest.approx(table.sigma_orbital + table.sigma_intrinsic, abs=1e-14)
 
     def test_zero_drift_has_no_orbital_part(self):
         run = zl.run_process(zl.PhysParams(epsilon=0.1), zl.Permutation(), zl.zero_velocity(), (0, 0), 2.0)
-        sigma_z, orb, intr = zl.cycle_spin(run[0:5])
-        assert sigma_z == pytest.approx(-0.5, abs=1e-14)
-        assert orb == 0.0
-        assert intr == pytest.approx(-0.5, abs=1e-14)
+        table = zl.measure_run(run)
+        assert table.sigma_z[0] == pytest.approx(-0.5, abs=1e-14)
+        assert table.sigma_orbital[0] == 0.0
+        assert table.sigma_intrinsic[0] == pytest.approx(-0.5, abs=1e-14)
 
     def test_s_minus_flips_sign(self):
         run = zl.run_process(
@@ -122,24 +171,13 @@ class TestCycleSpin:
             (0, 0),
             1.0,
         )
-        for c in zl.measure_run(run):
-            assert abs(c.sigma_intrinsic - 0.5) < 1e-12
+        assert np.max(np.abs(zl.measure_run(run).sigma_intrinsic - 0.5)) < 1e-12
 
     @pytest.mark.parametrize("hbar,mass,eps", [(1, 1, 0.3), (2, 1, 0.1), (1, 5, 0.01), (0.7, 0.3, 1.0)])
     def test_intrinsic_independent_of_parameters(self, hbar, mass, eps):
         params = zl.PhysParams(hbar=hbar, mass=mass, epsilon=eps)
         run = zl.run_process(params, zl.Permutation(), zl.ConstantVelocity(1.0, 0.0), (0, 0), 8 * eps)
-        for c in zl.measure_run(run):
-            assert c.sigma_intrinsic == pytest.approx(-hbar / 2, rel=1e-12)
-
-    def test_misaligned_cycle_rejected(self, any_run):
-        with pytest.raises(zl.MisalignedCycle):
-            zl.cycle_spin([any_run[n] for n in range(1, 6)])
-        with pytest.raises(zl.MisalignedCycle):
-            zl.cycle_spin([any_run[n] for n in range(0, 4)])
-        shuffled = [any_run[n] for n in (0, 2, 1, 3, 4)]
-        with pytest.raises(zl.MisalignedCycle):
-            zl.cycle_spin(shuffled)
+        assert zl.measure_run(run).sigma_intrinsic == pytest.approx(-hbar / 2, rel=1e-12)
 
 
 class TestClosedForm:
@@ -153,30 +191,30 @@ class TestClosedForm:
 
     def test_matches_measured_runs(self, any_run):
         target = zl.intrinsic_spin_closed_form(any_run.perm, any_run.params.hbar)
-        for c in zl.measure_run(any_run):
-            assert c.sigma_intrinsic == pytest.approx(target, rel=1e-12)
+        assert zl.measure_run(any_run).sigma_intrinsic == pytest.approx(target, rel=1e-12)
 
 
 class TestUncertainties:
     def test_unit_parameters(self):
         run = zl.run_process(zl.PhysParams(epsilon=1.0), zl.Permutation(), zl.CircularVelocity(), (0, 0), 8.0)
-        dx, dp = zl.cycle_uncertainties(run[0:5])
+        table = zl.measure_run(run)
+        dx, dp = table.delta_x[0], table.delta_px[0]
         assert dx == pytest.approx(math.sqrt(0.5), rel=1e-13)
         assert dp == pytest.approx(math.sqrt(0.5), rel=1e-13)
         assert dx * dp == pytest.approx(0.5, rel=1e-13)
 
     def test_matches_brute_force(self, any_run):
+        table = zl.measure_run(any_run)
         for q in (0, 11):
-            states = [any_run[n] for n in range(4 * q, 4 * q + 5)]
-            dx, dp = zl.cycle_uncertainties(states)
             bx, bp = brute_force_uncertainties(any_run, q)
-            assert dx == pytest.approx(bx, rel=1e-12)
-            assert dp == pytest.approx(bp, rel=1e-12)
+            assert table.delta_x[q] == pytest.approx(bx, rel=1e-12)
+            assert table.delta_px[q] == pytest.approx(bp, rel=1e-12)
 
     def test_quadrupling_epsilon_scales_spreads(self):
         def spreads(eps):
             run = zl.run_process(zl.PhysParams(epsilon=eps), zl.Permutation(), zl.zero_velocity(), (0, 0), 8 * eps)
-            return zl.cycle_uncertainties(run[0:5])
+            table = zl.measure_run(run)
+            return table.delta_x[0], table.delta_px[0]
 
         dx1, dp1 = spreads(0.01)
         dx4, dp4 = spreads(0.04)
@@ -188,7 +226,8 @@ class TestUncertainties:
             for mass in (0.5, 3.0):
                 params = zl.PhysParams(epsilon=eps, mass=mass)
                 run = zl.run_process(params, zl.Permutation(), zl.CircularVelocity(), (0, 0), 8 * eps)
-                dx, dp = zl.cycle_uncertainties(run[0:5])
+                table = zl.measure_run(run)
+                dx, dp = table.delta_x[0], table.delta_px[0]
                 assert dx * dp == pytest.approx(0.5, rel=1e-12)
                 assert dx == pytest.approx(math.sqrt(eps / (2 * mass)), rel=1e-12)
 
@@ -196,7 +235,9 @@ class TestUncertainties:
 class TestStringLength:
     def test_cycle_pattern(self):
         run = zl.run_process(zl.PhysParams(epsilon=1.0), zl.Permutation(), zl.zero_velocity(), (0, 0), 8.0)
-        lengths = [zl.string_length(run[n]) for n in range(5)]
+        table = zl.measure_run(run)
+        # n = 0..3 of cycle 0, then n = 4, which opens cycle 1
+        lengths = [*table.string_lengths[0], table.string_lengths[1, 0]]
         assert lengths[0] == 0.0
         assert lengths[1] == pytest.approx(4 * math.sqrt(2), rel=1e-13)
         assert lengths[2] == pytest.approx(8.0, rel=1e-13)
@@ -205,22 +246,28 @@ class TestStringLength:
         assert lengths[2] == max(lengths)
 
     def test_extension_contraction_in_observables(self, any_run):
-        for c in zl.measure_run(any_run):
-            l0, l1, l2, l3 = c.string_lengths
-            assert l0 == pytest.approx(0.0, abs=1e-12)
-            assert l1 == pytest.approx(l3, rel=1e-10)
-            assert l2 == max(c.string_lengths)
+        lengths = zl.measure_run(any_run).string_lengths
+        l0, l1, l2, l3 = lengths.T
+        assert l0 == pytest.approx(0.0, abs=1e-12)
+        assert l1 == pytest.approx(l3, rel=1e-10)
+        assert np.array_equal(l2, lengths.max(axis=1))
 
 
-def test_measure_cycle_matches_measure_run(any_run):
+def test_one_cycle_window_matches_measure_run(any_run):
+    """A cycle's row depends only on the 5 states n = 4q..4q+4 of its window."""
     per_run = zl.measure_run(any_run)
     for q in (0, 5):
-        states = [any_run[n] for n in range(4 * q, 4 * q + 5)]
-        single = zl.measure_cycle(states)
-        assert single.sigma_z == pytest.approx(per_run[q].sigma_z, abs=1e-14)
-        assert single.delta_x == pytest.approx(per_run[q].delta_x, rel=1e-14)
-        assert single.string_lengths == pytest.approx(per_run[q].string_lengths, rel=1e-12)
-        assert single.cycle_index == q
+        w = slice(4 * q, 4 * q + 5)
+        window = zl.ProcessRun(
+            any_run.times[w], any_run.vertices[w], any_run.means[w], any_run.epsilons[w], any_run.params, any_run.perm
+        )
+        single = zl.measure_run(window)
+        assert len(single) == 1
+        assert single.sigma_z[0] == pytest.approx(per_run.sigma_z[q], abs=1e-14)
+        assert single.delta_x[0] == pytest.approx(per_run.delta_x[q], rel=1e-14)
+        assert single.string_lengths[0] == pytest.approx(per_run.string_lengths[q], rel=1e-12)
+        assert single.t_start[0] == per_run.t_start[q]
+        assert per_run.cycle_index[q] == q
 
 
 def test_observables_csv(tmp_path):
@@ -261,19 +308,55 @@ ORACLE_RUNS = {
 }
 
 
+def make_run(name):
+    params, sense, vel, T = ORACLE_RUNS[name]
+    return zl.run_process(params, zl.Permutation(sense), vel, (0.3, -1.2), T)
+
+
 @pytest.mark.parametrize("name", list(ORACLE_RUNS))
 def test_measure_run_equals_per_cycle_loop(name):
-    params, sense, vel, T = ORACLE_RUNS[name]
-    run = zl.run_process(params, zl.Permutation(sense), vel, (0.3, -1.2), T)
+    run = make_run(name)
     expected = loop_measure_run(run)
     got = zl.measure_run(run)
-    assert isinstance(got, list)
+    assert isinstance(got, zl.CycleTable)
     assert len(got) == run.n_cycles
     if name.startswith("de_broglie"):
         assert len(set(run.epsilons[1::4])) == run.n_cycles >= 3
     if name == "no_complete_cycle":
-        assert got == []
-    # dataclass equality compares every field with ==, floats included
-    assert got == expected
-    for q in (0, run.n_cycles - 1) if run.n_cycles else ():
-        assert zl.measure_cycle([run[n] for n in range(4 * q, 4 * q + 5)]) == expected[q]
+        assert all(getattr(got, f).shape == (0,) for f in FIELDS[:-1])
+        assert got.string_lengths.shape == (0, 4)
+    # every column bit for bit against the per-cycle records
+    for f in FIELDS:
+        column = np.array([c[f] for c in expected]).reshape(getattr(got, f).shape)
+        assert np.array_equal(getattr(got, f), column), f
+
+
+@pytest.mark.parametrize("name", ["fixed_s_plus", "de_broglie_s_plus", "no_complete_cycle"])
+def test_csv_bytes_match_record_writer(name, tmp_path):
+    run = make_run(name)
+    zl.observables_to_csv(tmp_path / "table.csv", zl.measure_run(run))
+    records_to_csv(tmp_path / "records.csv", loop_measure_run(run))
+    got = (tmp_path / "table.csv").read_bytes()
+    assert got == (tmp_path / "records.csv").read_bytes()
+    assert got.count(b"\n") == 1 + run.n_cycles
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    hbar=st.floats(0.7, 2.0),
+    mass=st.floats(0.3, 5.0),
+    eps=st.floats(1e-4, 1.0),
+    sense=st.sampled_from(list(zl.Sense)),
+    vel=st.one_of(
+        st.builds(zl.ConstantVelocity, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        st.builds(zl.CircularVelocity, omega=st.floats(1.0, 2.0)),
+    ),
+    cycles=st.integers(1, 20),
+)
+def test_spin_and_product_hold_on_every_cycle(hbar, mass, eps, sense, vel, cycles):
+    params = zl.PhysParams(hbar=hbar, mass=mass, epsilon=eps)
+    perm = zl.Permutation(sense)
+    table = zl.measure_run(zl.run_process(params, perm, vel, (0, 0), 4 * cycles * eps))
+    assert len(table) == cycles
+    assert table.sigma_intrinsic == pytest.approx(zl.intrinsic_spin_closed_form(perm, hbar), rel=1e-12)
+    assert table.heisenberg_product == pytest.approx(hbar / 2, rel=1e-12)

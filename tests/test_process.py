@@ -14,6 +14,26 @@ def params(eps, hbar=1.0, mass=1.0, **kw):
     return zl.PhysParams(hbar=hbar, mass=mass, epsilon=eps, **kw)
 
 
+def step_oracle(p, perm, vel, z0, n_steps):
+    """The per-step recurrence, one step at a time: (times, vertices, means).
+
+    The step landing at n reads the drift at the cycle-boundary time 4q*eps
+    with q = n//4, and the vertices are rebuilt from the offset decomposition
+    mean + gamma * (s^n u^j - u^j).
+    """
+    eps = p.epsilon
+    mean = np.asarray(z0, dtype=complex).reshape(2)
+    times, vertices, means = [0.0], [np.repeat(mean[None, :], 4, axis=0)], [mean]
+    for n in range(1, n_steps + 1):
+        t = times[-1] + eps
+        v = np.asarray(vel(t - (n % 4) * eps), dtype=complex)
+        mean = mean + v * eps
+        times.append(t)
+        vertices.append(mean[None, :] + zl.gamma(p) * perm.offset_table()[n % 4])
+        means.append(mean)
+    return np.array(times), np.array(vertices), np.array(means)
+
+
 class TestGamma:
     def test_unit_values(self):
         assert zl.gamma(params(1.0)) == 0.5 + 0.5j
@@ -83,31 +103,26 @@ class TestVertexOffset:
 
 class TestStep:
     def test_four_steps_close_the_cycle(self):
-        state = zl.initial_state(params(0.3), zl.Permutation(), (0.2 + 0.1j, -0.4))
-        s = state
-        for _ in range(4):
-            s = zl.step(s, zl.zero_velocity())
-        np.testing.assert_allclose(s.vertices, state.vertices, atol=1e-15)
-        assert s.step_index == 4
+        z0 = (0.2 + 0.1j, -0.4)
+        run = zl.run_process(params(0.3), zl.Permutation(), zl.zero_velocity(), z0, 4 * 0.3)
+        assert len(run) == 5
+        np.testing.assert_array_equal(run.vertices[0], np.repeat([z0], 4, axis=0))
+        np.testing.assert_allclose(run.vertices[4], run.vertices[0], atol=1e-15)
 
     def test_mean_is_euler_step(self):
         vel = zl.ConstantVelocity(1.0, 0.0)
-        s = zl.initial_state(params(0.25), zl.Permutation(), (0, 0))
-        for _ in range(4):
-            s = zl.step(s, vel)
-        np.testing.assert_allclose(s.mean, [1.0, 0.0], atol=1e-15)
+        run = zl.run_process(params(0.25), zl.Permutation(), vel, (0, 0), 1.0)
+        np.testing.assert_allclose(run.means[4], [1.0, 0.0], atol=1e-15)
 
     def test_single_vertex_hop(self):
         # gamma (s u^1 - u^1) = (1+i) * 0.5 * (0, -2) = (0, -1-i)
-        s0 = zl.initial_state(params(1.0), zl.Permutation(), (0, 0))
-        s1 = zl.step(s0, zl.zero_velocity())
-        np.testing.assert_allclose(s1.vertices[0], [0.0, -1.0 - 1.0j], atol=1e-15)
+        run = zl.run_process(params(1.0), zl.Permutation(), zl.zero_velocity(), (0, 0), 1.0)
+        np.testing.assert_allclose(run.vertices[1, 0], [0.0, -1.0 - 1.0j], atol=1e-15)
 
     def test_nonfinite_velocity_rejected(self):
         bad = zl.ConstantVelocity(float("nan"), 0.0)
-        s0 = zl.initial_state(params(0.1), zl.Permutation(), (0, 0))
         with pytest.raises(zl.NonFiniteVelocity):
-            zl.step(s0, bad)
+            zl.run_process(params(0.1), zl.Permutation(), bad, (0, 0), 0.4)
 
 
 def offset_identity_deviation(run):
@@ -164,10 +179,10 @@ class TestRunProcess:
 
     def test_sequence_protocol_matches_step(self):
         run = zl.run_process(params(0.2), zl.Permutation(), zl.CircularVelocity(), (0, 0), 2.0)
-        s = zl.initial_state(params(0.2), zl.Permutation(), (0, 0))
-        for n in range(1, 9):
-            s = zl.step(s, zl.CircularVelocity())
-            np.testing.assert_allclose(run[n].vertices, s.vertices, atol=1e-13)
+        times, vertices, means = step_oracle(params(0.2), zl.Permutation(), zl.CircularVelocity(), (0, 0), 8)
+        np.testing.assert_allclose(run.times[:9], times, atol=1e-13)
+        np.testing.assert_allclose(run.vertices[:9], vertices, atol=1e-13)
+        np.testing.assert_allclose(run.means[:9], means, atol=1e-13)
         assert len(run) == 11
 
     def test_figure_pattern_of_real_positions(self):
@@ -215,7 +230,6 @@ class TestEpsilonModes:
         assert len(set(np.round(run.epsilons[1:], 12))) > 1
         # n = 0 carries the first cycle's eps, not the template's
         assert run.epsilons[0] == run.epsilons[1] != p.epsilon
-        assert run[0].params.epsilon == run.epsilons[1]
 
     def test_de_broglie_vertices_use_each_cycle_gamma(self):
         p = zl.PhysParams(hbar=0.7, mass=1.3, epsilon_mode=zl.EpsilonMode.DE_BROGLIE)
