@@ -66,6 +66,7 @@ from .schrodinger import (
     init_gaussian,
     moments,
     split_step_evolve,
+    stream_frames,
 )
 from .pilot import (
     EquivarianceReport,

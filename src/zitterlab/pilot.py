@@ -11,14 +11,17 @@ wave-function zeros.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction
 
 
 @dataclass
@@ -36,19 +39,69 @@ class VelocityField:
     node_mask: np.ndarray
     time: float
 
+    @cached_property
+    def cell_mask(self) -> np.ndarray:
+        """True for the cell (i, j) when any of its corner nodes i|i+1,
+        j|j+1 is masked (periodic wrap); read from node_mask at first use."""
+        m = self.node_mask | np.roll(self.node_mask, -1, axis=0)
+        return m | np.roll(m, -1, axis=1)
+
+
+_scratch = threading.local()
+
+
+def _gradient_buffers(n: int):
+    """Two (2, n, n) complex scratch buffers, held per thread for the last n:
+    fresh ones cost more in page faults than the FFTs that fill them."""
+    held = getattr(_scratch, "buffers", None)
+    if held is None or held[0].shape[1] != n:
+        held = _scratch.buffers = (np.empty((2, n, n), dtype=complex), np.empty((2, n, n), dtype=complex))
+    return held
+
 
 def velocity_field(
-    psi: WaveFunction, hbar: float = 1.0, mass: float = 1.0, rho_floor: float = DEFAULT_RHO_FLOOR
+    psi: WaveFunction,
+    hbar: float = 1.0,
+    mass: float = 1.0,
+    rho_floor: float = DEFAULT_RHO_FLOOR,
+    real: bool = False,
 ) -> VelocityField:
-    ratio, mask, _ = psi_ratios(psi, rho_floor)
-    return VelocityField(psi.grid, -1j * (hbar / mass) * ratio, mask, psi.time)
+    """V = -i (hbar/m) grad(Psi)/Psi on the grid, 0 at masked nodes.
+
+    The gradient comes from psi.spectrum when the solver held it, else from
+    one fft2: the inverses of i k_x Psi^ and i k_y Psi^ run as one stacked
+    FFT of 1D passes into held buffers.  rho and the node mask rho < rho_floor * max(rho) are
+    those of psi_ratios.  On the live cells, in real arithmetic,
+    V = (hbar/m) (Im, -Re)(conj(Psi) grad Psi)/rho.  With real=True, v holds
+    Re V alone as float64, which is all Bohmian transport reads, and equals
+    the real part of the complex field bit for bit.
+    """
+    grid = psi.grid
+    rho = psi.density()
+    mask = rho < rho_floor * float(rho.max())
+    spectrum = psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
+    k = grid.wavenumbers
+    grad, tmp = _gradient_buffers(grid.n)
+    np.multiply(1j * k[:, None], spectrum, out=grad[0])
+    np.multiply(1j * k[None, :], spectrum, out=grad[1])
+    # 1D passes over both components at once, the last axis first, as np.fft.ifft2 runs them
+    np.fft.ifft(grad, axis=2, out=tmp)
+    np.fft.ifft(tmp, axis=1, out=grad)
+    live = np.flatnonzero(~mask)
+    p = psi.values.ravel()[live]
+    g = grad.reshape(2, -1)[:, live]
+    scale = hbar / mass
+    rho_live = rho.ravel()[live]
+    v = np.zeros((grid.n * grid.n, 2), dtype=float if real else complex)
+    v.real[live] = (scale * (p.real * g.imag - p.imag * g.real) / rho_live).T
+    if not real:
+        v.imag[live] = (-scale * (p.real * g.real + p.imag * g.imag) / rho_live).T
+    return VelocityField(grid, v.reshape(grid.n, grid.n, 2), mask, psi.time)
 
 
 def _re_field(psi: WaveFunction, hbar: float, mass: float, rho_floor: float) -> VelocityField:
-    """velocity_field keeping Re V only, as contiguous float64: all that
-    Bohmian transport reads, in half the memory of the complex field."""
-    vf = velocity_field(psi, hbar, mass, rho_floor)
-    return VelocityField(vf.grid, np.ascontiguousarray(vf.v.real), vf.node_mask, vf.time)
+    """The Re V-only field that Bohmian transport reads."""
+    return velocity_field(psi, hbar, mass, rho_floor, real=True)
 
 
 # Along each axis a cell has a lower (0) and an upper (1) corner node.
@@ -87,11 +140,15 @@ def _gather(fld: VelocityField, idx: np.ndarray, w: np.ndarray):
     """Apply a stencil to one field: (values (M, 2), masked (M,) bool).
 
     v may be complex or real (Re V only); the values keep its dtype.  masked
-    is True where any of the four corner nodes is masked.
+    is True where any of the four corner nodes is masked: the cell mask at
+    the lower corner idx[0].
     """
-    g = w * fld.v.reshape(-1, 2).take(idx, axis=0)
-    m = fld.node_mask.ravel().take(idx)
-    return g[0] + g[1] + g[2] + g[3], m[0] | m[1] | m[2] | m[3]
+    g = fld.v.reshape(-1, 2).take(idx, axis=0)
+    np.multiply(w, g, out=g)  # in place: a fresh (4, M, 2) product costs more in page faults
+    vals = g[0] + g[1]
+    vals += g[2]
+    vals += g[3]
+    return vals, fld.cell_mask.ravel().take(idx[0])
 
 
 def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
@@ -136,22 +193,27 @@ class FrameInterpolator:
             return math.inf
         return float(self.times[1] - self.times[0])
 
+    def _bracket(self, t: float):
+        """(i, a): t lies between frames i and i + 1, at weight a on i + 1."""
+        if not self.times[0] - self.slack <= t <= self.t_end + self.slack:
+            raise InvalidInput(
+                f"t = {t:g} is outside the frame span [{self.times[0]:g}, {self.t_end:g}]"
+            )
+        i, a = 0, 0.0
+        if len(self.frames) > 1:
+            i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.frames) - 2)
+            t0, t1 = float(self.times[i]), float(self.times[i + 1])
+            a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        return i, a
+
     def complex_at(self, t: float, pts: np.ndarray):
         """Field values (M, 2) at time t and points pts, and the ok flags (M,).
 
         ok is False where a point is outside the box or any corner node of
         its cell is masked in either bracketing frame.
         """
-        if not self.times[0] - self.slack <= t <= self.t_end + self.slack:
-            raise InvalidInput(
-                f"t = {t:g} is outside the frame span [{self.times[0]:g}, {self.t_end:g}]"
-            )
+        i, a = self._bracket(t)
         idx, w, inside = _stencil(self.grid, pts)
-        i, a = 0, 0.0
-        if len(self.frames) > 1:
-            i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.frames) - 2)
-            t0, t1 = float(self.times[i]), float(self.times[i + 1])
-            a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         v0, masked = _gather(self.frames[i], idx, w)
         if a == 0.0:
             return v0, inside & ~masked
@@ -161,6 +223,38 @@ class FrameInterpolator:
     def real_at(self, t: float, pts: np.ndarray):
         vals, ok = self.complex_at(t, pts)
         return vals.real, ok
+
+
+class _FrameWindow(FrameInterpolator):
+    """A FrameInterpolator over a stream of fields, read once, for queries
+    that move forward in time (up to roundoff).
+
+    A query first pulls fields while the newest is not after its time, so
+    its bracket is the one FrameInterpolator finds over the whole list.
+    Fields before the one preceding the bracket are then dropped: the next
+    RK4 step starts at most a few ulps before this query.
+    """
+
+    def __init__(self, fields):
+        self._source = iter(fields)
+        super().__init__(list(islice(self._source, 2)))
+
+    def _bracket(self, t: float):
+        while self.times[-1] <= t and (nxt := next(self._source, None)) is not None:
+            if nxt.time <= self.times[-1]:
+                raise ValueError("frames must be strictly increasing in time")
+            self.frames.append(nxt)
+            self.times = np.append(self.times, nxt.time)
+        i, a = super()._bracket(t)
+        if i > 1:
+            del self.frames[: i - 1]
+            self.times = self.times[i - 1 :]
+            i = 1
+        return i, a
+
+
+def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
+    return np.all(np.abs(pts) < half_width, axis=1)
 
 
 @dataclass
@@ -177,14 +271,16 @@ class Trajectory:
 
 
 def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int, keep_history: bool):
-    """Vectorized RK4 transport of a batch of points through the frame stack,
+    """Vectorized RK4 transport of a batch of points through the frames,
     from the first frame's time.
 
-    Failed points (masked cells or outside the box) freeze in place; their
-    first bad step index is recorded in fail_step.
+    Failed points freeze in place; their first bad step index is recorded in
+    fail_step.  A point fails by leaving the box (left_box: its new position
+    or one of its RK4 stage points lies outside) or else at a masked cell.
     """
     x = np.array(x0, dtype=float)
     m = x.shape[0]
+    L = interp.grid.half_width
     alive = np.ones(m, dtype=bool)
     fail_step = np.full(m, -1, dtype=np.int64)
     left_box = np.zeros(m, dtype=bool)
@@ -195,15 +291,19 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
     for s in range(n_steps):
         t = t0 + s * dt
         k1, ok1 = interp.real_at(t, x)
-        k2, ok2 = interp.real_at(t + dt / 2, x + (dt / 2) * k1)
-        k3, ok3 = interp.real_at(t + dt / 2, x + (dt / 2) * k2)
-        k4, ok4 = interp.real_at(t + dt, x + dt * k3)
+        x2 = x + (dt / 2) * k1
+        k2, ok2 = interp.real_at(t + dt / 2, x2)
+        x3 = x + (dt / 2) * k2
+        k3, ok3 = interp.real_at(t + dt / 2, x3)
+        x4 = x + dt * k3
+        k4, ok4 = interp.real_at(t + dt, x4)
         ok_field = ok1 & ok2 & ok3 & ok4
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ok_domain = np.all(np.abs(x_new) < interp.grid.half_width, axis=1)
+        ok_domain = _in_box(x_new, L)
         newly_dead = alive & ~(ok_field & ok_domain)
-        fail_step[newly_dead] = s
-        left_box[newly_dead & ok_field] = True
+        if newly_dead.any():
+            fail_step[newly_dead] = s
+            left_box |= newly_dead & ~(ok_domain & _in_box(x2, L) & _in_box(x3, L) & _in_box(x4, L))
         alive &= ok_field & ok_domain
         x = np.where(alive[:, None], x_new, x)
         if keep_history:
@@ -354,6 +454,8 @@ class EquivarianceReport:
     tv_distance: float
     bins: int
     failures: int
+    failures_node: int
+    failures_left_box: int
     empirical: np.ndarray = field(repr=False)
     target: np.ndarray = field(repr=False)
 
@@ -367,6 +469,8 @@ class EquivarianceReport:
                 "tv_distance": self.tv_distance,
                 "bins": self.bins,
                 "failures": self.failures,
+                "failures_node": self.failures_node,
+                "failures_left_box": self.failures_left_box,
             },
         )
 
@@ -377,7 +481,6 @@ def ensemble_equivariance(
     seed: int,
     T: float | None = None,
     bins: int = 32,
-    dt: float | None = None,
     hbar: float = 1.0,
     mass: float = 1.0,
     rho_floor: float = DEFAULT_RHO_FLOOR,
@@ -387,44 +490,65 @@ def ensemble_equivariance(
     Bohmian trajectories to T and compare with |Psi(T)|^2 on a coarse grid
     (total-variation distance).
 
+    psi_frames may be any iterable of frames and is read once, in one
+    forward sweep: the first frame is kept until the seeds are drawn, the
+    frame at T for the histogram, and the transport steps once per frame
+    interval through a window of at most three Re V fields.  A list and an
+    iterator over the same frames give equal reports.  T defaults to the
+    last frame's time, which reads the whole iterable before transport.
+
     A transported ensemble keeping the quantum density is exactly the content
     of the continuity equation d(rho)/dt + div(rho grad(S)/m) = 0.
     """
     if n_samples < 1000:
         raise InvalidInput(f"need at least 1e3 samples, got {n_samples}")
-    frame_times = np.array([f.time for f in psi_frames])
     if T is None:
-        T = float(frame_times[-1])
-    i_target = int(np.argmin(np.abs(frame_times - T)))
-    if abs(frame_times[i_target] - T) > 1e-9 * max(1.0, abs(T)):
-        raise InvalidInput(f"no frame at T = {T}")
-    rng = np.random.default_rng(seed)
-    seeds = sample_from_density(psi_frames[0], n_samples, rng)
-    failures = 0
-    t0 = float(frame_times[0])
+        psi_frames = list(psi_frames)
+        T = float(psi_frames[-1].time) if psi_frames else 0.0
+    tol = 1e-9 * max(1.0, abs(T))
+    frames = iter(psi_frames)
+    first = next(frames, None)
+    if first is None:
+        raise InvalidInput("need at least one frame")
+    grid, t0 = first.grid, float(first.time)
+    finals = sample_from_density(first, n_samples, np.random.default_rng(seed))
+    target = first if abs(t0 - T) <= tol else None
+
+    def later():
+        nonlocal target
+        for f in frames:
+            if target is None and abs(f.time - T) <= tol:
+                target = f
+            if target is None and f.time > T:
+                break
+            yield f
+        if target is None:
+            raise InvalidInput(f"no frame at T = {T}")
+
+    node = left = 0
     if T > t0:
-        interp = FrameInterpolator([_re_field(f, hbar, mass, rho_floor) for f in psi_frames])
-        if dt is None:
-            dt = interp.spacing
-        n_steps = max(1, int(round((T - t0) / dt)))
+        fields = chain([first], later())
+        del first  # frame 0 is not needed past the seeds
+        window = _FrameWindow(_re_field(f, hbar, mass, rho_floor) for f in fields)
+        n_steps = max(1, int(round((T - t0) / window.spacing)))
         dt = (T - t0) / n_steps
-        finals, alive, _, _, _ = _rk4_batch(interp, seeds, dt, n_steps, keep_history=False)
-        failures = int(np.sum(~alive))
-        if failures > max_failure_fraction * n_samples:
+        finals, alive, _, left_box, _ = _rk4_batch(window, finals, dt, n_steps, keep_history=False)
+        left = int(np.count_nonzero(left_box))
+        node = int(np.count_nonzero(~alive)) - left
+        if node + left > max_failure_fraction * n_samples:
             raise EnsembleFailure(
-                f"{failures}/{n_samples} trajectories terminated early "
-                f"(limit {max_failure_fraction:.1%})"
+                f"{node + left}/{n_samples} trajectories terminated early, {node} at a node and "
+                f"{left} by leaving the box (limit {max_failure_fraction:.1%})"
             )
         finals = finals[alive]
-    else:
-        finals = seeds
-    grid = psi_frames[0].grid
+    if target is None:
+        raise InvalidInput(f"no frame at T = {T}")
     edges = np.linspace(-grid.half_width, grid.half_width, bins + 1)
     hist, _, _ = np.histogram2d(finals[:, 0], finals[:, 1], bins=[edges, edges])
     empirical = hist / hist.sum()
-    target = coarse_density_histogram(psi_frames[i_target], bins)
+    target = coarse_density_histogram(target, bins)
     tv = 0.5 * float(np.abs(empirical - target).sum())
-    return EquivarianceReport(n_samples, seed, float(T), tv, bins, failures, empirical, target)
+    return EquivarianceReport(n_samples, seed, float(T), tv, bins, node + left, node, left, empirical, target)
 
 
 def trajectories_to_csv(path, trajectories) -> None:

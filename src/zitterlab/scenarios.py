@@ -459,15 +459,15 @@ def _scenario_equivariance(cfg: ScenarioConfig, out) -> ScenarioResult:
     grid, psi0 = _free_packet(cfg)
     pot = schrodinger.free_potential()
     n_steps = int(round(cfg.T / cfg.dt))
-    frames = schrodinger.evolve_frames(
+    frames = schrodinger.stream_frames(
         psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
     )
     report_t = pilot.ensemble_equivariance(
-        frames, cfg.ensemble_n, cfg.seed, bins=cfg.bins, hbar=cfg.hbar, mass=cfg.mass,
-        rho_floor=cfg.rho_floor,
+        frames, cfg.ensemble_n, cfg.seed, T=n_steps * cfg.dt, bins=cfg.bins, hbar=cfg.hbar,
+        mass=cfg.mass, rho_floor=cfg.rho_floor,
     )
     report_0 = pilot.ensemble_equivariance(
-        [frames[0]], cfg.ensemble_n, cfg.seed + 1, T=0.0, bins=cfg.bins, hbar=cfg.hbar,
+        [psi0], cfg.ensemble_n, cfg.seed + 1, T=0.0, bins=cfg.bins, hbar=cfg.hbar,
         mass=cfg.mass, rho_floor=cfg.rho_floor,
     )
     f1 = os.path.join(out, "equivariance_T.json")

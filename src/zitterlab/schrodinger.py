@@ -12,7 +12,8 @@ i hbar dPsi/dt = -(hbar^2/2m) Lap Psi + V(x) Psi
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -69,11 +70,16 @@ class Grid2D:
 
 @dataclass
 class WaveFunction:
-    """Complex field on a Grid2D at one instant; values indexed [ix, iy]."""
+    """Complex field on a Grid2D at one instant; values indexed [ix, iy].
+
+    spectrum, when not None, is the 2D FFT of values that the free-potential
+    frame stream held in k-space; readers must not modify it.
+    """
 
     grid: Grid2D
     values: np.ndarray
     time: float = 0.0
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area()))
@@ -204,8 +210,8 @@ class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
     The constructor builds the operators of one of three paths once, plus
-    the aliasing-band mask and two n x n work buffers; advance() reuses them
-    for every call.  The free potential needs k^2 only.  A separable
+    the aliasing-band mask and two n x n work buffers; advance() and frames()
+    reuse them for every call.  The free potential needs k^2 only.  A separable
     V = a(x) + b(y) needs the 1D kinetic phase and the half and full kicks of
     each axis.  Any other V needs the 2D kinetic phase and full kick.  Both
     potential paths end with the 2D half kick.
@@ -236,7 +242,7 @@ class Propagator:
         self._band = np.maximum.outer(np.abs(k), np.abs(k)) >= ALIAS_BAND_FRACTION * grid.nyquist
         self._work = np.empty((grid.n, grid.n), dtype=complex)
         self._tmp = np.empty_like(self._work)
-        # evolve_frames advances by one stride throughout, so one cached n suffices
+        # a frame stream advances by one stride throughout, so one cached n suffices
         self._cached_steps = None
         self._cached = None
 
@@ -299,6 +305,34 @@ class Propagator:
         values = work.copy() if self._half_kick is None else work * self._half_kick
         return WaveFunction(self.grid, values, psi.time + n_steps * self.dt)
 
+    def frames(self, psi: WaveFunction, frame_stride: int, n_frames: int) -> Iterator[WaveFunction]:
+        """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time.
+
+        Frame 0 is a copy of psi.  With the free potential the spectrum stays
+        in k-space, psi_k^ = psi_{k-1}^ . (the stride phase): a frame costs one
+        multiply and one IFFT, the guard reads psi_k^, and the frame carries
+        psi_k^ as its spectrum.  Every other potential yields advance()'s
+        frames, without a spectrum.
+        """
+        if psi.grid != self.grid:
+            raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
+        frame, spectrum = psi.copy(), None
+        if self._half_kick is None:
+            spectrum = np.empty_like(self._work)
+            _fft2(frame.values, spectrum, self._tmp)
+            frame.spectrum = spectrum
+        yield frame
+        for _ in range(n_frames):
+            if spectrum is None:
+                frame = self.advance(frame, frame_stride)
+            else:
+                spectrum = spectrum * self._cached_for(frame_stride)
+                self._check_spectrum(spectrum)
+                values = np.empty_like(spectrum)
+                _fft2(spectrum, values, self._tmp, inverse=True)
+                frame = WaveFunction(self.grid, values, frame.time + frame_stride * self.dt, spectrum)
+            yield frame
+
 
 def split_step_evolve(
     psi: WaveFunction,
@@ -318,6 +352,26 @@ def split_step_evolve(
     return Propagator(psi.grid, pot, dt, hbar, mass).advance(psi, n_steps)
 
 
+def stream_frames(
+    psi: WaveFunction,
+    pot: Potential,
+    dt: float,
+    n_steps: int,
+    frame_stride: int,
+    hbar: float = 1.0,
+    mass: float = 1.0,
+) -> Iterator[WaveFunction]:
+    """The frames every frame_stride steps (the t = 0 frame included), one
+    at a time from one Propagator, so the guards run once per frame.
+
+    The arguments are checked here, before the first frame is asked for.
+    Free-potential frames carry their spectrum; see Propagator.frames.
+    """
+    if n_steps % frame_stride != 0:
+        raise InvalidInput(f"n_steps = {n_steps} is not a multiple of frame_stride = {frame_stride}")
+    return Propagator(psi.grid, pot, dt, hbar, mass).frames(psi, frame_stride, n_steps // frame_stride)
+
+
 def evolve_frames(
     psi: WaveFunction,
     pot: Potential,
@@ -327,17 +381,8 @@ def evolve_frames(
     hbar: float = 1.0,
     mass: float = 1.0,
 ) -> list[WaveFunction]:
-    """Evolve and snapshot every frame_stride steps (the t = 0 frame included).
-
-    One Propagator serves every frame, so the guards run once per frame.
-    """
-    if n_steps % frame_stride != 0:
-        raise InvalidInput(f"n_steps = {n_steps} is not a multiple of frame_stride = {frame_stride}")
-    propagator = Propagator(psi.grid, pot, dt, hbar, mass)
-    frames = [psi.copy()]
-    for _ in range(n_steps // frame_stride):
-        frames.append(propagator.advance(frames[-1], frame_stride))
-    return frames
+    """stream_frames as a list; its frames hold no spectrum."""
+    return [replace(f, spectrum=None) for f in stream_frames(psi, pot, dt, n_steps, frame_stride, hbar, mass)]
 
 
 def analytic_free_gaussian(

@@ -178,7 +178,7 @@ class TestMainEntry:
         cfg = tmp_path / "narrow.cfg"
         # valid config, but the packet is unresolvable on this grid
         cfg.write_text("scenario = free_gaussian\nsigma0 = 0.1\nT = 0.01\n")
-        assert main(["run", str(cfg)]) == 3
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "PacketTooNarrow" in capsys.readouterr().err
 
     def test_step_budget_exit_three(self, tmp_path, capsys, monkeypatch):

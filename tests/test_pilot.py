@@ -1,13 +1,14 @@
 """Guiding velocity fields, Bohmian trajectories, guided process, ensembles."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import zitterlab as zl
-from zitterlab import pilot
+from zitterlab import pilot, schrodinger
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,82 @@ class TestVelocityField:
         rhs = grads.grad_s - 0.5j * hbar * grads.grad_log_rho
         bulk = ~field.node_mask
         assert np.max(np.abs((lhs - rhs)[bulk])) <= 1e-12
+
+
+def ratio_re_field(psi, hbar=1.0, mass=1.0, rho_floor=schrodinger.DEFAULT_RHO_FLOOR):
+    """The Re V field as it was built from psi_ratios: an fft2 of psi, two
+    ifft2 and a complex divide.  The oracle for the stacked-FFT kernel."""
+    ratio, mask, _ = schrodinger.psi_ratios(psi, rho_floor)
+    v = -1j * (hbar / mass) * ratio
+    return pilot.VelocityField(psi.grid, np.ascontiguousarray(v.real), mask, psi.time)
+
+
+class TestFieldKernel:
+    """velocity_field against the psi_ratios oracle."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.fixture(scope="class")
+    def stream(self, grid):
+        psi0 = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, 0.5))
+        return list(zl.stream_frames(psi0, zl.free_potential(), 1e-3, 600, 60))
+
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
+    def test_matches_ratio_oracle(self, stream, hbar, mass):
+        # Both sides take the same spectral gradient g of the same psi.  Each
+        # then rounds at most eight times in quantities bounded by |g|/|psi|
+        # on the way to V (the oracle's complex divide and -i hbar/m scaling;
+        # conj(psi) g, |psi|^2, the divide and the hbar/m scaling here), so
+        # per component |V - V_oracle| <= 16 eps (hbar/m) |g|/|psi|.
+        for f in stream:
+            plain = zl.WaveFunction(f.grid, f.values, f.time)
+            oracle = ratio_re_field(plain, hbar, mass)
+            fld = zl.velocity_field(plain, hbar, mass, real=True)
+            assert np.array_equal(fld.node_mask, oracle.node_mask)
+            live = ~fld.node_mask
+            g = np.abs(np.stack(schrodinger.spectral_gradient(f.grid, f.values), axis=-1))[live]
+            bound = 16 * self.EPS * (hbar / mass) * g / np.abs(f.values[live])[:, None]
+            assert np.all(np.abs(fld.v[live] - oracle.v[live]) <= bound)
+            assert np.all(fld.v[~live] == 0.0)
+
+    def test_held_spectrum_within_its_roundoff(self, stream):
+        # With the stream's held spectrum S in place of fft2(psi), the
+        # gradient moves by the inverse transform of D = S - fft2(psi) plus
+        # the FFT roundoff of each side; per cell both are bounded by
+        # k_max / n^2 times the l1 norm of what is transformed.
+        grid = stream[0].grid
+        n, k_max = grid.n, float(np.max(np.abs(grid.wavenumbers)))
+        for f in stream:
+            assert f.spectrum is not None
+            plain = zl.WaveFunction(f.grid, f.values, f.time)
+            fld, oracle = zl.velocity_field(f, real=True), ratio_re_field(plain)
+            assert np.array_equal(fld.node_mask, oracle.node_mask)
+            live = ~fld.node_mask
+            d1 = np.abs(f.spectrum - np.fft.fft2(f.values)).sum()
+            fft_roundoff = 2 * self.EPS * math.log2(n * n) * np.abs(f.spectrum).sum()
+            g = np.abs(np.stack(schrodinger.spectral_gradient(grid, f.values), axis=-1))[live]
+            a = np.abs(f.values[live])[:, None]
+            bound = 16 * self.EPS * g / a + k_max * (d1 + fft_roundoff) / n**2 / a
+            assert np.all(np.abs(fld.v[live] - oracle.v[live]) <= bound)
+
+    def test_real_field_is_the_real_part(self, stream):
+        for f in stream[:3]:
+            full, real = zl.velocity_field(f, 0.7, 2.5), zl.velocity_field(f, 0.7, 2.5, real=True)
+            assert real.v.dtype == float and full.v.dtype == complex
+            assert np.array_equal(real.v, full.v.real)
+            assert np.array_equal(pilot._re_field(f, 0.7, 2.5, 1e-12).v, real.v)
+
+    def test_cell_mask_dilates_the_node_mask(self, grid):
+        mask = np.zeros((grid.n, grid.n), dtype=bool)
+        mask[5, 7] = mask[0, 0] = True
+        cells = pilot.VelocityField(grid, np.zeros((grid.n, grid.n, 2)), mask, 0.0).cell_mask
+        # a node is a corner of the cells (i - 1 | i, j - 1 | j), wrapping at 0
+        expected = np.zeros_like(mask)
+        for i, j in ((5, 7), (0, 0)):
+            for di in (-1, 0):
+                for dj in (-1, 0):
+                    expected[(i + di) % grid.n, (j + dj) % grid.n] = True
+        assert np.array_equal(cells, expected)
 
 
 def synthetic_field(grid, vx_node=None):
@@ -428,6 +505,108 @@ class TestEnsemble:
         text = path.read_text()
         for key in ('"N"', '"seed"', '"T"', '"tv_distance"', '"bins"', '"failures"'):
             assert key in text
+
+
+class TestStreamedEnsemble:
+    """ensemble_equivariance reads its frames once, through a window."""
+
+    @staticmethod
+    def same_report(a, b):
+        assert (a.T, a.tv_distance, a.failures, a.failures_node, a.failures_left_box) == (
+            b.T, b.tv_distance, b.failures, b.failures_node, b.failures_left_box
+        )
+        assert np.array_equal(a.empirical, b.empirical) and np.array_equal(a.target, b.target)
+
+    def test_list_and_iterator_give_equal_reports(self, free_frames):
+        T = float(free_frames[120].time)  # an interior frame: the stream goes on past T
+        self.same_report(
+            zl.ensemble_equivariance(free_frames, 2000, 21, T=T),
+            zl.ensemble_equivariance(iter(free_frames), 2000, 21, T=T),
+        )
+        self.same_report(
+            zl.ensemble_equivariance(free_frames, 2000, 21),
+            zl.ensemble_equivariance(iter(free_frames), 2000, 21),
+        )
+
+    def test_window_transport_is_the_full_interpolator(self, free_frames):
+        # Frame k sits at k dt, except where (k - 1) dt + dt, the time at
+        # which RK4 step k - 1 ends, rounds above k dt, the time at which
+        # step k starts: there the frame sits at the end of step k - 1, so
+        # step k starts an ulp before it and needs frame k - 1 again.
+        dt = 0.005
+        times = [(k - 1) * dt + dt if k and (k - 1) * dt + dt > k * dt else k * dt for k in range(60)]
+        assert sum(t != k * dt for k, t in enumerate(times)) >= 5
+        retimed = [zl.WaveFunction(f.grid, f.values, t) for f, t in zip(free_frames, times)]
+        fields = [pilot._re_field(f, 1.0, 1.0, 1e-12) for f in retimed]
+        seeds = zl.sample_from_density(free_frames[0], 2000, np.random.default_rng(4))
+        full = pilot._rk4_batch(pilot.FrameInterpolator(fields), seeds, dt, 59, keep_history=False)
+        window = pilot._FrameWindow(iter(fields))
+        streamed = pilot._rk4_batch(window, seeds, dt, 59, keep_history=False)
+        for a, b in zip(full[:4], streamed[:4]):
+            assert np.array_equal(a, b)
+        assert len(window.frames) <= 3
+
+    def test_generator_frames_are_released(self, free_frames):
+        alive, peak = [0], [0]
+
+        def released():
+            alive[0] -= 1
+
+        def frames():
+            for f in free_frames:
+                copy = f.copy()
+                alive[0] += 1
+                weakref.finalize(copy, released)
+                peak[0] = max(peak[0], alive[0])
+                yield copy
+                del copy
+
+        rep = zl.ensemble_equivariance(frames(), 2000, 21, T=float(free_frames[-1].time))
+        self.same_report(rep, zl.ensemble_equivariance(free_frames, 2000, 21))
+        # the window holds fields, not frames: besides the frame being turned
+        # into a field, only frame 0 (until the seeds are drawn) and the frame
+        # at T may be alive, within a window of three
+        assert peak[0] <= 3 + 2
+
+    def test_no_frame_at_T(self, free_frames):
+        between = 0.5 * (free_frames[3].time + free_frames[4].time)
+        for frames in (free_frames[:10], iter(free_frames[:10])):
+            with pytest.raises(zl.InvalidInput, match="no frame at T"):
+                zl.ensemble_equivariance(frames, 1000, 3, T=between)
+        # the stream ends before T
+        with pytest.raises(zl.InvalidInput, match="no frame at T"):
+            zl.ensemble_equivariance(iter(free_frames[:10]), 1000, 3, T=float(free_frames[20].time))
+
+
+class TestFailureCauses:
+    """Early terminations are counted by cause: a node, or leaving the box."""
+
+    @pytest.fixture(scope="class")
+    def fleeing_frames(self):
+        # a packet at speed 5 in a box of half width 8, for T = 2
+        grid = zl.Grid2D(64, 8.0)
+        psi0 = zl.init_gaussian(grid, (0, 0), 1.0, (5.0, 0))
+        return zl.evolve_frames(psi0, zl.free_potential(), 1e-2, 200, 5)
+
+    def test_box_exit(self, fleeing_frames):
+        rep = zl.ensemble_equivariance(fleeing_frames, 1000, 1, max_failure_fraction=1.0)
+        assert rep.failures > 500
+        assert rep.failures_left_box == rep.failures and rep.failures_node == 0
+
+    def test_node(self, free_frames):
+        rep = zl.ensemble_equivariance(
+            free_frames[:3], 1000, 3, T=float(free_frames[2].time), rho_floor=0.9, max_failure_fraction=1.0
+        )
+        assert rep.failures > 500
+        assert rep.failures_node == rep.failures and rep.failures_left_box == 0
+
+    def test_failure_message_and_json_name_both(self, fleeing_frames, tmp_path):
+        with pytest.raises(zl.EnsembleFailure, match=r"0 at a node and \d+ by leaving the box"):
+            zl.ensemble_equivariance(fleeing_frames, 1000, 1)
+        rep = zl.ensemble_equivariance(fleeing_frames, 1000, 1, max_failure_fraction=1.0)
+        rep.to_json(tmp_path / "eq.json")
+        text = (tmp_path / "eq.json").read_text()
+        assert f'"failures_left_box": {rep.failures}' in text and '"failures_node": 0' in text
 
 
 def test_trajectory_csv(free_fields, tmp_path):

@@ -272,6 +272,67 @@ class TestPropagator:
             zl.Propagator(grid64, zl.free_potential(), 0.0)
 
 
+class TestFrameStream:
+    """Propagator.frames: k-space on the free path, advance() elsewhere."""
+
+    @pytest.fixture(scope="class")
+    def grid64(self):
+        return zl.Grid2D(64, 8.0)
+
+    @staticmethod
+    def chained_advance(psi0, pot, dt, stride, n_frames):
+        prop = zl.Propagator(psi0.grid, pot, dt)
+        frames = [psi0.copy()]
+        for _ in range(n_frames):
+            frames.append(prop.advance(frames[-1], stride))
+        return frames
+
+    def test_free_stream_matches_advance(self, grid64):
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        stream = list(zl.stream_frames(psi0, zl.free_potential(), 2e-2, 28, 4))
+        reference = self.chained_advance(psi0, zl.free_potential(), 2e-2, 4, 7)
+        assert [f.time for f in stream] == [f.time for f in reference]
+        assert np.array_equal(stream[0].values, psi0.values) and stream[0].values is not psi0.values
+        for f, ref in zip(stream, reference):
+            assert rel_l2(f.values, ref.values) <= 1e-12
+            # the held spectrum is the frame's own FFT, up to roundoff
+            assert rel_l2(f.spectrum, np.fft.fft2(f.values)) <= 1e-12
+        listed = zl.evolve_frames(psi0, zl.free_potential(), 2e-2, 28, 4)
+        assert all(f.spectrum is None for f in listed)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(listed, stream))
+
+    @pytest.mark.parametrize("kind", ["separable", "loop"])
+    def test_potential_stream_is_advance(self, grid64, kind):
+        X, Y = grid64.mesh()
+        pot = {
+            "separable": zl.harmonic_potential(1.0, 1.5),
+            "loop": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.3 * X**2 + 0.1 * X * Y),
+        }[kind]
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        stream = list(zl.stream_frames(psi0, pot, 2e-2, 21, 3))
+        reference = self.chained_advance(psi0, pot, 2e-2, 3, 7)
+        assert len(stream) == len(reference) == 8
+        for f, ref in zip(stream, reference):
+            assert f.time == ref.time and f.spectrum is None
+            assert np.array_equal(f.values, ref.values)
+
+    def test_arguments_checked_before_the_first_frame(self, grid64):
+        psi0 = zl.init_gaussian(grid64, (0, 0), 1.0, (0, 0))
+        with pytest.raises(zl.InvalidInput):
+            zl.stream_frames(psi0, zl.free_potential(), 1e-2, 100, 30)
+
+    @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
+    def test_guard_runs_per_frame(self, pot):
+        grid = zl.Grid2D(16, 10.0)
+        values = np.zeros((16, 16), dtype=complex)
+        values[8, 8] = 1.0
+        values[3, 5] = np.nan
+        stream = zl.stream_frames(zl.WaveFunction(grid, values, 0.0), pot, 1e-3, 6, 2)
+        next(stream)  # frame 0 is the input itself
+        with pytest.raises(zl.ResolutionLoss):
+            next(stream)
+
+
 class TestGradientFields:
     def test_plane_phase_gradient(self, grid128):
         # grad S = hbar k0 wherever the density supports the ratio; at the
