@@ -9,125 +9,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import ConfigError, MissingRequired, OutOfRange, UnknownField, UnknownScenario, ZitterlabError
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_positive(raw: str) -> float:
-    value = float(raw)
-    if not value > 0:
-        raise ValueError("must be > 0")
-    return value
-
-
-def _parse_positive_int(raw: str) -> int:
-    value = int(raw)
-    if value <= 0:
-        raise ValueError("must be a positive integer")
-    return value
-
-
-def _parse_int(raw: str) -> int:
-    return int(raw)
-
-
-def _parse_complex(raw: str) -> complex:
-    return complex(raw.replace(" ", ""))
-
-
-def _parse_complex_list(raw: str) -> tuple:
-    return tuple(_parse_complex(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_positive_list(raw: str) -> tuple:
-    values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if not values or any(v <= 0 for v in values):
-        raise ValueError("must be a comma list of positive numbers")
-    return values
-
-
-def _parse_int_list(raw: str) -> tuple:
-    values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    if not values or any(v <= 0 for v in values):
-        raise ValueError("must be a comma list of positive integers")
-    return values
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError("must be true/false")
-
-
-def _parse_choice(options):
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return raw
-
-    return parse
-
-
-FIELD_PARSERS = {
-    "scenario": _parse_choice(SCENARIOS),
-    "hbar": _parse_positive,
-    "mass": _parse_positive,
-    "epsilon": _parse_positive,
-    "epsilon_mode": _parse_choice(("fixed", "de_broglie", "compton")),
-    "light_speed": _parse_positive,
-    "epsilon_floor": _parse_positive,
-    "permutation": _parse_choice(("s_plus", "s_minus")),
-    "velocity": _parse_choice(("zero", "constant", "circular", "polynomial")),
-    "velocity_x": _parse_complex,
-    "velocity_y": _parse_complex,
-    "velocity_coeffs_x": _parse_complex_list,
-    "velocity_coeffs_y": _parse_complex_list,
-    "circular_omega": _parse_float,
-    "circular_amplitude": _parse_float,
-    "z0_x": _parse_complex,
-    "z0_y": _parse_complex,
-    "cycles": _parse_positive_int,
-    "epsilons": _parse_positive_list,
-    "T": _parse_positive,
-    "dt": _parse_positive,
-    "n_grid": _parse_positive_int,
-    "box_half_width": _parse_positive,
-    "sigma0": _parse_positive,
-    "center_x": _parse_float,
-    "center_y": _parse_float,
-    "k0_x": _parse_float,
-    "k0_y": _parse_float,
-    "omega": _parse_positive,
-    "frame_stride": _parse_positive_int,
-    "seed_x": _parse_float,
-    "seed_y": _parse_float,
-    "ensemble_n": _parse_positive_int,
-    "seed": _parse_int,
-    "bins": _parse_positive_int,
-    "rho_floor": _parse_positive,
-    "hj_rho_floor": _parse_positive,
-    "hj_time": _parse_positive,
-    "hj_dts": _parse_positive_list,
-    "hj_ns": _parse_int_list,
-    "guided_epsilons": _parse_positive_list,
-    "write_frames": _parse_bool,
-}
+# key -> its ScenarioConfig field; the field's metadata holds the value parser
+# and the per-scenario defaults.
+_KEYS = {f.name: f for f in fields(ScenarioConfig) if "parse" in f.metadata}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a key-value config document.
 
     Raises UnknownField / UnknownScenario / OutOfRange / MissingRequired with
-    line-numbered diagnostics.
+    line-numbered diagnostics.  A key left out takes the scenario's own
+    default where its field has one, so the config holds every value the run
+    uses; `provided` names the keys the document gave.
     """
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -139,19 +38,23 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in FIELD_PARSERS:
+        if key not in _KEYS:
             raise UnknownField(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise OutOfRange(f"line {lineno}: duplicate key '{key}'")
         try:
-            values[key] = FIELD_PARSERS[key](raw_value)
+            values[key] = _KEYS[key].metadata["parse"](raw_value)
         except ValueError as exc:
             if key == "scenario":
                 raise UnknownScenario(f"line {lineno}: scenario '{raw_value}' is not supported") from None
             raise OutOfRange(f"line {lineno}: bad value for '{key}': {exc}") from None
     if "scenario" not in values:
         raise MissingRequired("config is missing the required key 'scenario'")
-    return ScenarioConfig(provided=frozenset(values), **values)
+    provided = frozenset(values)
+    for key, f in _KEYS.items():
+        if key not in values and values["scenario"] in f.metadata["by_scenario"]:
+            values[key] = f.metadata["by_scenario"][values["scenario"]]
+    return ScenarioConfig(provided=provided, **values)
 
 
 def parse_config_file(path: str) -> ScenarioConfig:
@@ -183,12 +86,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = run_scenario(cfg, args.out)
+        result = run_scenario(parse_config_file(args.config), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

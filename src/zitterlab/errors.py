@@ -14,7 +14,7 @@ class EpsilonUnderflow(ZitterlabError):
 
 
 class StepBudgetExceeded(ZitterlabError):
-    """A de_broglie-mode run needed more cycles than its step budget allows."""
+    """A process run needed more cycles than its step budget allows."""
 
 
 class PacketTooNarrow(ZitterlabError):
@@ -67,4 +67,7 @@ class InvalidInput(ConfigError, ValueError):
     sweep, a grid size that is no power of two >= 16, a step count that is no
     multiple of the frame stride, a time outside the span of the velocity
     frames or with no frame at it, an eps or dt longer than the frame spacing,
-    a T shorter than one 4-step cycle, fewer than 1e3 ensemble samples)."""
+    a T shorter than one 4-step cycle, fewer than 1e3 ensemble samples, a rate
+    fit over fewer than two sweep values or an error that is zero, a density
+    floor that masks every cell, a table run with no full cycle, cycle
+    increments in an epsilon mode other than fixed)."""

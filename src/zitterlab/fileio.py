@@ -15,21 +15,12 @@ ZLAB_VERSION = 1
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see partials."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """:func:`atomic_write_bytes` of the UTF-8 encoding of text."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write payload to path via a temp file + rename so readers never see partials."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")

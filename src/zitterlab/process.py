@@ -25,7 +25,8 @@ from .fileio import write_csv
 # Unit-square vertices u^1..u^4 in the fixed listing order.
 VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
 
-# Most 4-step cycles one de_broglie-mode run may take before it is abandoned.
+# Most 4-step cycles one process run may take, in any epsilon mode, before it
+# is abandoned.
 DE_BROGLIE_CYCLE_BUDGET = 10_000_000
 
 
@@ -309,6 +310,8 @@ def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation)
 def _run_fixed(params, perm, vel, z0, T) -> ProcessRun:
     eps = params.epsilon
     n_steps = int(math.floor(T / eps + 1e-9))
+    if n_steps > 4 * DE_BROGLIE_CYCLE_BUDGET:
+        raise StepBudgetExceeded(f"{n_steps:.3g} steps exceed the budget of {DE_BROGLIE_CYCLE_BUDGET} cycles")
     n = np.arange(n_steps + 1)
     times = n * eps
     # velocity for the step landing at n is sampled at t = 4*(n//4)*eps

@@ -9,6 +9,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import observables as obs
 from . import pilot, schrodinger, verification
-from .errors import UnknownScenario
+from .errors import InvalidInput, UnknownScenario
 from .fileio import write_csv, write_json
 from .process import (
     CircularVelocity,
@@ -32,71 +33,126 @@ from .process import (
 )
 from .schrodinger import Grid2D, WaveFunction
 
-SCENARIOS = (
-    "process_free",
-    "spin_table",
-    "heisenberg_table",
-    "convergence",
-    "lemma1",
-    "free_gaussian",
-    "harmonic_ground",
-    "harmonic_coherent",
-    "equivariance",
-    "hj_residual",
-    "guided_process",
-)
+# Scenario name -> runner.  Filled in at the end of the module, once the
+# runners exist; the `scenario` key's parser reads it at parse time.
+_RUNNERS: dict = {}
 
 CONVERGENCE_EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 TABLE_EPSILONS = (1e-1, 1e-2, 1e-3)
 GUIDED_EPSILONS = (4e-3, 2e-3, 1e-3)
+# The harmonic and guided scenarios run on 128 points over a half width of 10.
+_SMALL_BOX = ("harmonic_ground", "harmonic_coherent", "guided_process")
+
+
+def _number(kind=float, above=None):
+    """Parser of one finite number of `kind` (float, int or complex), > `above` if given."""
+
+    def parse(raw: str):
+        value = kind(raw.replace(" ", "") if kind is complex else raw)
+        if kind is not int and not cmath.isfinite(value):
+            raise ValueError("must be finite")
+        if above is not None and not value > above:
+            raise ValueError(f"must be > {above}")
+        return value
+
+    return parse
+
+
+def _list(item):
+    """Parser of a non-empty comma list, each entry read by `item`."""
+
+    def parse(raw: str) -> tuple:
+        values = tuple(item(tok) for tok in raw.split(",") if tok.strip())
+        if not values:
+            raise ValueError("must be a non-empty comma list")
+        return values
+
+    return parse
+
+
+def _choice(options):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return raw
+
+    return parse
+
+
+def _flag(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError("must be true/false")
+
+
+_FINITE = _number(float)
+_POSITIVE = _number(float, above=0.0)
+_COUNT = _number(int, above=0)
+_COMPLEX = _number(complex)
+
+
+def _key(default, parse, **by_scenario):
+    """A config key: its default, the parser of its value text and the
+    scenarios whose default differs (name=value)."""
+    return field(default=default, metadata={"parse": parse, "by_scenario": by_scenario})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated key-value configuration of one scenario run."""
+    """Validated key-value configuration of one scenario run.
 
-    scenario: str
-    hbar: float = 1.0
-    mass: float = 1.0
-    epsilon: float = 0.01
-    epsilon_mode: str = "fixed"
-    light_speed: float = 1.0
-    epsilon_floor: float = 1e-12
-    permutation: str = "s_plus"
-    velocity: str = "zero"
-    velocity_x: complex = 1.0
-    velocity_y: complex = 0.0
-    velocity_coeffs_x: tuple = (0.0,)
-    velocity_coeffs_y: tuple = (0.0,)
-    circular_omega: float = 1.0
-    circular_amplitude: float = 1.0
-    z0_x: complex = 0.0
-    z0_y: complex = 0.0
-    cycles: int = 100
-    epsilons: tuple = ()
-    T: float = 1.0
-    dt: float = 1e-3
-    n_grid: int = 256
-    box_half_width: float = 20.0
-    sigma0: float = 1.0
-    center_x: float = 0.0
-    center_y: float = 0.0
-    k0_x: float = 0.0
-    k0_y: float = 0.0
-    omega: float = 1.0
-    frame_stride: int = 5
-    seed_x: float = 1.0
-    seed_y: float = 0.0
-    ensemble_n: int = 10000
-    seed: int = 12345
-    bins: int = 32
-    rho_floor: float = 1e-12
-    hj_rho_floor: float = verification.HJ_RHO_FLOOR
-    hj_time: float = 0.5
-    hj_dts: tuple = (4e-3, 2e-3, 1e-3)
-    hj_ns: tuple = (32, 64, 128)
-    guided_epsilons: tuple = GUIDED_EPSILONS
-    write_frames: bool = False
+    Every field but `provided` is a config key; its metadata holds the value
+    parser and the per-scenario defaults that `cli.parse_config` fills in.
+    `provided` names the keys the config document gave.
+    """
+
+    scenario: str = field(metadata={"parse": _choice(_RUNNERS), "by_scenario": {}})
+    hbar: float = _key(1.0, _POSITIVE)
+    mass: float = _key(1.0, _POSITIVE)
+    epsilon: float = _key(0.01, _POSITIVE)
+    epsilon_mode: str = _key("fixed", _choice([m.value for m in EpsilonMode]))
+    light_speed: float = _key(1.0, _POSITIVE)
+    epsilon_floor: float = _key(1e-12, _POSITIVE)
+    permutation: str = _key("s_plus", _choice([s.value for s in Sense]))
+    velocity: str = _key(
+        "zero", _choice(("zero", "constant", "circular", "polynomial")), convergence="circular", lemma1="circular"
+    )
+    velocity_x: complex = _key(1.0, _COMPLEX)
+    velocity_y: complex = _key(0.0, _COMPLEX)
+    velocity_coeffs_x: tuple = _key((0.0,), _list(_COMPLEX))
+    velocity_coeffs_y: tuple = _key((0.0,), _list(_COMPLEX))
+    circular_omega: float = _key(1.0, _FINITE)
+    circular_amplitude: float = _key(1.0, _FINITE)
+    z0_x: complex = _key(0.0, _COMPLEX)
+    z0_y: complex = _key(0.0, _COMPLEX)
+    cycles: int = _key(100, _COUNT)
+    epsilons: tuple = _key((), _list(_POSITIVE))
+    T: float = _key(1.0, _POSITIVE)
+    dt: float = _key(1e-3, _POSITIVE)
+    n_grid: int = _key(256, _COUNT, **dict.fromkeys(_SMALL_BOX, 128))
+    box_half_width: float = _key(20.0, _POSITIVE, **dict.fromkeys(_SMALL_BOX, 10.0))
+    sigma0: float = _key(1.0, _POSITIVE)
+    center_x: float = _key(0.0, _FINITE, harmonic_coherent=2.0)
+    center_y: float = _key(0.0, _FINITE)
+    k0_x: float = _key(0.0, _FINITE)
+    k0_y: float = _key(0.0, _FINITE)
+    omega: float = _key(1.0, _POSITIVE)
+    frame_stride: int = _key(5, _COUNT)
+    seed_x: float = _key(1.0, _FINITE)
+    seed_y: float = _key(0.0, _FINITE)
+    ensemble_n: int = _key(10000, _COUNT)
+    seed: int = _key(12345, _number(int, above=-1))
+    bins: int = _key(32, _COUNT)
+    rho_floor: float = _key(1e-12, _POSITIVE)
+    hj_rho_floor: float = _key(verification.HJ_RHO_FLOOR, _POSITIVE)
+    hj_time: float = _key(0.5, _POSITIVE)
+    hj_dts: tuple = _key((4e-3, 2e-3, 1e-3), _list(_POSITIVE))
+    hj_ns: tuple = _key((32, 64, 128), _list(_COUNT))
+    guided_epsilons: tuple = _key(GUIDED_EPSILONS, _list(_POSITIVE))
+    write_frames: bool = _key(False, _flag)
     provided: frozenset = field(default_factory=frozenset)
 
     def phys(self, epsilon: float | None = None) -> PhysParams:
@@ -112,13 +168,12 @@ class ScenarioConfig:
     def perm(self) -> Permutation:
         return Permutation(Sense(self.permutation))
 
-    def program(self, default: str | None = None):
-        kind = self.velocity if "velocity" in self.provided or default is None else default
-        if kind == "zero":
+    def program(self):
+        if self.velocity == "zero":
             return zero_velocity()
-        if kind == "constant":
+        if self.velocity == "constant":
             return ConstantVelocity(self.velocity_x, self.velocity_y)
-        if kind == "circular":
+        if self.velocity == "circular":
             return CircularVelocity(self.circular_omega, self.circular_amplitude)
         return PolynomialVelocity(self.velocity_coeffs_x, self.velocity_coeffs_y)
 
@@ -181,11 +236,17 @@ def _scenario_process_free(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _table_programs(cfg: ScenarioConfig):
-    constant = ConstantVelocity(
-        cfg.velocity_x if "velocity_x" in cfg.provided else 1.0,
-        cfg.velocity_y if "velocity_y" in cfg.provided else 0.0,
-    )
+    constant = ConstantVelocity(cfg.velocity_x, cfg.velocity_y)
     return [("zero", zero_velocity()), ("constant", constant), ("circular", CircularVelocity())]
+
+
+def _table_cycles(cfg: ScenarioConfig, eps: float, perm: Permutation, vel) -> obs.CycleTable:
+    """Observables of one table run: `cycles` cycles of length 4*eps."""
+    T = 4 * cfg.cycles * eps
+    table = obs.measure_run(run_process(cfg.phys(eps), perm, vel, (0, 0), T))
+    if not len(table):
+        raise InvalidInput(f"epsilon_mode = {cfg.epsilon_mode} leaves no full cycle in T = {T:g}")
+    return table
 
 
 def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
@@ -198,9 +259,7 @@ def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
         target = obs.intrinsic_spin_closed_form(perm, cfg.hbar)
         for vel_name, vel in _table_programs(cfg):
             for i, eps in enumerate(eps_list):
-                params = cfg.phys(eps)
-                run = run_process(params, perm, vel, (0, 0), 4 * cfg.cycles * eps)
-                table = obs.measure_run(run)
+                table = _table_cycles(cfg, eps, perm, vel)
                 csv_path = os.path.join(out, f"obs_{sense.value}_{vel_name}_e{i}.csv")
                 obs.observables_to_csv(csv_path, table)
                 files.append(csv_path)
@@ -232,9 +291,7 @@ def _scenario_heisenberg_table(cfg: ScenarioConfig, out) -> ScenarioResult:
     delta_x_by_eps = {}
     for vel_name, vel in _table_programs(cfg):
         for eps in eps_list:
-            params = cfg.phys(eps)
-            run = run_process(params, perm, vel, (0, 0), 4 * cfg.cycles * eps)
-            table = obs.measure_run(run)
+            table = _table_cycles(cfg, eps, perm, vel)
             target = 0.5 * cfg.hbar
             rel = float(np.max(np.abs(table.heisenberg_product - target) / target))
             worst_rel = max(worst_rel, rel)
@@ -270,7 +327,7 @@ def _scenario_heisenberg_table(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 def _scenario_convergence(cfg: ScenarioConfig, out) -> ScenarioResult:
     eps_list = cfg.epsilons or CONVERGENCE_EPSILONS
-    vel = cfg.program(default="circular")
+    vel = cfg.program()
     vertex_report, mean_report = verification.process_convergence_rates(
         cfg.phys(), cfg.perm(), vel, (cfg.z0_x, cfg.z0_y), cfg.T, eps_list
     )
@@ -287,7 +344,7 @@ def _scenario_convergence(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 def _scenario_lemma1(cfg: ScenarioConfig, out) -> ScenarioResult:
     eps_list = cfg.epsilons or CONVERGENCE_EPSILONS
-    vel = cfg.program(default="circular")
+    vel = cfg.program()
     files = []
     checks = []
     for name in ("quadratic", "product"):
@@ -374,16 +431,8 @@ def _stationary_frames(grid, omega, times, hbar, mass):
     ]
 
 
-def _small_grid(cfg: ScenarioConfig) -> Grid2D:
-    """The grid of the harmonic and guided scenarios, whose defaults are 128
-    points and a half width of 10 instead of the config's 256 and 20."""
-    n = cfg.n_grid if "n_grid" in cfg.provided else 128
-    box = cfg.box_half_width if "box_half_width" in cfg.provided else 10.0
-    return Grid2D(n, box)
-
-
 def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
-    grid = _small_grid(cfg)
+    grid = cfg.grid()
     pot = schrodinger.harmonic_potential(cfg.omega)
     ground = schrodinger.harmonic_ground_state(grid, cfg.omega, cfg.hbar, cfg.mass)
     T = cfg.T if "T" in cfg.provided else 2.0 * math.pi / cfg.omega
@@ -422,11 +471,10 @@ def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_harmonic_coherent(cfg: ScenarioConfig, out) -> ScenarioResult:
-    grid = _small_grid(cfg)
+    grid = cfg.grid()
     pot = schrodinger.harmonic_potential(cfg.omega)
     sigma0 = math.sqrt(cfg.hbar / (2.0 * cfg.mass * cfg.omega))
-    center = (cfg.center_x if "center_x" in cfg.provided else 2.0, cfg.center_y)
-    psi0 = schrodinger.init_gaussian(grid, center, sigma0, (0.0, 0.0))
+    psi0 = schrodinger.init_gaussian(grid, (cfg.center_x, cfg.center_y), sigma0, (0.0, 0.0))
     period = 2.0 * math.pi / cfg.omega
     # land exactly on the period: near the turning point even a dt-sized time
     # offset would dominate the splitting error
@@ -551,10 +599,7 @@ def _scenario_hj_residual(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
-    grid = _small_grid(cfg)
-    psi0 = schrodinger.init_gaussian(
-        grid, (cfg.center_x, cfg.center_y), cfg.sigma0, (cfg.k0_x, cfg.k0_y)
-    )
+    grid, psi0 = _free_packet(cfg)
     pot = schrodinger.free_potential()
     n_steps = int(round(cfg.T / cfg.dt))
     psi_frames = schrodinger.evolve_frames(
@@ -605,7 +650,7 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
     return ScenarioResult("guided_process", [traj_path, json_path], checks)
 
 
-_RUNNERS = {
+_RUNNERS.update({
     "process_free": _scenario_process_free,
     "spin_table": _scenario_spin_table,
     "heisenberg_table": _scenario_heisenberg_table,
@@ -617,4 +662,5 @@ _RUNNERS = {
     "equivariance": _scenario_equivariance,
     "hj_residual": _scenario_hj_residual,
     "guided_process": _scenario_guided_process,
-}
+})
+SCENARIOS = tuple(_RUNNERS)

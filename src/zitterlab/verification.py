@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InvalidInput
 from .fileio import write_json
 from .process import (
+    EpsilonMode,
     PhysParams,
     Permutation,
     VelocityProgram,
@@ -176,7 +177,9 @@ def fit_rate(xs, errors) -> float:
     xs = np.asarray(xs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if np.any(errors <= 0):
-        raise ValueError("rate fit needs strictly positive errors")
+        raise InvalidInput("rate fit needs strictly positive errors")
+    if np.unique(xs).size < 2:
+        raise InvalidInput("rate fit needs at least two distinct sweep values")
     return float(np.polyfit(np.log(xs), np.log(errors), 1)[0])
 
 
@@ -247,10 +250,12 @@ def cycle_increment_residuals(
     Y(t) is the vertex average of f; D uses the drift value at the boundary
     and is evaluated at the mean process (the expansion lives around it).
     """
+    if params.epsilon_mode is not EpsilonMode.FIXED:
+        raise InvalidInput(f"cycle increments need epsilon_mode = fixed, got {params.epsilon_mode.value}")
     eps = params.epsilon
     n_cycles = int(math.floor(T / (4.0 * eps) + 1e-9))
     if n_cycles < 1:
-        raise ValueError("T does not cover one full cycle")
+        raise InvalidInput("T does not cover one full cycle")
     run = run_process(params, perm, vel, np.zeros(2, dtype=complex), 4 * n_cycles * eps)
     n = 4 * np.arange(1, n_cycles + 1)  # every boundary after the start
     t = run.times[n]
@@ -390,6 +395,8 @@ def complex_hj_residual(
         prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
         dt_frame = 0.5 * (next_f.time - prev_f.time)
         ratio, mask, _, lap_ratio = psi_ratios(here, rho_floor, laplacian=True)
+        if mask.all():
+            raise InvalidInput(f"rho_floor = {rho_floor:g} masks every cell")
         ratio_sq = ratio[..., 0] ** 2 + ratio[..., 1] ** 2
         grad_s_sq = (-1j * hbar) ** 2 * ratio_sq
         lap_s = -1j * hbar * (lap_ratio - ratio_sq)

@@ -1,12 +1,13 @@
 """Config parsing, scenario runner surface, exit codes, determinism."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 import zitterlab as zl
 from zitterlab.cli import main, parse_config
-from zitterlab.scenarios import SCENARIOS, run_scenario
+from zitterlab.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 
 MINIMAL = "scenario = spin_table\n"
@@ -67,6 +68,82 @@ class TestParseConfig:
     def test_malformed_line(self):
         with pytest.raises(zl.OutOfRange):
             parse_config("scenario spin_table\n")
+
+    def test_per_scenario_defaults(self):
+        cfg = parse_config("scenario = harmonic_ground\n")
+        assert (cfg.n_grid, cfg.box_half_width) == (128, 10.0)
+        assert cfg.provided == frozenset({"scenario"})
+        cfg = parse_config("scenario = harmonic_ground\nn_grid = 64\n")
+        assert (cfg.n_grid, cfg.box_half_width) == (64, 10.0)
+        assert parse_config("scenario = harmonic_coherent\n").center_x == 2.0
+        assert parse_config("scenario = guided_process\n").n_grid == 128
+        assert parse_config("scenario = lemma1\n").velocity == "circular"
+        assert parse_config("scenario = convergence\nvelocity = zero\n").velocity == "zero"
+        assert parse_config("scenario = free_gaussian\n").n_grid == 256
+
+
+# key -> (accepted text, its parsed value, rejected text), one row per config
+# key; the parsed value is compared by repr, so 64 and 64.0 differ.
+KEY_CASES = {
+    "scenario": ("lemma1", "lemma1", "pauli3d"),
+    "hbar": ("2.5", 2.5, "0"),
+    "mass": ("3", 3.0, "-1"),
+    "epsilon": ("1e-3", 1e-3, "0"),
+    "epsilon_mode": ("de_broglie", "de_broglie", "Fixed"),
+    "light_speed": ("2", 2.0, "-2"),
+    "epsilon_floor": ("1e-9", 1e-9, "0"),
+    "permutation": ("s_minus", "s_minus", "s_zero"),
+    "velocity": ("polynomial", "polynomial", "linear"),
+    "velocity_x": ("1 + 0.5j", 1 + 0.5j, "1+"),
+    "velocity_y": ("-2j", complex(0, -2), "j2"),
+    "velocity_coeffs_x": ("1, 2j, -3", (1 + 0j, 2j, -3 + 0j), "1, x"),
+    "velocity_coeffs_y": ("0.5", (0.5 + 0j,), "a"),
+    "circular_omega": ("-2", -2.0, "two"),
+    "circular_amplitude": ("0", 0.0, ""),
+    "z0_x": ("3", 3 + 0j, "1+2k"),
+    "z0_y": ("1j", 1j, "abc"),
+    "cycles": ("7", 7, "0"),
+    "epsilons": ("0.1, 0.01", (0.1, 0.01), "0.1, -0.01"),
+    "T": ("2.5", 2.5, "-1"),
+    "dt": ("5e-4", 5e-4, "0"),
+    "n_grid": ("64", 64, "64.0"),
+    "box_half_width": ("12", 12.0, "0"),
+    "sigma0": ("0.5", 0.5, "-0.5"),
+    "center_x": ("-1.5", -1.5, "x"),
+    "center_y": ("2", 2.0, "1, 2"),
+    "k0_x": ("-3", -3.0, "nope"),
+    "k0_y": ("0.25", 0.25, ""),
+    "omega": ("2", 2.0, "0"),
+    "frame_stride": ("10", 10, "-5"),
+    "seed_x": ("0.5", 0.5, "a"),
+    "seed_y": ("-0.5", -0.5, "b"),
+    "ensemble_n": ("2000", 2000, "1e4"),
+    "seed": ("0", 0, "1.5"),
+    "bins": ("16", 16, "0"),
+    "rho_floor": ("1e-10", 1e-10, "0"),
+    "hj_rho_floor": ("1e-3", 1e-3, "-1"),
+    "hj_time": ("0.25", 0.25, "0"),
+    "hj_dts": ("4e-3, 1e-3", (4e-3, 1e-3), ""),
+    "hj_ns": ("16, 32", (16, 32), "16, 0"),
+    "guided_epsilons": ("2e-3, 1e-3", (2e-3, 1e-3), "0"),
+    "write_frames": ("Yes", True, "maybe"),
+}
+
+
+def test_key_cases_cover_every_key():
+    assert set(KEY_CASES) == {f.name for f in fields(ScenarioConfig)} - {"provided"}
+    assert len(KEY_CASES) == 42
+
+
+@pytest.mark.parametrize("key", list(KEY_CASES))
+def test_each_key_accepts_and_rejects(key):
+    accepted, parsed, rejected = KEY_CASES[key]
+    prefix = "" if key == "scenario" else "scenario = process_free\n"
+    cfg = parse_config(f"{prefix}{key} = {accepted}\n")
+    assert repr(getattr(cfg, key)) == repr(parsed)
+    assert key in cfg.provided
+    with pytest.raises(zl.ConfigError):
+        parse_config(f"{prefix}{key} = {rejected}\n")
 
 
 class TestRunScenario:
@@ -157,6 +234,22 @@ class TestMainEntry:
             "scenario = free_gaussian\nn_grid = 8\n",
             "scenario = hj_residual\nhj_ns = 8, 16\n",
             "scenario = equivariance\nensemble_n = 500\n",
+            # every number must be finite, seed >= 0 and every list non-empty
+            "scenario = process_free\nhbar = inf\n",
+            "scenario = process_free\nepsilon = inf\n",
+            "scenario = free_gaussian\ndt = inf\n",
+            "scenario = free_gaussian\nbox_half_width = inf\n",
+            "scenario = process_free\nT = inf\n",
+            "scenario = harmonic_ground\nomega = inf\n",
+            "scenario = equivariance\nseed = -1\n",
+            "scenario = process_free\nvelocity = polynomial\nvelocity_coeffs_x = ,\n",
+            # found by the config fuzz
+            "scenario = lemma1\nT = 0.01\n",
+            "scenario = lemma1\nepsilon_mode = de_broglie\n",
+            "scenario = hj_residual\nn_grid = 64\nhj_ns = 16, 32\nhj_rho_floor = 3\n",
+            "scenario = convergence\ncircular_amplitude = 0\n",
+            "scenario = heisenberg_table\nepsilons = 1\n",
+            "scenario = spin_table\ncycles = 1\nepsilon_mode = compton\n",
         ],
         ids=[
             "short_sweep",
@@ -165,6 +258,20 @@ class TestMainEntry:
             "grid_too_small",
             "hj_grid_too_small",
             "too_few_samples",
+            "hbar_inf",
+            "epsilon_inf",
+            "dt_inf",
+            "box_inf",
+            "T_inf",
+            "omega_inf",
+            "negative_seed",
+            "empty_coeff_list",
+            "T_under_one_cycle",
+            "increments_need_fixed_eps",
+            "floor_masks_every_cell",
+            "zero_error_rate_fit",
+            "one_point_rate_fit",
+            "table_without_a_cycle",
         ],
     )
     def test_inconsistent_inputs_exit_two(self, tmp_path, capsys, text):
@@ -189,6 +296,14 @@ class TestMainEntry:
             "scenario = process_free\nepsilon_mode = de_broglie\nvelocity = constant\n"
             "velocity_x = 2.0\nvelocity_y = 0.0\nT = 3.0\n"
         )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "StepBudgetExceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["process_free", "lemma1"])
+    def test_fixed_mode_step_budget_exit_three(self, tmp_path, capsys, scenario):
+        # 1e302 steps of eps = 0.01, checked before anything is allocated
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"scenario = {scenario}\nT = 1e300\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "StepBudgetExceeded" in capsys.readouterr().err
 
