@@ -241,12 +241,14 @@ def _table_programs(cfg: ScenarioConfig):
 
 
 def _table_cycles(cfg: ScenarioConfig, eps: float, perm: Permutation, vel) -> obs.CycleTable:
-    """Observables of one table run: `cycles` cycles of length 4*eps."""
-    T = 4 * cfg.cycles * eps
-    table = obs.measure_run(run_process(cfg.phys(eps), perm, vel, (0, 0), T))
-    if not len(table):
-        raise InvalidInput(f"epsilon_mode = {cfg.epsilon_mode} leaves no full cycle in T = {T:g}")
-    return table
+    """Observables of one table run: `cycles` cycles of length 4*eps.
+
+    Only a fixed eps runs at the swept eps that labels the row; T = 4 cycles
+    eps then holds at least one full cycle.
+    """
+    if cfg.epsilon_mode != EpsilonMode.FIXED.value:
+        raise InvalidInput(f"epsilon tables need epsilon_mode = fixed, got {cfg.epsilon_mode}")
+    return obs.measure_run(run_process(cfg.phys(eps), perm, vel, (0, 0), 4 * cfg.cycles * eps))
 
 
 def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
@@ -381,14 +383,28 @@ def _free_packet(cfg: ScenarioConfig):
     return grid, psi0
 
 
+def _exported(frames, out, files):
+    """frames passed through, each written to out as frame_<i>.zlab (its path
+    appended to files) as it arrives."""
+    for i, frame in enumerate(frames):
+        path = os.path.join(out, f"frame_{i:04d}.zlab")
+        schrodinger.export_frame(path, frame)
+        files.append(path)
+        yield frame
+
+
 def _scenario_free_gaussian(cfg: ScenarioConfig, out) -> ScenarioResult:
     grid, psi0 = _free_packet(cfg)
     pot = schrodinger.free_potential()
     n_steps = int(round(cfg.T / cfg.dt))
-    frames = schrodinger.evolve_frames(
+    frames = schrodinger.stream_frames(
         psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
     )
-    final = frames[-1]
+    csv_path = os.path.join(out, "summary.csv")
+    files = [csv_path]
+    if cfg.write_frames:
+        frames = _exported(frames, out, files)
+    final, _ = schrodinger.frames_summary_csv(csv_path, frames, pot, cfg.hbar, cfg.mass)
     exact = schrodinger.analytic_free_gaussian(
         grid, cfg.sigma0, (cfg.k0_x, cfg.k0_y), (cfg.center_x, cfg.center_y), final.time, cfg.hbar, cfg.mass
     )
@@ -397,14 +413,6 @@ def _scenario_free_gaussian(cfg: ScenarioConfig, out) -> ScenarioResult:
         np.sqrt(np.sum(np.abs(final.values - exact.values) ** 2) * area) / np.sqrt(np.sum(np.abs(exact.values) ** 2) * area)
     )
     norm_drift = abs(final.norm() - 1.0) * 1000.0 / n_steps
-    csv_path = os.path.join(out, "summary.csv")
-    schrodinger.frames_summary_csv(csv_path, frames, pot, cfg.hbar, cfg.mass)
-    files = [csv_path]
-    if cfg.write_frames:
-        for i, fr in enumerate(frames):
-            fp = os.path.join(out, f"frame_{i:04d}.zlab")
-            schrodinger.export_frame(fp, fr)
-            files.append(fp)
     json_path = os.path.join(out, "free_gaussian.json")
     write_json(
         json_path,
@@ -439,9 +447,10 @@ def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
     n_steps = int(round(T / cfg.dt))
     stride = max(1, n_steps // 50)
     n_steps = stride * (n_steps // stride)
-    evolved = schrodinger.evolve_frames(ground, pot, cfg.dt, n_steps, stride, cfg.hbar, cfg.mass)
-    e_start = schrodinger.energy(evolved[0], pot, cfg.hbar, cfg.mass)
-    e_end = schrodinger.energy(evolved[-1], pot, cfg.hbar, cfg.mass)
+    evolved = schrodinger.stream_frames(ground, pot, cfg.dt, n_steps, stride, cfg.hbar, cfg.mass)
+    csv_path = os.path.join(out, "summary.csv")
+    _, rows = schrodinger.frames_summary_csv(csv_path, evolved, pot, cfg.hbar, cfg.mass)
+    e_start, e_end = rows[0][2], rows[-1][2]  # the energy column
     energy_drift = abs(e_end - e_start) / abs(e_start)
     # stationarity of the guidance law on the exact ground state
     times = np.linspace(0.0, n_steps * cfg.dt, 51)
@@ -449,8 +458,6 @@ def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
     fields = [pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in frames]
     traj = pilot.integrate_trajectory(fields, (cfg.seed_x, cfg.seed_y), dt=times[1] - times[0])
     drift = float(np.max(np.linalg.norm(traj.positions - traj.positions[0], axis=1)))
-    csv_path = os.path.join(out, "summary.csv")
-    schrodinger.frames_summary_csv(csv_path, evolved, pot, cfg.hbar, cfg.mass)
     traj_path = os.path.join(out, "trajectory.csv")
     pilot.trajectories_to_csv(traj_path, [traj])
     json_path = os.path.join(out, "harmonic_ground.json")
@@ -483,12 +490,11 @@ def _scenario_harmonic_coherent(cfg: ScenarioConfig, out) -> ScenarioResult:
     stride = max(1, n_steps // 40)
     while n_steps % stride:
         stride -= 1
-    frames = schrodinger.evolve_frames(psi0, pot, dt, n_steps, stride, cfg.hbar, cfg.mass)
-    final = frames[-1]
+    frames = schrodinger.stream_frames(psi0, pot, dt, n_steps, stride, cfg.hbar, cfg.mass)
+    csv_path = os.path.join(out, "summary.csv")
+    final, _ = schrodinger.frames_summary_csv(csv_path, frames, pot, cfg.hbar, cfg.mass)
     area = grid.cell_area()
     l2_err = float(np.sqrt(np.sum(np.abs(final.values - psi0.values) ** 2) * area))
-    csv_path = os.path.join(out, "summary.csv")
-    schrodinger.frames_summary_csv(csv_path, frames, pot, cfg.hbar, cfg.mass)
     json_path = os.path.join(out, "harmonic_coherent.json")
     write_json(
         json_path,
@@ -602,9 +608,10 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
     grid, psi0 = _free_packet(cfg)
     pot = schrodinger.free_potential()
     n_steps = int(round(cfg.T / cfg.dt))
-    psi_frames = schrodinger.evolve_frames(
+    psi_frames = schrodinger.stream_frames(
         psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
     )
+    # each free frame carries its spectrum, so no field runs an fft2 of its own
     fields = [pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in psi_frames]
     interp = pilot.FrameInterpolator(fields)
     seed = (cfg.seed_x, cfg.seed_y)

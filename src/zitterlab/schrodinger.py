@@ -398,11 +398,12 @@ def analytic_free_gaussian(
     center = np.asarray(center, dtype=float).reshape(2)
     k0 = np.asarray(k0, dtype=float).reshape(2)
     alpha = 1.0 + 1j * hbar * t / (2.0 * mass * sigma0**2)
-    X, Y = grid.mesh()
-    values = np.ones((grid.n, grid.n), dtype=complex)
-    for axis_coord, c, kk in ((X, center[0], k0[0]), (Y, center[1], k0[1])):
+    # each factor depends on one axis: an (n, 1) column for x, a (1, n) row for y
+    x = grid.axis
+    factors = []
+    for axis_coord, c, kk in ((x[:, None], center[0], k0[0]), (x[None, :], center[1], k0[1])):
         shifted = axis_coord - c - (hbar * kk / mass) * t
-        values = values * (
+        factors.append(
             (2.0 * np.pi * sigma0**2) ** (-0.25)
             * alpha ** (-0.5)
             * np.exp(
@@ -411,7 +412,7 @@ def analytic_free_gaussian(
                 - 0.5j * hbar * kk**2 * t / mass
             )
         )
-    return WaveFunction(grid, values, t)
+    return WaveFunction(grid, factors[0] * factors[1], t)
 
 
 def harmonic_ground_state(grid: Grid2D, omega: float, hbar: float = 1.0, mass: float = 1.0) -> WaveFunction:
@@ -492,21 +493,35 @@ def density_and_phase_gradients(
     )
 
 
-def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
-    """<Psi| -hbar^2/2m Lap + V |Psi> with the kinetic part summed in k-space."""
-    grid = psi.grid
-    spectrum = np.fft.fft2(psi.values)
+def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
+    """(kinetic, v): the weights hbar^2 k^2/2m that |Psi^|^2 is summed against,
+    and V on the grid, None for the free potential.
+
+    hbar * hbar, not hbar**2: a float multiply overflows to inf where ** raises.
+    """
     k = grid.wavenumbers
     k2 = k[:, None] ** 2 + k[None, :] ** 2
-    kinetic = np.sum(0.5 * hbar**2 * k2 / mass * np.abs(spectrum) ** 2) * grid.cell_area() / grid.n**2
-    potential = np.sum(pot.values(grid, mass) * psi.density()) * grid.cell_area()
-    return float(kinetic + potential)
+    kinetic = 0.5 * (hbar * hbar) * k2 / mass
+    return kinetic, None if pot.kind is PotentialKind.FREE else pot.values(grid, mass)
 
 
-def moments(psi: WaveFunction):
-    """(x_mean, y_mean, sigma_x, sigma_y) of the density."""
+def _energy(psi: WaveFunction, rho: np.ndarray, kinetic: np.ndarray, v) -> float:
     grid = psi.grid
-    rho = psi.density() * grid.cell_area()
+    spectrum = psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
+    e = np.sum(kinetic * np.abs(spectrum) ** 2) * grid.cell_area() / grid.n**2
+    if v is not None:
+        e = e + np.sum(v * rho) * grid.cell_area()
+    return float(e)
+
+
+def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
+    """<Psi| -hbar^2/2m Lap + V |Psi> with the kinetic part summed in k-space,
+    over psi.spectrum when the frame stream held it, else over fft2(psi.values)."""
+    return _energy(psi, psi.density(), *_energy_terms(psi.grid, pot, hbar, mass))
+
+
+def _moments(grid: Grid2D, rho: np.ndarray):
+    rho = rho * grid.cell_area()
     total = float(rho.sum())
     x = grid.axis
     px = rho.sum(axis=1) / total
@@ -518,15 +533,31 @@ def moments(psi: WaveFunction):
     return x_mean, y_mean, sigma_x, sigma_y
 
 
-def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> None:
+def moments(psi: WaveFunction):
+    """(x_mean, y_mean, sigma_x, sigma_y) of the density."""
+    return _moments(psi.grid, psi.density())
+
+
+def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: float = 1.0):
+    """Write one row of t, norm, energy and moments per frame to path.
+
+    frames is any iterable of frames on one grid, read once, so a stream is
+    summarized without being held.  The energy terms are built once; per
+    frame rho = |Psi|^2 is computed once and feeds the norm, the V rho sum
+    and the moments.  Returns (last frame or None, rows).
+    """
     header = ["t", "norm", "energy", "x_mean", "y_mean", "sigma_x", "sigma_y"]
     rows = []
+    frame = terms = None
     for frame in frames:
-        x_mean, y_mean, sigma_x, sigma_y = moments(frame)
-        rows.append(
-            [frame.time, frame.norm(), energy(frame, pot, hbar, mass), x_mean, y_mean, sigma_x, sigma_y]
-        )
+        grid = frame.grid
+        if terms is None:
+            terms = _energy_terms(grid, pot, hbar, mass)
+        rho = frame.density()
+        norm = float(np.sqrt(np.sum(rho) * grid.cell_area()))
+        rows.append([frame.time, norm, _energy(frame, rho, *terms), *_moments(grid, rho)])
     write_csv(path, header, rows)
+    return frame, rows
 
 
 def export_frame(path, psi: WaveFunction) -> None:

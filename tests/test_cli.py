@@ -250,6 +250,9 @@ class TestMainEntry:
             "scenario = convergence\ncircular_amplitude = 0\n",
             "scenario = heisenberg_table\nepsilons = 1\n",
             "scenario = spin_table\ncycles = 1\nepsilon_mode = compton\n",
+            # a table labels its rows with the swept eps, so only a fixed eps fits
+            "scenario = spin_table\ncycles = 1000\nepsilons = 0.1, 0.01\nepsilon_mode = compton\n",
+            "scenario = heisenberg_table\nepsilon_mode = de_broglie\n",
         ],
         ids=[
             "short_sweep",
@@ -272,6 +275,8 @@ class TestMainEntry:
             "zero_error_rate_fit",
             "one_point_rate_fit",
             "table_without_a_cycle",
+            "spin_table_compton_eps",
+            "heisenberg_table_de_broglie_eps",
         ],
     )
     def test_inconsistent_inputs_exit_two(self, tmp_path, capsys, text):
@@ -280,6 +285,15 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_huge_hbar_fails_its_check_without_a_traceback(self, tmp_path, capsys):
+        # hbar^2 overflows to inf, so the energy drift is nan and fails its check
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("scenario = harmonic_ground\nhbar = 1e300\n")
+        assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "FAIL harmonic_ground:energy_conservation (rel drift nan)" in captured.out
 
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "narrow.cfg"

@@ -1,13 +1,18 @@
 """Split-step solver, analytic packets, gradient fields, frame exports."""
 
 import math
+import os
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import zitterlab as zl
 from zitterlab import schrodinger as sch
+from zitterlab.cli import parse_config
 from zitterlab.fileio import read_zlab_frame
+from zitterlab.scenarios import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -412,3 +417,99 @@ class TestExports:
         assert len(lines) == 4
         norm = float(lines[1].split(",")[1])
         assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+class TestStreamedSummary:
+    @pytest.fixture(scope="class")
+    def grid64(self):
+        return zl.Grid2D(64, 8.0)
+
+    def test_list_and_iterator_write_the_same_csv(self, grid64, tmp_path):
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        frames = list(zl.stream_frames(psi0, zl.free_potential(), 1e-2, 20, 5))
+        listed, streamed = tmp_path / "listed.csv", tmp_path / "streamed.csv"
+        last_l, rows_l = sch.frames_summary_csv(listed, frames, zl.free_potential())
+        last_s, rows_s = sch.frames_summary_csv(streamed, iter(frames), zl.free_potential())
+        assert listed.read_bytes() == streamed.read_bytes()
+        assert last_l is last_s is frames[-1] and rows_l == rows_s and len(rows_l) == 5
+
+    @pytest.mark.parametrize("kind", ["free", "harmonic"])
+    def test_rows_are_the_per_frame_functions(self, grid64, tmp_path, kind):
+        # one rho per frame and energy terms built once change no bit of a row
+        pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0, 1.5)
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        frames = list(zl.stream_frames(psi0, pot, 1e-2, 20, 5, hbar=0.7, mass=1.3))
+        _, rows = sch.frames_summary_csv(tmp_path / "s.csv", frames, pot, hbar=0.7, mass=1.3)
+        for f, row in zip(frames, rows):
+            assert row == [f.time, f.norm(), zl.energy(f, pot, 0.7, 1.3), *zl.moments(f)]
+
+    def test_empty_stream_writes_the_header(self, tmp_path):
+        last, rows = sch.frames_summary_csv(tmp_path / "s.csv", iter(()), zl.free_potential())
+        assert last is None and rows == []
+        assert (tmp_path / "s.csv").read_text() == "t,norm,energy,x_mean,y_mean,sigma_x,sigma_y\n"
+
+    def test_energy_reads_the_held_spectrum(self, grid64):
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        frame = list(zl.stream_frames(psi0, zl.free_potential(), 1e-2, 20, 5))[-1]
+        # the free energy is all kinetic, quadratic in the spectrum it sums over
+        doubled = replace(frame, spectrum=2.0 * frame.spectrum)
+        assert zl.energy(doubled, zl.free_potential()) == pytest.approx(
+            4.0 * zl.energy(frame, zl.free_potential()), rel=1e-15
+        )
+
+    def test_held_and_recomputed_spectrum_agree_to_roundoff(self, grid64):
+        """energy over the held spectrum S against energy over fft2(ifft2(S)).
+
+        A radix-2 FFT of N points has a relative L2 error of at most
+        eta log2 N, eta = u + gamma_4 (sqrt 2 + u) < 7u with u the unit
+        roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., Thm 24.2).  The frame's values are one inverse FFT of S and
+        the recomputed spectrum one forward FFT of them, plus the 1/N scaling:
+        |dS| <= e |S| with e = 2 * 7u log2 N + u.  E = sum w |S|^2 dA/N with
+        weights 0 <= w <= w_max and sum |S|^2 dA/N = norm^2 = 1, so
+        |dE| <= w_max (2e + e^2).
+        """
+        pot = zl.free_potential()
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        n_points = grid64.n**2
+        u = np.finfo(float).eps / 2
+        e = 2 * 7 * u * math.log2(n_points) + u
+        k = grid64.wavenumbers
+        w_max = 0.5 * float(np.max(k[:, None] ** 2 + k[None, :] ** 2))
+        bound = w_max * (2 * e + e * e)
+        frames = list(zl.stream_frames(psi0, pot, 1e-2, 40, 5))
+        assert all(f.spectrum is not None for f in frames)
+        for f in frames:
+            assert abs(zl.energy(f, pot) - zl.energy(replace(f, spectrum=None), pot)) <= bound
+
+
+@pytest.mark.parametrize("write_frames", ["false", "true"])
+def test_free_gaussian_holds_at_most_two_frames(tmp_path, monkeypatch, write_frames):
+    # a list from evolve_frames would hold all 11 frames of this run
+    real_stream = sch.stream_frames
+    live = peak = 0
+
+    def released():
+        nonlocal live
+        live -= 1
+
+    def counted_stream(*args, **kwargs):
+        nonlocal live, peak
+        for frame in real_stream(*args, **kwargs):
+            live += 1
+            peak = max(peak, live)
+            # count the values, which a replace()d copy of the frame shares
+            weakref.finalize(frame.values, released)
+            yield frame
+
+    monkeypatch.setattr(sch, "stream_frames", counted_stream)
+    cfg = parse_config(
+        "scenario = free_gaussian\nn_grid = 64\nbox_half_width = 8\nT = 0.05\n"
+        f"write_frames = {write_frames}\n"
+    )
+    result = run_scenario(cfg, tmp_path)
+    assert result.passed
+    assert peak == 2
+    names = [os.path.basename(p) for p in result.files]
+    frames = [f"frame_{i:04d}.zlab" for i in range(11)] if write_frames == "true" else []
+    assert names == ["summary.csv", *frames, "free_gaussian.json"]
