@@ -57,7 +57,6 @@ from .schrodinger import (
     Propagator,
     WaveFunction,
     analytic_free_gaussian,
-    density_and_phase_gradients,
     energy,
     evolve_frames,
     free_potential,

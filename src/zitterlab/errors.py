@@ -10,7 +10,7 @@ class NonFiniteVelocity(ZitterlabError):
 
 
 class EpsilonUnderflow(ZitterlabError):
-    """De Broglie epsilon refresh fell below the configured floor."""
+    """An epsilon, a de_broglie refresh or the compton constant, fell below the configured floor."""
 
 
 class StepBudgetExceeded(ZitterlabError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -34,8 +35,20 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         raise
 
 
+def _finite_or_null(value):
+    """value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """RFC 8259 JSON with sorted keys: a NaN or infinite float is written as null."""
+    atomic_write_text(path, json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,7 +11,6 @@ wave-function zeros.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
 
 
 @dataclass
@@ -47,18 +46,6 @@ class VelocityField:
         return m | np.roll(m, -1, axis=1)
 
 
-_scratch = threading.local()
-
-
-def _gradient_buffers(n: int):
-    """Two (2, n, n) complex scratch buffers, held per thread for the last n:
-    fresh ones cost more in page faults than the FFTs that fill them."""
-    held = getattr(_scratch, "buffers", None)
-    if held is None or held[0].shape[1] != n:
-        held = _scratch.buffers = (np.empty((2, n, n), dtype=complex), np.empty((2, n, n), dtype=complex))
-    return held
-
-
 def velocity_field(
     psi: WaveFunction,
     hbar: float = 1.0,
@@ -68,40 +55,21 @@ def velocity_field(
 ) -> VelocityField:
     """V = -i (hbar/m) grad(Psi)/Psi on the grid, 0 at masked nodes.
 
-    The gradient comes from psi.spectrum when the solver held it, else from
-    one fft2: the inverses of i k_x Psi^ and i k_y Psi^ run as one stacked
-    FFT of 1D passes into held buffers.  rho and the node mask rho < rho_floor * max(rho) are
-    those of psi_ratios.  On the live cells, in real arithmetic,
-    V = (hbar/m) (Im, -Re)(conj(Psi) grad Psi)/rho.  With real=True, v holds
-    Re V alone as float64, which is all Bohmian transport reads, and equals
-    the real part of the complex field bit for bit.
+    grad(Psi)/Psi, rho and the node mask rho < rho_floor * max(rho) are
+    those of psi_ratios, which reads psi.spectrum when the solver held it.
+    On the live cells Re V = (hbar/m) Im(grad(Psi)/Psi) and
+    Im V = -(hbar/m) Re(grad(Psi)/Psi).  With real=True, v holds Re V alone
+    as float64, which is all Bohmian transport reads, and equals the real
+    part of the complex field bit for bit.
     """
     grid = psi.grid
-    rho = psi.density()
-    mask = rho < rho_floor * float(rho.max())
-    spectrum = psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
-    k = grid.wavenumbers
-    grad, tmp = _gradient_buffers(grid.n)
-    np.multiply(1j * k[:, None], spectrum, out=grad[0])
-    np.multiply(1j * k[None, :], spectrum, out=grad[1])
-    # 1D passes over both components at once, the last axis first, as np.fft.ifft2 runs them
-    np.fft.ifft(grad, axis=2, out=tmp)
-    np.fft.ifft(tmp, axis=1, out=grad)
-    live = np.flatnonzero(~mask)
-    p = psi.values.ravel()[live]
-    g = grad.reshape(2, -1)[:, live]
+    live, ratios, _, mask = psi_ratios(psi, rho_floor)
     scale = hbar / mass
-    rho_live = rho.ravel()[live]
     v = np.zeros((grid.n * grid.n, 2), dtype=float if real else complex)
-    v.real[live] = (scale * (p.real * g.imag - p.imag * g.real) / rho_live).T
+    v.real[live] = (scale * ratios.imag).T
     if not real:
-        v.imag[live] = (-scale * (p.real * g.real + p.imag * g.imag) / rho_live).T
+        v.imag[live] = (-scale * ratios.real).T
     return VelocityField(grid, v.reshape(grid.n, grid.n, 2), mask, psi.time)
-
-
-def _re_field(psi: WaveFunction, hbar: float, mass: float, rho_floor: float) -> VelocityField:
-    """The Re V-only field that Bohmian transport reads."""
-    return velocity_field(psi, hbar, mass, rho_floor, real=True)
 
 
 # Along each axis a cell has a lower (0) and an upper (1) corner node.
@@ -529,7 +497,7 @@ def ensemble_equivariance(
     if T > t0:
         fields = chain([first], later())
         del first  # frame 0 is not needed past the seeds
-        window = _FrameWindow(_re_field(f, hbar, mass, rho_floor) for f in fields)
+        window = _FrameWindow(velocity_field(f, hbar, mass, rho_floor, real=True) for f in fields)
         n_steps = max(1, int(round((T - t0) / window.spacing)))
         dt = (T - t0) / n_steps
         finals, alive, _, left_box, _ = _rk4_batch(window, finals, dt, n_steps, keep_history=False)

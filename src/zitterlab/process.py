@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EpsilonUnderflow, NonFiniteVelocity, StepBudgetExceeded
+from .errors import EpsilonUnderflow, InvalidInput, NonFiniteVelocity, StepBudgetExceeded
 from .fileio import write_csv
 
 # Unit-square vertices u^1..u^4 in the fixed listing order.
@@ -99,7 +99,21 @@ class PhysParams:
                 raise ValueError(f"PhysParams.{name} must be finite and > 0, got {value}")
 
     def compton_epsilon(self) -> float:
-        return 2.0 * math.pi * self.hbar / (4.0 * self.mass * self.light_speed**2)
+        """h/(4 m c^2); EpsilonUnderflow below epsilon_floor, InvalidInput when not finite.
+
+        light_speed * light_speed, not light_speed**2: a float multiply
+        overflows to inf (and eps to 0) where ** raises.
+        """
+        denominator = 4.0 * self.mass * (self.light_speed * self.light_speed)
+        eps = 2.0 * math.pi * self.hbar / denominator if denominator > 0.0 else math.inf
+        if not math.isfinite(eps):
+            raise InvalidInput(
+                f"compton epsilon h/(4 m c^2) is {eps} for hbar = {self.hbar:g}, mass = {self.mass:g}, "
+                f"light_speed = {self.light_speed:g}"
+            )
+        if eps < self.epsilon_floor:
+            raise EpsilonUnderflow(f"compton epsilon {eps:.3e} fell below floor {self.epsilon_floor:.3e}")
+        return eps
 
     def de_broglie_epsilon(self, speed: float) -> float:
         if speed <= 0.0:

@@ -12,6 +12,7 @@ i hbar dPsi/dt = -(hbar^2/2m) Lap Psi + V(x) Psi
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -166,14 +167,29 @@ def init_gaussian(grid: Grid2D, center, sigma0: float, k0) -> WaveFunction:
 
 
 def _fft2(src: np.ndarray, out: np.ndarray, tmp: np.ndarray, inverse: bool = False) -> None:
-    """2D FFT (or inverse) of src into out, one axis pass at a time through tmp.
+    """2D FFT (or inverse) over the last two axes of src into out, one axis
+    pass at a time through tmp.
 
-    Passing the last axis first reproduces np.fft.fft2/ifft2 bit for bit.
+    Passing the last axis first reproduces np.fft.fft2/ifft2 bit for bit,
+    for each (n, n) slice of a stack as for one array.
     """
     # not np.fft.ifft2(..., out=): numpy 2.4 leaves that out wrong; the 1D passes are exact
     transform = np.fft.ifft if inverse else np.fft.fft
-    transform(src, axis=1, out=tmp)
-    transform(tmp, axis=0, out=out)
+    transform(src, axis=-1, out=tmp)
+    transform(tmp, axis=-2, out=out)
+
+
+_held = threading.local()
+
+
+def _held_buffers(count: int, n: int):
+    """Two (count, n, n) complex work buffers, held per thread: fresh ones
+    cost more in page faults than the FFTs that fill them.  A held pair of
+    more rows is sliced, so a 2-row call after a 3-row one reuses it."""
+    held = getattr(_held, "buffers", None)
+    if held is None or held[0].shape[1] != n or held[0].shape[0] < count:
+        held = _held.buffers = (np.empty((count, n, n), dtype=complex), np.empty((count, n, n), dtype=complex))
+    return held[0][:count], held[1][:count]
 
 
 def _axis_parts(v: np.ndarray):
@@ -397,17 +413,19 @@ def analytic_free_gaussian(
     """
     center = np.asarray(center, dtype=float).reshape(2)
     k0 = np.asarray(k0, dtype=float).reshape(2)
-    alpha = 1.0 + 1j * hbar * t / (2.0 * mass * sigma0**2)
+    # sigma0 * sigma0, not sigma0**2: a float multiply overflows to inf where ** raises
+    s2 = sigma0 * sigma0
+    alpha = 1.0 + 1j * hbar * t / (2.0 * mass * s2)
     # each factor depends on one axis: an (n, 1) column for x, a (1, n) row for y
     x = grid.axis
     factors = []
     for axis_coord, c, kk in ((x[:, None], center[0], k0[0]), (x[None, :], center[1], k0[1])):
         shifted = axis_coord - c - (hbar * kk / mass) * t
         factors.append(
-            (2.0 * np.pi * sigma0**2) ** (-0.25)
+            (2.0 * np.pi * s2) ** (-0.25)
             * alpha ** (-0.5)
             * np.exp(
-                -(shifted**2) / (4.0 * sigma0**2 * alpha)
+                -(shifted**2) / (4.0 * s2 * alpha)
                 + 1j * kk * axis_coord
                 - 0.5j * hbar * kk**2 * t / mass
             )
@@ -423,74 +441,31 @@ def harmonic_ground_state(grid: Grid2D, omega: float, hbar: float = 1.0, mass: f
     return WaveFunction(grid, values, 0.0)
 
 
-def _gradient_of_spectrum(grid: Grid2D, spectrum: np.ndarray):
-    k = grid.wavenumbers
-    return np.fft.ifft2(1j * k[:, None] * spectrum), np.fft.ifft2(1j * k[None, :] * spectrum)
-
-
-def _laplacian_of_spectrum(grid: Grid2D, spectrum: np.ndarray) -> np.ndarray:
-    k = grid.wavenumbers
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    return np.fft.ifft2(-k2 * spectrum)
-
-
-def spectral_gradient(grid: Grid2D, values: np.ndarray):
-    """(d/dx, d/dy) of a periodic field via FFT; returns two arrays."""
-    return _gradient_of_spectrum(grid, np.fft.fft2(values))
-
-
-def spectral_laplacian(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    return _laplacian_of_spectrum(grid, np.fft.fft2(values))
-
-
-@dataclass
-class GradientFields:
-    """rho, grad log rho, grad S (both real (n, n, 2) arrays) and the node mask.
-
-    Gradients come from the spectral ratio grad(Psi)/Psi, which needs no phase
-    unwrapping: grad S = hbar Im(grad Psi/Psi), grad log rho = 2 Re(grad Psi/Psi).
-    node_mask is True where rho < rho_floor * max(rho); gradients there are 0
-    and must not be used.
-    """
-
-    rho: np.ndarray
-    grad_log_rho: np.ndarray
-    grad_s: np.ndarray
-    node_mask: np.ndarray
-
-
 def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacian: bool = False):
-    """(ratio, node_mask, rho): the spectral grad(Psi)/Psi as an (n, n, 2)
-    complex array, the mask rho < rho_floor * max(rho), and rho itself.
+    """(live, ratios, rho, mask): the spectral grad(Psi)/Psi on the live cells.
 
-    With laplacian=True a fourth item follows: Lap(Psi)/Psi as an (n, n)
-    complex array, from the same forward FFT.  The ratios are set to 0 at
-    masked nodes, where they must not be used.
+    mask is rho < rho_floor * max(rho) with rho = |Psi|^2, and live the flat
+    row-major indices of the cells it leaves, np.flatnonzero(~mask).  ratios
+    has shape (2, L) for L live cells, (d/dx Psi, d/dy Psi)/Psi, and with
+    laplacian=True a third row Lap(Psi)/Psi.  The spectrum is psi.spectrum
+    when the frame stream held it, else one fft2; the derivative spectra
+    i k_x Psi^, i k_y Psi^ (and -k^2 Psi^) are inverted as one stacked FFT
+    into held buffers, and each live cell takes one complex divide.
     """
+    grid = psi.grid
     rho = psi.density()
     mask = rho < rho_floor * float(rho.max())
-    spectrum = np.fft.fft2(psi.values)
-    gx, gy = _gradient_of_spectrum(psi.grid, spectrum)
-    safe = np.where(mask, 1.0, psi.values)
-    ratio = np.stack([gx, gy], axis=-1) / safe[..., None]
-    ratio[mask] = 0.0
-    if not laplacian:
-        return ratio, mask, rho
-    lap_ratio = _laplacian_of_spectrum(psi.grid, spectrum) / safe
-    lap_ratio[mask] = 0.0
-    return ratio, mask, rho, lap_ratio
-
-
-def density_and_phase_gradients(
-    psi: WaveFunction, hbar: float = 1.0, rho_floor: float = DEFAULT_RHO_FLOOR
-) -> GradientFields:
-    ratio, mask, rho = psi_ratios(psi, rho_floor)
-    return GradientFields(
-        rho=rho,
-        grad_log_rho=2.0 * ratio.real,
-        grad_s=hbar * ratio.imag,
-        node_mask=mask,
-    )
+    spectrum = psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
+    k = grid.wavenumbers
+    derivs, tmp = _held_buffers(3 if laplacian else 2, grid.n)
+    np.multiply(1j * k[:, None], spectrum, out=derivs[0])
+    np.multiply(1j * k[None, :], spectrum, out=derivs[1])
+    if laplacian:
+        np.multiply(-(k[:, None] ** 2 + k[None, :] ** 2), spectrum, out=derivs[2])
+    _fft2(derivs, derivs, tmp, inverse=True)
+    live = np.flatnonzero(~mask)
+    ratios = derivs.reshape(len(derivs), -1)[:, live] / psi.values.ravel()[live]
+    return live, ratios, rho, mask
 
 
 def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):

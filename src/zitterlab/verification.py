@@ -389,21 +389,23 @@ def complex_hj_residual(
     if len(psi_frames) < 3:
         raise ValueError("need at least 3 consecutive frames")
     grid = psi_frames[0].grid
-    v_grid = pot.values(grid, mass)
+    v_grid = pot.values(grid, mass).ravel()
     times, linf, l2, linf_centered = [], [], [], []
     for i in range(1, len(psi_frames) - 1):
         prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
         dt_frame = 0.5 * (next_f.time - prev_f.time)
-        ratio, mask, _, lap_ratio = psi_ratios(here, rho_floor, laplacian=True)
-        if mask.all():
+        live, ratios, _, _ = psi_ratios(here, rho_floor, laplacian=True)
+        if live.size == 0:
             raise InvalidInput(f"rho_floor = {rho_floor:g} masks every cell")
-        ratio_sq = ratio[..., 0] ** 2 + ratio[..., 1] ** 2
-        grad_s_sq = (-1j * hbar) ** 2 * ratio_sq
-        lap_s = -1j * hbar * (lap_ratio - ratio_sq)
-        ds_dt = -1j * hbar * np.log(next_f.values / prev_f.values) / (2.0 * dt_frame)
-        residual = ds_dt + grad_s_sq / (2.0 * mass) + v_grid - 0.5j * hbar / mass * lap_s
-        bulk = np.abs(residual[~mask])
-        centered = residual[~mask] - np.mean(residual[~mask])
+        ratio_sq = ratios[0] ** 2 + ratios[1] ** 2
+        # -(hbar * hbar), not (-1j * hbar) ** 2: the same value, but a float
+        # multiply overflows to inf where complex ** raises
+        grad_s_sq = -(hbar * hbar) * ratio_sq
+        lap_s = -1j * hbar * (ratios[2] - ratio_sq)
+        ds_dt = -1j * hbar * np.log(next_f.values.ravel()[live] / prev_f.values.ravel()[live]) / (2.0 * dt_frame)
+        residual = ds_dt + grad_s_sq / (2.0 * mass) + v_grid[live] - 0.5j * hbar / mass * lap_s
+        bulk = np.abs(residual)
+        centered = residual - np.mean(residual)
         times.append(float(here.time))
         linf.append(float(bulk.max()))
         l2.append(float(np.sqrt(np.mean(bulk**2))))
@@ -466,40 +468,31 @@ def least_action_saddle_check(
     raise Re g by exactly (m/2)|d|^2 and imaginary ones lower it by the same
     amount (the saddle that defines a complex minimum).
     """
-    grid = psi.grid
-    ratio, mask, _, lap_ratio = psi_ratios(psi, rho_floor, laplacian=True)
-    grad_s = -1j * hbar * ratio
-    lap_s = -1j * hbar * (lap_ratio - ratio[..., 0] ** 2 - ratio[..., 1] ** 2)
-    v_grid = pot.values(grid, mass)
+    live, ratios, _, _ = psi_ratios(psi, rho_floor, laplacian=True)
+    grad_s = -1j * hbar * ratios[:2]
+    lap_s = -1j * hbar * (ratios[2] - ratios[0] ** 2 - ratios[1] ** 2)
+    v_live = pot.values(psi.grid, mass).ravel()[live]
     rng = np.random.default_rng(seed)
-    unmasked = np.argwhere(~mask)
-    picks = unmasked[rng.integers(0, unmasked.shape[0], size=n_points)]
+    picks = rng.integers(0, live.size, size=n_points)
 
-    def objective(vel, ix, iy):
+    def objective(vel, p):
         kinetic = 0.5 * mass * np.sum(vel * vel)
-        return (
-            kinetic
-            - v_grid[ix, iy]
-            - np.sum(vel * grad_s[ix, iy])
-            + 0.5j * hbar / mass * lap_s[ix, iy]
-        )
+        return kinetic - v_live[p] - np.sum(vel * grad_s[:, p]) + 0.5j * hbar / mass * lap_s[p]
 
     directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / math.sqrt(2)]
     max_grad = 0.0
     max_real_mismatch = 0.0
     max_imag_mismatch = 0.0
-    for ix, iy in picks:
-        v_star = grad_s[ix, iy] / mass
-        base = objective(v_star, ix, iy)
+    for p in picks:
+        v_star = grad_s[:, p] / mass
+        base = objective(v_star, p)
         for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1j * np.array([1.0, 0.0]), 1j * np.array([0.0, 1.0])):
-            fd = (objective(v_star + fd_step * e, ix, iy) - objective(v_star - fd_step * e, ix, iy)) / (
-                2.0 * fd_step
-            )
+            fd = (objective(v_star + fd_step * e, p) - objective(v_star - fd_step * e, p)) / (2.0 * fd_step)
             max_grad = max(max_grad, abs(fd))
         for d in deltas:
             for e in directions:
-                up = objective(v_star + d * e, ix, iy).real - base.real
-                down = objective(v_star + 1j * d * e, ix, iy).real - base.real
+                up = objective(v_star + d * e, p).real - base.real
+                down = objective(v_star + 1j * d * e, p).real - base.real
                 expected = 0.5 * mass * d**2
                 max_real_mismatch = max(max_real_mismatch, abs(up - expected))
                 max_imag_mismatch = max(max_imag_mismatch, abs(down + expected))

@@ -286,14 +286,43 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
 
-    def test_huge_hbar_fails_its_check_without_a_traceback(self, tmp_path, capsys):
-        # hbar^2 overflows to inf, so the energy drift is nan and fails its check
+    @pytest.mark.parametrize(
+        "text, failure",
+        [
+            ("scenario = harmonic_ground\nhbar = 1e300\n", "FAIL harmonic_ground:energy_conservation (rel drift nan)"),
+            ("scenario = hj_residual\nhbar = 1e300\n", "FAIL hj_residual:hj_linf (L_inf nan)"),
+            ("scenario = hj_residual\nsigma0 = 1e300\n", "FAIL hj_residual:hj_linf (L_inf nan)"),
+        ],
+        ids=["harmonic_ground_hbar", "hj_residual_hbar", "hj_residual_sigma0"],
+    )
+    def test_huge_hbar_fails_its_check_without_a_traceback(self, tmp_path, capsys, text, failure):
+        # hbar^2 or sigma0^2 overflows to inf, so the checked number is nan and fails its check
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text("scenario = harmonic_ground\nhbar = 1e300\n")
+        cfg.write_text(text)
         assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        assert "FAIL harmonic_ground:energy_conservation (rel drift nan)" in captured.out
+        assert failure in captured.out
+        written = sorted((tmp_path / "o").glob("*.json"))
+        assert written
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize(
+        "light_speed, code, error",
+        [("1e300", 3, "runtime error: EpsilonUnderflow: "), ("1e-300", 2, "config error: compton epsilon")],
+        ids=["eps_underflows", "eps_not_finite"],
+    )
+    def test_extreme_light_speed_has_a_typed_error(self, tmp_path, capsys, light_speed, code, error):
+        cfg = tmp_path / "compton.cfg"
+        cfg.write_text(f"scenario = process_free\nepsilon_mode = compton\nlight_speed = {light_speed}\n")
+        assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err
 
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "narrow.cfg"
@@ -333,15 +362,25 @@ class TestMainEntry:
         # without --check the same run exits 0
         assert main(["run", str(cfg), "--out", str(tmp_path / "o2")]) == 0
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg_path = tmp_path / "eq.cfg"
-        cfg_path.write_text(
-            "scenario = equivariance\nensemble_n = 1500\nT = 0.2\n"
-            "n_grid = 128\nbox_half_width = 10.0\nseed = 99\n"
-        )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = equivariance\nensemble_n = 1500\nT = 0.2\nn_grid = 128\nbox_half_width = 10.0\nseed = 99\n",
+            # the ratio kernel holds its buffers across calls: a 3-row HJ call
+            # here, 2-row field calls in the next case
+            "scenario = hj_residual\nn_grid = 64\nhj_ns = 16, 32, 64\n",
+            "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\nguided_epsilons = 4e-3, 2e-3, 1e-3\n",
+        ],
+        ids=["equivariance", "hj_residual", "guided_process"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, text):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
-        for name in ("equivariance_T.json", "equivariance_T0.json"):
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -66,26 +66,38 @@ class TestVelocityField:
         assert np.max(np.abs(field.v[..., 0].imag - omega * X)[bulk]) < 1e-6
 
     def test_action_decomposition_identity(self, grid):
+        # m V = grad S - i (hbar/2) grad log rho with grad S = hbar Im(grad Psi/Psi)
+        # and grad log rho = 2 Re(grad Psi/Psi) on the live cells
         psi = zl.analytic_free_gaussian(grid, 1.0, (0.5, -0.2), (0, 0), 0.5)
         hbar, mass = 1.0, 2.0
         field = zl.velocity_field(psi, hbar=hbar, mass=mass)
-        grads = zl.density_and_phase_gradients(psi, hbar=hbar)
-        lhs = mass * field.v
-        rhs = grads.grad_s - 0.5j * hbar * grads.grad_log_rho
-        bulk = ~field.node_mask
-        assert np.max(np.abs((lhs - rhs)[bulk])) <= 1e-12
+        live, ratios, _, mask = schrodinger.psi_ratios(psi)
+        assert np.array_equal(mask, field.node_mask)
+        lhs = mass * field.v.reshape(-1, 2)[live].T
+        rhs = hbar * ratios.imag - 0.5j * hbar * (2.0 * ratios.real)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def plain_gradient(grid, values):
+    """(n, n, 2) spectral gradient of values: one fft2, then one np.fft.ifft2 per component."""
+    k = grid.wavenumbers
+    spectrum = np.fft.fft2(values)
+    return np.stack([np.fft.ifft2(1j * k[:, None] * spectrum), np.fft.ifft2(1j * k[None, :] * spectrum)], axis=-1)
 
 
 def ratio_re_field(psi, hbar=1.0, mass=1.0, rho_floor=schrodinger.DEFAULT_RHO_FLOOR):
-    """The Re V field as it was built from psi_ratios: an fft2 of psi, two
-    ifft2 and a complex divide.  The oracle for the stacked-FFT kernel."""
-    ratio, mask, _ = schrodinger.psi_ratios(psi, rho_floor)
+    """The Re V field from plain numpy: an fft2 of psi, one ifft2 per
+    component and a complex divide.  The oracle for the field kernel."""
+    rho = np.abs(psi.values) ** 2
+    mask = rho < rho_floor * float(rho.max())
+    ratio = plain_gradient(psi.grid, psi.values) / np.where(mask, 1.0, psi.values)[..., None]
+    ratio[mask] = 0.0
     v = -1j * (hbar / mass) * ratio
     return pilot.VelocityField(psi.grid, np.ascontiguousarray(v.real), mask, psi.time)
 
 
 class TestFieldKernel:
-    """velocity_field against the psi_ratios oracle."""
+    """velocity_field against the plain-numpy ratio oracle."""
 
     EPS = np.finfo(float).eps
 
@@ -107,7 +119,7 @@ class TestFieldKernel:
             fld = zl.velocity_field(plain, hbar, mass, real=True)
             assert np.array_equal(fld.node_mask, oracle.node_mask)
             live = ~fld.node_mask
-            g = np.abs(np.stack(schrodinger.spectral_gradient(f.grid, f.values), axis=-1))[live]
+            g = np.abs(plain_gradient(f.grid, f.values))[live]
             bound = 16 * self.EPS * (hbar / mass) * g / np.abs(f.values[live])[:, None]
             assert np.all(np.abs(fld.v[live] - oracle.v[live]) <= bound)
             assert np.all(fld.v[~live] == 0.0)
@@ -127,7 +139,7 @@ class TestFieldKernel:
             live = ~fld.node_mask
             d1 = np.abs(f.spectrum - np.fft.fft2(f.values)).sum()
             fft_roundoff = 2 * self.EPS * math.log2(n * n) * np.abs(f.spectrum).sum()
-            g = np.abs(np.stack(schrodinger.spectral_gradient(grid, f.values), axis=-1))[live]
+            g = np.abs(plain_gradient(grid, f.values))[live]
             a = np.abs(f.values[live])[:, None]
             bound = 16 * self.EPS * g / a + k_max * (d1 + fft_roundoff) / n**2 / a
             assert np.all(np.abs(fld.v[live] - oracle.v[live]) <= bound)
@@ -137,7 +149,6 @@ class TestFieldKernel:
             full, real = zl.velocity_field(f, 0.7, 2.5), zl.velocity_field(f, 0.7, 2.5, real=True)
             assert real.v.dtype == float and full.v.dtype == complex
             assert np.array_equal(real.v, full.v.real)
-            assert np.array_equal(pilot._re_field(f, 0.7, 2.5, 1e-12).v, real.v)
 
     def test_cell_mask_dilates_the_node_mask(self, grid):
         mask = np.zeros((grid.n, grid.n), dtype=bool)
@@ -296,7 +307,8 @@ class TestTransportKernel:
     def test_real_transport_gives_the_same_report(self, free_frames, monkeypatch):
         real = zl.ensemble_equivariance(free_frames, 2000, 21)
         # hand the transport the full complex fields instead of Re V only
-        monkeypatch.setattr(pilot, "_re_field", pilot.velocity_field)
+        complex_field = pilot.velocity_field
+        monkeypatch.setattr(pilot, "velocity_field", lambda *args, real: complex_field(*args))
         full = zl.ensemble_equivariance(free_frames, 2000, 21)
         assert full.tv_distance == real.tv_distance
         assert full.failures == real.failures
@@ -537,7 +549,7 @@ class TestStreamedEnsemble:
         times = [(k - 1) * dt + dt if k and (k - 1) * dt + dt > k * dt else k * dt for k in range(60)]
         assert sum(t != k * dt for k, t in enumerate(times)) >= 5
         retimed = [zl.WaveFunction(f.grid, f.values, t) for f, t in zip(free_frames, times)]
-        fields = [pilot._re_field(f, 1.0, 1.0, 1e-12) for f in retimed]
+        fields = [zl.velocity_field(f, real=True) for f in retimed]
         seeds = zl.sample_from_density(free_frames[0], 2000, np.random.default_rng(4))
         full = pilot._rk4_batch(pilot.FrameInterpolator(fields), seeds, dt, 59, keep_history=False)
         window = pilot._FrameWindow(iter(fields))

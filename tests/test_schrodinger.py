@@ -113,7 +113,8 @@ class TestAnalyticFreeGaussian:
             for k in (-1, 0, 1)
         )
         dpsi_dt = (plus.values - minus.values) / (2 * dt)
-        rhs = 0.5j * sch.spectral_laplacian(grid128, here.values)
+        k = grid128.wavenumbers
+        rhs = 0.5j * np.fft.ifft2(-(k[:, None] ** 2 + k[None, :] ** 2) * np.fft.fft2(here.values))
         assert np.max(np.abs(dpsi_dt - rhs)) < 1e-7
 
 
@@ -339,52 +340,62 @@ class TestFrameStream:
 
 
 class TestGradientFields:
+    """grad S = m Re V and grad log rho = -(2m/hbar) Im V from velocity_field."""
+
     def test_plane_phase_gradient(self, grid128):
         # grad S = hbar k0 wherever the density supports the ratio; at the
         # deep tail the 1/|Psi| amplification of FFT roundoff takes over
         k0 = (1.25, -0.75)
         psi = zl.init_gaussian(grid128, (0, 0), 1.2, k0)
-        fields = zl.density_and_phase_gradients(psi)
-        bulk = fields.rho > 1e-6 * fields.rho.max()
-        assert np.allclose(fields.grad_s[bulk][:, 0], k0[0], atol=1e-5)
-        assert np.allclose(fields.grad_s[bulk][:, 1], k0[1], atol=1e-5)
-        assert abs(fields.grad_s[64, 64, 0] - k0[0]) < 1e-8
+        grad_s = zl.velocity_field(psi).v.real
+        rho = psi.density()
+        bulk = rho > 1e-6 * rho.max()
+        assert np.allclose(grad_s[bulk][:, 0], k0[0], atol=1e-5)
+        assert np.allclose(grad_s[bulk][:, 1], k0[1], atol=1e-5)
+        assert abs(grad_s[64, 64, 0] - k0[0]) < 1e-8
 
     def test_harmonic_ground_log_density_slope(self, grid128):
         omega, mass, hbar = 1.0, 1.0, 1.0
         psi = zl.harmonic_ground_state(grid128, omega)
-        fields = zl.density_and_phase_gradients(psi, rho_floor=1e-6)
+        field = zl.velocity_field(psi, hbar, mass, rho_floor=1e-6)
+        grad_log_rho = -(2.0 * mass / hbar) * field.v.imag
         X, Y = grid128.mesh()
-        bulk = ~fields.node_mask
+        bulk = ~field.node_mask
         expected = -2.0 * mass * omega / hbar * X
-        assert np.max(np.abs(fields.grad_log_rho[..., 0][bulk] - expected[bulk])) < 1e-6
-        assert np.max(np.abs(fields.grad_s[bulk])) < 1e-10
+        assert np.max(np.abs(grad_log_rho[..., 0][bulk] - expected[bulk])) < 1e-6
+        assert np.max(np.abs(mass * field.v.real[bulk])) < 1e-10
 
     def test_mask_flags_low_density(self, grid128):
         psi = zl.init_gaussian(grid128, (0, 0), 1.0, (0, 0))
-        fields = zl.density_and_phase_gradients(psi, rho_floor=1e-4)
-        assert fields.node_mask.any() and not fields.node_mask.all()
-        assert np.all(fields.grad_s[fields.node_mask] == 0.0)
+        field = zl.velocity_field(psi, rho_floor=1e-4)
+        assert field.node_mask.any() and not field.node_mask.all()
+        assert np.all(field.v[field.node_mask] == 0.0)
 
     def test_laplacian_ratio_shares_the_spectrum(self, grid128):
         psi = zl.analytic_free_gaussian(grid128, 1.0, (1.0, 0.5), (0, 0), 0.4)
-        ratio, mask, rho = sch.psi_ratios(psi, 1e-8)
-        ratio_l, mask_l, rho_l, lap_ratio = sch.psi_ratios(psi, 1e-8, laplacian=True)
-        assert np.array_equal(ratio_l, ratio) and np.array_equal(mask_l, mask) and np.array_equal(rho_l, rho)
-        live = ~mask
-        assert live.any() and mask.any()
-        expected = sch.spectral_laplacian(grid128, psi.values)[live] / psi.values[live]
-        assert np.array_equal(lap_ratio[live], expected)
-        assert np.all(lap_ratio[mask] == 0.0)
+        # the 3-row call first, so the 2-row call reuses its held buffers
+        live_l, ratios_l, rho_l, mask_l = sch.psi_ratios(psi, 1e-8, laplacian=True)
+        live, ratios, rho, mask = sch.psi_ratios(psi, 1e-8)
+        assert ratios_l.shape == (3, live.size) and ratios.shape == (2, live.size)
+        assert np.array_equal(ratios_l[:2], ratios) and np.array_equal(mask_l, mask) and np.array_equal(rho_l, rho)
+        assert np.array_equal(live_l, live) and np.array_equal(live, np.flatnonzero(~mask))
+        assert live.size and mask.any()
+        k = grid128.wavenumbers
+        lap = np.fft.ifft2(-(k[:, None] ** 2 + k[None, :] ** 2) * np.fft.fft2(psi.values))
+        expected = lap.ravel()[live] / psi.values.ravel()[live]
+        assert np.array_equal(ratios_l[2], expected)
 
     def test_spectral_matches_fd4_at_h4(self):
         devs = []
         for n in (128, 256):
             grid = zl.Grid2D(n, 10.0)
             psi = zl.analytic_free_gaussian(grid, 1.0, (1.0, 0.5), (0, 0), 0.4)
-            gx, _ = sch.spectral_gradient(grid, psi.values)
             h = grid.spacing
             v = psi.values
+            # d/dx psi from the kernel's ratio, on its live cells (a superset of bulk)
+            live, ratios, _, _ = sch.psi_ratios(psi, 1e-4)
+            gx = np.zeros_like(v)
+            gx.ravel()[live] = ratios[0] * v.ravel()[live]
             fd4 = (
                 -np.roll(v, -2, axis=0)
                 + 8 * np.roll(v, -1, axis=0)
