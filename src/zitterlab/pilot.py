@@ -11,9 +11,10 @@ wave-function zeros.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -133,45 +134,60 @@ def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
 
 
 class FrameInterpolator:
-    """Linear-in-time interpolation between velocity-field frames.
+    """Linear-in-time interpolation between velocity-field frames, read once
+    from any iterable of fields, for queries that move forward in time (up to
+    roundoff).
 
-    Queries are valid for times in [times[0], t_end], up to a roundoff slack
-    of 1e-9 frame spacings; a single frame is valid at its own time only.
-    Anything else raises InvalidInput (a ValueError) instead of holding the
-    end frames.
+    A query first pulls fields while the newest is not after its time, so its
+    bracket and weights are those of a search over the whole list.  Fields
+    before the one preceding the bracket are then dropped: the next RK4 step
+    starts at most a few ulps before this query, so at most three are held.
+    The slack past either end is 1e-9 frame spacings; a single frame is valid
+    at its own time only.  A query past the last frame or before the held
+    window raises InvalidInput (a ValueError) instead of holding an end frame.
     """
 
-    def __init__(self, frames):
-        if len(frames) < 1:
-            raise ValueError("need at least one frame")
-        self.frames = list(frames)
-        self.times = np.array([f.time for f in self.frames])
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("frames must be strictly increasing in time")
-        self.grid = self.frames[0].grid
-        self.slack = 1e-9 * self.spacing if len(self.frames) > 1 else 0.0
+    def __init__(self, fields):
+        self._source = iter(fields)
+        self.frames, self.times = [], []
+        if not self._pull():
+            raise InvalidInput("need at least one frame")
+        self.grid, self.t0 = self.frames[0].grid, self.times[0]
+        self.spacing = self.times[1] - self.t0 if self._pull() else math.inf
+        self.slack = 1e-9 * self.spacing if len(self.times) > 1 else 0.0
 
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def spacing(self) -> float:
-        if len(self.frames) == 1:
-            return math.inf
-        return float(self.times[1] - self.times[0])
+    def _pull(self) -> bool:
+        """Append the stream's next field; False once the stream has ended."""
+        nxt = next(self._source, None)
+        if nxt is None:
+            return False
+        if self.times and nxt.time <= self.times[-1]:
+            raise InvalidInput("frames must be strictly increasing in time")
+        self.frames.append(nxt)
+        self.times.append(float(nxt.time))
+        return True
 
     def _bracket(self, t: float):
         """(i, a): t lies between frames i and i + 1, at weight a on i + 1."""
-        if not self.times[0] - self.slack <= t <= self.t_end + self.slack:
+        while self.times[-1] <= t and self._pull():
+            pass
+        if t < self.times[0] - self.slack:
             raise InvalidInput(
-                f"t = {t:g} is outside the frame span [{self.times[0]:g}, {self.t_end:g}]"
+                f"t = {t:g} is outside the frame span: the interpolator reads forward, "
+                f"and its first held frame is at t = {self.times[0]:g}"
+            )
+        if t > self.times[-1] + self.slack:
+            raise InvalidInput(
+                f"t = {t:g} is outside the frame span, past the last frame at t = {self.times[-1]:g}"
             )
         i, a = 0, 0.0
         if len(self.frames) > 1:
-            i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.frames) - 2)
-            t0, t1 = float(self.times[i]), float(self.times[i + 1])
+            i = min(max(bisect_right(self.times, t) - 1, 0), len(self.frames) - 2)
+            t0, t1 = self.times[i], self.times[i + 1]
             a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+            if i > 1:
+                del self.frames[: i - 1], self.times[: i - 1]
+                i = 1
         return i, a
 
     def complex_at(self, t: float, pts: np.ndarray):
@@ -193,34 +209,6 @@ class FrameInterpolator:
         return vals.real, ok
 
 
-class _FrameWindow(FrameInterpolator):
-    """A FrameInterpolator over a stream of fields, read once, for queries
-    that move forward in time (up to roundoff).
-
-    A query first pulls fields while the newest is not after its time, so
-    its bracket is the one FrameInterpolator finds over the whole list.
-    Fields before the one preceding the bracket are then dropped: the next
-    RK4 step starts at most a few ulps before this query.
-    """
-
-    def __init__(self, fields):
-        self._source = iter(fields)
-        super().__init__(list(islice(self._source, 2)))
-
-    def _bracket(self, t: float):
-        while self.times[-1] <= t and (nxt := next(self._source, None)) is not None:
-            if nxt.time <= self.times[-1]:
-                raise ValueError("frames must be strictly increasing in time")
-            self.frames.append(nxt)
-            self.times = np.append(self.times, nxt.time)
-        i, a = super()._bracket(t)
-        if i > 1:
-            del self.frames[: i - 1]
-            self.times = self.times[i - 1 :]
-            i = 1
-        return i, a
-
-
 def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
     return np.all(np.abs(pts) < half_width, axis=1)
 
@@ -233,9 +221,6 @@ class Trajectory:
     positions: np.ndarray  # (M, 2) real
     seed_point: np.ndarray
     dt: float
-
-    def final_position(self) -> np.ndarray:
-        return self.positions[-1]
 
 
 def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int, keep_history: bool):
@@ -255,7 +240,7 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
     history = np.empty((n_steps + 1, m, 2)) if keep_history else None
     if keep_history:
         history[0] = x
-    t0 = float(interp.times[0])
+    t0 = interp.t0
     for s in range(n_steps):
         t = t0 + s * dt
         k1, ok1 = interp.real_at(t, x)
@@ -279,23 +264,35 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
     return x, alive, fail_step, left_box, history
 
 
+def _checked_interpolator(fields: list, step: float, step_name: str, T: float) -> FrameInterpolator:
+    """A FrameInterpolator over fields, once their order, the step and T are
+    checked against them: a query may stop before it pulls a misplaced frame."""
+    interp = FrameInterpolator(fields)
+    if any(b.time <= a.time for a, b in zip(fields, fields[1:])):
+        raise InvalidInput("frames must be strictly increasing in time")
+    if step > interp.spacing * (1 + 1e-9):
+        raise InvalidInput(f"{step_name} = {step:g} exceeds the frame spacing {interp.spacing:g}")
+    t_end = float(fields[-1].time)
+    if T > t_end + interp.slack:
+        raise InvalidInput(f"T = {T:g} is past the last frame at t = {t_end:g}")
+    return interp
+
+
 def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Trajectory:
     """RK4 integration of dX/dt = Re V(X, t) with linear-in-time frames,
     from the first frame's time t0 to T (default: the last frame's time).
 
-    dt must not exceed the frame spacing; position error is O(dt^4) plus
-    O(frame spacing^2) from the time interpolation.
+    frames may be any iterable of fields.  dt must not exceed the frame
+    spacing; position error is O(dt^4) plus O(frame spacing^2) from the time
+    interpolation.
     """
-    interp = frames if isinstance(frames, FrameInterpolator) else FrameInterpolator(frames)
+    fields = list(frames)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if dt > interp.spacing * (1 + 1e-9):
-        raise InvalidInput(f"dt = {dt:g} exceeds the frame spacing {interp.spacing:g}")
-    if T is None:
-        T = interp.t_end
-    if T > interp.t_end + interp.slack:
-        raise InvalidInput(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
-    t0 = float(interp.times[0])
+    if T is None and fields:
+        T = float(fields[-1].time)
+    interp = _checked_interpolator(fields, dt, "dt", T)
+    t0 = interp.t0
     n_steps = max(1, int(round((T - t0) / dt)))
     dt = (T - t0) / n_steps
     x0 = np.asarray(x0, dtype=float).reshape(1, 2)
@@ -321,13 +318,10 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
     process record together with the Bohmian reference trajectory from the
     same seed; their real parts agree to O(eps) plus interpolation error.
     """
-    interp = frames if isinstance(frames, FrameInterpolator) else FrameInterpolator(frames)
+    fields = list(frames)
     eps = params.epsilon
-    if eps > interp.spacing * (1 + 1e-9):
-        raise InvalidInput(f"eps = {eps:g} exceeds the frame spacing {interp.spacing:g}")
-    if T > interp.t_end + interp.slack:
-        raise InvalidInput(f"T = {T:g} is past the last frame at t = {interp.t_end:g}")
-    t0 = float(interp.times[0])
+    interp = _checked_interpolator(fields, eps, "eps", T)
+    t0 = interp.t0
     n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
     if n_cycles < 1:
         raise InvalidInput("T does not cover a single 4-step cycle")
@@ -352,7 +346,7 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
             mean = mean + v_q * eps
             means[4 * q + r] = mean
     run = _assemble_run(t0 + np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
-    reference = integrate_trajectory(interp, x0, dt=eps, T=t0 + n_steps * eps)
+    reference = integrate_trajectory(fields, x0, dt=eps, T=t0 + n_steps * eps)
     return run, reference
 
 
@@ -497,7 +491,7 @@ def ensemble_equivariance(
     if T > t0:
         fields = chain([first], later())
         del first  # frame 0 is not needed past the seeds
-        window = _FrameWindow(velocity_field(f, hbar, mass, rho_floor, real=True) for f in fields)
+        window = FrameInterpolator(velocity_field(f, hbar, mass, rho_floor, real=True) for f in fields)
         n_steps = max(1, int(round((T - t0) / window.spacing)))
         dt = (T - t0) / n_steps
         finals, alive, _, left_box, _ = _rk4_batch(window, finals, dt, n_steps, keep_history=False)

@@ -65,9 +65,6 @@ class Permutation:
                 tab[r, j0] = VERTICES[(j0 + self.shift() * r) % 4] - VERTICES[j0]
         return tab
 
-    def inverse(self) -> "Permutation":
-        return Permutation(Sense.S_MINUS if self.sense is Sense.S_PLUS else Sense.S_PLUS)
-
 
 class EpsilonMode(Enum):
     FIXED = "fixed"
@@ -373,12 +370,6 @@ class ClassicalPath:
 
     times: np.ndarray
     positions: np.ndarray  # (M, 2) complex
-
-    def at(self, t: float) -> np.ndarray:
-        i = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not (0 <= i < self.times.size and abs(self.times[i] - t) < 1e-9 * max(1.0, abs(t))):
-            raise ValueError(f"time {t} is not on the path grid")
-        return self.positions[i]
 
 
 def classical_trajectory(vel: VelocityProgram, z0, T: float, dt: float) -> ClassicalPath:

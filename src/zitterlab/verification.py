@@ -34,6 +34,7 @@ from .process import (
 from .schrodinger import Potential, WaveFunction, psi_ratios
 
 HJ_RHO_FLOOR = 1e-4  # relative density floor for residual statistics
+REFERENCE_REFINEMENT = 10  # reference substeps per process step in the convergence sweep
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,6 @@ def process_convergence_rates(
     z0,
     T: float,
     epsilons,
-    reference_refinement: int = 10,
 ):
     """(vertex RateReport, mean RateReport) against the 4th-order reference.
 
@@ -326,8 +326,8 @@ def process_convergence_rates(
         )
         run = run_process(params, perm, vel, z0, T)
         n_steps = len(run) - 1
-        path = classical_trajectory(vel, z0, n_steps * params.epsilon, params.epsilon / reference_refinement)
-        reference = path.positions[::reference_refinement]
+        path = classical_trajectory(vel, z0, n_steps * params.epsilon, params.epsilon / REFERENCE_REFINEMENT)
+        reference = path.positions[::REFERENCE_REFINEMENT]
         dev = run.vertices - reference[:, None, :]
         vertex_errors.append(float(np.max(np.abs(np.linalg.norm(dev, axis=2)))))
         mean_errors.append(float(np.max(np.linalg.norm(run.means - reference, axis=1))))
@@ -339,15 +339,12 @@ def process_convergence_rates(
         band=(0.45, 0.55),
         parameters={"T": T, "velocity": vel.describe()},
     )
-    rate = fit_rate(eps_list, mean_errors)
-    mean_report = RateReport(
-        check="mean_convergence",
-        values=tuple(float(v) for v in eps_list),
-        errors=tuple(float(e) for e in mean_errors),
-        fitted_rate=rate,
+    mean_report = _rate_report(
+        "mean_convergence",
+        eps_list,
+        mean_errors,
         target=1.0,
         band=(0.95, math.inf),
-        passed=rate >= 0.95,
         parameters={"T": T, "velocity": vel.describe()},
     )
     return vertex_report, mean_report

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import zitterlab as zl
-from zitterlab import pilot, verification as ver
+from zitterlab import verification as ver
 
 EPS_TABLE = (1e-1, 1e-2, 1e-3)
 EPS_SWEEP = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
@@ -220,12 +220,13 @@ def test_criterion_8_equivariance(free_frames_256):
 
 def test_criterion_9_guided_process(free_fields_128):
     crit = Criterion(9, "guided gravity center tracks the pilot wave", 120.0)
-    interp = pilot.FrameInterpolator(free_fields_128)
     gaps = []
     spin_dev = 0.0
     eps_list = (4e-3, 2e-3, 1e-3)
     for eps in eps_list:
-        run, ref = zl.guide_process(interp, zl.PhysParams(epsilon=eps), zl.Permutation(), (1.0, 0.0), 1.0)
+        run, ref = zl.guide_process(
+            free_fields_128, zl.PhysParams(epsilon=eps), zl.Permutation(), (1.0, 0.0), 1.0
+        )
         boundaries = np.arange(0, len(run), 4)
         gaps.append(
             float(np.max(np.linalg.norm(run.real_means()[boundaries] - ref.positions[boundaries], axis=1)))

@@ -225,6 +225,28 @@ def bilinear_oracle(fld, pts):
     return vals, ok
 
 
+class WholeListInterpolator:
+    """The bracket a forward-reading FrameInterpolator must reproduce: a
+    searchsorted over every frame's time, then pilot's stencil and gathers."""
+
+    def __init__(self, fields):
+        self.fields = list(fields)
+        self.times = np.array([f.time for f in self.fields])
+        self.grid = self.fields[0].grid
+        self.t0 = float(self.times[0])
+
+    def real_at(self, t, pts):
+        i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.fields) - 2)
+        t0, t1 = float(self.times[i]), float(self.times[i + 1])
+        a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        idx, w, inside = pilot._stencil(self.grid, pts)
+        v0, masked = pilot._gather(self.fields[i], idx, w)
+        if a == 0.0:
+            return v0.real, inside & ~masked
+        v1, masked1 = pilot._gather(self.fields[i + 1], idx, w)
+        return ((1.0 - a) * v0 + a * v1).real, inside & ~(masked | masked1)
+
+
 def kernel_probe_points(grid, m, rng):
     """m points: random ones plus the wrap row and column (i0 = n - 1), cells
     next to masked nodes, and points outside the box."""
@@ -381,6 +403,31 @@ class TestFrameSpan:
             vals, ok = interp.complex_at(t, pts)
             assert ok[0]
             np.testing.assert_array_equal(vals, pilot.FrameInterpolator([frame]).complex_at(frame.time, pts)[0])
+
+    def test_query_before_the_window_rejected(self, short_fields):
+        interp = pilot.FrameInterpolator(iter(short_fields))
+        pts = np.array([[0.5, 0.0]])
+        interp.complex_at(0.175, pts)  # brackets t = 0.15 | 0.2, so t = 0 and 0.05 are dropped
+        assert len(interp.frames) == 3
+        interp.complex_at(0.12, pts)  # the frame preceding the bracket is still held
+        with pytest.raises(ValueError, match="reads forward") as err:
+            interp.complex_at(0.01, pts)
+        assert err.type is zl.InvalidInput
+
+    def test_empty_or_unordered_stream_rejected(self, short_fields):
+        with pytest.raises(zl.InvalidInput, match="at least one frame"):
+            pilot.FrameInterpolator(iter([]))
+        with pytest.raises(zl.InvalidInput, match="increasing"):
+            pilot.FrameInterpolator([short_fields[1], short_fields[0]])
+        unordered = [short_fields[0], short_fields[2], short_fields[1]]
+        interp = pilot.FrameInterpolator(iter(unordered))
+        with pytest.raises(zl.InvalidInput, match="increasing"):
+            interp.complex_at(0.1, np.array([[0.5, 0.0]]))
+        # a list is checked whole, before any step: T = 0.05 never pulls the misplaced frame
+        with pytest.raises(zl.InvalidInput, match="increasing"):
+            zl.integrate_trajectory(unordered, (0.5, 0.0), dt=0.05)
+        with pytest.raises(zl.InvalidInput, match="increasing"):
+            zl.guide_process(unordered, zl.PhysParams(epsilon=0.01), zl.Permutation(), (0.5, 0.0), 0.05)
 
     def test_span_end_still_integrates(self, short_fields):
         traj = zl.integrate_trajectory(short_fields, (0.5, 0.0), dt=0.05)
@@ -551,8 +598,8 @@ class TestStreamedEnsemble:
         retimed = [zl.WaveFunction(f.grid, f.values, t) for f, t in zip(free_frames, times)]
         fields = [zl.velocity_field(f, real=True) for f in retimed]
         seeds = zl.sample_from_density(free_frames[0], 2000, np.random.default_rng(4))
-        full = pilot._rk4_batch(pilot.FrameInterpolator(fields), seeds, dt, 59, keep_history=False)
-        window = pilot._FrameWindow(iter(fields))
+        full = pilot._rk4_batch(WholeListInterpolator(fields), seeds, dt, 59, keep_history=False)
+        window = pilot.FrameInterpolator(iter(fields))
         streamed = pilot._rk4_batch(window, seeds, dt, 59, keep_history=False)
         for a, b in zip(full[:4], streamed[:4]):
             assert np.array_equal(a, b)
