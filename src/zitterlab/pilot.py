@@ -11,7 +11,10 @@ wave-function zeros.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -437,6 +440,51 @@ class EquivarianceReport:
         )
 
 
+# how many built fields may wait for the transport before the worker blocks
+_FIELDS_AHEAD = 1
+
+
+def _built_ahead(fields):
+    """Yield the items of the iterable fields, each built on a worker thread
+    while the caller uses the one before.
+
+    An exception raised by fields is re-raised here at its place in the
+    stream, where a serial read would raise it.  The thread starts at the
+    first next(); the end of the stream, a raise or close() joins it.
+    """
+    slot = queue.Queue(_FIELDS_AHEAD)
+    stop = threading.Event()
+    end = object()
+
+    def build():
+        try:
+            for item in fields:
+                slot.put((item, None))
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # re-raised by the reader below
+            slot.put((end, exc))
+        else:
+            slot.put((end, None))
+
+    worker = threading.Thread(target=build, name="zitterlab-fields", daemon=True)
+    worker.start()
+    try:
+        while True:
+            item, exc = slot.get()
+            if exc is not None:
+                raise exc
+            if item is end:
+                return
+            yield item
+    finally:
+        stop.set()
+        # the worker puts at most once more; this reader alone takes from the slot
+        if not slot.empty():
+            slot.get_nowait()
+        worker.join()
+
+
 def ensemble_equivariance(
     psi_frames,
     n_samples: int,
@@ -455,9 +503,14 @@ def ensemble_equivariance(
     psi_frames may be any iterable of frames and is read once, in one
     forward sweep: the first frame is kept until the seeds are drawn, the
     frame at T for the histogram, and the transport steps once per frame
-    interval through a window of at most three Re V fields.  A list and an
-    iterator over the same frames give equal reports.  T defaults to the
-    last frame's time, which reads the whole iterable before transport.
+    interval through a window of three Re V fields.  The fields are built
+    on one worker thread, one field ahead of the transport, so at most five
+    are alive: the window's three, the one handed over and the one being
+    built.  The worker's two FFT work buffers are allocated once per call.
+    An error raised by the stream is raised here where a serial read would
+    raise it; no thread outlives the call.  A list and an iterator over the
+    same frames give equal reports.  T defaults to the last frame's time,
+    which reads the whole iterable before transport.
 
     A transported ensemble keeping the quantum density is exactly the content
     of the continuity equation d(rho)/dt + div(rho grad(S)/m) = 0.
@@ -489,12 +542,14 @@ def ensemble_equivariance(
 
     node = left = 0
     if T > t0:
-        fields = chain([first], later())
+        stream = chain([first], later())
         del first  # frame 0 is not needed past the seeds
-        window = FrameInterpolator(velocity_field(f, hbar, mass, rho_floor, real=True) for f in fields)
-        n_steps = max(1, int(round((T - t0) / window.spacing)))
-        dt = (T - t0) / n_steps
-        finals, alive, _, left_box, _ = _rk4_batch(window, finals, dt, n_steps, keep_history=False)
+        built = _built_ahead(velocity_field(f, hbar, mass, rho_floor, real=True) for f in stream)
+        with closing(built) as fields:
+            window = FrameInterpolator(fields)
+            n_steps = max(1, int(round((T - t0) / window.spacing)))
+            dt = (T - t0) / n_steps
+            finals, alive, _, left_box, _ = _rk4_batch(window, finals, dt, n_steps, keep_history=False)
         left = int(np.count_nonzero(left_box))
         node = int(np.count_nonzero(~alive)) - left
         if node + left > max_failure_fraction * n_samples:

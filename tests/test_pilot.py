@@ -1,7 +1,11 @@
 """Guiding velocity fields, Bohmian trajectories, guided process, ensembles."""
 
 import math
+import sys
+import threading
+import time
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -9,6 +13,10 @@ from scipy import stats
 
 import zitterlab as zl
 from zitterlab import pilot, schrodinger
+
+
+def field_workers():
+    return [t for t in threading.enumerate() if t.name == "zitterlab-fields"]
 
 
 @pytest.fixture(scope="module")
@@ -635,6 +643,68 @@ class TestStreamedEnsemble:
         # the stream ends before T
         with pytest.raises(zl.InvalidInput, match="no frame at T"):
             zl.ensemble_equivariance(iter(free_frames[:10]), 1000, 3, T=float(free_frames[20].time))
+        assert not field_workers()
+
+    def test_stream_error_surfaces_where_the_serial_read_raises_it(self, free_frames):
+        error = zl.ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
+
+        def failing(at):
+            yield from free_frames[:at]
+            raise error
+
+        T = float(free_frames[120].time)
+        with pytest.raises(zl.ResolutionLoss) as raised:
+            zl.ensemble_equivariance(failing(60), 2000, 21, T=T)
+        assert raised.value is error
+        assert not field_workers()
+        # the last RK4 step closes its bracket at T with frame 121, so an
+        # error in place of frame 121 is read, and one after it is not
+        with pytest.raises(zl.ResolutionLoss):
+            zl.ensemble_equivariance(failing(121), 2000, 21, T=T)
+        self.same_report(
+            zl.ensemble_equivariance(failing(122), 2000, 21, T=T),
+            zl.ensemble_equivariance(free_frames, 2000, 21, T=T),
+        )
+        assert not field_workers()
+
+    def test_close_at_any_point_joins_the_worker(self):
+        """Readers close the stream after every possible number of items,
+        with the worker still building (even k) or waiting on a full slot
+        (odd k, a reader slower than the worker): first one reader alone,
+        then three at once with a short switch interval."""
+        results = []
+
+        def slowly():
+            for i in range(10):
+                time.sleep(1e-3)
+                yield i
+
+        def read(alone):
+            for k in range(12):
+                with closing(pilot._built_ahead(slowly())) as items:
+                    got = []
+                    for _, x in zip(range(k), items):
+                        got.append(x)
+                        time.sleep(3e-3 * (k % 2))
+                results.append(got == list(range(min(k, 10))) and not (alone and field_workers()))
+
+        def run(count):
+            readers = [threading.Thread(target=read, args=(count == 1,), daemon=True) for _ in range(count)]
+            for r in readers:
+                r.start()
+            for r in readers:
+                r.join(timeout=60)
+            assert not any(r.is_alive() for r in readers)
+
+        run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run(3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 48
+        assert not field_workers()
 
 
 class TestFailureCauses:
