@@ -75,6 +75,7 @@ from .pilot import (
     bohm_velocity_at,
     ensemble_equivariance,
     guide_process,
+    guide_processes,
     integrate_trajectory,
     sample_from_density,
     velocity_field,

@@ -10,6 +10,7 @@ wave-function zeros.
 
 from __future__ import annotations
 
+import heapq
 import math
 import queue
 import threading
@@ -226,33 +227,62 @@ class Trajectory:
     dt: float
 
 
-def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int, keep_history: bool):
-    """Vectorized RK4 transport of a batch of points through the frames,
-    from the first frame's time.
+def _sweep(steppers):
+    """Run generator steppers, each paired with the read that serves its
+    queries, in the time order of their queries; return their results.
+
+    A stepper yields a query (t, pts), is sent the read's (vals, ok) and
+    returns its result.  The queries of one stepper move forward in time up
+    to roundoff, so the steppers' reads, taken in (t, stepper index) order,
+    suit one forward-reading FrameInterpolator.  Every stepper is closed
+    when the sweep returns or raises.
+    """
+    results = [None] * len(steppers)
+    pending = []
+
+    def advance(k, reply):
+        try:
+            t, pts = steppers[k][1].send(reply)
+        except StopIteration as done:
+            results[k] = done.value
+        else:
+            heapq.heappush(pending, (t, k, pts))
+
+    try:
+        for k in range(len(steppers)):
+            advance(k, None)
+        while pending:
+            t, k, pts = heapq.heappop(pending)
+            advance(k, steppers[k][0](t, pts))
+    finally:
+        for _, stepper in steppers:
+            stepper.close()
+    return results
+
+
+def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float, keep_history: bool):
+    """Vectorized RK4 transport of the points x (M, 2) from t0, as a stepper
+    of _sweep that reads Re V.
 
     Failed points freeze in place; their first bad step index is recorded in
     fail_step.  A point fails by leaving the box (left_box: its new position
     or one of its RK4 stage points lies outside) or else at a masked cell.
     """
-    x = np.array(x0, dtype=float)
+    L = half_width
     m = x.shape[0]
-    L = interp.grid.half_width
     alive = np.ones(m, dtype=bool)
     fail_step = np.full(m, -1, dtype=np.int64)
     left_box = np.zeros(m, dtype=bool)
-    history = np.empty((n_steps + 1, m, 2)) if keep_history else None
-    if keep_history:
-        history[0] = x
-    t0 = interp.t0
+    history = [x] if keep_history else None
     for s in range(n_steps):
         t = t0 + s * dt
-        k1, ok1 = interp.real_at(t, x)
+        k1, ok1 = yield t, x
         x2 = x + (dt / 2) * k1
-        k2, ok2 = interp.real_at(t + dt / 2, x2)
+        k2, ok2 = yield t + dt / 2, x2
         x3 = x + (dt / 2) * k2
-        k3, ok3 = interp.real_at(t + dt / 2, x3)
+        k3, ok3 = yield t + dt / 2, x3
         x4 = x + dt * k3
-        k4, ok4 = interp.real_at(t + dt, x4)
+        k4, ok4 = yield t + dt, x4
         ok_field = ok1 & ok2 & ok3 & ok4
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ok_domain = _in_box(x_new, L)
@@ -263,43 +293,33 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
         alive &= ok_field & ok_domain
         x = np.where(alive[:, None], x_new, x)
         if keep_history:
-            history[s + 1] = x
-    return x, alive, fail_step, left_box, history
+            history.append(x)
+    return x, alive, fail_step, left_box, np.array(history) if keep_history else None
 
 
-def _checked_interpolator(fields: list, step: float, step_name: str, T: float) -> FrameInterpolator:
-    """A FrameInterpolator over fields, once their order, the step and T are
-    checked against them: a query may stop before it pulls a misplaced frame."""
-    interp = FrameInterpolator(fields)
-    if any(b.time <= a.time for a, b in zip(fields, fields[1:])):
-        raise InvalidInput("frames must be strictly increasing in time")
+def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int, keep_history: bool):
+    """RK4 transport of a batch of points through the frames, from the first
+    frame's time: (finals, alive, fail_step, left_box, history or None)."""
+    x = np.array(x0, dtype=float)
+    stepper = _rk4_stepper(x, interp.t0, dt, n_steps, interp.grid.half_width, keep_history)
+    return _sweep([(interp.real_at, stepper)])[0]
+
+
+def _check_step(interp: FrameInterpolator, step: float, step_name: str) -> None:
     if step > interp.spacing * (1 + 1e-9):
         raise InvalidInput(f"{step_name} = {step:g} exceeds the frame spacing {interp.spacing:g}")
-    t_end = float(fields[-1].time)
-    if T > t_end + interp.slack:
-        raise InvalidInput(f"T = {T:g} is past the last frame at t = {t_end:g}")
-    return interp
 
 
-def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Trajectory:
-    """RK4 integration of dX/dt = Re V(X, t) with linear-in-time frames,
-    from the first frame's time t0 to T (default: the last frame's time).
-
-    frames may be any iterable of fields.  dt must not exceed the frame
-    spacing; position error is O(dt^4) plus O(frame spacing^2) from the time
-    interpolation.
-    """
-    fields = list(frames)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if T is None and fields:
-        T = float(fields[-1].time)
-    interp = _checked_interpolator(fields, dt, "dt", T)
-    t0 = interp.t0
+def _step_count(t0: float, T: float, dt: float):
+    """(n, dt'): n RK4 steps of dt' = (T - t0) / n cover [t0, T], dt' close to dt."""
     n_steps = max(1, int(round((T - t0) / dt)))
-    dt = (T - t0) / n_steps
-    x0 = np.asarray(x0, dtype=float).reshape(1, 2)
-    finals, alive, fail_step, left_box, history = _rk4_batch(interp, x0, dt, n_steps, keep_history=True)
+    return n_steps, (T - t0) / n_steps
+
+
+def _trajectory(transport, x0: np.ndarray, t0: float, dt: float) -> Trajectory:
+    """The Trajectory of the one point x0 (1, 2) that _rk4_stepper moved, or
+    LeftDomain / NodeRegion where it failed."""
+    _, alive, fail_step, left_box, history = transport
     if not alive[0]:
         s = int(fail_step[0])
         pos = history[s, 0]
@@ -307,36 +327,43 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
         if left_box[0]:
             raise LeftDomain(f"trajectory from {tuple(x0[0])} left the box at {where}")
         raise NodeRegion(f"trajectory from {tuple(x0[0])} hit a masked region at {where}")
-    times = t0 + np.arange(n_steps + 1) * dt
-    return Trajectory(times, history[:, 0, :], x0[0].copy(), dt)
+    return Trajectory(t0 + np.arange(len(history)) * dt, history[:, 0, :], x0[0].copy(), dt)
 
 
-def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
-    """Drive the four-point process with the wave field along its own path.
+def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Trajectory:
+    """RK4 integration of dX/dt = Re V(X, t) with linear-in-time frames,
+    from the first frame's time t0 to T (default: the latest frame's time,
+    so that every frame is read and its order checked).
 
-    The process starts at the first frame's time t0 and runs to T.  At every
-    cycle boundary t = t0 + 4q*eps the full complex field is read at the
-    current real gravity center and held for the cycle's four steps (velocity
-    decisions happen only at creation/annihilation instants).  Returns the
-    process record together with the Bohmian reference trajectory from the
-    same seed; their real parts agree to O(eps) plus interpolation error.
+    frames may be any iterable of fields; it is read once, forward, and made
+    a list only when T is None.  dt must not exceed the frame spacing;
+    position error is O(dt^4) plus O(frame spacing^2) from the time
+    interpolation.  A T past the last frame raises InvalidInput when the
+    transport reaches that frame.
     """
-    fields = list(frames)
-    eps = params.epsilon
-    interp = _checked_interpolator(fields, eps, "eps", T)
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if T is None:
+        frames = list(frames)
+    interp = FrameInterpolator(frames)
+    _check_step(interp, dt, "dt")
+    if T is None:
+        T = float(max(f.time for f in frames))
     t0 = interp.t0
-    n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
-    if n_cycles < 1:
-        raise InvalidInput("T does not cover a single 4-step cycle")
-    x0 = np.asarray(x0, dtype=float).reshape(2)
-    n_steps = 4 * n_cycles
-    means = np.empty((n_steps + 1, 2), dtype=complex)
-    means[0] = x0.astype(complex)
-    mean = means[0].copy()
+    n_steps, dt = _step_count(t0, T, dt)
+    x0 = np.asarray(x0, dtype=float).reshape(1, 2)
+    return _trajectory(_rk4_batch(interp, x0, dt, n_steps, keep_history=True), x0, t0, dt)
+
+
+def _guided_stepper(x0: np.ndarray, t0: float, eps: float, n_cycles: int):
+    """The four-point process's means over n_cycles cycles from x0 (1, 2),
+    as a stepper of _sweep that reads the complex V at each cycle boundary."""
+    mean = x0[0].astype(complex)
+    means = [mean]
     for q in range(n_cycles):
         t_q = t0 + 4 * q * eps
         center = mean.real.reshape(1, 2)
-        vals, ok = interp.complex_at(t_q, center)
+        vals, ok = yield t_q, center
         if not ok[0]:
             raise NodeRegion(
                 f"gravity center ({center[0, 0]:g}, {center[0, 1]:g}) entered a masked "
@@ -345,12 +372,60 @@ def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
         if not np.all(np.isfinite(vals.view(float))):
             raise NonFiniteVelocity("guiding field produced a non-finite value")
         v_q = vals[0]
-        for r in range(1, 5):
+        for _ in range(4):
             mean = mean + v_q * eps
-            means[4 * q + r] = mean
-    run = _assemble_run(t0 + np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
-    reference = integrate_trajectory(fields, x0, dt=eps, T=t0 + n_steps * eps)
-    return run, reference
+            means.append(mean)
+    return np.array(means)
+
+
+def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> list:
+    """Drive the four-point process with the wave field along its own path,
+    once per PhysParams in params_list, in one forward sweep of frames.
+
+    Each process runs the whole 4-step cycles from the first frame's time t0
+    to T.  At every cycle boundary t = t0 + 4q*eps the full complex field is
+    read at the current real gravity center and held for the cycle's four
+    steps (velocity decisions happen only at creation/annihilation instants).
+    Returns one (process record, Bohmian reference) pair per params; the
+    reference is integrate_trajectory from the same seed with dt = eps to
+    the process's end, and their real parts agree to O(eps) plus
+    interpolation error.
+
+    frames, any iterable of fields, is read once: all processes and
+    references query one FrameInterpolator in time order, which holds at
+    most three fields.  An eps above the frame spacing or a T short of one
+    cycle raises InvalidInput before any query; a center in a masked cell
+    (NodeRegion) or a query past the last frame (InvalidInput) raises when
+    the sweep gets there, and a failed reference after the sweep.
+    """
+    interp = FrameInterpolator(frames)
+    t0 = interp.t0
+    x0 = np.asarray(x0, dtype=float).reshape(1, 2)
+    plans = []
+    for params in params_list:
+        eps = params.epsilon
+        _check_step(interp, eps, "eps")
+        n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
+        if n_cycles < 1:
+            raise InvalidInput("T does not cover a single 4-step cycle")
+        plans.append((params, n_cycles, *_step_count(t0, t0 + 4 * n_cycles * eps, eps)))
+    L = interp.grid.half_width
+    steppers = []
+    for params, n_cycles, n_ref, dt_ref in plans:
+        steppers.append((interp.complex_at, _guided_stepper(x0, t0, params.epsilon, n_cycles)))
+        steppers.append((interp.real_at, _rk4_stepper(x0, t0, dt_ref, n_ref, L, True)))
+    results = _sweep(steppers)
+    pairs = []
+    for (params, n_cycles, _, dt_ref), means, transport in zip(plans, results[::2], results[1::2]):
+        eps, n_steps = params.epsilon, 4 * n_cycles
+        run = _assemble_run(t0 + np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
+        pairs.append((run, _trajectory(transport, x0, t0, dt_ref)))
+    return pairs
+
+
+def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
+    """guide_processes for one PhysParams: (process record, reference)."""
+    return guide_processes(frames, [params], perm, x0, T)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -434,9 +434,7 @@ def _scenario_free_gaussian(cfg: ScenarioConfig, out) -> ScenarioResult:
 def _stationary_frames(grid, omega, times, hbar, mass):
     ground = schrodinger.harmonic_ground_state(grid, omega, hbar, mass)
     e0 = hbar * omega  # 2D isotropic ground energy
-    return [
-        WaveFunction(grid, ground.values * np.exp(-1j * e0 * t / hbar), float(t)) for t in times
-    ]
+    return (WaveFunction(grid, ground.values * np.exp(-1j * e0 * t / hbar), float(t)) for t in times)
 
 
 def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
@@ -455,8 +453,9 @@ def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
     # stationarity of the guidance law on the exact ground state
     times = np.linspace(0.0, n_steps * cfg.dt, 51)
     frames = _stationary_frames(grid, cfg.omega, times, cfg.hbar, cfg.mass)
-    fields = [pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in frames]
-    traj = pilot.integrate_trajectory(fields, (cfg.seed_x, cfg.seed_y), dt=times[1] - times[0])
+    fields = (pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in frames)
+    seed = (cfg.seed_x, cfg.seed_y)
+    traj = pilot.integrate_trajectory(fields, seed, dt=times[1] - times[0], T=float(times[-1]))
     drift = float(np.max(np.linalg.norm(traj.positions - traj.positions[0], axis=1)))
     traj_path = os.path.join(out, "trajectory.csv")
     pilot.trajectories_to_csv(traj_path, [traj])
@@ -608,15 +607,14 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
         psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
     )
     # each free frame carries its spectrum, so no field runs an fft2 of its own
-    fields = [pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in psi_frames]
+    fields = (pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in psi_frames)
     seed = (cfg.seed_x, cfg.seed_y)
     gaps = []
     spin_dev = 0.0
     center_rows = []
     perm = cfg.perm()
-    for idx, eps in enumerate(cfg.guided_epsilons):
-        params = cfg.phys(eps)
-        run, reference = pilot.guide_process(fields, params, perm, seed, cfg.T)
+    guided = pilot.guide_processes(fields, [cfg.phys(eps) for eps in cfg.guided_epsilons], perm, seed, cfg.T)
+    for idx, (run, reference) in enumerate(guided):
         boundaries = np.arange(0, len(run), 4)
         gap = float(
             np.max(

@@ -1,5 +1,7 @@
 """Guiding velocity fields, Bohmian trajectories, guided process, ensembles."""
 
+import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -243,16 +245,30 @@ class WholeListInterpolator:
         self.grid = self.fields[0].grid
         self.t0 = float(self.times[0])
 
-    def real_at(self, t, pts):
+    def complex_at(self, t, pts):
         i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.fields) - 2)
         t0, t1 = float(self.times[i]), float(self.times[i + 1])
         a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         idx, w, inside = pilot._stencil(self.grid, pts)
         v0, masked = pilot._gather(self.fields[i], idx, w)
         if a == 0.0:
-            return v0.real, inside & ~masked
+            return v0, inside & ~masked
         v1, masked1 = pilot._gather(self.fields[i + 1], idx, w)
-        return ((1.0 - a) * v0 + a * v1).real, inside & ~(masked | masked1)
+        return (1.0 - a) * v0 + a * v1, inside & ~(masked | masked1)
+
+    def real_at(self, t, pts):
+        vals, ok = self.complex_at(t, pts)
+        return vals.real, ok
+
+
+def ulp_retimed(free_frames, dt=0.005, count=60):
+    """The first count frames, frame k at k dt, except where (k - 1) dt + dt,
+    the time at which RK4 step k - 1 ends, rounds above k dt, the time at
+    which step k starts: there the frame sits at the end of step k - 1, so
+    step k starts an ulp before it and needs frame k - 1 again."""
+    times = [(k - 1) * dt + dt if k and (k - 1) * dt + dt > k * dt else k * dt for k in range(count)]
+    assert sum(t != k * dt for k, t in enumerate(times)) >= 5
+    return [zl.WaveFunction(f.grid, f.values, t) for f, t in zip(free_frames, times)]
 
 
 def kernel_probe_points(grid, m, rng):
@@ -431,11 +447,14 @@ class TestFrameSpan:
         interp = pilot.FrameInterpolator(iter(unordered))
         with pytest.raises(zl.InvalidInput, match="increasing"):
             interp.complex_at(0.1, np.array([[0.5, 0.0]]))
-        # a list is checked whole, before any step: T = 0.05 never pulls the misplaced frame
+        # a list is read like any stream: the misplaced frame raises when a query
+        # pulls it, which T = None (the latest frame's time) always does
         with pytest.raises(zl.InvalidInput, match="increasing"):
             zl.integrate_trajectory(unordered, (0.5, 0.0), dt=0.05)
         with pytest.raises(zl.InvalidInput, match="increasing"):
-            zl.guide_process(unordered, zl.PhysParams(epsilon=0.01), zl.Permutation(), (0.5, 0.0), 0.05)
+            zl.integrate_trajectory(unordered, (0.5, 0.0), dt=0.05, T=0.1)
+        with pytest.raises(zl.InvalidInput, match="increasing"):
+            zl.guide_process(unordered, zl.PhysParams(epsilon=0.01), zl.Permutation(), (0.5, 0.0), 0.12)
 
     def test_span_end_still_integrates(self, short_fields):
         traj = zl.integrate_trajectory(short_fields, (0.5, 0.0), dt=0.05)
@@ -574,6 +593,169 @@ class TestEnsemble:
             assert key in text
 
 
+def rk4_oracle(interp, x0, dt, n_steps):
+    """The RK4 loop _rk4_batch ran before it became a stepper, for one point
+    that must stay alive: its history (n_steps + 1, 1, 2)."""
+    x = np.array(x0, dtype=float)
+    history = np.empty((n_steps + 1, 1, 2))
+    history[0] = x
+    t0 = interp.t0
+    for s in range(n_steps):
+        t = t0 + s * dt
+        k1, ok1 = interp.real_at(t, x)
+        k2, ok2 = interp.real_at(t + dt / 2, x + (dt / 2) * k1)
+        k3, ok3 = interp.real_at(t + dt / 2, x + (dt / 2) * k2)
+        k4, ok4 = interp.real_at(t + dt, x + dt * k3)
+        assert (ok1 & ok2 & ok3 & ok4)[0]
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        history[s + 1] = x
+    return history
+
+
+def guide_process_oracle(fields, eps, x0, T):
+    """guide_process as it was before guide_processes: the cycle loop
+    through its own whole-list interpolator, then integrate_trajectory's
+    reference through another.  Returns (times, means, ref times, ref
+    positions, ref dt)."""
+    interp = WholeListInterpolator(fields)
+    t0 = interp.t0
+    n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
+    x0 = np.asarray(x0, dtype=float).reshape(2)
+    n_steps = 4 * n_cycles
+    means = np.empty((n_steps + 1, 2), dtype=complex)
+    means[0] = x0.astype(complex)
+    mean = means[0].copy()
+    for q in range(n_cycles):
+        vals, ok = interp.complex_at(t0 + 4 * q * eps, mean.real.reshape(1, 2))
+        assert ok[0]
+        for r in range(1, 5):
+            mean = mean + vals[0] * eps
+            means[4 * q + r] = mean
+    T_ref = t0 + n_steps * eps
+    n_ref = max(1, int(round((T_ref - t0) / eps)))
+    dt = (T_ref - t0) / n_ref
+    history = rk4_oracle(WholeListInterpolator(fields), x0.reshape(1, 2), dt, n_ref)
+    return t0 + np.arange(n_steps + 1) * eps, means, t0 + np.arange(n_ref + 1) * dt, history[:, 0, :], dt
+
+
+class Pulled:
+    """An iterator over items that counts how many were taken."""
+
+    def __init__(self, items):
+        self.items, self.count = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.count += 1
+        return item
+
+
+def drift_fields(n_frames, vx, masked_from=None):
+    """Fields of the uniform drift V = (vx, 0) on the 64^2 box of half width
+    8, at t = 0, 0.05, ...; from frame masked_from on every node is masked."""
+    grid = zl.Grid2D(64, 8.0)
+    for k in range(n_frames):
+        v = np.zeros((grid.n, grid.n, 2), dtype=complex)
+        v[..., 0] = vx
+        mask = np.full((grid.n, grid.n), masked_from is not None and k >= masked_from)
+        yield pilot.VelocityField(grid, v, mask, 0.05 * k)
+
+
+class TestOneSweep:
+    """guide_processes drives every process and reference from one
+    forward-reading interpolator over a stream of fields."""
+
+    EPSILONS = (4e-3, 2e-3, 1e-3)
+
+    @pytest.fixture
+    def steppers(self, monkeypatch):
+        made = []
+        for name in ("_guided_stepper", "_rk4_stepper"):
+
+            def spy(*args, _make=getattr(pilot, name), **kwargs):
+                made.append(_make(*args, **kwargs))
+                return made[-1]
+
+            monkeypatch.setattr(pilot, name, spy)
+        return made
+
+    @staticmethod
+    def all_closed(steppers):
+        return all(inspect.getgeneratorstate(g) == inspect.GEN_CLOSED for g in steppers)
+
+    def sweep(self, fields, x0, T, epsilons=EPSILONS):
+        params = [zl.PhysParams(epsilon=eps) for eps in epsilons]
+        return zl.guide_processes(fields, params, zl.Permutation(), x0, T)
+
+    @pytest.mark.parametrize("frames", ["free", "ulp_retimed", "shifted"])
+    def test_equals_the_per_epsilon_oracle(self, free_frames, free_fields, frames):
+        if frames == "free":
+            fields, T = free_fields, 0.5
+        elif frames == "ulp_retimed":
+            fields, T = [zl.velocity_field(f) for f in ulp_retimed(free_frames)], 0.29
+        else:  # the reference's dt = ((t0 + n eps) - t0) / n is not eps here
+            fields, T = [dataclasses.replace(f, time=f.time + 0.3) for f in free_fields[:61]], 0.59
+        x0 = (1.0, 0.2)
+        for eps, (run, ref) in zip(self.EPSILONS, self.sweep(iter(fields), x0, T)):
+            times, means, ref_times, positions, dt = guide_process_oracle(fields, eps, x0, T)
+            assert np.array_equal(run.times, times) and np.array_equal(run.means, means)
+            assert np.array_equal(ref.times, ref_times) and np.array_equal(ref.positions, positions)
+            assert ref.dt == dt
+
+    def test_generator_fields_are_released(self, free_fields, steppers):
+        alive, peak = [0], [0]
+
+        def released():
+            alive[0] -= 1
+
+        def fields():
+            for f in free_fields:
+                copy = dataclasses.replace(f)
+                alive[0] += 1
+                weakref.finalize(copy, released)
+                peak[0] = max(peak[0], alive[0])
+                yield copy
+                del copy
+
+        streamed = self.sweep(fields(), (1.0, 0.2), 0.3)
+        held = self.sweep(free_fields, (1.0, 0.2), 0.3)
+        for (run, ref), (run1, ref1) in zip(streamed, held):
+            assert np.array_equal(run.means, run1.means) and np.array_equal(ref.positions, ref1.positions)
+        # the window's three fields plus the one being built
+        assert 0 < peak[0] <= 3 + 1
+        assert len(steppers) == 12 and self.all_closed(steppers)
+
+    def test_center_in_a_masked_cell_raises_mid_sweep(self, steppers):
+        stream = Pulled(drift_fields(21, 1.0, masked_from=4))
+        with pytest.raises(zl.NodeRegion, match="gravity center .* entered a masked region"):
+            self.sweep(stream, (0.0, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
+        assert stream.count <= 6
+        assert len(steppers) == 6 and self.all_closed(steppers)
+
+    def test_reference_leaving_the_box_raises(self, steppers):
+        # the processes' last reads (t = 0.16, 0.18, 0.19) are inside the
+        # box; the references run on to t = 0.2 and end at x = 8.025
+        with pytest.raises(zl.LeftDomain, match="left the box"):
+            self.sweep(Pulled(drift_fields(5, 5.0)), (7.025, 0.0), 0.2, epsilons=(0.01, 0.005, 0.0025))
+        assert len(steppers) == 6 and self.all_closed(steppers)
+
+    def test_T_past_the_stream_raises(self, steppers):
+        stream = Pulled(drift_fields(5, 1.0))
+        with pytest.raises(zl.InvalidInput, match="past the last frame"):
+            self.sweep(stream, (0.0, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
+        assert stream.count == 5
+        assert len(steppers) == 6 and self.all_closed(steppers)
+
+    def test_epsilon_above_the_spacing_raises_before_a_third_pull(self, steppers):
+        stream = Pulled(drift_fields(21, 1.0))
+        with pytest.raises(zl.InvalidInput, match="exceeds the frame spacing"):
+            self.sweep(stream, (0.0, 0.0), 1.0, epsilons=(0.01, 0.1))
+        assert stream.count == 2 and not steppers
+
+
 class TestStreamedEnsemble:
     """ensemble_equivariance reads its frames once, through a window."""
 
@@ -596,15 +778,8 @@ class TestStreamedEnsemble:
         )
 
     def test_window_transport_is_the_full_interpolator(self, free_frames):
-        # Frame k sits at k dt, except where (k - 1) dt + dt, the time at
-        # which RK4 step k - 1 ends, rounds above k dt, the time at which
-        # step k starts: there the frame sits at the end of step k - 1, so
-        # step k starts an ulp before it and needs frame k - 1 again.
         dt = 0.005
-        times = [(k - 1) * dt + dt if k and (k - 1) * dt + dt > k * dt else k * dt for k in range(60)]
-        assert sum(t != k * dt for k, t in enumerate(times)) >= 5
-        retimed = [zl.WaveFunction(f.grid, f.values, t) for f, t in zip(free_frames, times)]
-        fields = [zl.velocity_field(f, real=True) for f in retimed]
+        fields = [zl.velocity_field(f, real=True) for f in ulp_retimed(free_frames, dt)]
         seeds = zl.sample_from_density(free_frames[0], 2000, np.random.default_rng(4))
         full = pilot._rk4_batch(WholeListInterpolator(fields), seeds, dt, 59, keep_history=False)
         window = pilot.FrameInterpolator(iter(fields))
