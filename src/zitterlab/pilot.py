@@ -124,17 +124,68 @@ def _gather(fld: VelocityField, idx: np.ndarray, w: np.ndarray):
     return vals, fld.cell_mask.ravel().take(idx[0])
 
 
+# Past 2**62 cells a cell index no longer fits _stencil's cast to int64.
+_FAR = 2.0**62
+
+
+def _point_stencil(grid: Grid2D, x: float, y: float):
+    """_stencil of the one point (x, y) in Python scalars: the flat indices
+    of its four corners, their weights and its in-box flag, or None when a
+    coordinate is NaN, infinite or more than _FAR cells out.
+
+    Each number comes from the same operations as _stencil's, so it equals
+    _stencil's bit for bit.  For one point this replaces some twenty numpy
+    calls on (1, 2) arrays, each of which costs more to set up than its
+    arithmetic.
+    """
+    n, h, L = grid.n, grid.spacing, grid.half_width
+    fx = (x + L) / h
+    fy = (y + L) / h
+    if not (-_FAR < fx < _FAR and -_FAR < fy < _FAR):
+        return None
+    i0, j0 = math.floor(fx), math.floor(fy)
+    fx -= i0  # the position inside the cell, in [0, 1) per axis
+    fy -= j0
+    i0, j0 = min(max(i0, 0), n - 1), min(max(j0, 0), n - 1)
+    i1 = i0 + 1 if i0 < n - 1 else 0  # the periodic wrap
+    j1 = j0 + 1 if j0 < n - 1 else 0
+    i0, i1 = i0 * n, i1 * n
+    gx, gy = 1.0 - fx, 1.0 - fy
+    idx = (i0 + j0, i1 + j0, i0 + j1, i1 + j1)
+    return idx, (gx * gy, fx * gy, gx * fy, fx * fy), -L <= x < L and -L <= y < L
+
+
+def _point_gather(fld: VelocityField, idx, w):
+    """_gather of one point in Python scalars: (x value, y value, masked).
+
+    The four products are summed in _gather's order.  On a complex field
+    each weight is made w + 0j first, the operand of numpy's complex
+    multiply, so even the signs of zero parts are numpy's; Python's own
+    float * complex does not promote on every version.
+    """
+    v = fld.v
+    if v.dtype.kind == "c":
+        w = [complex(c) for c in w]
+    w0, w1, w2, w3 = w
+    k0, k1, k2, k3 = idx
+    item = v.item  # node k's components are items 2k and 2k + 1 of v
+    x = w0 * item(2 * k0) + w1 * item(2 * k1) + w2 * item(2 * k2) + w3 * item(2 * k3)
+    y = w0 * item(2 * k0 + 1) + w1 * item(2 * k1 + 1) + w2 * item(2 * k2 + 1) + w3 * item(2 * k3 + 1)
+    return x, y, fld.cell_mask.item(k0)
+
+
 def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
     """Re V interpolated at one position; the Bohmian velocity grad(S)/m."""
-    pts = np.asarray(x, dtype=float).reshape(1, 2)
+    px, py = np.asarray(x, dtype=float).reshape(2).tolist()
     L = fld.grid.half_width
-    idx, w, inside = _stencil(fld.grid, pts)
-    if not inside[0]:
-        raise LeftDomain(f"query {tuple(pts[0])} is outside the box [-{L}, {L})^2")
-    vals, masked = _gather(fld, idx, w)
-    if masked[0]:
-        raise NodeRegion(f"query {tuple(pts[0])} touches masked wave-function nodes")
-    return vals[0].real
+    point = _point_stencil(fld.grid, px, py)
+    if point is None or not point[2]:  # a point without a stencil is outside the box too
+        raise LeftDomain(f"query ({px:g}, {py:g}) is outside the box [-{L}, {L})^2")
+    idx, w, _ = point
+    vx, vy, masked = _point_gather(fld, idx, w)
+    if masked:
+        raise NodeRegion(f"query ({px:g}, {py:g}) touches masked wave-function nodes")
+    return np.array([vx.real, vy.real])
 
 
 class FrameInterpolator:
@@ -198,15 +249,33 @@ class FrameInterpolator:
         """Field values (M, 2) at time t and points pts, and the ok flags (M,).
 
         ok is False where a point is outside the box or any corner node of
-        its cell is masked in either bracketing frame.
+        its cell is masked in either bracketing frame.  A single float64
+        point is read in Python scalars (_point_stencil, _point_gather), bit
+        for bit what the array kernel gives; a NaN, infinite or far point
+        goes through the array kernel.
         """
         i, a = self._bracket(t)
+        if len(pts) == 1 and pts.dtype == np.float64:
+            point = _point_stencil(self.grid, pts.item(0), pts.item(1))
+            if point is not None:
+                return self._point_at(i, a, *point)
         idx, w, inside = _stencil(self.grid, pts)
         v0, masked = _gather(self.frames[i], idx, w)
         if a == 0.0:
             return v0, inside & ~masked
         v1, masked1 = _gather(self.frames[i + 1], idx, w)
         return (1.0 - a) * v0 + a * v1, inside & ~(masked | masked1)
+
+    def _point_at(self, i: int, a: float, idx, w, inside: bool):
+        """complex_at of one point, given its bracket and _point_stencil."""
+        x, y, masked = _point_gather(self.frames[i], idx, w)
+        if a != 0.0:
+            x1, y1, masked1 = _point_gather(self.frames[i + 1], idx, w)
+            b = 1.0 - a
+            if isinstance(x, complex):
+                b, a = complex(b), complex(a)  # numpy's operands for a complex blend
+            x, y, masked = b * x + a * x1, b * y + a * y1, masked or masked1
+        return np.array([[x, y]]), np.array([inside and not masked])
 
     def real_at(self, t: float, pts: np.ndarray):
         vals, ok = self.complex_at(t, pts)
@@ -324,9 +393,10 @@ def _trajectory(transport, x0: np.ndarray, t0: float, dt: float) -> Trajectory:
         s = int(fail_step[0])
         pos = history[s, 0]
         where = f"t = {t0 + s * dt:g}, position ({pos[0]:g}, {pos[1]:g})"
+        start = f"trajectory from ({x0[0, 0]:g}, {x0[0, 1]:g})"
         if left_box[0]:
-            raise LeftDomain(f"trajectory from {tuple(x0[0])} left the box at {where}")
-        raise NodeRegion(f"trajectory from {tuple(x0[0])} hit a masked region at {where}")
+            raise LeftDomain(f"{start} left the box at {where}")
+        raise NodeRegion(f"{start} hit a masked region at {where}")
     return Trajectory(t0 + np.arange(len(history)) * dt, history[:, 0, :], x0[0].copy(), dt)
 
 

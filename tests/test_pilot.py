@@ -1,8 +1,10 @@
 """Guiding velocity fields, Bohmian trajectories, guided process, ensembles."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
+import os
 import sys
 import threading
 import time
@@ -15,6 +17,8 @@ from scipy import stats
 
 import zitterlab as zl
 from zitterlab import pilot, schrodinger
+from zitterlab.cli import parse_config
+from zitterlab.scenarios import run_scenario
 
 
 def field_workers():
@@ -292,6 +296,15 @@ def kernel_probe_points(grid, m, rng):
     return pts
 
 
+@pytest.fixture
+def array_kernel(monkeypatch):
+    """The calls of pilot._stencil, the batch stencil, from now on."""
+    calls = []
+    stencil = pilot._stencil
+    monkeypatch.setattr(pilot, "_stencil", lambda *args: calls.append(args) or stencil(*args))
+    return calls
+
+
 class TestTransportKernel:
     """The stencil/gather kernel reproduces the four-corner formula."""
 
@@ -349,6 +362,69 @@ class TestTransportKernel:
         np.testing.assert_array_equal(vals, 0.75 * v0 + 0.25 * v1)
         assert np.array_equal(ok, ok0 & ok1)
         assert not ok[9]
+
+    @staticmethod
+    def signed_zeros(fld):
+        """fld with four blocks of v set to the four complex zeros, where sums
+        of zero products show the sign rules of the arithmetic."""
+        v = fld.v.copy()
+        zeros = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0))
+        for k, z in enumerate(zeros):
+            v[5 + 12 * k : 17 + 12 * k, 3:30, k % 2] = z
+        return pilot.VelocityField(fld.grid, v, fld.node_mask, fld.time)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["random", "signed_zeros"])
+    @pytest.mark.parametrize("t", [None, 0.0, 0.025, 0.1], ids=["one_frame", "a0", "a_quarter", "a1"])
+    def test_one_point_equals_its_batch_row_bit_for_bit(self, masked_field, array_kernel, real, zeros, t):
+        later_mask = np.zeros_like(masked_field.node_mask)
+        later_mask[30, 30] = True
+        frames = [masked_field, pilot.VelocityField(masked_field.grid, 2.0 * masked_field.v[::-1], later_mask, 0.1)]
+        if zeros:
+            frames = [self.signed_zeros(f) for f in frames]
+        if real:
+            frames = [pilot.VelocityField(f.grid, np.ascontiguousarray(f.v.real), f.node_mask, f.time) for f in frames]
+        interp = pilot.FrameInterpolator(frames[:1] if t is None else frames)
+        t = 0.0 if t is None else t
+        pts = kernel_probe_points(masked_field.grid, 1000, np.random.default_rng(8))
+        vals, ok = interp.complex_at(t, pts)
+        if zeros:  # the batch holds zeros of both signs
+            parts = vals.view(float)
+            assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
+        array_kernel.clear()
+        for k in range(len(pts)):
+            one, one_ok = interp.complex_at(t, pts[k : k + 1])
+            assert one.shape == (1, 2) and one.dtype == vals.dtype and one_ok.shape == (1,)
+            # uint64 views: assert_array_equal holds -0 and +0 equal
+            assert np.array_equal(one.view(np.uint64), vals[k : k + 1].view(np.uint64)), k
+            assert one_ok[0] == ok[k], k
+        assert not array_kernel  # every one-point query took the scalar path
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.1), (0.2, math.inf), (-math.inf, math.nan), (1e300, 0.0)])
+    def test_non_finite_point_reads_what_the_array_kernel_reads(self, masked_field, point):
+        later = pilot.VelocityField(masked_field.grid, 2.0 * masked_field.v[::-1], masked_field.node_mask, 0.1)
+        pts = np.array([point])
+        with np.errstate(invalid="ignore"):  # the int64 cast of a NaN or far cell
+            vals, ok = pilot.FrameInterpolator([masked_field, later]).complex_at(0.025, pts)
+            expected, expected_ok = WholeListInterpolator([masked_field, later]).complex_at(0.025, pts)
+        assert np.array_equal(vals.view(np.uint64), expected.view(np.uint64))
+        assert not ok[0] and not expected_ok[0]
+
+    def test_guided_run_reads_one_point_in_scalars(self, tmp_path, monkeypatch, array_kernel):
+        def digests(result):
+            return [hashlib.sha256(open(path, "rb").read()).hexdigest() for path in result.files]
+
+        cfg = parse_config(
+            "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\nguided_epsilons = 4e-3, 2e-3, 1e-3\n"
+        )
+        scalar = run_scenario(cfg, tmp_path / "scalar")
+        assert not array_kernel
+        # every one-point query through the array kernel writes the same bytes
+        monkeypatch.setattr(pilot, "_point_stencil", lambda *args: None)
+        array = run_scenario(cfg, tmp_path / "array")
+        assert len(array_kernel) > 1000
+        assert [os.path.basename(p) for p in scalar.files] == ["guided_centers.csv", "guided_process.json"]
+        assert digests(scalar) == digests(array)
 
     def test_real_transport_gives_the_same_report(self, free_frames, monkeypatch):
         real = zl.ensemble_equivariance(free_frames, 2000, 21)
@@ -754,6 +830,39 @@ class TestOneSweep:
         with pytest.raises(zl.InvalidInput, match="exceeds the frame spacing"):
             self.sweep(stream, (0.0, 0.0), 1.0, epsilons=(0.01, 0.1))
         assert stream.count == 2 and not steppers
+
+
+class TestErrorText:
+    """LeftDomain and NodeRegion name positions as plain numbers, also when
+    they come in as numpy floats."""
+
+    @pytest.mark.parametrize(
+        "error, fields, x0, text",
+        [
+            (zl.LeftDomain, lambda: drift_fields(5, 5.0), (7.025, 0.0), "trajectory from (7.025, 0) left the box"),
+            (
+                zl.NodeRegion,
+                lambda: drift_fields(5, 1.0, masked_from=2),
+                (0.5, -0.25),
+                "trajectory from (0.5, -0.25) hit a masked region",
+            ),
+        ],
+        ids=["left_box", "masked"],
+    )
+    def test_trajectory(self, error, fields, x0, text):
+        with pytest.raises(error) as err:
+            zl.integrate_trajectory(fields(), np.array(x0), 0.01)
+        assert str(err.value).startswith(text + " at t = ") and "np.float64" not in str(err.value)
+
+    def test_bohm_velocity_at(self, grid):
+        field = synthetic_field(grid)
+        field.node_mask[80, 80] = True
+        with pytest.raises(zl.LeftDomain) as left:
+            zl.bohm_velocity_at(field, np.array([10.5, 0.25]))
+        with pytest.raises(zl.NodeRegion) as masked:
+            zl.bohm_velocity_at(field, np.array([grid.axis[80] - 0.25 * grid.spacing, grid.axis[80]]))
+        assert str(left.value) == "query (10.5, 0.25) is outside the box [-10.0, 10.0)^2"
+        assert str(masked.value) == "query (2.46094, 2.5) touches masked wave-function nodes"
 
 
 class TestStreamedEnsemble:
