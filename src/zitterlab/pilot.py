@@ -10,6 +10,7 @@ wave-function zeros.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 import queue
@@ -249,16 +250,9 @@ class FrameInterpolator:
         """Field values (M, 2) at time t and points pts, and the ok flags (M,).
 
         ok is False where a point is outside the box or any corner node of
-        its cell is masked in either bracketing frame.  A single float64
-        point is read in Python scalars (_point_stencil, _point_gather), bit
-        for bit what the array kernel gives; a NaN, infinite or far point
-        goes through the array kernel.
+        its cell is masked in either bracketing frame.
         """
         i, a = self._bracket(t)
-        if len(pts) == 1 and pts.dtype == np.float64:
-            point = _point_stencil(self.grid, pts.item(0), pts.item(1))
-            if point is not None:
-                return self._point_at(i, a, *point)
         idx, w, inside = _stencil(self.grid, pts)
         v0, masked = _gather(self.frames[i], idx, w)
         if a == 0.0:
@@ -266,20 +260,32 @@ class FrameInterpolator:
         v1, masked1 = _gather(self.frames[i + 1], idx, w)
         return (1.0 - a) * v0 + a * v1, inside & ~(masked | masked1)
 
-    def _point_at(self, i: int, a: float, idx, w, inside: bool):
-        """complex_at of one point, given its bracket and _point_stencil."""
-        x, y, masked = _point_gather(self.frames[i], idx, w)
-        if a != 0.0:
-            x1, y1, masked1 = _point_gather(self.frames[i + 1], idx, w)
-            b = 1.0 - a
-            if isinstance(x, complex):
-                b, a = complex(b), complex(a)  # numpy's operands for a complex blend
-            x, y, masked = b * x + a * x1, b * y + a * y1, masked or masked1
-        return np.array([[x, y]]), np.array([inside and not masked])
-
     def real_at(self, t: float, pts: np.ndarray):
         vals, ok = self.complex_at(t, pts)
         return vals.real, ok
+
+    def point_at(self, t: float, x: float, y: float):
+        """complex_at of the one point (x, y) in Python scalars: (vx, vy, ok),
+        vx and vy complex or float as the fields are.
+
+        The point is read with _point_stencil and _point_gather, bit for bit
+        what complex_at gives for the row [[x, y]]; a NaN, infinite or far
+        point, which has no scalar stencil, is read by complex_at itself.
+        """
+        point = _point_stencil(self.grid, x, y)
+        if point is None:
+            vals, ok = self.complex_at(t, np.array([[x, y]], dtype=float))
+            return vals.item(0), vals.item(1), bool(ok[0])
+        idx, w, inside = point
+        i, a = self._bracket(t)
+        vx, vy, masked = _point_gather(self.frames[i], idx, w)
+        if a != 0.0:
+            vx1, vy1, masked1 = _point_gather(self.frames[i + 1], idx, w)
+            b = 1.0 - a
+            if isinstance(vx, complex):
+                b, a = complex(b), complex(a)  # numpy's operands for a complex blend
+            vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
+        return vx, vy, inside and not masked
 
 
 def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
@@ -300,7 +306,7 @@ def _sweep(steppers):
     """Run generator steppers, each paired with the read that serves its
     queries, in the time order of their queries; return their results.
 
-    A stepper yields a query (t, pts), is sent the read's (vals, ok) and
+    A stepper yields a query (t, *args), is sent the read's reply to it and
     returns its result.  The queries of one stepper move forward in time up
     to roundoff, so the steppers' reads, taken in (t, stepper index) order,
     suit one forward-reading FrameInterpolator.  Every stepper is closed
@@ -311,27 +317,27 @@ def _sweep(steppers):
 
     def advance(k, reply):
         try:
-            t, pts = steppers[k][1].send(reply)
+            query = steppers[k][1].send(reply)
         except StopIteration as done:
             results[k] = done.value
         else:
-            heapq.heappush(pending, (t, k, pts))
+            heapq.heappush(pending, (query[0], k, query))
 
     try:
         for k in range(len(steppers)):
             advance(k, None)
         while pending:
-            t, k, pts = heapq.heappop(pending)
-            advance(k, steppers[k][0](t, pts))
+            _, k, query = heapq.heappop(pending)
+            advance(k, steppers[k][0](*query))
     finally:
         for _, stepper in steppers:
             stepper.close()
     return results
 
 
-def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float, keep_history: bool):
+def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float):
     """Vectorized RK4 transport of the points x (M, 2) from t0, as a stepper
-    of _sweep that reads Re V.
+    of _sweep that reads Re V with real_at.
 
     Failed points freeze in place; their first bad step index is recorded in
     fail_step.  A point fails by leaving the box (left_box: its new position
@@ -342,7 +348,6 @@ def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float, keep_
     alive = np.ones(m, dtype=bool)
     fail_step = np.full(m, -1, dtype=np.int64)
     left_box = np.zeros(m, dtype=bool)
-    history = [x] if keep_history else None
     for s in range(n_steps):
         t = t0 + s * dt
         k1, ok1 = yield t, x
@@ -361,17 +366,54 @@ def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float, keep_
             left_box |= newly_dead & ~(ok_domain & _in_box(x2, L) & _in_box(x3, L) & _in_box(x4, L))
         alive &= ok_field & ok_domain
         x = np.where(alive[:, None], x_new, x)
-        if keep_history:
-            history.append(x)
-    return x, alive, fail_step, left_box, np.array(history) if keep_history else None
+    return x, alive, fail_step, left_box
 
 
-def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int, keep_history: bool):
+def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int):
     """RK4 transport of a batch of points through the frames, from the first
-    frame's time: (finals, alive, fail_step, left_box, history or None)."""
+    frame's time: (finals, alive, fail_step, left_box)."""
     x = np.array(x0, dtype=float)
-    stepper = _rk4_stepper(x, interp.t0, dt, n_steps, interp.grid.half_width, keep_history)
+    stepper = _rk4_stepper(x, interp.t0, dt, n_steps, interp.grid.half_width)
     return _sweep([(interp.real_at, stepper)])[0]
+
+
+def _point_rk4_stepper(x0, t0: float, dt: float, n_steps: int, half_width: float):
+    """RK4 transport of the one point x0 = (x, y) from t0, as a stepper of
+    _sweep that reads Re V with point_at: _rk4_stepper's arithmetic in
+    Python floats, in its order, so its positions equal _rk4_stepper's bit
+    for bit.
+
+    Returns (history, fail_step, left_box): the positions from x0 on and,
+    when a step failed (fail_step, else None), whether the point left the
+    box as _rk4_stepper classifies it.  The failed step is the last one
+    queried; history then ends at the position that step started from.
+    """
+    L = half_width
+    x, y = x0
+    history = [(x, y)]
+    half, sixth = dt / 2, dt / 6.0
+    for s in range(n_steps):
+        t = t0 + s * dt
+        k1x, k1y, ok1 = yield t, x, y
+        k1x, k1y = k1x.real, k1y.real
+        x2, y2 = x + half * k1x, y + half * k1y
+        k2x, k2y, ok2 = yield t + half, x2, y2
+        k2x, k2y = k2x.real, k2y.real
+        x3, y3 = x + half * k2x, y + half * k2y
+        k3x, k3y, ok3 = yield t + half, x3, y3
+        k3x, k3y = k3x.real, k3y.real
+        x4, y4 = x + dt * k3x, y + dt * k3y
+        k4x, k4y, ok4 = yield t + dt, x4, y4
+        k4x, k4y = k4x.real, k4y.real
+        xn = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        yn = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        ok_domain = abs(xn) < L and abs(yn) < L
+        if not (ok1 and ok2 and ok3 and ok4 and ok_domain):
+            stages_in = all(abs(c) < L for c in (x2, y2, x3, y3, x4, y4))
+            return history, s, not (ok_domain and stages_in)
+        x, y = xn, yn
+        history.append((x, y))
+    return history, None, False
 
 
 def _check_step(interp: FrameInterpolator, step: float, step_name: str) -> None:
@@ -385,19 +427,18 @@ def _step_count(t0: float, T: float, dt: float):
     return n_steps, (T - t0) / n_steps
 
 
-def _trajectory(transport, x0: np.ndarray, t0: float, dt: float) -> Trajectory:
-    """The Trajectory of the one point x0 (1, 2) that _rk4_stepper moved, or
-    LeftDomain / NodeRegion where it failed."""
-    _, alive, fail_step, left_box, history = transport
-    if not alive[0]:
-        s = int(fail_step[0])
-        pos = history[s, 0]
-        where = f"t = {t0 + s * dt:g}, position ({pos[0]:g}, {pos[1]:g})"
-        start = f"trajectory from ({x0[0, 0]:g}, {x0[0, 1]:g})"
-        if left_box[0]:
+def _trajectory(transport, x0, t0: float, dt: float) -> Trajectory:
+    """The Trajectory of the one point x0 = (x, y) that _point_rk4_stepper
+    moved, or LeftDomain / NodeRegion where it failed."""
+    history, fail_step, left_box = transport
+    if fail_step is not None:
+        px, py = history[-1]
+        where = f"t = {t0 + fail_step * dt:g}, position ({px:g}, {py:g})"
+        start = f"trajectory from ({x0[0]:g}, {x0[1]:g})"
+        if left_box:
             raise LeftDomain(f"{start} left the box at {where}")
         raise NodeRegion(f"{start} hit a masked region at {where}")
-    return Trajectory(t0 + np.arange(len(history)) * dt, history[:, 0, :], x0[0].copy(), dt)
+    return Trajectory(t0 + np.arange(len(history)) * dt, np.array(history), np.array(x0), dt)
 
 
 def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Trajectory:
@@ -409,7 +450,8 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
     a list only when T is None.  dt must not exceed the frame spacing;
     position error is O(dt^4) plus O(frame spacing^2) from the time
     interpolation.  A T past the last frame raises InvalidInput when the
-    transport reaches that frame.
+    transport reaches that frame; the transport stops reading at the step
+    where it leaves the box (LeftDomain) or meets a masked cell (NodeRegion).
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -421,30 +463,36 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
         T = float(max(f.time for f in frames))
     t0 = interp.t0
     n_steps, dt = _step_count(t0, T, dt)
-    x0 = np.asarray(x0, dtype=float).reshape(1, 2)
-    return _trajectory(_rk4_batch(interp, x0, dt, n_steps, keep_history=True), x0, t0, dt)
+    x0 = np.asarray(x0, dtype=float).reshape(2).tolist()
+    stepper = _point_rk4_stepper(x0, t0, dt, n_steps, interp.grid.half_width)
+    return _trajectory(_sweep([(interp.point_at, stepper)])[0], x0, t0, dt)
 
 
-def _guided_stepper(x0: np.ndarray, t0: float, eps: float, n_cycles: int):
-    """The four-point process's means over n_cycles cycles from x0 (1, 2),
-    as a stepper of _sweep that reads the complex V at each cycle boundary."""
-    mean = x0[0].astype(complex)
-    means = [mean]
+def _guided_stepper(x0, t0: float, eps: float, n_cycles: int):
+    """The four-point process's means over n_cycles cycles from x0 = (x, y),
+    as a stepper of _sweep that reads the complex V with point_at at each
+    cycle boundary.
+
+    The means are Python complex.  Each step adds v * complex(eps): numpy's
+    complex multiply takes eps + 0j, while Python's own complex * float does
+    not promote on every version, so the explicit operand keeps the means
+    those of the array form mean + v * eps, bit for bit.
+    """
+    mx, my = complex(x0[0]), complex(x0[1])
+    means = [(mx, my)]
+    step = complex(eps)
     for q in range(n_cycles):
         t_q = t0 + 4 * q * eps
-        center = mean.real.reshape(1, 2)
-        vals, ok = yield t_q, center
-        if not ok[0]:
-            raise NodeRegion(
-                f"gravity center ({center[0, 0]:g}, {center[0, 1]:g}) entered a masked "
-                f"region at t = {t_q:g}"
-            )
-        if not np.all(np.isfinite(vals.view(float))):
+        cx, cy = mx.real, my.real
+        vx, vy, ok = yield t_q, cx, cy
+        if not ok:
+            raise NodeRegion(f"gravity center ({cx:g}, {cy:g}) entered a masked region at t = {t_q:g}")
+        if not (cmath.isfinite(vx) and cmath.isfinite(vy)):
             raise NonFiniteVelocity("guiding field produced a non-finite value")
-        v_q = vals[0]
+        dx, dy = vx * step, vy * step
         for _ in range(4):
-            mean = mean + v_q * eps
-            means.append(mean)
+            mx, my = mx + dx, my + dy
+            means.append((mx, my))
     return np.array(means)
 
 
@@ -470,7 +518,7 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
     """
     interp = FrameInterpolator(frames)
     t0 = interp.t0
-    x0 = np.asarray(x0, dtype=float).reshape(1, 2)
+    x0 = np.asarray(x0, dtype=float).reshape(2).tolist()
     plans = []
     for params in params_list:
         eps = params.epsilon
@@ -482,8 +530,8 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
     L = interp.grid.half_width
     steppers = []
     for params, n_cycles, n_ref, dt_ref in plans:
-        steppers.append((interp.complex_at, _guided_stepper(x0, t0, params.epsilon, n_cycles)))
-        steppers.append((interp.real_at, _rk4_stepper(x0, t0, dt_ref, n_ref, L, True)))
+        steppers.append((interp.point_at, _guided_stepper(x0, t0, params.epsilon, n_cycles)))
+        steppers.append((interp.point_at, _point_rk4_stepper(x0, t0, dt_ref, n_ref, L)))
     results = _sweep(steppers)
     pairs = []
     for (params, n_cycles, _, dt_ref), means, transport in zip(plans, results[::2], results[1::2]):
@@ -694,7 +742,7 @@ def ensemble_equivariance(
             window = FrameInterpolator(fields)
             n_steps = max(1, int(round((T - t0) / window.spacing)))
             dt = (T - t0) / n_steps
-            finals, alive, _, left_box, _ = _rk4_batch(window, finals, dt, n_steps, keep_history=False)
+            finals, alive, _, left_box = _rk4_batch(window, finals, dt, n_steps)
         left = int(np.count_nonzero(left_box))
         node = int(np.count_nonzero(~alive)) - left
         if node + left > max_failure_fraction * n_samples:

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -392,23 +393,24 @@ class TestTransportKernel:
             parts = vals.view(float)
             assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
         array_kernel.clear()
-        for k in range(len(pts)):
-            one, one_ok = interp.complex_at(t, pts[k : k + 1])
-            assert one.shape == (1, 2) and one.dtype == vals.dtype and one_ok.shape == (1,)
+        for k, (x, y) in enumerate(pts.tolist()):
+            vx, vy, one_ok = interp.point_at(t, x, y)
+            assert {type(vx), type(vy)} == {complex if vals.dtype.kind == "c" else float} and type(one_ok) is bool
+            one = np.array([[vx, vy]])
+            assert one.shape == (1, 2) and one.dtype == vals.dtype
             # uint64 views: assert_array_equal holds -0 and +0 equal
             assert np.array_equal(one.view(np.uint64), vals[k : k + 1].view(np.uint64)), k
-            assert one_ok[0] == ok[k], k
+            assert one_ok == ok[k], k
         assert not array_kernel  # every one-point query took the scalar path
 
     @pytest.mark.parametrize("point", [(math.nan, 0.1), (0.2, math.inf), (-math.inf, math.nan), (1e300, 0.0)])
     def test_non_finite_point_reads_what_the_array_kernel_reads(self, masked_field, point):
         later = pilot.VelocityField(masked_field.grid, 2.0 * masked_field.v[::-1], masked_field.node_mask, 0.1)
-        pts = np.array([point])
         with np.errstate(invalid="ignore"):  # the int64 cast of a NaN or far cell
-            vals, ok = pilot.FrameInterpolator([masked_field, later]).complex_at(0.025, pts)
-            expected, expected_ok = WholeListInterpolator([masked_field, later]).complex_at(0.025, pts)
-        assert np.array_equal(vals.view(np.uint64), expected.view(np.uint64))
-        assert not ok[0] and not expected_ok[0]
+            vx, vy, ok = pilot.FrameInterpolator([masked_field, later]).point_at(0.025, *point)
+            expected, expected_ok = WholeListInterpolator([masked_field, later]).complex_at(0.025, np.array([point]))
+        assert np.array_equal(np.array([[vx, vy]]).view(np.uint64), expected.view(np.uint64))
+        assert not ok and not expected_ok[0]
 
     def test_guided_run_reads_one_point_in_scalars(self, tmp_path, monkeypatch, array_kernel):
         def digests(result):
@@ -740,6 +742,46 @@ def drift_fields(n_frames, vx, masked_from=None):
         yield pilot.VelocityField(grid, v, mask, 0.05 * k)
 
 
+def flipping_fields(n_frames, vx):
+    """drift_fields whose velocity flips sign from one frame to the next."""
+    for k, fld in enumerate(drift_fields(n_frames, vx)):
+        yield dataclasses.replace(fld, v=-fld.v) if k % 2 else fld
+
+
+class TestPointTransport:
+    """integrate_trajectory moves its one point in Python floats through
+    point_at, with the arithmetic of the array RK4: equal to it bit for bit."""
+
+    @pytest.mark.parametrize("frames", ["free", "ulp_retimed", "shifted", "moving"])
+    def test_equals_the_array_rk4(self, free_frames, free_fields, frames):
+        x0, dt = (1.0, 0.2), 5e-3
+        if frames == "free":
+            fields, T = free_fields, 0.5
+        elif frames == "ulp_retimed":
+            fields, T = [zl.velocity_field(f) for f in ulp_retimed(free_frames)], 0.29
+        elif frames == "shifted":  # dt = ((t0 + 0.29) - t0) / 58 is not 5e-3 here
+            fields, T = [dataclasses.replace(f, time=f.time + 0.3) for f in free_fields[:61]], 0.59
+        else:  # a moving packet from its center, where the position is as small as
+            # its steps, so the last bits of the stage sum reach the position
+            psi0 = zl.init_gaussian(zl.Grid2D(64, 8.0), (0, 0), 1.0, (0.5, 0.3))
+            frames = zl.evolve_frames(psi0, zl.free_potential(), 1e-2, 100, 5)
+            fields, T, x0, dt = [zl.velocity_field(f) for f in frames], 1.0, (0.0, 0.0), 0.01
+        traj = zl.integrate_trajectory(iter(fields), x0, dt=dt, T=T)
+        t0 = fields[0].time
+        n_steps = max(1, int(round((T - t0) / dt)))
+        dt = (T - t0) / n_steps
+        history = rk4_oracle(WholeListInterpolator(fields), np.array([x0]), dt, n_steps)
+        assert traj.dt == dt and np.array_equal(traj.times, t0 + np.arange(n_steps + 1) * dt)
+        assert np.array_equal(traj.positions, history[:, 0, :])
+
+    def test_a_failed_step_is_the_last_read(self):
+        stream = Pulled(flipping_fields(21, 40.0))
+        with pytest.raises(zl.LeftDomain, match="at t = 0, "):
+            zl.integrate_trajectory(stream, (7.5, 0.0), 0.05, T=1.0)
+        # step 0 reads at t = 0.05, which pulls the frame after it; no later frame is read
+        assert stream.count == 3
+
+
 class TestOneSweep:
     """guide_processes drives every process and reference from one
     forward-reading interpolator over a stream of fields."""
@@ -749,7 +791,7 @@ class TestOneSweep:
     @pytest.fixture
     def steppers(self, monkeypatch):
         made = []
-        for name in ("_guided_stepper", "_rk4_stepper"):
+        for name in ("_guided_stepper", "_rk4_stepper", "_point_rk4_stepper"):
 
             def spy(*args, _make=getattr(pilot, name), **kwargs):
                 made.append(_make(*args, **kwargs))
@@ -811,6 +853,23 @@ class TestOneSweep:
         assert stream.count <= 6
         assert len(steppers) == 6 and self.all_closed(steppers)
 
+    def test_center_outside_the_box_wins_over_earlier_reference_failures(self, monkeypatch):
+        failed = []
+        make = pilot._point_rk4_stepper
+
+        def spy(x0, t0, dt, n_steps, half_width):
+            history, fail_step, left_box = yield from make(x0, t0, dt, n_steps, half_width)
+            failed.append((t0 + fail_step * dt, left_box))
+            return history, fail_step, left_box
+
+        monkeypatch.setattr(pilot, "_point_rk4_stepper", spy)
+        message = "gravity center (8.025, 0) entered a masked region at t = 0.2"
+        with pytest.raises(zl.NodeRegion, match=re.escape(message)):
+            self.sweep(drift_fields(21, 5.0), (7.025, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
+        # the references of eps = 0.005 and 0.0025 left the box at t = 0.19 and
+        # 0.1925, before any process read a center outside it
+        assert len(failed) == 2 and all(left and t < 0.195 for t, left in failed)
+
     def test_reference_leaving_the_box_raises(self, steppers):
         # the processes' last reads (t = 0.16, 0.18, 0.19) are inside the
         # box; the references run on to t = 0.2 and end at x = 8.025
@@ -837,22 +896,41 @@ class TestErrorText:
     they come in as numpy floats."""
 
     @pytest.mark.parametrize(
-        "error, fields, x0, text",
+        "error, fields, x0, dt, T, text",
         [
-            (zl.LeftDomain, lambda: drift_fields(5, 5.0), (7.025, 0.0), "trajectory from (7.025, 0) left the box"),
+            (
+                zl.LeftDomain,
+                lambda: drift_fields(5, 5.0),
+                (7.025, 0.0),
+                0.01,
+                None,
+                "trajectory from (7.025, 0) left the box at t = 0.19, position (7.975, 0)",
+            ),
+            # the stage point x + (dt/2) k1 = 8.5 is outside, the new position
+            # x + (dt/6)(k1 + 2 k2 + 2 k3 + k4) = 7.5 is not
+            (
+                zl.LeftDomain,
+                lambda: flipping_fields(21, 40.0),
+                (7.5, 0.0),
+                0.05,
+                1.0,
+                "trajectory from (7.5, 0) left the box at t = 0, position (7.5, 0)",
+            ),
             (
                 zl.NodeRegion,
                 lambda: drift_fields(5, 1.0, masked_from=2),
                 (0.5, -0.25),
-                "trajectory from (0.5, -0.25) hit a masked region",
+                0.01,
+                None,
+                "trajectory from (0.5, -0.25) hit a masked region at t = 0.05, position (0.55, -0.25)",
             ),
         ],
-        ids=["left_box", "masked"],
+        ids=["left_box", "stage_left_box", "masked"],
     )
-    def test_trajectory(self, error, fields, x0, text):
+    def test_trajectory(self, error, fields, x0, dt, T, text):
         with pytest.raises(error) as err:
-            zl.integrate_trajectory(fields(), np.array(x0), 0.01)
-        assert str(err.value).startswith(text + " at t = ") and "np.float64" not in str(err.value)
+            zl.integrate_trajectory(fields(), np.array(x0), dt, T)
+        assert str(err.value) == text
 
     def test_bohm_velocity_at(self, grid):
         field = synthetic_field(grid)
@@ -890,10 +968,10 @@ class TestStreamedEnsemble:
         dt = 0.005
         fields = [zl.velocity_field(f, real=True) for f in ulp_retimed(free_frames, dt)]
         seeds = zl.sample_from_density(free_frames[0], 2000, np.random.default_rng(4))
-        full = pilot._rk4_batch(WholeListInterpolator(fields), seeds, dt, 59, keep_history=False)
+        full = pilot._rk4_batch(WholeListInterpolator(fields), seeds, dt, 59)
         window = pilot.FrameInterpolator(iter(fields))
-        streamed = pilot._rk4_batch(window, seeds, dt, 59, keep_history=False)
-        for a, b in zip(full[:4], streamed[:4]):
+        streamed = pilot._rk4_batch(window, seeds, dt, 59)
+        for a, b in zip(full, streamed):
             assert np.array_equal(a, b)
         assert len(window.frames) <= 3
 
