@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-import queue
 import threading
 from bisect import bisect_right
 from contextlib import closing
@@ -160,13 +159,11 @@ def _point_gather(fld: VelocityField, idx, w):
     """_gather of one point in Python scalars: (x value, y value, masked).
 
     The four products are summed in _gather's order.  On a complex field
-    each weight is made w + 0j first, the operand of numpy's complex
+    the caller passes each weight as w + 0j, the operand of numpy's complex
     multiply, so even the signs of zero parts are numpy's; Python's own
     float * complex does not promote on every version.
     """
     v = fld.v
-    if v.dtype.kind == "c":
-        w = [complex(c) for c in w]
     w0, w1, w2, w3 = w
     k0, k1, k2, k3 = idx
     item = v.item  # node k's components are items 2k and 2k + 1 of v
@@ -183,6 +180,8 @@ def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
     if point is None or not point[2]:  # a point without a stencil is outside the box too
         raise LeftDomain(f"query ({px:g}, {py:g}) is outside the box [-{L}, {L})^2")
     idx, w, _ = point
+    if fld.v.dtype.kind == "c":
+        w = [complex(c) for c in w]
     vx, vy, masked = _point_gather(fld, idx, w)
     if masked:
         raise NodeRegion(f"query ({px:g}, {py:g}) touches masked wave-function nodes")
@@ -278,12 +277,12 @@ class FrameInterpolator:
             return vals.item(0), vals.item(1), bool(ok[0])
         idx, w, inside = point
         i, a = self._bracket(t)
+        b = 1.0 - a
+        if self.frames[i].v.dtype.kind == "c":  # numpy's operands for complex products
+            w, b, a = [complex(c) for c in w], complex(b), complex(a)
         vx, vy, masked = _point_gather(self.frames[i], idx, w)
         if a != 0.0:
             vx1, vy1, masked1 = _point_gather(self.frames[i + 1], idx, w)
-            b = 1.0 - a
-            if isinstance(vx, complex):
-                b, a = complex(b), complex(a)  # numpy's operands for a complex blend
             vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
         return vx, vy, inside and not masked
 
@@ -302,22 +301,22 @@ class Trajectory:
     dt: float
 
 
-def _sweep(steppers):
-    """Run generator steppers, each paired with the read that serves its
-    queries, in the time order of their queries; return their results.
+def _sweep(read, steppers):
+    """Run generator steppers, whose queries read serves, in the time order
+    of their queries; return their results.
 
-    A stepper yields a query (t, *args), is sent the read's reply to it and
-    returns its result.  The queries of one stepper move forward in time up
-    to roundoff, so the steppers' reads, taken in (t, stepper index) order,
-    suit one forward-reading FrameInterpolator.  Every stepper is closed
-    when the sweep returns or raises.
+    A stepper yields a query (t, *args), is sent read(t, *args) and returns
+    its result.  The queries of one stepper move forward in time up to
+    roundoff, so read, called in (t, stepper index) order, may be one
+    forward-reading FrameInterpolator's.  Every stepper is closed when the
+    sweep returns or raises.
     """
     results = [None] * len(steppers)
     pending = []
 
     def advance(k, reply):
         try:
-            query = steppers[k][1].send(reply)
+            query = steppers[k].send(reply)
         except StopIteration as done:
             results[k] = done.value
         else:
@@ -328,35 +327,37 @@ def _sweep(steppers):
             advance(k, None)
         while pending:
             _, k, query = heapq.heappop(pending)
-            advance(k, steppers[k][0](*query))
+            advance(k, read(*query))
     finally:
-        for _, stepper in steppers:
+        for stepper in steppers:
             stepper.close()
     return results
 
 
-def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float):
-    """Vectorized RK4 transport of the points x (M, 2) from t0, as a stepper
-    of _sweep that reads Re V with real_at.
+def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int):
+    """Vectorized RK4 transport of the points x0 (M, 2) through the frames,
+    from the first frame's time, reading Re V with real_at:
+    (finals, alive, fail_step, left_box).
 
     Failed points freeze in place; their first bad step index is recorded in
     fail_step.  A point fails by leaving the box (left_box: its new position
     or one of its RK4 stage points lies outside) or else at a masked cell.
     """
-    L = half_width
+    x = np.array(x0, dtype=float)
+    t0, L = interp.t0, interp.grid.half_width
     m = x.shape[0]
     alive = np.ones(m, dtype=bool)
     fail_step = np.full(m, -1, dtype=np.int64)
     left_box = np.zeros(m, dtype=bool)
     for s in range(n_steps):
         t = t0 + s * dt
-        k1, ok1 = yield t, x
+        k1, ok1 = interp.real_at(t, x)
         x2 = x + (dt / 2) * k1
-        k2, ok2 = yield t + dt / 2, x2
+        k2, ok2 = interp.real_at(t + dt / 2, x2)
         x3 = x + (dt / 2) * k2
-        k3, ok3 = yield t + dt / 2, x3
+        k3, ok3 = interp.real_at(t + dt / 2, x3)
         x4 = x + dt * k3
-        k4, ok4 = yield t + dt, x4
+        k4, ok4 = interp.real_at(t + dt, x4)
         ok_field = ok1 & ok2 & ok3 & ok4
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ok_domain = _in_box(x_new, L)
@@ -369,23 +370,15 @@ def _rk4_stepper(x, t0: float, dt: float, n_steps: int, half_width: float):
     return x, alive, fail_step, left_box
 
 
-def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: int):
-    """RK4 transport of a batch of points through the frames, from the first
-    frame's time: (finals, alive, fail_step, left_box)."""
-    x = np.array(x0, dtype=float)
-    stepper = _rk4_stepper(x, interp.t0, dt, n_steps, interp.grid.half_width)
-    return _sweep([(interp.real_at, stepper)])[0]
-
-
 def _point_rk4_stepper(x0, t0: float, dt: float, n_steps: int, half_width: float):
     """RK4 transport of the one point x0 = (x, y) from t0, as a stepper of
-    _sweep that reads Re V with point_at: _rk4_stepper's arithmetic in
-    Python floats, in its order, so its positions equal _rk4_stepper's bit
+    _sweep that reads Re V with point_at: _rk4_batch's arithmetic in
+    Python floats, in its order, so its positions equal _rk4_batch's bit
     for bit.
 
     Returns (history, fail_step, left_box): the positions from x0 on and,
     when a step failed (fail_step, else None), whether the point left the
-    box as _rk4_stepper classifies it.  The failed step is the last one
+    box as _rk4_batch classifies it.  The failed step is the last one
     queried; history then ends at the position that step started from.
     """
     L = half_width
@@ -465,13 +458,14 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
     n_steps, dt = _step_count(t0, T, dt)
     x0 = np.asarray(x0, dtype=float).reshape(2).tolist()
     stepper = _point_rk4_stepper(x0, t0, dt, n_steps, interp.grid.half_width)
-    return _trajectory(_sweep([(interp.point_at, stepper)])[0], x0, t0, dt)
+    return _trajectory(_sweep(interp.point_at, [stepper])[0], x0, t0, dt)
 
 
-def _guided_stepper(x0, t0: float, eps: float, n_cycles: int):
+def _guided_stepper(x0, t0: float, eps: float, n_cycles: int, half_width: float):
     """The four-point process's means over n_cycles cycles from x0 = (x, y),
     as a stepper of _sweep that reads the complex V with point_at at each
-    cycle boundary.
+    cycle boundary.  A center outside the box [-half_width, half_width)^2
+    raises LeftDomain, one in a masked cell NodeRegion.
 
     The means are Python complex.  Each step adds v * complex(eps): numpy's
     complex multiply takes eps + 0j, while Python's own complex * float does
@@ -486,6 +480,8 @@ def _guided_stepper(x0, t0: float, eps: float, n_cycles: int):
         cx, cy = mx.real, my.real
         vx, vy, ok = yield t_q, cx, cy
         if not ok:
+            if not (-half_width <= cx < half_width and -half_width <= cy < half_width):
+                raise LeftDomain(f"gravity center ({cx:g}, {cy:g}) left the box at t = {t_q:g}")
             raise NodeRegion(f"gravity center ({cx:g}, {cy:g}) entered a masked region at t = {t_q:g}")
         if not (cmath.isfinite(vx) and cmath.isfinite(vy)):
             raise NonFiniteVelocity("guiding field produced a non-finite value")
@@ -512,9 +508,10 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
     frames, any iterable of fields, is read once: all processes and
     references query one FrameInterpolator in time order, which holds at
     most three fields.  An eps above the frame spacing or a T short of one
-    cycle raises InvalidInput before any query; a center in a masked cell
-    (NodeRegion) or a query past the last frame (InvalidInput) raises when
-    the sweep gets there, and a failed reference after the sweep.
+    cycle raises InvalidInput before any query; a center outside the box
+    (LeftDomain) or in a masked cell (NodeRegion) or a query past the last
+    frame (InvalidInput) raises when the sweep gets there, and a failed
+    reference after the sweep.
     """
     interp = FrameInterpolator(frames)
     t0 = interp.t0
@@ -530,9 +527,9 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
     L = interp.grid.half_width
     steppers = []
     for params, n_cycles, n_ref, dt_ref in plans:
-        steppers.append((interp.point_at, _guided_stepper(x0, t0, params.epsilon, n_cycles)))
-        steppers.append((interp.point_at, _point_rk4_stepper(x0, t0, dt_ref, n_ref, L)))
-    results = _sweep(steppers)
+        steppers.append(_guided_stepper(x0, t0, params.epsilon, n_cycles, L))
+        steppers.append(_point_rk4_stepper(x0, t0, dt_ref, n_ref, L))
+    results = _sweep(interp.point_at, steppers)
     pairs = []
     for (params, n_cycles, _, dt_ref), means, transport in zip(plans, results[::2], results[1::2]):
         eps, n_steps = params.epsilon, 4 * n_cycles
@@ -633,49 +630,31 @@ class EquivarianceReport:
         )
 
 
-# how many built fields may wait for the transport before the worker blocks
-_FIELDS_AHEAD = 1
+def _name_fields_worker():
+    threading.current_thread().name = "zitterlab-fields"
 
 
 def _built_ahead(fields):
-    """Yield the items of the iterable fields, each built on a worker thread
-    while the caller uses the one before.
+    """Yield the items of the iterable fields, built on one worker thread
+    with two builds in flight while the caller uses the items before.
 
     An exception raised by fields is re-raised here at its place in the
     stream, where a serial read would raise it.  The thread starts at the
-    first next(); the end of the stream, a raise or close() joins it.
+    first next(); the end of the stream, a raise or close() cancels the
+    pending build and joins it.  concurrent.futures is imported here, so
+    that import zitterlab loads neither it nor the logging it imports.
     """
-    slot = queue.Queue(_FIELDS_AHEAD)
-    stop = threading.Event()
-    end = object()
+    from concurrent.futures import ThreadPoolExecutor
 
-    def build():
-        try:
-            for item in fields:
-                slot.put((item, None))
-                if stop.is_set():
-                    return
-        except BaseException as exc:  # re-raised by the reader below
-            slot.put((end, exc))
-        else:
-            slot.put((end, None))
-
-    worker = threading.Thread(target=build, name="zitterlab-fields", daemon=True)
-    worker.start()
+    source, end = iter(fields), object()
+    worker = ThreadPoolExecutor(1, initializer=_name_fields_worker)
     try:
-        while True:
-            item, exc = slot.get()
-            if exc is not None:
-                raise exc
-            if item is end:
-                return
+        ahead = [worker.submit(next, source, end) for _ in range(2)]
+        while (item := ahead.pop(0).result()) is not end:
+            ahead.append(worker.submit(next, source, end))
             yield item
     finally:
-        stop.set()
-        # the worker puts at most once more; this reader alone takes from the slot
-        if not slot.empty():
-            slot.get_nowait()
-        worker.join()
+        worker.shutdown(cancel_futures=True)
 
 
 def ensemble_equivariance(
@@ -697,9 +676,10 @@ def ensemble_equivariance(
     forward sweep: the first frame is kept until the seeds are drawn, the
     frame at T for the histogram, and the transport steps once per frame
     interval through a window of three Re V fields.  The fields are built
-    on one worker thread, one field ahead of the transport, so at most five
-    are alive: the window's three, the one handed over and the one being
-    built.  The worker's two FFT work buffers are allocated once per call.
+    on one worker thread, two builds in flight ahead of the transport, so
+    at most five are alive: the window's three, the one built and waiting
+    and the one being built.  The worker's two FFT work buffers are
+    allocated once per call.
     An error raised by the stream is raised here where a serial read would
     raise it; no thread outlives the call.  A list and an iterator over the
     same frames give equal reports.  T defaults to the last frame's time,
@@ -740,8 +720,7 @@ def ensemble_equivariance(
         built = _built_ahead(velocity_field(f, hbar, mass, rho_floor, real=True) for f in stream)
         with closing(built) as fields:
             window = FrameInterpolator(fields)
-            n_steps = max(1, int(round((T - t0) / window.spacing)))
-            dt = (T - t0) / n_steps
+            n_steps, dt = _step_count(t0, T, window.spacing)
             finals, alive, _, left_box = _rk4_batch(window, finals, dt, n_steps)
         left = int(np.count_nonzero(left_box))
         node = int(np.count_nonzero(~alive)) - left

@@ -375,12 +375,18 @@ def _scenario_lemma1(cfg: ScenarioConfig, out) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _free_packet(cfg: ScenarioConfig):
+def _free_stream(cfg: ScenarioConfig):
+    """The free packet's grid, its wave function at t = 0, the step count
+    and the stream of its frames: (grid, psi0, n_steps, frames)."""
     grid = cfg.grid()
     psi0 = schrodinger.init_gaussian(
         grid, (cfg.center_x, cfg.center_y), cfg.sigma0, (cfg.k0_x, cfg.k0_y)
     )
-    return grid, psi0
+    n_steps = int(round(cfg.T / cfg.dt))
+    frames = schrodinger.stream_frames(
+        psi0, schrodinger.free_potential(), cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
+    )
+    return grid, psi0, n_steps, frames
 
 
 def _exported(frames, out, files):
@@ -394,17 +400,12 @@ def _exported(frames, out, files):
 
 
 def _scenario_free_gaussian(cfg: ScenarioConfig, out) -> ScenarioResult:
-    grid, psi0 = _free_packet(cfg)
-    pot = schrodinger.free_potential()
-    n_steps = int(round(cfg.T / cfg.dt))
-    frames = schrodinger.stream_frames(
-        psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
-    )
+    grid, _, n_steps, frames = _free_stream(cfg)
     csv_path = os.path.join(out, "summary.csv")
     files = [csv_path]
     if cfg.write_frames:
         frames = _exported(frames, out, files)
-    final, _ = schrodinger.frames_summary_csv(csv_path, frames, pot, cfg.hbar, cfg.mass)
+    final, _ = schrodinger.frames_summary_csv(csv_path, frames, schrodinger.free_potential(), cfg.hbar, cfg.mass)
     exact = schrodinger.analytic_free_gaussian(
         grid, cfg.sigma0, (cfg.k0_x, cfg.k0_y), (cfg.center_x, cfg.center_y), final.time, cfg.hbar, cfg.mass
     )
@@ -509,12 +510,7 @@ def _scenario_harmonic_coherent(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_equivariance(cfg: ScenarioConfig, out) -> ScenarioResult:
-    grid, psi0 = _free_packet(cfg)
-    pot = schrodinger.free_potential()
-    n_steps = int(round(cfg.T / cfg.dt))
-    frames = schrodinger.stream_frames(
-        psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
-    )
+    _, psi0, n_steps, frames = _free_stream(cfg)
     report_t = pilot.ensemble_equivariance(
         frames, cfg.ensemble_n, cfg.seed, T=n_steps * cfg.dt, bins=cfg.bins, hbar=cfg.hbar,
         mass=cfg.mass, rho_floor=cfg.rho_floor,
@@ -600,12 +596,7 @@ def _scenario_hj_residual(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
-    grid, psi0 = _free_packet(cfg)
-    pot = schrodinger.free_potential()
-    n_steps = int(round(cfg.T / cfg.dt))
-    psi_frames = schrodinger.stream_frames(
-        psi0, pot, cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
-    )
+    grid, _, _, psi_frames = _free_stream(cfg)
     # each free frame carries its spectrum, so no field runs an fft2 of its own
     fields = (pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in psi_frames)
     seed = (cfg.seed_x, cfg.seed_y)

@@ -791,7 +791,7 @@ class TestOneSweep:
     @pytest.fixture
     def steppers(self, monkeypatch):
         made = []
-        for name in ("_guided_stepper", "_rk4_stepper", "_point_rk4_stepper"):
+        for name in ("_guided_stepper", "_point_rk4_stepper"):
 
             def spy(*args, _make=getattr(pilot, name), **kwargs):
                 made.append(_make(*args, **kwargs))
@@ -863,8 +863,8 @@ class TestOneSweep:
             return history, fail_step, left_box
 
         monkeypatch.setattr(pilot, "_point_rk4_stepper", spy)
-        message = "gravity center (8.025, 0) entered a masked region at t = 0.2"
-        with pytest.raises(zl.NodeRegion, match=re.escape(message)):
+        message = "gravity center (8.025, 0) left the box at t = 0.2"
+        with pytest.raises(zl.LeftDomain, match=re.escape(message)):
             self.sweep(drift_fields(21, 5.0), (7.025, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
         # the references of eps = 0.005 and 0.0025 left the box at t = 0.19 and
         # 0.1925, before any process read a center outside it
@@ -1066,6 +1066,17 @@ class TestStreamedEnsemble:
         finally:
             sys.setswitchinterval(interval)
         assert results == [True] * 48
+        assert not field_workers()
+
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_close_after_k_items_bounds_the_reads(self, k):
+        """Two builds are in flight: a reader that takes k items and closes
+        has advanced the source at most k + 2 times, and the worker is gone."""
+        source = Pulled(range(10))
+        with closing(pilot._built_ahead(source)) as items:
+            assert [x for _, x in zip(range(k), items)] == list(range(k))
+        assert source.count <= k + 2
         assert not field_workers()
 
 
