@@ -46,9 +46,8 @@ class CycleTable:
 
 
 def intrinsic_spin_closed_form(perm: Permutation, hbar: float) -> float:
-    """(hbar/16) sum_j u^j ^ s u^j; -hbar/2 for s_plus, +hbar/2 for s_minus."""
-    shifted = VERTICES[(np.arange(4) + perm.shift()) % 4]
-    return hbar / 16.0 * float(np.sum(_wedge(VERTICES.astype(float), shifted.astype(float))))
+    """(hbar/16) sum_j u^j ^ (s u^j - u^j), i.e. u^j ^ s u^j; -hbar/2 for s_plus, +hbar/2 for s_minus."""
+    return hbar / 16.0 * float(np.sum(_wedge(VERTICES, perm.offset_table()[1])))
 
 
 def measure_run(run: ProcessRun) -> CycleTable:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
-from .process import PhysParams, Permutation, _assemble_run
+from .process import PhysParams, Permutation, _assemble_run, _fixed_epsilon, _step_count, _whole_cycles
 from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
 
 
@@ -414,12 +414,6 @@ def _check_step(interp: FrameInterpolator, step: float, step_name: str) -> None:
         raise InvalidInput(f"{step_name} = {step:g} exceeds the frame spacing {interp.spacing:g}")
 
 
-def _step_count(t0: float, T: float, dt: float):
-    """(n, dt'): n RK4 steps of dt' = (T - t0) / n cover [t0, T], dt' close to dt."""
-    n_steps = max(1, int(round((T - t0) / dt)))
-    return n_steps, (T - t0) / n_steps
-
-
 def _trajectory(transport, x0, t0: float, dt: float) -> Trajectory:
     """The Trajectory of the one point x0 = (x, y) that _point_rk4_stepper
     moved, or LeftDomain / NodeRegion where it failed."""
@@ -507,22 +501,20 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
 
     frames, any iterable of fields, is read once: all processes and
     references query one FrameInterpolator in time order, which holds at
-    most three fields.  An eps above the frame spacing or a T short of one
-    cycle raises InvalidInput before any query; a center outside the box
-    (LeftDomain) or in a masked cell (NodeRegion) or a query past the last
-    frame (InvalidInput) raises when the sweep gets there, and a failed
-    reference after the sweep.
+    most three fields.  An eps above the frame spacing, a T short of one
+    cycle or an epsilon_mode other than fixed raises InvalidInput before any
+    query; a center outside the box (LeftDomain) or in a masked cell
+    (NodeRegion) or a query past the last frame (InvalidInput) raises when
+    the sweep gets there, and a failed reference after the sweep.
     """
     interp = FrameInterpolator(frames)
     t0 = interp.t0
     x0 = np.asarray(x0, dtype=float).reshape(2).tolist()
     plans = []
     for params in params_list:
-        eps = params.epsilon
+        eps = _fixed_epsilon(params, "guided processes")
         _check_step(interp, eps, "eps")
-        n_cycles = int(math.floor((T - t0) / (4.0 * eps) + 1e-9))
-        if n_cycles < 1:
-            raise InvalidInput("T does not cover a single 4-step cycle")
+        n_cycles = _whole_cycles(T - t0, eps)
         plans.append((params, n_cycles, *_step_count(t0, t0 + 4 * n_cycles * eps, eps)))
     L = interp.grid.half_width
     steppers = []

@@ -58,12 +58,9 @@ class Permutation:
         return VERTICES[(j - 1 + self.shift() * n) % 4]
 
     def offset_table(self) -> np.ndarray:
-        """(4, 4, 2) int array: [n mod 4, j-1] -> s^n u^j - u^j."""
-        tab = np.empty((4, 4, 2), dtype=np.int64)
-        for r in range(4):
-            for j0 in range(4):
-                tab[r, j0] = VERTICES[(j0 + self.shift() * r) % 4] - VERTICES[j0]
-        return tab
+        """(4, 4, 2) int array: [n mod 4, j-1] -> s^n u^j - u^j, by apply's index rule."""
+        r = np.arange(4)
+        return VERTICES[(r + self.shift() * r[:, None]) % 4] - VERTICES
 
 
 class EpsilonMode(Enum):
@@ -293,17 +290,53 @@ def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0,
 
     fixed/compton modes take n = floor(T/eps) uniform steps.  de_broglie mode
     marches whole cycles, refreshing eps at every cycle boundary from the
-    current |Re V|, and stops at the first boundary reaching T.
+    current |Re V|, and stops at the first boundary reaching T.  All modes
+    then share one recurrence: the step landing at n reads V at its cycle
+    boundary, the time of step 4*floor(n/4) (so steps 1-3 of a cycle read V
+    at its start and step 4 at its end), and mean_n = z0 + sum_{k<=n} V_k eps_k.
     """
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     z0 = np.asarray(z0, dtype=complex).reshape(2)
 
-    if params.epsilon_mode is EpsilonMode.COMPTON:
-        params = replace(params, epsilon=params.compton_epsilon())
-    if params.epsilon_mode in (EpsilonMode.FIXED, EpsilonMode.COMPTON):
-        return _run_fixed(params, perm, vel, z0, T)
-    return _run_de_broglie(params, perm, vel, z0, T)
+    if params.epsilon_mode is EpsilonMode.DE_BROGLIE:
+        times, epsilons, v = _de_broglie_schedule(params, vel, T)
+    else:
+        if params.epsilon_mode is EpsilonMode.COMPTON:
+            params = replace(params, epsilon=params.compton_epsilon())
+        eps = params.epsilon
+        n_steps = int(math.floor(T / eps + 1e-9))
+        if n_steps > 4 * DE_BROGLIE_CYCLE_BUDGET:
+            raise StepBudgetExceeded(f"{n_steps:.3g} steps exceed the budget of {DE_BROGLIE_CYCLE_BUDGET} cycles")
+        n = np.arange(n_steps + 1)
+        times, epsilons = n * eps, np.full(n_steps + 1, eps)
+        v = _eval_velocity(vel, 4 * (n[1:] // 4) * eps)  # (n_steps, 2)
+    means = np.empty((times.size, 2), dtype=complex)
+    means[0] = z0
+    np.cumsum(v * epsilons[1:, None], axis=0, out=means[1:])
+    means[1:] += z0
+    return _assemble_run(times, means, epsilons, params, perm)
+
+
+def _de_broglie_schedule(params: PhysParams, vel: VelocityProgram, T: float):
+    """(times, epsilons, v) of the whole cycles from t = 0 to the first
+    boundary reaching T: V is evaluated once per boundary t_q, the last one
+    included, eps_q = h/(4 m |Re V(t_q)|^2), and steps 1-3 of cycle q read
+    V(t_q), step 4 V(t_{q+1}).  Index 0 carries the first cycle's eps.
+    """
+    t, times, epsilons, v = 0.0, [0.0], [], []
+    while t < T - 1e-12:
+        v_start = v[-1] if v else _eval_velocity(vel, t)
+        eps = params.de_broglie_epsilon(float(np.linalg.norm(v_start.real)))
+        v_end = _eval_velocity(vel, t + 4 * eps)
+        times += [t + r * eps for r in range(1, 5)]
+        epsilons += [eps] * 4
+        v += [v_start, v_start, v_start, v_end]
+        t += 4 * eps
+        if len(epsilons) > 4 * DE_BROGLIE_CYCLE_BUDGET:
+            raise StepBudgetExceeded(f"de_broglie run exceeded {DE_BROGLIE_CYCLE_BUDGET} cycles before t = {T:g}")
+    epsilons.insert(0, epsilons[0] if epsilons else params.epsilon)
+    return np.asarray(times), np.asarray(epsilons), np.asarray(v, dtype=complex).reshape(-1, 2)
 
 
 def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation) -> ProcessRun:
@@ -318,50 +351,25 @@ def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation)
     return ProcessRun(times, vertices, means, epsilons, params, perm)
 
 
-def _run_fixed(params, perm, vel, z0, T) -> ProcessRun:
-    eps = params.epsilon
-    n_steps = int(math.floor(T / eps + 1e-9))
-    if n_steps > 4 * DE_BROGLIE_CYCLE_BUDGET:
-        raise StepBudgetExceeded(f"{n_steps:.3g} steps exceed the budget of {DE_BROGLIE_CYCLE_BUDGET} cycles")
-    n = np.arange(n_steps + 1)
-    times = n * eps
-    # velocity for the step landing at n is sampled at t = 4*(n//4)*eps
-    boundary_times = 4 * (n[1:] // 4) * eps
-    v = _eval_velocity(vel, boundary_times)  # (n_steps, 2)
-    means = np.empty((n_steps + 1, 2), dtype=complex)
-    means[0] = z0
-    np.cumsum(v * eps, axis=0, out=means[1:])
-    means[1:] += z0
-    return _assemble_run(times, means, np.full(n_steps + 1, eps), params, perm)
+def _step_count(t0: float, T: float, dt: float):
+    """(n, dt'): n steps of dt' = (T - t0) / n cover [t0, T], dt' close to dt."""
+    n_steps = max(1, int(round((T - t0) / dt)))
+    return n_steps, (T - t0) / n_steps
 
 
-def _run_de_broglie(params, perm, vel, z0, T) -> ProcessRun:
-    times = [0.0]
-    means = [z0]
-    epsilons = [math.nan]  # placeholder; patched to the first cycle's eps below
-    mean = z0.copy()
-    t = 0.0
-    guard = 0
-    while t < T - 1e-12:
-        v_boundary = _eval_velocity(vel, t)
-        speed = float(np.linalg.norm(v_boundary.real))
-        eps = params.de_broglie_epsilon(speed)
-        for r in range(1, 5):
-            # literal indexing: the step landing on the next boundary (r = 4)
-            # reads the velocity at that boundary
-            v_step = v_boundary if r < 4 else _eval_velocity(vel, t + 4 * eps)
-            mean = mean + v_step * eps
-            times.append(t + r * eps)
-            means.append(mean)
-            epsilons.append(eps)
-        t += 4 * eps
-        guard += 1
-        if guard > DE_BROGLIE_CYCLE_BUDGET:
-            raise StepBudgetExceeded(
-                f"de_broglie run exceeded {DE_BROGLIE_CYCLE_BUDGET} cycles before t = {T:g}"
-            )
-    epsilons[0] = epsilons[1] if len(epsilons) > 1 else params.epsilon
-    return _assemble_run(np.asarray(times), np.asarray(means), np.asarray(epsilons), params, perm)
+def _fixed_epsilon(params: PhysParams, what: str) -> float:
+    """params.epsilon, the eps that only a fixed-mode run takes; InvalidInput in another mode."""
+    if params.epsilon_mode is not EpsilonMode.FIXED:
+        raise InvalidInput(f"{what} need epsilon_mode = fixed, got {params.epsilon_mode.value}")
+    return params.epsilon
+
+
+def _whole_cycles(span: float, eps: float) -> int:
+    """The whole 4-step cycles of eps in span; InvalidInput below one."""
+    n_cycles = int(math.floor(span / (4.0 * eps) + 1e-9))
+    if n_cycles < 1:
+        raise InvalidInput("T does not cover one full 4-step cycle")
+    return n_cycles
 
 
 @dataclass(frozen=True)
@@ -381,8 +389,7 @@ def classical_trajectory(vel: VelocityProgram, z0, T: float, dt: float) -> Class
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     z0 = np.asarray(z0, dtype=complex).reshape(2)
-    n_steps = max(1, int(round(T / dt)))
-    dt = T / n_steps
+    n_steps, dt = _step_count(0.0, T, dt)
     t = np.arange(n_steps + 1) * dt
     v_nodes = _eval_velocity(vel, t)
     v_mid = _eval_velocity(vel, t[:-1] + dt / 2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import observables as obs
 from . import pilot, schrodinger, verification
-from .errors import InvalidInput, UnknownScenario
+from .errors import UnknownScenario
 from .fileio import write_csv, write_json
 from .process import (
     CircularVelocity,
@@ -28,6 +28,7 @@ from .process import (
     PhysParams,
     PolynomialVelocity,
     Sense,
+    _fixed_epsilon,
     run_process,
     zero_velocity,
 )
@@ -246,9 +247,9 @@ def _table_cycles(cfg: ScenarioConfig, eps: float, perm: Permutation, vel) -> ob
     Only a fixed eps runs at the swept eps that labels the row; T = 4 cycles
     eps then holds at least one full cycle.
     """
-    if cfg.epsilon_mode != EpsilonMode.FIXED.value:
-        raise InvalidInput(f"epsilon tables need epsilon_mode = fixed, got {cfg.epsilon_mode}")
-    return obs.measure_run(run_process(cfg.phys(eps), perm, vel, (0, 0), 4 * cfg.cycles * eps))
+    params = cfg.phys(eps)
+    _fixed_epsilon(params, "epsilon tables")
+    return obs.measure_run(run_process(params, perm, vel, (0, 0), 4 * cfg.cycles * eps))
 
 
 def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:

@@ -16,20 +16,21 @@ Checks implemented here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInput
 from .fileio import write_json
 from .process import (
-    EpsilonMode,
     PhysParams,
     Permutation,
     VelocityProgram,
     classical_trajectory,
     run_process,
     _eval_velocity,
+    _fixed_epsilon,
+    _whole_cycles,
 )
 from .schrodinger import Potential, WaveFunction, psi_ratios
 
@@ -214,13 +215,17 @@ class RateReport:
         )
 
 
-def _validate_sweep(epsilons) -> np.ndarray:
+def _sweep_params(template: PhysParams, epsilons) -> list:
+    """template at every swept eps, largest first.  InvalidInput for fewer
+    than 4 values, under two decades, or a template that does not run at its
+    own epsilon (only fixed mode does)."""
+    _fixed_epsilon(template, "eps sweeps")
     eps = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     if eps.size < 4:
         raise InvalidInput(f"sweep needs at least 4 epsilons, got {eps.size}")
     if eps[0] / eps[-1] < 99.0:
         raise InvalidInput("sweep must span at least two decades")
-    return eps
+    return [replace(template, epsilon=float(e)) for e in eps]
 
 
 def _rate_report(check, values, errors, target, band, parameters) -> RateReport:
@@ -251,12 +256,8 @@ def cycle_increment_residuals(
     Y(t) is the vertex average of f; D uses the drift value at the boundary
     and is evaluated at the mean process (the expansion lives around it).
     """
-    if params.epsilon_mode is not EpsilonMode.FIXED:
-        raise InvalidInput(f"cycle increments need epsilon_mode = fixed, got {params.epsilon_mode.value}")
-    eps = params.epsilon
-    n_cycles = int(math.floor(T / (4.0 * eps) + 1e-9))
-    if n_cycles < 1:
-        raise InvalidInput("T does not cover one full cycle")
+    eps = _fixed_epsilon(params, "cycle increments")
+    n_cycles = _whole_cycles(T, eps)
     run = run_process(params, perm, vel, np.zeros(2, dtype=complex), 4 * n_cycles * eps)
     n = 4 * np.arange(1, n_cycles + 1)  # every boundary after the start
     t = run.times[n]
@@ -281,16 +282,11 @@ def generator_identity_check(
 
     T is truncated per eps to a whole number of cycles.
     """
-    eps_list = _validate_sweep(epsilons)
-    errors = []
-    for eps in eps_list:
-        params = PhysParams(
-            hbar=params_template.hbar, mass=params_template.mass, epsilon=float(eps)
-        )
-        errors.append(float(np.max(cycle_increment_residuals(f, params, perm, vel, T))))
+    sweep = _sweep_params(params_template, epsilons)
+    errors = [float(np.max(cycle_increment_residuals(f, params, perm, vel, T))) for params in sweep]
     return _rate_report(
         "cycle_increment_generator",
-        eps_list,
+        [params.epsilon for params in sweep],
         errors,
         target=1.0,
         band=(0.9, 1.1),
@@ -316,21 +312,18 @@ def process_convergence_rates(
     Expected rates: 1/2 for the sup vertex deviation (the internal hop scales
     as sqrt(eps)), 1 for the mean process (frozen-drift Euler steps).
     """
-    eps_list = _validate_sweep(epsilons)
+    sweep = _sweep_params(params_template, epsilons)
     z0 = np.asarray(z0, dtype=complex).reshape(2)
     vertex_errors = []
     mean_errors = []
-    for eps in eps_list:
-        params = PhysParams(
-            hbar=params_template.hbar, mass=params_template.mass, epsilon=float(eps)
-        )
+    for params in sweep:
         run = run_process(params, perm, vel, z0, T)
-        n_steps = len(run) - 1
-        path = classical_trajectory(vel, z0, n_steps * params.epsilon, params.epsilon / REFERENCE_REFINEMENT)
+        path = classical_trajectory(vel, z0, (len(run) - 1) * params.epsilon, params.epsilon / REFERENCE_REFINEMENT)
         reference = path.positions[::REFERENCE_REFINEMENT]
         dev = run.vertices - reference[:, None, :]
         vertex_errors.append(float(np.max(np.abs(np.linalg.norm(dev, axis=2)))))
         mean_errors.append(float(np.max(np.linalg.norm(run.means - reference, axis=1))))
+    eps_list = [params.epsilon for params in sweep]
     vertex_report = _rate_report(
         "vertex_convergence",
         eps_list,
@@ -357,15 +350,11 @@ def process_convergence_rates(
 
 @dataclass
 class HJResidualReport:
-    """Residual statistics over the unmasked bulk, one entry per interior frame."""
+    """Largest residual over the unmasked bulk of every interior frame, raw
+    and with the frame's mean residual removed."""
 
-    times: tuple
-    linf: tuple
-    l2: tuple
-    linf_centered: tuple
     overall_linf: float
     overall_linf_centered: float
-    parameters: dict
 
 
 def complex_hj_residual(
@@ -385,9 +374,8 @@ def complex_hj_residual(
     """
     if len(psi_frames) < 3:
         raise ValueError("need at least 3 consecutive frames")
-    grid = psi_frames[0].grid
-    v_grid = pot.values(grid, mass).ravel()
-    times, linf, l2, linf_centered = [], [], [], []
+    v_grid = pot.values(psi_frames[0].grid, mass).ravel()
+    linf, linf_centered = [], []
     for i in range(1, len(psi_frames) - 1):
         prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
         dt_frame = 0.5 * (next_f.time - prev_f.time)
@@ -401,21 +389,10 @@ def complex_hj_residual(
         lap_s = -1j * hbar * (ratios[2] - ratio_sq)
         ds_dt = -1j * hbar * np.log(next_f.values.ravel()[live] / prev_f.values.ravel()[live]) / (2.0 * dt_frame)
         residual = ds_dt + grad_s_sq / (2.0 * mass) + v_grid[live] - 0.5j * hbar / mass * lap_s
-        bulk = np.abs(residual)
-        centered = residual - np.mean(residual)
-        times.append(float(here.time))
-        linf.append(float(bulk.max()))
-        l2.append(float(np.sqrt(np.mean(bulk**2))))
-        linf_centered.append(float(np.abs(centered).max()))
-    return HJResidualReport(
-        times=tuple(times),
-        linf=tuple(linf),
-        l2=tuple(l2),
-        linf_centered=tuple(linf_centered),
-        overall_linf=max(linf),
-        overall_linf_centered=max(linf_centered),
-        parameters={"rho_floor": rho_floor, "n": grid.n, "frames": len(psi_frames)},
-    )
+        linf.append(float(np.abs(residual).max()))
+        linf_centered.append(float(np.abs(residual - np.mean(residual)).max()))
+    # np.max keeps a NaN of any frame; builtin max drops one after the first
+    return HJResidualReport(float(np.max(linf)), float(np.max(linf_centered)))
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,11 @@ class TestMainEntry:
             # a table labels its rows with the swept eps, so only a fixed eps fits
             "scenario = spin_table\ncycles = 1000\nepsilons = 0.1, 0.01\nepsilon_mode = compton\n",
             "scenario = heisenberg_table\nepsilon_mode = de_broglie\n",
+            # a sweep or a guided process runs at the eps it is given, so only a fixed eps fits
+            "scenario = convergence\nepsilon_mode = compton\n",
+            "scenario = convergence\nepsilon_mode = de_broglie\n",
+            "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\n"
+            "guided_epsilons = 4e-3, 2e-3, 1e-3\nepsilon_mode = de_broglie\n",
         ],
         ids=[
             "short_sweep",
@@ -277,6 +282,9 @@ class TestMainEntry:
             "table_without_a_cycle",
             "spin_table_compton_eps",
             "heisenberg_table_de_broglie_eps",
+            "convergence_compton_eps",
+            "convergence_de_broglie_eps",
+            "guided_process_de_broglie_eps",
         ],
     )
     def test_inconsistent_inputs_exit_two(self, tmp_path, capsys, text):

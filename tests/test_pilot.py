@@ -11,6 +11,7 @@ import threading
 import time
 import weakref
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ class TestTransportKernel:
 
     def test_guided_run_reads_one_point_in_scalars(self, tmp_path, monkeypatch, array_kernel):
         def digests(result):
-            return [hashlib.sha256(open(path, "rb").read()).hexdigest() for path in result.files]
+            return [hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in result.files]
 
         cfg = parse_config(
             "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\nguided_epsilons = 4e-3, 2e-3, 1e-3\n"
@@ -618,6 +619,17 @@ class TestGuideProcess:
     def test_epsilon_above_frame_spacing_rejected(self, free_fields):
         with pytest.raises(ValueError):
             zl.guide_process(free_fields, zl.PhysParams(epsilon=0.5), zl.Permutation(), (1, 0), 1.0)
+
+    @pytest.mark.parametrize("mode", [zl.EpsilonMode.COMPTON, zl.EpsilonMode.DE_BROGLIE])
+    def test_non_fixed_epsilon_rejected_before_any_query(self, free_fields, monkeypatch, mode):
+        # the process is driven with params.epsilon, which only fixed mode runs at
+        def no_query(*args):
+            raise AssertionError("queried the field")
+
+        monkeypatch.setattr(pilot.FrameInterpolator, "point_at", no_query)
+        params = [zl.PhysParams(epsilon=4e-3), zl.PhysParams(epsilon=4e-3, epsilon_mode=mode)]
+        with pytest.raises(zl.InvalidInput, match="epsilon_mode = fixed"):
+            zl.guide_processes(free_fields, params, zl.Permutation(), (1.0, 0.0), 1.0)
 
 
 class TestEnsemble:

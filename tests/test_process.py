@@ -34,6 +34,26 @@ def step_oracle(p, perm, vel, z0, n_steps):
     return np.array(times), np.array(vertices), np.array(means)
 
 
+def de_broglie_oracle(p, vel, z0, T):
+    """The de_broglie run as a per-step loop from z0: (times, means, epsilons).
+
+    Each cycle takes eps from |Re V| at its start t; steps 1-3 read V(t) and
+    step 4 reads V(t + 4 eps), and every step adds V * eps to the mean.
+    """
+    times, means, epsilons = [0.0], [np.asarray(z0, dtype=complex).reshape(2)], []
+    t = 0.0
+    while t < T - 1e-12:
+        v_boundary = np.asarray(vel(t), dtype=complex)
+        eps = p.de_broglie_epsilon(float(np.linalg.norm(v_boundary.real)))
+        for r in range(1, 5):
+            v_step = v_boundary if r < 4 else np.asarray(vel(t + 4 * eps), dtype=complex)
+            means.append(means[-1] + v_step * eps)
+            times.append(t + r * eps)
+            epsilons.append(eps)
+        t += 4 * eps
+    return np.array(times), np.array(means), np.array([epsilons[0], *epsilons])
+
+
 class TestGamma:
     def test_unit_values(self):
         assert zl.gamma(params(1.0)) == 0.5 + 0.5j
@@ -69,6 +89,15 @@ class TestPermutation:
         for n in range(8):
             total = sum(p.apply(n, j) for j in range(1, 5))
             np.testing.assert_array_equal(total, [0, 0])
+
+    def test_offset_table_follows_apply(self):
+        for sense in (zl.Sense.S_PLUS, zl.Sense.S_MINUS):
+            p = zl.Permutation(sense)
+            table = p.offset_table()
+            assert table.shape == (4, 4, 2) and table.dtype == np.int64
+            for r in range(4):
+                for j in range(1, 5):
+                    np.testing.assert_array_equal(table[r, j - 1], p.apply(r, j) - VERTICES[j - 1])
 
     def test_s_minus_is_inverse(self):
         plus, minus = zl.Permutation(), zl.Permutation(zl.Sense.S_MINUS)
@@ -239,6 +268,44 @@ class TestEpsilonModes:
         for n in range(len(run)):
             g = zl.gamma(replace(p, epsilon=float(run.epsilons[n])))
             assert np.array_equal(run.vertices[n], run.means[n] + g * offsets[n % 4])
+
+    @pytest.mark.parametrize(
+        "vel",
+        [
+            zl.ConstantVelocity(2.0, -0.5j),
+            zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25)),
+            zl.CircularVelocity(3.0, 2.0),
+        ],
+        ids=["constant", "polynomial", "circular"],
+    )
+    def test_de_broglie_run_equals_per_step_loop_from_zero(self, vel):
+        p = zl.PhysParams(hbar=0.7, mass=1.3, epsilon_mode=zl.EpsilonMode.DE_BROGLIE)
+        run = zl.run_process(p, zl.Permutation(zl.Sense.S_MINUS), vel, (0, 0), 10.0)
+        times, means, epsilons = de_broglie_oracle(p, vel, (0, 0), 10.0)
+        assert len(run) > 40
+        assert np.array_equal(run.times, times) and np.array_equal(run.epsilons, epsilons)
+        # from z0 = 0 the running sum is the loop's sum term by term
+        assert np.array_equal(run.means, means)
+        offsets = zl.Permutation(zl.Sense.S_MINUS).offset_table()
+        for n in range(len(run)):
+            g = zl.gamma(replace(p, epsilon=float(epsilons[n])))
+            assert np.array_equal(run.vertices[n], means[n] + g * offsets[n % 4])
+
+    def test_de_broglie_run_from_nonzero_start_differs_only_by_reassociation(self):
+        # the loop sums z0 + a_1 + ... + a_n left to right, run_process sums
+        # a_1 + ... + a_n and then adds z0.  Per real component each of the n
+        # rounded additions errs by at most u times a partial sum, so either
+        # order is within n*u*M of the exact sum, with M = max|mean| + |z0|
+        # bounding the partial sums of both; the two differ by at most 2*n*u*M.
+        p = zl.PhysParams(epsilon_mode=zl.EpsilonMode.DE_BROGLIE)
+        vel, z0 = zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25)), (0.3 + 0.1j, -1j)
+        run = zl.run_process(p, zl.Permutation(), vel, z0, 10.0)
+        times, means, epsilons = de_broglie_oracle(p, vel, z0, 10.0)
+        assert np.array_equal(run.times, times) and np.array_equal(run.epsilons, epsilons)
+        n, u = len(run) - 1, np.finfo(float).eps / 2
+        parts = means.view(float)
+        bound = 2 * n * u * (np.max(np.abs(parts)) + np.max(np.abs(np.asarray(z0, dtype=complex).view(float))))
+        assert 0 < np.max(np.abs(run.means.view(float) - parts)) <= bound
 
     def test_epsilon_underflow(self):
         p = zl.PhysParams(

@@ -524,3 +524,16 @@ def test_free_gaussian_holds_at_most_two_frames(tmp_path, monkeypatch, write_fra
     names = [os.path.basename(p) for p in result.files]
     frames = [f"frame_{i:04d}.zlab" for i in range(11)] if write_frames == "true" else []
     assert names == ["summary.csv", *frames, "free_gaussian.json"]
+
+
+def test_harmonic_coherent_summary_energy_is_the_harmonic_one(tmp_path):
+    # row 0 of summary.csv is frame 0, a copy of psi0, so its energy is
+    # energy(psi0, V) to the bit when the summary is given the run's potential
+    cfg = parse_config("scenario = harmonic_coherent\nn_grid = 64\nbox_half_width = 5.5\ncenter_x = 0.5\ndt = 3e-3\n")
+    result = run_scenario(cfg, tmp_path)
+    assert result.passed
+    sigma0 = math.sqrt(cfg.hbar / (2.0 * cfg.mass * cfg.omega))
+    psi0 = zl.init_gaussian(cfg.grid(), (cfg.center_x, cfg.center_y), sigma0, (0.0, 0.0))
+    header, row0 = (tmp_path / "summary.csv").read_text().splitlines()[:2]
+    energy = float(row0.split(",")[header.split(",").index("energy")])
+    assert energy == zl.energy(psi0, zl.harmonic_potential(cfg.omega), cfg.hbar, cfg.mass)

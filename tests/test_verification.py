@@ -160,6 +160,15 @@ class TestCycleIncrementIdentity:
             )
         assert isinstance(err.value, zl.ConfigError) and isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("mode", [zl.EpsilonMode.COMPTON, zl.EpsilonMode.DE_BROGLIE])
+    def test_sweeps_need_a_fixed_eps(self, mode):
+        # each sweep point runs at the swept eps, which only fixed mode does
+        template, vel = zl.PhysParams(epsilon_mode=mode), zl.CircularVelocity()
+        with pytest.raises(zl.InvalidInput, match="epsilon_mode = fixed"):
+            ver.generator_identity_check(ver.CATALOG["quadratic"], template, zl.Permutation(), vel, 1.0, SWEEP)
+        with pytest.raises(zl.InvalidInput, match="epsilon_mode = fixed"):
+            ver.process_convergence_rates(template, zl.Permutation(), vel, (0, 0), 1.0, SWEEP)
+
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
             ver.generator_identity_check(
@@ -233,6 +242,16 @@ class TestComplexHJResidual:
         report = ver.complex_hj_residual(frames, zl.harmonic_potential(1.0))
         assert report.overall_linf < 1e-8
         assert report.overall_linf_centered < 1e-8
+
+    def test_nan_of_a_later_frame_reaches_the_maxima(self):
+        later = zl.analytic_free_gaussian(zl.Grid2D(64, 20.0), 1.0, (0.0, 0.0), (0, 0), 0.502)
+        frames = self.frames(64, 1e-3) + [later]
+        healthy = ver.complex_hj_residual(frames, zl.free_potential())
+        assert math.isfinite(healthy.overall_linf) and math.isfinite(healthy.overall_linf_centered)
+        # frame 3 is read only by the second interior frame
+        frames[3] = zl.WaveFunction(frames[3].grid, np.full_like(frames[3].values, np.nan), frames[3].time)
+        report = ver.complex_hj_residual(frames, zl.free_potential())
+        assert math.isnan(report.overall_linf) and math.isnan(report.overall_linf_centered)
 
     def test_needs_three_frames(self):
         with pytest.raises(ValueError):
