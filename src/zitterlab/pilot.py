@@ -82,6 +82,17 @@ _UPPER = np.array([0, 1]).reshape(2, 1, 1)
 _LOWER = 1.0 - _UPPER
 
 
+def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
+    """(M,) flags of the points pts (M, 2) inside the box [-L, L)^2, L = half_width."""
+    box = (pts >= -half_width) & (pts < half_width)
+    return box[:, 0] & box[:, 1]
+
+
+def _inside(x: float, y: float, half_width: float) -> bool:
+    """_in_box of the one point (x, y) in Python scalars."""
+    return -half_width <= x < half_width and -half_width <= y < half_width
+
+
 def _stencil(grid: Grid2D, pts: np.ndarray):
     """Bilinear stencil of the points pts (M, 2) on the periodic grid.
 
@@ -92,7 +103,6 @@ def _stencil(grid: Grid2D, pts: np.ndarray):
     more in page faults than in arithmetic.
     """
     n, h, L = grid.n, grid.spacing, grid.half_width
-    box = (pts >= -L) & (pts < L)
     f = pts + L
     f /= h
     c = np.floor(f)
@@ -106,7 +116,7 @@ def _stencil(grid: Grid2D, pts: np.ndarray):
     t = np.abs(_LOWER - f.T)  # their weights per axis: 1 - t | t
     idx = (c[None, :, 0] + c[:, None, 1]).reshape(4, -1)
     w = (t[None, :, 0] * t[:, None, 1]).reshape(4, -1, 1)
-    return idx, w, box[:, 0] & box[:, 1]
+    return idx, w, _in_box(pts, L)
 
 
 def _gather(fld: VelocityField, idx: np.ndarray, w: np.ndarray):
@@ -152,7 +162,7 @@ def _point_stencil(grid: Grid2D, x: float, y: float):
     i0, i1 = i0 * n, i1 * n
     gx, gy = 1.0 - fx, 1.0 - fy
     idx = (i0 + j0, i1 + j0, i0 + j1, i1 + j1)
-    return idx, (gx * gy, fx * gy, gx * fy, fx * fy), -L <= x < L and -L <= y < L
+    return idx, (gx * gy, fx * gy, gx * fy, fx * fy), _inside(x, y, L)
 
 
 def _point_gather(fld: VelocityField, idx, w):
@@ -176,14 +186,10 @@ def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
     """Re V interpolated at one position; the Bohmian velocity grad(S)/m."""
     px, py = np.asarray(x, dtype=float).reshape(2).tolist()
     L = fld.grid.half_width
-    point = _point_stencil(fld.grid, px, py)
-    if point is None or not point[2]:  # a point without a stencil is outside the box too
+    if not _inside(px, py, L):
         raise LeftDomain(f"query ({px:g}, {py:g}) is outside the box [-{L}, {L})^2")
-    idx, w, _ = point
-    if fld.v.dtype.kind == "c":
-        w = [complex(c) for c in w]
-    vx, vy, masked = _point_gather(fld, idx, w)
-    if masked:
+    vx, vy, ok = FrameInterpolator([fld]).point_at(fld.time, px, py)
+    if not ok:
         raise NodeRegion(f"query ({px:g}, {py:g}) touches masked wave-function nodes")
     return np.array([vx.real, vy.real])
 
@@ -285,10 +291,6 @@ class FrameInterpolator:
             vx1, vy1, masked1 = _point_gather(self.frames[i + 1], idx, w)
             vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
         return vx, vy, inside and not masked
-
-
-def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
-    return np.all(np.abs(pts) < half_width, axis=1)
 
 
 @dataclass
@@ -400,9 +402,9 @@ def _point_rk4_stepper(x0, t0: float, dt: float, n_steps: int, half_width: float
         k4x, k4y = k4x.real, k4y.real
         xn = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         yn = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        ok_domain = abs(xn) < L and abs(yn) < L
+        ok_domain = _inside(xn, yn, L)
         if not (ok1 and ok2 and ok3 and ok4 and ok_domain):
-            stages_in = all(abs(c) < L for c in (x2, y2, x3, y3, x4, y4))
+            stages_in = _inside(x2, y2, L) and _inside(x3, y3, L) and _inside(x4, y4, L)
             return history, s, not (ok_domain and stages_in)
         x, y = xn, yn
         history.append((x, y))
@@ -474,7 +476,7 @@ def _guided_stepper(x0, t0: float, eps: float, n_cycles: int, half_width: float)
         cx, cy = mx.real, my.real
         vx, vy, ok = yield t_q, cx, cy
         if not ok:
-            if not (-half_width <= cx < half_width and -half_width <= cy < half_width):
+            if not _inside(cx, cy, half_width):
                 raise LeftDomain(f"gravity center ({cx:g}, {cy:g}) left the box at t = {t_q:g}")
             raise NodeRegion(f"gravity center ({cx:g}, {cy:g}) entered a masked region at t = {t_q:g}")
         if not (cmath.isfinite(vx) and cmath.isfinite(vy)):

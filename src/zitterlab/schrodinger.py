@@ -73,8 +73,8 @@ class Grid2D:
 class WaveFunction:
     """Complex field on a Grid2D at one instant; values indexed [ix, iy].
 
-    spectrum, when not None, is the 2D FFT of values that the free-potential
-    frame stream held in k-space; readers must not modify it.
+    spectrum, when not None, is the 2D FFT of values that a free-potential
+    advance() held in k-space; readers must not modify it.
     """
 
     grid: Grid2D
@@ -192,6 +192,11 @@ def _held_buffers(count: int, n: int):
     return held[0][:count], held[1][:count]
 
 
+def _spectrum(psi: WaveFunction) -> np.ndarray:
+    """psi's 2D FFT: the spectrum the frame held, else one fft2 of its values."""
+    return psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
+
+
 def _axis_parts(v: np.ndarray):
     """(a, b) with V = a(x) + b(y) to SEPARABLE_TOLERANCE, or None.
 
@@ -228,11 +233,12 @@ class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
     The constructor builds the operators of one of three paths once, plus
-    the aliasing-band mask and two n x n work buffers; advance() and frames()
-    reuse them for every call.  The free potential needs k^2 only.  A separable
-    V = a(x) + b(y) needs the 1D kinetic phase and the half and full kicks of
-    each axis.  Any other V needs the 2D kinetic phase and full kick.  Both
-    potential paths end with the 2D half kick.
+    the aliasing-band mask and the n x n work buffers (one for the free
+    potential, two for the others); advance() reuses them for every call, and
+    frames() is advance() in a loop.  The free potential needs k^2 only.  A
+    separable V = a(x) + b(y) needs the 1D kinetic phase and the half and full
+    kicks of each axis.  Any other V needs the 2D kinetic phase and full kick.
+    Both potential paths end with the 2D half kick.
     """
 
     def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
@@ -243,8 +249,9 @@ class Propagator:
         self._hbar_over_2m = 0.5 * hbar / mass
         k = grid.wavenumbers
         self._k2 = k[:, None] ** 2 + k[None, :] ** 2
-        self._half_kick = self._full_kick = self._kinetic = self._axes = None
+        self._half_kick = self._full_kick = self._kinetic = self._axes = self._work = None
         if pot.kind is not PotentialKind.FREE:
+            self._work = np.empty((grid.n, grid.n), dtype=complex)
             v = pot.values(grid, mass)
             self._half_kick = np.exp(-0.5j * dt * v / hbar)
             parts = _axis_parts(v)
@@ -258,8 +265,7 @@ class Propagator:
                 kinetic = np.exp(-1j * self._hbar_over_2m * dt * k**2)
                 self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
         self._band = np.maximum.outer(np.abs(k), np.abs(k)) >= ALIAS_BAND_FRACTION * grid.nyquist
-        self._work = np.empty((grid.n, grid.n), dtype=complex)
-        self._tmp = np.empty_like(self._work)
+        self._tmp = np.empty((grid.n, grid.n), dtype=complex)
         # a frame stream advances by one stride throughout, so one cached n suffices
         self._cached_steps = None
         self._cached = None
@@ -288,12 +294,13 @@ class Propagator:
 
         Adjacent half kicks are fused into full kicks, so a call costs
         half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half.
-        With the free potential the kicks are the identity and the call is one
-        FFT, one n-step kinetic phase and one IFFT.  With a separable V every
-        factor but the last half kick splits by axis, so the spectrum before
-        the last IFFT is A_x psi A_y^T: two n x n matrix products with the
-        per-axis operators, built once per n_steps.  The aliasing and
-        finiteness guard reads that spectrum.
+        With the free potential the kicks are the identity: psi's spectrum
+        (held, else one FFT) times the n-step kinetic phase is a fresh psi^,
+        inverted into the result, which carries psi^ as its spectrum.  With a
+        separable V every factor but the last half kick splits by axis, so
+        psi^ is A_x psi A_y^T: two n x n matrix products with the per-axis
+        operators, built once per n_steps.  The aliasing and finiteness guard
+        reads psi^, the spectrum before the last IFFT.
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
@@ -303,12 +310,11 @@ class Propagator:
             return psi.copy()
         work, tmp = self._work, self._tmp
         if self._half_kick is None:
-            _fft2(psi.values, work, tmp)
-            work *= self._cached_for(n_steps)
+            spectrum = _spectrum(psi) * self._cached_for(n_steps)
         elif self._axes is not None:
             at_x, at_y = self._cached_for(n_steps)
             np.matmul(at_x.T, psi.values, out=tmp)
-            np.matmul(tmp, at_y, out=work)
+            spectrum = np.matmul(tmp, at_y, out=work)
         else:
             np.multiply(psi.values, self._half_kick, out=work)
             for _ in range(n_steps - 1):
@@ -317,38 +323,32 @@ class Propagator:
                 _fft2(work, work, tmp, inverse=True)
                 work *= self._full_kick
             _fft2(work, work, tmp)
-            work *= self._kinetic
-        self._check_spectrum(work)
+            spectrum = np.multiply(work, self._kinetic, out=work)
+        self._check_spectrum(spectrum)
+        time = psi.time + n_steps * self.dt
+        if self._half_kick is None:
+            values = np.empty_like(spectrum)
+            _fft2(spectrum, values, tmp, inverse=True)
+            return WaveFunction(self.grid, values, time, spectrum)
         _fft2(work, work, tmp, inverse=True)
-        values = work.copy() if self._half_kick is None else work * self._half_kick
-        return WaveFunction(self.grid, values, psi.time + n_steps * self.dt)
+        return WaveFunction(self.grid, work * self._half_kick, time)
 
     def frames(self, psi: WaveFunction, frame_stride: int, n_frames: int) -> Iterator[WaveFunction]:
-        """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time.
+        """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time:
+        a copy of psi, then advance() of the frame before by frame_stride.
 
-        Frame 0 is a copy of psi.  With the free potential the spectrum stays
-        in k-space, psi_k^ = psi_{k-1}^ . (the stride phase): a frame costs one
-        multiply and one IFFT, the guard reads psi_k^, and the frame carries
-        psi_k^ as its spectrum.  Every other potential yields advance()'s
-        frames, without a spectrum.
+        With the free potential frame 0 carries its spectrum from one FFT, so
+        the spectrum stays in k-space, psi_k^ = psi_{k-1}^ . (the stride
+        phase): a frame costs one multiply and one IFFT.
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
-        frame, spectrum = psi.copy(), None
+        frame = psi.copy()
         if self._half_kick is None:
-            spectrum = np.empty_like(self._work)
-            _fft2(frame.values, spectrum, self._tmp)
-            frame.spectrum = spectrum
+            frame.spectrum = np.fft.fft2(frame.values)
         yield frame
         for _ in range(n_frames):
-            if spectrum is None:
-                frame = self.advance(frame, frame_stride)
-            else:
-                spectrum = spectrum * self._cached_for(frame_stride)
-                self._check_spectrum(spectrum)
-                values = np.empty_like(spectrum)
-                _fft2(spectrum, values, self._tmp, inverse=True)
-                frame = WaveFunction(self.grid, values, frame.time + frame_stride * self.dt, spectrum)
+            frame = self.advance(frame, frame_stride)
             yield frame
 
 
@@ -450,14 +450,14 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     row-major indices of the cells it leaves, np.flatnonzero(~mask).  ratios
     has shape (2, L) for L live cells, (d/dx Psi, d/dy Psi)/Psi, and with
     laplacian=True a third row Lap(Psi)/Psi.  The spectrum is psi.spectrum
-    when the frame stream held it, else one fft2; the derivative spectra
+    when the solver held it, else one fft2; the derivative spectra
     i k_x Psi^, i k_y Psi^ (and -k^2 Psi^) are inverted as one stacked FFT
     into held buffers, and each live cell takes one complex divide.
     """
     grid = psi.grid
     rho = psi.density()
     mask = rho < rho_floor * float(rho.max())
-    spectrum = psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
+    spectrum = _spectrum(psi)
     k = grid.wavenumbers
     derivs, tmp = _held_buffers(3 if laplacian else 2, grid.n)
     np.multiply(1j * k[:, None], spectrum, out=derivs[0])
@@ -484,8 +484,7 @@ def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
 
 def _energy(psi: WaveFunction, rho: np.ndarray, kinetic: np.ndarray, v) -> float:
     grid = psi.grid
-    spectrum = psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
-    e = np.sum(kinetic * np.abs(spectrum) ** 2) * grid.cell_area() / grid.n**2
+    e = np.sum(kinetic * np.abs(_spectrum(psi)) ** 2) * grid.cell_area() / grid.n**2
     if v is not None:
         e = e + np.sum(v * rho) * grid.cell_area()
     return float(e)
@@ -493,7 +492,7 @@ def _energy(psi: WaveFunction, rho: np.ndarray, kinetic: np.ndarray, v) -> float
 
 def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
     """<Psi| -hbar^2/2m Lap + V |Psi> with the kinetic part summed in k-space,
-    over psi.spectrum when the frame stream held it, else over fft2(psi.values)."""
+    over psi.spectrum when the solver held it, else over fft2(psi.values)."""
     return _energy(psi, psi.density(), *_energy_terms(psi.grid, pot, hbar, mass))
 
 

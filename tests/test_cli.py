@@ -154,6 +154,15 @@ class TestRunScenario:
         assert (tmp_path / "run.csv").exists()
         assert (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("sense", ["s_plus", "s_minus"])
+    def test_process_free_offset_identity_catches_the_other_sense(self, tmp_path, monkeypatch, sense):
+        # rows 1 and 3 swapped: each sense runs with the other sense's offsets
+        table = zl.Permutation.offset_table
+        monkeypatch.setattr(zl.Permutation, "offset_table", lambda self: table(self)[[0, 3, 2, 1]])
+        cfg = parse_config(f"scenario = process_free\nepsilon = 0.05\nT = 1.0\npermutation = {sense}\n")
+        checks = {name: ok for name, ok, _ in run_scenario(cfg, tmp_path).checks}
+        assert checks == {"offset_identity": False, "boundary_coincidence": True, "mean_of_vertices": True}
+
     def test_spin_table_check_and_rows(self, tmp_path):
         cfg = parse_config("scenario = spin_table\ncycles = 5\nepsilons = 0.1, 0.01\n")
         result = run_scenario(cfg, tmp_path)
@@ -378,8 +387,11 @@ class TestMainEntry:
             # here, 2-row field calls in the next case
             "scenario = hj_residual\nn_grid = 64\nhj_ns = 16, 32, 64\n",
             "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\nguided_epsilons = 4e-3, 2e-3, 1e-3\n",
+            # the free frame stream with its .zlab frames, and the separable potential path
+            "scenario = free_gaussian\nn_grid = 64\nbox_half_width = 8\nT = 0.05\nwrite_frames = true\n",
+            "scenario = harmonic_coherent\nn_grid = 64\nbox_half_width = 5.5\ncenter_x = 0.5\ndt = 3e-3\n",
         ],
-        ids=["equivariance", "hj_residual", "guided_process"],
+        ids=["equivariance", "hj_residual", "guided_process", "free_gaussian_frames", "harmonic_coherent"],
     )
     def test_byte_identical_reruns(self, tmp_path, text):
         cfg_path = tmp_path / "run.cfg"

@@ -1123,6 +1123,32 @@ class TestFailureCauses:
         assert f'"failures_left_box": {rep.failures}' in text and '"failures_node": 0' in text
 
 
+class TestBoxEdge:
+    """The box is [-L, L) for every read and every transport step: a step
+    that lands exactly on x = -L is taken, and the step after it fails."""
+
+    @staticmethod
+    def fields():
+        """Re V = (-1, 0) at t = 0 and t = 1 on the 16^2 box of half width 10."""
+        grid = zl.Grid2D(16, 10.0)
+        v = np.zeros((grid.n, grid.n, 2))
+        v[..., 0] = -1.0
+        mask = np.zeros((grid.n, grid.n), dtype=bool)
+        return [pilot.VelocityField(grid, v, mask, t) for t in (0.0, 1.0)]
+
+    def test_one_point(self):
+        assert pilot.FrameInterpolator(self.fields()).point_at(0.5, -10.0, 0.0) == (-1.0, 0.0, True)
+        with pytest.raises(zl.LeftDomain) as err:
+            zl.integrate_trajectory(self.fields(), (-9.5, 0.0), 0.5, T=1.0)
+        assert str(err.value) == "trajectory from (-9.5, 0) left the box at t = 0.5, position (-10, 0)"
+
+    def test_batch(self):
+        interp = pilot.FrameInterpolator(self.fields())
+        finals, alive, fail_step, left_box = pilot._rk4_batch(interp, np.array([[-9.5, 0.0]]), 0.5, 2)
+        assert finals.tolist() == [[-10.0, 0.0]]
+        assert alive.tolist() == [False] and fail_step.tolist() == [1] and left_box.tolist() == [True]
+
+
 def test_trajectory_csv(free_fields, tmp_path):
     t1 = zl.integrate_trajectory(free_fields, (1.0, 0.0), dt=5e-3)
     t2 = zl.integrate_trajectory(free_fields, (0.0, 0.5), dt=5e-3)
