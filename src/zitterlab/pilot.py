@@ -61,7 +61,8 @@ def velocity_field(
     """V = -i (hbar/m) grad(Psi)/Psi on the grid, 0 at masked nodes.
 
     grad(Psi)/Psi, rho and the node mask rho < rho_floor * max(rho) are
-    those of psi_ratios, which reads psi.spectrum when the solver held it.
+    those of psi_ratios, which reads a product frame through its factors
+    and any other through psi.spectrum when the solver held it.
     On the live cells Re V = (hbar/m) Im(grad(Psi)/Psi) and
     Im V = -(hbar/m) Re(grad(Psi)/Psi).  With real=True, v holds Re V alone
     as float64, which is all Bohmian transport reads, and equals the real
@@ -672,8 +673,8 @@ def ensemble_equivariance(
     interval through a window of three Re V fields.  The fields are built
     on one worker thread, two builds in flight ahead of the transport, so
     at most five are alive: the window's three, the one built and waiting
-    and the one being built.  The worker's two FFT work buffers are
-    allocated once per call.
+    and the one being built.  A frame without factors takes the worker's
+    two FFT work buffers, allocated once per call.
     An error raised by the stream is raised here where a serial read would
     raise it; no thread outlives the call.  A list and an iterator over the
     same frames give equal reports.  T defaults to the last frame's time,

@@ -597,7 +597,7 @@ def _scenario_hj_residual(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
     grid, _, _, psi_frames = _free_stream(cfg)
-    # each free frame carries its spectrum, so no field runs an fft2 of its own
+    # each frame carries its factors, so every field is built from 1D transforms
     fields = (pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in psi_frames)
     seed = (cfg.seed_x, cfg.seed_y)
     gaps = []

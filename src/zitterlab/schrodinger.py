@@ -1,10 +1,12 @@
 """2D time-dependent Schrodinger solver on a periodic grid.
 
 Strang-split spectral scheme: half potential kick, exact kinetic phase in
-Fourier space, half potential kick.  Packets must stay well away from the box
-boundary; guards reject under-resolved or boundary-touching initial data and
-an aliasing check aborts evolutions that fill the top of the spectrum or turn
-non-finite.
+Fourier space, half potential kick.  A product state psi = fx(x) fy(y)
+under the free or a harmonic potential evolves as its two 1D factors.
+Packets must stay well away from the box boundary; guards reject
+under-resolved or boundary-touching initial data, and per-frame checks abort
+evolutions that fill the top of the spectrum, turn non-finite or move the
+norm past its roundoff bound.
 
 i hbar dPsi/dt = -(hbar^2/2m) Lap Psi + V(x) Psi
 """
@@ -16,6 +18,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -74,22 +77,42 @@ class WaveFunction:
     """Complex field on a Grid2D at one instant; values indexed [ix, iy].
 
     spectrum, when not None, is the 2D FFT of values that a free-potential
-    advance() held in k-space; readers must not modify it.
+    advance() held in k-space.  factors, when not None, is the pair (fx, fy)
+    of (n,) axis factors of a product state, values = np.outer(fx, fy): the
+    solver evolves such a frame as its two factors, and its readers sum over
+    them.  Readers must modify neither.
     """
 
     grid: Grid2D
     values: np.ndarray
     time: float = 0.0
     spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area()))
+        return math.sqrt(_squared_norm(self.grid, _densities(self)))
 
     def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        rho = _densities(self)
+        return np.outer(*rho) if isinstance(rho, tuple) else rho
 
     def copy(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.values.copy(), self.time)
+        factors = None if self.factors is None else tuple(f.copy() for f in self.factors)
+        return WaveFunction(self.grid, self.values.copy(), self.time, factors=factors)
+
+
+def _densities(psi: WaveFunction):
+    """|psi|^2: the pair (|fx|^2, |fy|^2) of a product frame, else the (n, n) array."""
+    if psi.factors is None:
+        return np.abs(psi.values) ** 2
+    return tuple(np.abs(f) ** 2 for f in psi.factors)
+
+
+def _squared_norm(grid: Grid2D, rho) -> float:
+    """The sum of rho, as _densities gives it, times the cell area."""
+    if isinstance(rho, tuple):
+        return float(rho[0].sum()) * float(rho[1].sum()) * grid.cell_area()
+    return float(np.sum(rho) * grid.cell_area())
 
 
 class PotentialKind(Enum):
@@ -159,11 +182,14 @@ def init_gaussian(grid: Grid2D, center, sigma0: float, k0) -> WaveFunction:
         raise ResolutionLoss(
             f"|k0| = {np.max(np.abs(k0)):g} exceeds half the Nyquist wavenumber {grid.nyquist:g}"
         )
-    X, Y = grid.mesh()
-    envelope = np.exp(-((X - center[0]) ** 2 + (Y - center[1]) ** 2) / (4.0 * sigma0**2))
-    values = envelope * np.exp(1j * (k0[0] * X + k0[1] * Y))
-    values = values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_area())
-    return WaveFunction(grid, values, 0.0)
+    x = grid.axis
+    return _product_state(grid, *(np.exp(-((x - c) ** 2) / (4.0 * sigma0**2) + 1j * kk * x) for c, kk in zip(center, k0)))
+
+
+def _product_state(grid: Grid2D, fx: np.ndarray, fy: np.ndarray) -> WaveFunction:
+    """The product frame np.outer(fx, fy) at t = 0, each factor normalized on its axis."""
+    fx, fy = (f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in (fx, fy))
+    return WaveFunction(grid, np.outer(fx, fy), 0.0, factors=(fx, fy))
 
 
 def _fft2(src: np.ndarray, out: np.ndarray, tmp: np.ndarray, inverse: bool = False) -> None:
@@ -229,16 +255,50 @@ def _axis_operator(half_kick: np.ndarray, full_kick: np.ndarray, kinetic: np.nda
     return op
 
 
+def _kinetic_phase(scale: float, k2: np.ndarray) -> np.ndarray:
+    """exp(-i scale k2) on the squared wavenumbers k2: the kinetic phase over
+    a time t, scale = hbar t / 2m."""
+    return np.exp(-1j * scale * k2)
+
+
+def _norm_bound(n: int, steps: int) -> float:
+    """Roundoff bound on |N_k / N_0 - 1|, N the squared norm, after steps
+    steps of dt on an n x n grid.
+
+    One Strang step is an FFT pair over n^2 points and two multiplies by
+    unit-modulus factors.  A radix-2 FFT of N points has a relative L2 error
+    of at most eta log2 N, eta = u + gamma_4 (sqrt 2 + u) < 7u with u the
+    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 24.2), and 7u also bounds a complex multiply by a computed
+    unit-modulus factor, so a step scales the norm by at most 1 + e,
+    e = 7u (2 log2 n^2 + 2).  The fused forms of advance() (the n-step phase,
+    the per-axis operators) are held to the bound of the steps they stand
+    for.  Each squared norm is a sum of at most n^2 terms, off by at most
+    gamma = n^2 u / (1 - n^2 u) relative (Higham, eq. 4.4).
+    """
+    u = np.finfo(float).eps / 2
+    e = 7 * u * (2 * math.log2(n * n) + 2)
+    gamma = n * n * u / (1 - n * n * u)
+    return math.expm1(2 * steps * math.log1p(e)) * (1 + gamma) / (1 - gamma) + 2 * gamma / (1 - gamma)
+
+
 class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
-    The constructor builds the operators of one of three paths once, plus
-    the aliasing-band mask and the n x n work buffers (one for the free
-    potential, two for the others); advance() reuses them for every call, and
-    frames() is advance() in a loop.  The free potential needs k^2 only.  A
-    separable V = a(x) + b(y) needs the 1D kinetic phase and the half and full
-    kicks of each axis.  Any other V needs the 2D kinetic phase and full kick.
-    Both potential paths end with the 2D half kick.
+    The constructor builds the operators once, plus the aliasing-band masks;
+    advance() reuses them for every call, and frames() is advance() in a
+    loop.  Which path a call runs is fixed by its input, never detected:
+    - the product path, for a psi with factors under the free or the
+      harmonic potential: each axis factor is evolved alone, by the 1D
+      kinetic phase on its spectrum (free) or by the per-axis operator and
+      half kick of a separable V (harmonic), and values = np.outer(fx, fy);
+    - the 2D free path, for any other psi under the free potential: k^2 only;
+    - the 2D separable path, for any other psi under a V = a(x) + b(y): the
+      1D kinetic phase and the half and full kicks of each axis;
+    - the 2D loop, for any other V: the 2D kinetic phase and full kick.
+    The two 2D potential paths end with the 2D half kick.  The n x n work
+    buffers (one for the free potential, two for the others) are allocated
+    at the first 2D call.
     """
 
     def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
@@ -249,70 +309,123 @@ class Propagator:
         self._hbar_over_2m = 0.5 * hbar / mass
         k = grid.wavenumbers
         self._k2 = k[:, None] ** 2 + k[None, :] ** 2
-        self._half_kick = self._full_kick = self._kinetic = self._axes = self._work = None
+        # a harmonic V always passes the separability test below
+        self._factored = pot.kind is not PotentialKind.GRID_SAMPLED
+        self._half_kick = self._full_kick = self._kinetic = self._axes = None
         if pot.kind is not PotentialKind.FREE:
-            self._work = np.empty((grid.n, grid.n), dtype=complex)
             v = pot.values(grid, mass)
             self._half_kick = np.exp(-0.5j * dt * v / hbar)
             parts = _axis_parts(v)
             if parts is None:
-                self._kinetic = np.exp(-1j * self._hbar_over_2m * dt * self._k2)
+                self._kinetic = _kinetic_phase(self._hbar_over_2m * dt, self._k2)
                 self._full_kick = np.exp(-1j * dt * v / hbar)
             else:
                 # an isotropic V on the square grid has one distinct axis
                 if np.array_equal(*parts):
                     parts = parts[:1]
-                kinetic = np.exp(-1j * self._hbar_over_2m * dt * k**2)
+                kinetic = _kinetic_phase(self._hbar_over_2m * dt, k**2)
                 self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
-        self._band = np.maximum.outer(np.abs(k), np.abs(k)) >= ALIAS_BAND_FRACTION * grid.nyquist
-        self._tmp = np.empty((grid.n, grid.n), dtype=complex)
+        self._axis_band = np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist
+        self._band = np.logical_or.outer(self._axis_band, self._axis_band)
         # a frame stream advances by one stride throughout, so one cached n suffices
-        self._cached_steps = None
+        self._cached_key = None
         self._cached = None
 
-    def _cached_for(self, n_steps: int):
-        """The free n-step phase, or the (A_x^T, A_y^T) pair of a separable V."""
-        if n_steps != self._cached_steps:
+    @cached_property
+    def _buffers(self):
+        """(work, tmp): the n x n work buffers of the 2D paths; work is None
+        for the free potential."""
+        shape = (self.grid.n, self.grid.n)
+        return None if self._half_kick is None else np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+
+    def _cached_for(self, n_steps: int, product: bool):
+        """The free n-step phase (per axis on the product path, else 2D), or
+        the (A_x^T, A_y^T) pair of a separable V."""
+        key = (n_steps, product and self._axes is None)
+        if key != self._cached_key:
             if self._axes is None:
-                self._cached = np.exp(-1j * self._hbar_over_2m * n_steps * self.dt * self._k2)
+                k2 = self.grid.wavenumbers**2 if product else self._k2
+                self._cached = _kinetic_phase(self._hbar_over_2m * n_steps * self.dt, k2)
             else:
                 ops = [_axis_operator(*axis, n_steps) for axis in self._axes]
                 self._cached = (ops[0], ops[-1])
-            self._cached_steps = n_steps
+            self._cached_key = key
         return self._cached
 
-    def _check_spectrum(self, spectrum: np.ndarray) -> None:
-        power = np.abs(spectrum) ** 2
-        total = float(power.sum())
-        if not math.isfinite(total):
-            raise ResolutionLoss("wave function became non-finite (NaN or inf)")
-        if total > 0.0 and float(power[self._band].sum()) / total > ALIAS_MASS_LIMIT:
+    def _guard(self, spectra, norm0: float, steps: int) -> None:
+        """Raise ResolutionLoss unless the spectra of a new frame (psi^, or
+        (fx^, fy^) on the product path) are finite, keep their mass out of
+        the aliasing band, and give a squared norm within _norm_bound(n,
+        steps) of norm0, frame 0's."""
+        totals, alias = [], 0.0
+        for spectrum in spectra:
+            power = np.abs(spectrum) ** 2
+            total = float(power.sum())
+            if not math.isfinite(total):
+                raise ResolutionLoss("wave function became non-finite (NaN or inf)")
+            band = self._band if spectrum.ndim == 2 else self._axis_band
+            ratio = float(power[band].sum()) / total if total > 0.0 else 0.0
+            alias += ratio - alias * ratio  # 1 - (in-band fraction of x) (in-band fraction of y)
+            totals.append(total)
+        if alias > ALIAS_MASS_LIMIT:
             raise ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
+        # Parseval: the sum of |psi^|^2 over n^2 modes is n^2 times that of |psi|^2
+        norm = math.prod(totals) * self.grid.cell_area() / self.grid.n**2
+        bound = _norm_bound(self.grid.n, steps)
+        if abs(norm - norm0) > bound * norm0:
+            raise ResolutionLoss(
+                f"the norm moved by {abs(norm / norm0 - 1.0):.3e} of frame 0's over {steps} steps, "
+                f"past its roundoff bound {bound:.3e}"
+            )
 
     def advance(self, psi: WaveFunction, n_steps: int) -> WaveFunction:
         """psi advanced by n_steps of dt, in a freshly allocated WaveFunction.
 
         Adjacent half kicks are fused into full kicks, so a call costs
         half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half.
-        With the free potential the kicks are the identity: psi's spectrum
-        (held, else one FFT) times the n-step kinetic phase is a fresh psi^,
-        inverted into the result, which carries psi^ as its spectrum.  With a
-        separable V every factor but the last half kick splits by axis, so
-        psi^ is A_x psi A_y^T: two n x n matrix products with the per-axis
-        operators, built once per n_steps.  The aliasing and finiteness guard
-        reads psi^, the spectrum before the last IFFT.
+        On the product path that runs on each factor in 1D: a factor's FFT
+        times the n-step 1D phase (free), or A f with the per-axis operator A
+        (harmonic), inverted and given its axis's half kick; the result
+        carries the new factors and values = np.outer(fx, fy), and no
+        spectrum.  On the 2D free path psi's spectrum (held, else one FFT)
+        times the n-step kinetic phase is a fresh psi^, inverted into the
+        result, which carries psi^ as its spectrum.  With a separable V every
+        factor but the last half kick splits by axis, so psi^ is A_x psi A_y^T:
+        two n x n matrix products with the per-axis operators, built once per
+        n_steps.  The guards read psi^ (or the factors' spectra), the
+        spectrum before the last IFFT: finiteness, the aliasing band, and the
+        norm against psi's.
         """
+        return self._advance(psi, n_steps, None, n_steps)
+
+    def _advance(self, psi: WaveFunction, n_steps: int, norm0, steps: int) -> WaveFunction:
+        """advance(), its norm guarded against the squared norm norm0 (psi's
+        when None) over steps steps."""
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
         if n_steps == 0:
             return psi.copy()
-        work, tmp = self._work, self._tmp
+        if norm0 is None:
+            norm0 = _squared_norm(self.grid, _densities(psi))
+        time = psi.time + n_steps * self.dt
+        if psi.factors is not None and self._factored:
+            cached = self._cached_for(n_steps, product=True)
+            if self._axes is None:
+                spectra = [np.fft.fft(f) * cached for f in psi.factors]
+            else:
+                spectra = [f @ op for f, op in zip(psi.factors, cached)]
+            self._guard(spectra, norm0, steps)
+            fx, fy = (np.fft.ifft(s) for s in spectra)
+            if self._axes is not None:
+                fx, fy = fx * self._axes[0][0], fy * self._axes[-1][0]
+            return WaveFunction(self.grid, np.outer(fx, fy), time, factors=(fx, fy))
+        work, tmp = self._buffers
         if self._half_kick is None:
-            spectrum = _spectrum(psi) * self._cached_for(n_steps)
+            spectrum = _spectrum(psi) * self._cached_for(n_steps, product=False)
         elif self._axes is not None:
-            at_x, at_y = self._cached_for(n_steps)
+            at_x, at_y = self._cached_for(n_steps, product=False)
             np.matmul(at_x.T, psi.values, out=tmp)
             spectrum = np.matmul(tmp, at_y, out=work)
         else:
@@ -324,8 +437,7 @@ class Propagator:
                 work *= self._full_kick
             _fft2(work, work, tmp)
             spectrum = np.multiply(work, self._kinetic, out=work)
-        self._check_spectrum(spectrum)
-        time = psi.time + n_steps * self.dt
+        self._guard((spectrum,), norm0, steps)
         if self._half_kick is None:
             values = np.empty_like(spectrum)
             _fft2(spectrum, values, tmp, inverse=True)
@@ -335,20 +447,24 @@ class Propagator:
 
     def frames(self, psi: WaveFunction, frame_stride: int, n_frames: int) -> Iterator[WaveFunction]:
         """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time:
-        a copy of psi, then advance() of the frame before by frame_stride.
+        a copy of psi, then advance() of the frame before by frame_stride,
+        each frame's norm guarded against frame 0's.
 
-        With the free potential frame 0 carries its spectrum from one FFT, so
-        the spectrum stays in k-space, psi_k^ = psi_{k-1}^ . (the stride
-        phase): a frame costs one multiply and one IFFT.
+        On the 2D free path frame 0 carries its spectrum from one FFT, so the
+        spectrum stays in k-space, psi_k^ = psi_{k-1}^ . (the stride phase):
+        a frame costs one multiply and one IFFT.  On the product path a frame
+        costs four 1D FFTs (free) or two n x n matrix-vector products and two
+        1D inverse FFTs (harmonic), plus the np.outer of its factors.
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
         frame = psi.copy()
-        if self._half_kick is None:
+        if self._half_kick is None and frame.factors is None:
             frame.spectrum = np.fft.fft2(frame.values)
+        norm0 = _squared_norm(self.grid, _densities(frame))
         yield frame
-        for _ in range(n_frames):
-            frame = self.advance(frame, frame_stride)
+        for k in range(1, n_frames + 1):
+            frame = self._advance(frame, frame_stride, norm0, k * frame_stride)
             yield frame
 
 
@@ -383,7 +499,8 @@ def stream_frames(
     at a time from one Propagator, so the guards run once per frame.
 
     The arguments are checked here, before the first frame is asked for.
-    Free-potential frames carry their spectrum; see Propagator.frames.
+    Product frames carry their factors and 2D free-potential frames their
+    spectrum; see Propagator.frames.
     """
     if n_steps % frame_stride != 0:
         raise InvalidInput(f"n_steps = {n_steps} is not a multiple of frame_stride = {frame_stride}")
@@ -436,11 +553,10 @@ def analytic_free_gaussian(
 
 
 def harmonic_ground_state(grid: Grid2D, omega: float, hbar: float = 1.0, mass: float = 1.0) -> WaveFunction:
-    """Real ground state of the isotropic harmonic well, normalized on the grid."""
-    X, Y = grid.mesh()
-    values = np.exp(-0.5 * mass * omega * (X**2 + Y**2) / hbar).astype(complex)
-    values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_area())
-    return WaveFunction(grid, values, 0.0)
+    """Real ground state of the isotropic harmonic well, normalized on the grid:
+    a product frame of one Gaussian factor per axis."""
+    f = np.exp(-0.5 * mass * omega * grid.axis**2 / hbar).astype(complex)
+    return _product_state(grid, f, f)
 
 
 def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacian: bool = False):
@@ -449,11 +565,16 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     mask is rho < rho_floor * max(rho) with rho = |Psi|^2, and live the flat
     row-major indices of the cells it leaves, np.flatnonzero(~mask).  ratios
     has shape (2, L) for L live cells, (d/dx Psi, d/dy Psi)/Psi, and with
-    laplacian=True a third row Lap(Psi)/Psi.  The spectrum is psi.spectrum
-    when the solver held it, else one fft2; the derivative spectra
-    i k_x Psi^, i k_y Psi^ (and -k^2 Psi^) are inverted as one stacked FFT
-    into held buffers, and each live cell takes one complex divide.
+    laplacian=True a third row Lap(Psi)/Psi.  A product frame takes
+    fx'/fx and fy'/fy (and fx''/fx + fy''/fy) from 1D spectral derivatives
+    of its factors, with rho = np.outer(|fx|^2, |fy|^2).  Any other frame
+    takes psi.spectrum when the solver held it, else one fft2; the
+    derivative spectra i k_x Psi^, i k_y Psi^ (and -k^2 Psi^) are inverted
+    as one stacked FFT into held buffers, and each live cell takes one
+    complex divide.
     """
+    if psi.factors is not None:
+        return _factor_ratios(psi, rho_floor, laplacian)
     grid = psi.grid
     rho = psi.density()
     mask = rho < rho_floor * float(rho.max())
@@ -470,20 +591,65 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     return live, ratios, rho, mask
 
 
+def _factor_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool):
+    """psi_ratios of a product frame.
+
+    Cell (i, j) is live when rx[i] ry[j] >= rho_floor * max(rx) max(ry), so
+    an axis node takes a ratio when it is live against the other axis's
+    maximum: rounding is monotone, so that is when its row (or column) holds
+    a live cell.  Each such node takes one complex divide per derivative.
+    """
+    grid = psi.grid
+    k = grid.wavenumbers
+    rx, ry = _densities(psi)
+    rho = np.outer(rx, ry)
+    floor = rho_floor * (float(rx.max()) * float(ry.max()))
+    mask = rho < floor
+    axis_ratios = []
+    for f, r, other in ((psi.factors[0], rx, ry), (psi.factors[1], ry, rx)):
+        spectrum = np.fft.fft(f)
+        derivs = np.fft.ifft([1j * k * spectrum, -(k**2) * spectrum][: 2 if laplacian else 1], axis=-1)
+        keep = r * float(other.max()) >= floor
+        ratio = np.zeros_like(derivs)
+        ratio[:, keep] = derivs[:, keep] / f[keep]
+        axis_ratios.append(ratio)
+    live = np.flatnonzero(~mask)
+    i, j = np.divmod(live, grid.n)
+    ax, ay = axis_ratios[0][:, i], axis_ratios[1][:, j]
+    ratios = [ax[0], ay[0], ax[1] + ay[1]] if laplacian else [ax[0], ay[0]]
+    return live, np.array(ratios), rho, mask
+
+
 def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
-    """(kinetic, v): the weights hbar^2 k^2/2m that |Psi^|^2 is summed against,
+    """(w, kinetic, v): the weights hbar^2 k^2/2m per axis (w, for product
+    frames) and on the 2D grid (kinetic) that |Psi^|^2 is summed against,
     and V on the grid, None for the free potential.
 
     hbar * hbar, not hbar**2: a float multiply overflows to inf where ** raises.
     """
     k = grid.wavenumbers
     k2 = k[:, None] ** 2 + k[None, :] ** 2
+    w = 0.5 * (hbar * hbar) * k**2 / mass
     kinetic = 0.5 * (hbar * hbar) * k2 / mass
-    return kinetic, None if pot.kind is PotentialKind.FREE else pot.values(grid, mass)
+    return w, kinetic, None if pot.kind is PotentialKind.FREE else pot.values(grid, mass)
 
 
-def _energy(psi: WaveFunction, rho: np.ndarray, kinetic: np.ndarray, v) -> float:
+def _energy(psi: WaveFunction, rho, w: np.ndarray, kinetic: np.ndarray, v) -> float:
+    """<Psi|H|Psi> over rho as _densities gives it.
+
+    A product frame sums in 1D: E_kin = K_x N_y + N_x K_y, with N the axis
+    norms and K the axis kinetic sums over each factor's FFT, and <V> is
+    rx^T V ry.  Any other frame sums kinetic |Psi^|^2 and V rho in 2D.
+    """
     grid = psi.grid
+    if isinstance(rho, tuple):
+        h = grid.spacing
+        nx, ny = (float(r.sum()) * h for r in rho)
+        kx, ky = (float(np.sum(w * np.abs(np.fft.fft(f)) ** 2)) * h / grid.n for f in psi.factors)
+        e = kx * ny + nx * ky
+        if v is not None:
+            e += float(rho[0] @ v @ rho[1]) * grid.cell_area()
+        return e
     e = np.sum(kinetic * np.abs(_spectrum(psi)) ** 2) * grid.cell_area() / grid.n**2
     if v is not None:
         e = e + np.sum(v * rho) * grid.cell_area()
@@ -491,27 +657,29 @@ def _energy(psi: WaveFunction, rho: np.ndarray, kinetic: np.ndarray, v) -> float
 
 
 def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
-    """<Psi| -hbar^2/2m Lap + V |Psi> with the kinetic part summed in k-space,
-    over psi.spectrum when the solver held it, else over fft2(psi.values)."""
-    return _energy(psi, psi.density(), *_energy_terms(psi.grid, pot, hbar, mass))
+    """<Psi| -hbar^2/2m Lap + V |Psi>: over the factors of a product frame;
+    else with the kinetic part summed in k-space, over psi.spectrum when the
+    solver held it, else over fft2(psi.values)."""
+    return _energy(psi, _densities(psi), *_energy_terms(psi.grid, pot, hbar, mass))
 
 
-def _moments(grid: Grid2D, rho: np.ndarray):
-    rho = rho * grid.cell_area()
-    total = float(rho.sum())
+def _moments(grid: Grid2D, rho):
+    """(x_mean, y_mean, sigma_x, sigma_y) of rho as _densities gives it, from
+    its two axis marginals (a product frame's are its factors' densities)."""
+    marginals = rho if isinstance(rho, tuple) else (rho.sum(axis=1), rho.sum(axis=0))
     x = grid.axis
-    px = rho.sum(axis=1) / total
-    py = rho.sum(axis=0) / total
-    x_mean = float(np.dot(px, x))
-    y_mean = float(np.dot(py, x))
-    sigma_x = float(np.sqrt(np.dot(px, (x - x_mean) ** 2)))
-    sigma_y = float(np.sqrt(np.dot(py, (x - y_mean) ** 2)))
-    return x_mean, y_mean, sigma_x, sigma_y
+    means, sigmas = [], []
+    for p in marginals:
+        p = p / p.sum()
+        mean = float(np.dot(p, x))
+        means.append(mean)
+        sigmas.append(float(np.sqrt(np.dot(p, (x - mean) ** 2))))
+    return (*means, *sigmas)
 
 
 def moments(psi: WaveFunction):
     """(x_mean, y_mean, sigma_x, sigma_y) of the density."""
-    return _moments(psi.grid, psi.density())
+    return _moments(psi.grid, _densities(psi))
 
 
 def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: float = 1.0):
@@ -519,8 +687,9 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
 
     frames is any iterable of frames on one grid, read once, so a stream is
     summarized without being held.  The energy terms are built once; per
-    frame rho = |Psi|^2 is computed once and feeds the norm, the V rho sum
-    and the moments.  Returns (last frame or None, rows).
+    frame rho (a product frame's two axis densities, else |Psi|^2) is
+    computed once and feeds the norm, the energy and the moments.  Returns
+    (last frame or None, rows).
     """
     header = ["t", "norm", "energy", "x_mean", "y_mean", "sigma_x", "sigma_y"]
     rows = []
@@ -529,8 +698,8 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
         grid = frame.grid
         if terms is None:
             terms = _energy_terms(grid, pot, hbar, mass)
-        rho = frame.density()
-        norm = float(np.sqrt(np.sum(rho) * grid.cell_area()))
+        rho = _densities(frame)
+        norm = math.sqrt(_squared_norm(grid, rho))
         rows.append([frame.time, norm, _energy(frame, rho, *terms), *_moments(grid, rho)])
     write_csv(path, header, rows)
     return frame, rows

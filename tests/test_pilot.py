@@ -119,7 +119,8 @@ class TestFieldKernel:
 
     @pytest.fixture(scope="class")
     def stream(self, grid):
-        psi0 = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, 0.5))
+        # without factors: the 2D free path, whose frames hold their spectra
+        psi0 = dataclasses.replace(zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, 0.5)), factors=None)
         return list(zl.stream_frames(psi0, zl.free_potential(), 1e-3, 600, 60))
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zitterlab as zl
 from zitterlab import schrodinger as sch
@@ -169,7 +170,8 @@ class TestSplitStep:
     def test_grid_sampled_potential_matches_closed_form(self, grid128):
         X, Y = grid128.mesh()
         sampled = sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.5 * (X**2 + Y**2))
-        psi0 = zl.init_gaussian(grid128, (2.0, 0), math.sqrt(0.5), (0, 0))
+        # without factors both potentials run the 2D separable path
+        psi0 = replace(zl.init_gaussian(grid128, (2.0, 0), math.sqrt(0.5), (0, 0)), factors=None)
         a = zl.split_step_evolve(psi0, sampled, 1e-3, 200)
         b = zl.split_step_evolve(psi0, zl.harmonic_potential(1.0), 1e-3, 200)
         assert np.array_equal(a.values, b.values)
@@ -235,7 +237,7 @@ class TestPropagator:
             # path, which the per-axis operators would miss by ~1e-7
             "near_separable": (sampled(0.5 * (X**2 + Y**2) + 1e-6 * X * Y), 1.0),
         }[kind]
-        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
         psi = zl.Propagator(grid64, pot, 2e-2, hbar=1.0, mass=mass).advance(psi0, n_steps)
         assert psi.time == pytest.approx(n_steps * 2e-2)
         assert rel_l2(psi.values, reference_split_step(psi0, pot, 2e-2, n_steps, mass=mass)) <= 1e-12
@@ -246,13 +248,15 @@ class TestPropagator:
         ids=["free", "harmonic", "anisotropic"],
     )
     def test_cache_follows_n_steps(self, grid64, pot):
-        psi0 = zl.init_gaussian(grid64, (0.5, 0), 1.0, (0.5, 0))
+        product = zl.init_gaussian(grid64, (0.5, 0), 1.0, (0.5, 0))
         prop = zl.Propagator(grid64, pot, 1e-2)
-        psi, fresh = psi0, psi0
-        for n_steps in (3, 5, 3):
-            psi = prop.advance(psi, n_steps)
-            fresh = zl.Propagator(grid64, pot, 1e-2).advance(fresh, n_steps)
-            assert np.array_equal(psi.values, fresh.values)
+        # one propagator, alternating between the product and the 2D path
+        for psi0 in (product, replace(product, factors=None), product):
+            psi, fresh = psi0, psi0
+            for n_steps in (3, 5, 3):
+                psi = prop.advance(psi, n_steps)
+                fresh = zl.Propagator(grid64, pot, 1e-2).advance(fresh, n_steps)
+                assert np.array_equal(psi.values, fresh.values)
 
     @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
     def test_last_frame_matches_one_call(self, grid64, pot):
@@ -294,7 +298,7 @@ class TestFrameStream:
         return frames
 
     def test_free_stream_matches_advance(self, grid64):
-        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
         stream = list(zl.stream_frames(psi0, zl.free_potential(), 2e-2, 28, 4))
         reference = self.chained_advance(psi0, zl.free_potential(), 2e-2, 4, 7)
         assert [f.time for f in stream] == [f.time for f in reference]
@@ -316,7 +320,7 @@ class TestFrameStream:
             "separable": zl.harmonic_potential(1.0, 1.5),
             "loop": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.3 * X**2 + 0.1 * X * Y),
         }[kind]
-        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
         stream = list(zl.stream_frames(psi0, pot, 2e-2, 21, 3))
         reference = self.chained_advance(psi0, pot, 2e-2, 3, 7)
         assert len(stream) == len(reference) == 8
@@ -448,13 +452,15 @@ class TestStreamedSummary:
 
     @pytest.mark.parametrize("kind", ["free", "harmonic"])
     def test_rows_are_the_per_frame_functions(self, grid64, tmp_path, kind):
-        # one rho per frame and energy terms built once change no bit of a row
+        # one rho per frame and energy terms built once change no bit of a
+        # row, on the product path and on the 2D path
         pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0, 1.5)
         psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
-        frames = list(zl.stream_frames(psi0, pot, 1e-2, 20, 5, hbar=0.7, mass=1.3))
-        _, rows = sch.frames_summary_csv(tmp_path / "s.csv", frames, pot, hbar=0.7, mass=1.3)
-        for f, row in zip(frames, rows):
-            assert row == [f.time, f.norm(), zl.energy(f, pot, 0.7, 1.3), *zl.moments(f)]
+        for psi in (psi0, replace(psi0, factors=None)):
+            frames = list(zl.stream_frames(psi, pot, 1e-2, 20, 5, hbar=0.7, mass=1.3))
+            _, rows = sch.frames_summary_csv(tmp_path / "s.csv", frames, pot, hbar=0.7, mass=1.3)
+            for f, row in zip(frames, rows):
+                assert row == [f.time, f.norm(), zl.energy(f, pot, 0.7, 1.3), *zl.moments(f)]
 
     def test_empty_stream_writes_the_header(self, tmp_path):
         last, rows = sch.frames_summary_csv(tmp_path / "s.csv", iter(()), zl.free_potential())
@@ -462,7 +468,7 @@ class TestStreamedSummary:
         assert (tmp_path / "s.csv").read_text() == "t,norm,energy,x_mean,y_mean,sigma_x,sigma_y\n"
 
     def test_energy_reads_the_held_spectrum(self, grid64):
-        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
         frame = list(zl.stream_frames(psi0, zl.free_potential(), 1e-2, 20, 5))[-1]
         # the free energy is all kinetic, quadratic in the spectrum it sums over
         doubled = replace(frame, spectrum=2.0 * frame.spectrum)
@@ -483,7 +489,7 @@ class TestStreamedSummary:
         |dE| <= w_max (2e + e^2).
         """
         pot = zl.free_potential()
-        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
         n_points = grid64.n**2
         u = np.finfo(float).eps / 2
         e = 2 * 7 * u * math.log2(n_points) + u
@@ -539,3 +545,200 @@ def test_harmonic_coherent_summary_energy_is_the_harmonic_one(tmp_path):
     header, row0 = (tmp_path / "summary.csv").read_text().splitlines()[:2]
     energy = float(row0.split(",")[header.split(",").index("energy")])
     assert energy == zl.energy(psi0, zl.harmonic_potential(cfg.omega), cfg.hbar, cfg.mass)
+
+
+class TestProductPath:
+    """A psi with factors under the free or harmonic potential evolves as its two 1D factors."""
+
+    @pytest.fixture(scope="class")
+    def grid64(self):
+        return zl.Grid2D(64, 8.0)
+
+    @pytest.mark.parametrize("kind", ["free", "harmonic", "harmonic_heavy"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    def test_matches_unfused_reference(self, grid64, kind, n_steps):
+        pot, mass = {
+            "free": (zl.free_potential(), 1.0),
+            "harmonic": (zl.harmonic_potential(1.0, 1.5), 1.0),
+            "harmonic_heavy": (zl.harmonic_potential(1.0, 1.5), 2.5),
+        }[kind]
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        psi = zl.Propagator(grid64, pot, 2e-2, hbar=1.0, mass=mass).advance(psi0, n_steps)
+        assert psi.factors is not None and psi.spectrum is None
+        assert np.array_equal(psi.values, np.outer(*psi.factors))
+        assert rel_l2(psi.values, reference_split_step(psi0, pot, 2e-2, n_steps, mass=mass)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["free", "harmonic"])
+    def test_stream_is_advance(self, grid64, kind):
+        pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0, 1.5)
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        stream = list(zl.stream_frames(psi0, pot, 2e-2, 21, 3))
+        reference = TestFrameStream.chained_advance(psi0, pot, 2e-2, 3, 7)
+        assert stream[0].factors[0] is not psi0.factors[0]
+        for f, ref in zip(stream, reference):
+            assert f.time == ref.time and f.spectrum is None
+            assert np.array_equal(f.values, ref.values)
+            assert all(np.array_equal(a, b) for a, b in zip(f.factors, ref.factors))
+
+    @pytest.mark.parametrize("case", ["free_no_factors", "harmonic_no_factors", "grid_sampled"])
+    def test_other_inputs_give_frames_without_factors(self, grid64, case):
+        X, Y = grid64.mesh()
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        pot = {
+            "free_no_factors": zl.free_potential(),
+            "harmonic_no_factors": zl.harmonic_potential(1.0, 1.5),
+            "grid_sampled": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.5 * (X**2 + Y**2)),
+        }[case]
+        if case != "grid_sampled":
+            psi0 = replace(psi0, factors=None)
+        frames = list(zl.stream_frames(psi0, pot, 2e-2, 6, 2))
+        # frame 0 is a copy of psi0, factors and all
+        assert (frames[0].factors is None) == (psi0.factors is None)
+        assert all(f.factors is None for f in frames[1:])
+
+    def test_readers_never_fft2_a_product_frame(self, grid64, monkeypatch, tmp_path):
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fft2 of a product frame")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        for pot in (zl.free_potential(), zl.harmonic_potential(1.0, 1.5)):
+            frames = list(zl.stream_frames(psi0, pot, 2e-2, 6, 2))
+            sch.frames_summary_csv(tmp_path / "s.csv", frames, pot)
+            for f in frames:
+                zl.velocity_field(f)
+                sch.psi_ratios(f, laplacian=True)
+
+
+class TestNormGuard:
+    """The solver checks every frame's norm against frame 0's, within _norm_bound."""
+
+    STRIDE = 4
+
+    @pytest.mark.parametrize(
+        "kind, path, growth",
+        [("free", "2d", 2), ("free", "product", 4), ("harmonic", "2d", 4 * STRIDE), ("harmonic", "product", 4 * STRIDE)],
+    )
+    def test_fires_at_the_first_frame_past_the_bound(self, monkeypatch, kind, path, growth):
+        # A kinetic phase of modulus 1 + d scales frame k's squared norm by
+        # (1 + d)^(growth k): the free 2D path applies the stride's phase once
+        # per frame (|psi^|^2 by (1 + d)^2), the free product path once per
+        # factor, and the harmonic paths' per-axis operators hold the 1D phase
+        # once per step on each axis.  d is set so the drift crosses the bound
+        # at k = 2.5; then frames 0..2 pass and frame 3 raises.
+        grid = zl.Grid2D(64, 8.0)
+        pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0)
+        psi0 = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.0, 0.5))
+        if path == "2d":
+            psi0 = replace(psi0, factors=None)
+
+        def bound(k):
+            return sch._norm_bound(grid.n, k * self.STRIDE)
+
+        scale = 1.0 + math.expm1(math.log1p(bound(2.5)) / (2.5 * growth))
+
+        def drift(k):
+            return math.expm1(growth * k * math.log1p(scale - 1.0))
+
+        # the measured norm is off the modelled one by roundoff, ~1e-15
+        assert drift(2) < 0.95 * bound(2) and drift(3) > 1.05 * bound(3)
+        real_phase = sch._kinetic_phase
+        monkeypatch.setattr(sch, "_kinetic_phase", lambda s, k2: scale * real_phase(s, k2))
+        stream = zl.stream_frames(psi0, pot, 1e-2, 6 * self.STRIDE, self.STRIDE)
+        frames = [next(stream) for _ in range(3)]
+        assert (frames[-1].factors is None) == (path == "2d")
+        with pytest.raises(zl.ResolutionLoss, match="norm moved"):
+            next(stream)
+
+    def test_bound_covers_the_default_runs(self):
+        # the largest drift measured over the default wave scenarios is 2.6e-15
+        assert sch._norm_bound(128, 1) > 2.6e-15
+        assert sch._norm_bound(256, 1000) < 1e-9
+
+
+U = np.finfo(float).eps / 2
+ETA = 7 * U  # Higham Thm 24.2: a radix-2 FFT's relative L2 error is at most ETA log2 N
+
+
+def gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), the relative error bound of m roundings."""
+    return m * U / (1 - m * U)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    kind=st.sampled_from(["free", "harmonic"]),
+    center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    k0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    sigma0=st.floats(0.8, 1.2),
+    hbar=st.floats(0.5, 2.0),
+    mass=st.floats(0.5, 2.0),
+)
+def test_product_path_matches_the_2d_path(tmp_path_factory, kind, center, k0, sigma0, hbar, mass):
+    """Frames, psi_ratios and summary rows of the product path against the 2D path on one psi.
+
+    First order in the unit roundoff u, with relative L2 errors and
+    unitary (to O(u)) steps that carry an error forward without growth.
+    Per frame, each path's FFTs add at most ETA log2 of their length: 2D one
+    pair of n^2 points, product two pairs of n (the same total, counted for
+    both paths).  Each multiply by a computed phase exp(-i theta) adds
+    4u + 3u theta_max (its rounding, and the argument's relative rounding
+    times the largest argument).  The harmonic paths share the per-axis
+    operators A and differ in how they apply them: an n-term product with
+    a unitary A errs by at most gamma_n |A| |x|, and || |A| ||_2 <= sqrt n,
+    so at most gamma_n sqrt n per product, two per path.  So frame k's values
+    differ by at most e_k = (k + 1) e relative.  A ratio d/psi at a live
+    cell c moves by (|dd| + |r| |dpsi|) / |psi_c|, with |dpsi| <= e_k ||psi||
+    and |dd| <= (e_k + e_d) k_max ||psi||, e_d the derivative kernels' own
+    FFT error.  A summary row's density moves by at most
+    drho = 2 e' + e'^2 + 2 gamma_N in l1 relative, e' = e_k + ETA log2 N, so
+    the norm by drho, the energy by (w_max + V_max) drho, the means by
+    3 L drho and the widths by (4 L^2 3 drho + 4 L dmean) / sigma.
+    """
+    grid = zl.Grid2D(128, 10.0)
+    n, N, L = grid.n, grid.n**2, grid.half_width
+    stride, dt, n_frames = 3, 1e-2, 5
+    pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0, 1.5)
+    psi0 = zl.init_gaussian(grid, center, sigma0, k0)
+    product = list(zl.stream_frames(psi0, pot, dt, n_frames * stride, stride, hbar, mass))
+    plain = list(zl.stream_frames(replace(psi0, factors=None), pot, dt, n_frames * stride, stride, hbar, mass))
+    assert all(f.factors is not None for f in product) and all(f.factors is None for f in plain[1:])
+
+    k_max = float(np.max(np.abs(grid.wavenumbers)))
+    v_max = float(np.max(pot.values(grid, mass)))
+    theta_max = 0.5 * hbar / mass * stride * dt * 2 * k_max**2 + 0.5 * dt * v_max / hbar
+    e = ETA * (2 * math.log2(N) + 4 * math.log2(n)) + 4 * (4 * U + 3 * U * theta_max)
+    if kind == "harmonic":
+        e += 4 * gamma(n) * math.sqrt(n)
+    e_d = ETA * (math.log2(N) + 4 * math.log2(n)) + 2 * U
+
+    rows = []
+    for frames in (product, plain):
+        _, r = sch.frames_summary_csv(tmp_path_factory.mktemp("s") / "s.csv", frames, pot, hbar, mass)
+        rows.append(r)
+    w_max = 0.5 * hbar * hbar * 2 * k_max**2 / mass
+    for k, (a, b) in enumerate(zip(product, plain)):
+        e_k = (k + 1) * e
+        norm = float(np.linalg.norm(b.values))
+        assert np.linalg.norm(a.values - b.values) <= e_k * norm
+
+        live_a, ra, _, _ = sch.psi_ratios(a, 1e-8)
+        live_b, rb, _, _ = sch.psi_ratios(b, 1e-8)
+        both, ia, ib = np.intersect1d(live_a, live_b, return_indices=True)
+        assert both.size > 0.9 * max(live_a.size, live_b.size)
+        psi_c = np.abs(b.values.ravel()[both])
+        r = np.abs(rb[:, ib])
+        bound = ((e_k + e_d) * k_max + r * e_k) * norm / psi_c + 2 * U * r
+        assert np.all(np.abs(ra[:, ia] - rb[:, ib]) <= bound)
+
+        e1 = e_k + ETA * math.log2(N)
+        drho = 2 * e1 + e1 * e1 + 2 * gamma(N)
+        ta, na, ea, *ma = rows[0][k]
+        tb, nb, eb, *mb = rows[1][k]
+        assert ta == tb
+        assert abs(na - nb) <= drho
+        assert abs(ea - eb) <= (w_max + v_max) * drho
+        dmean = 3 * L * drho
+        assert all(abs(x - y) <= dmean for x, y in zip(ma[:2], mb[:2]))
+        assert all(abs(x - y) <= (4 * L * L * 3 * drho + 4 * L * dmean) / y for x, y in zip(ma[2:], mb[2:]))
