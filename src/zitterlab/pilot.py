@@ -13,9 +13,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-import threading
 from bisect import bisect_right
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -625,33 +623,6 @@ class EquivarianceReport:
         )
 
 
-def _name_fields_worker():
-    threading.current_thread().name = "zitterlab-fields"
-
-
-def _built_ahead(fields):
-    """Yield the items of the iterable fields, built on one worker thread
-    with two builds in flight while the caller uses the items before.
-
-    An exception raised by fields is re-raised here at its place in the
-    stream, where a serial read would raise it.  The thread starts at the
-    first next(); the end of the stream, a raise or close() cancels the
-    pending build and joins it.  concurrent.futures is imported here, so
-    that import zitterlab loads neither it nor the logging it imports.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    source, end = iter(fields), object()
-    worker = ThreadPoolExecutor(1, initializer=_name_fields_worker)
-    try:
-        ahead = [worker.submit(next, source, end) for _ in range(2)]
-        while (item := ahead.pop(0).result()) is not end:
-            ahead.append(worker.submit(next, source, end))
-            yield item
-    finally:
-        worker.shutdown(cancel_futures=True)
-
-
 def ensemble_equivariance(
     psi_frames,
     n_samples: int,
@@ -670,15 +641,12 @@ def ensemble_equivariance(
     psi_frames may be any iterable of frames and is read once, in one
     forward sweep: the first frame is kept until the seeds are drawn, the
     frame at T for the histogram, and the transport steps once per frame
-    interval through a window of three Re V fields.  The fields are built
-    on one worker thread, two builds in flight ahead of the transport, so
-    at most five are alive: the window's three, the one built and waiting
-    and the one being built.  A frame without factors takes the worker's
-    two FFT work buffers, allocated once per call.
-    An error raised by the stream is raised here where a serial read would
-    raise it; no thread outlives the call.  A list and an iterator over the
-    same frames give equal reports.  T defaults to the last frame's time,
-    which reads the whole iterable before transport.
+    interval through a window of three Re V fields.  Each field is built
+    on the calling thread as the transport pulls it, so at most four are
+    alive: the window's three and the one just built.  An error raised by
+    the stream is raised here, at the read that reaches it.  A list and an
+    iterator over the same frames give equal reports.  T defaults to the
+    last frame's time, which reads the whole iterable before transport.
 
     A transported ensemble keeping the quantum density is exactly the content
     of the continuity equation d(rho)/dt + div(rho grad(S)/m) = 0.
@@ -712,11 +680,9 @@ def ensemble_equivariance(
     if T > t0:
         stream = chain([first], later())
         del first  # frame 0 is not needed past the seeds
-        built = _built_ahead(velocity_field(f, hbar, mass, rho_floor, real=True) for f in stream)
-        with closing(built) as fields:
-            window = FrameInterpolator(fields)
-            n_steps, dt = _step_count(t0, T, window.spacing)
-            finals, alive, _, left_box = _rk4_batch(window, finals, dt, n_steps)
+        window = FrameInterpolator(velocity_field(f, hbar, mass, rho_floor, real=True) for f in stream)
+        n_steps, dt = _step_count(t0, T, window.spacing)
+        finals, alive, _, left_box = _rk4_batch(window, finals, dt, n_steps)
         left = int(np.count_nonzero(left_box))
         node = int(np.count_nonzero(~alive)) - left
         if node + left > max_failure_fraction * n_samples:
