@@ -6,6 +6,7 @@ import inspect
 import math
 import os
 import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -1037,6 +1038,41 @@ class TestStreamedEnsemble:
             zl.ensemble_equivariance(failing(122), 2000, 21, T=T),
             zl.ensemble_equivariance(free_frames, 2000, 21, T=T),
         )
+
+    def test_fields_are_built_on_the_calling_thread(self, free_frames, monkeypatch):
+        """Each Re V field is built on the caller's thread right after its
+        frame is read, never ahead of the transport."""
+        events = []
+
+        def frames():
+            for i, f in enumerate(free_frames):
+                events.append(("read", i, threading.get_ident()))
+                yield f
+
+        build = pilot.velocity_field
+
+        def logged(frame, *args, **kwargs):
+            events.append(("build", round(float(frame.time) / float(free_frames[1].time)), threading.get_ident()))
+            return build(frame, *args, **kwargs)
+
+        monkeypatch.setattr(pilot, "velocity_field", logged)
+        zl.ensemble_equivariance(frames(), 2000, 21, T=float(free_frames[20].time))
+        caller = threading.get_ident()
+        # frames 0 to 20 and the frame after T, which closes the last bracket
+        assert events == [(kind, i, caller) for i in range(22) for kind in ("read", "build")]
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_close_after_k_items_bounds_the_reads(self, free_frames, k):
+        """An ensemble to T = frame k's time closes its stream after k frame
+        intervals: it has read the frames up to T and at most the one after
+        it, which closes the last RK4 bracket at T."""
+        source = Pulled(free_frames)
+        T = float(free_frames[k].time)
+        self.same_report(
+            zl.ensemble_equivariance(source, 2000, 21, T=T),
+            zl.ensemble_equivariance(free_frames, 2000, 21, T=T),
+        )
+        assert k + 1 <= source.count <= k + 2
 
 
 class TestFailureCauses:
