@@ -60,7 +60,7 @@ def velocity_field(
 
     grad(Psi)/Psi, rho and the node mask rho < rho_floor * max(rho) are
     those of psi_ratios, which reads a product frame through its factors
-    and any other through psi.spectrum when the solver held it.
+    and any other through one fft2.
     On the live cells Re V = (hbar/m) Im(grad(Psi)/Psi) and
     Im V = -(hbar/m) Re(grad(Psi)/Psi).  With real=True, v holds Re V alone
     as float64, which is all Bohmian transport reads, and equals the real

@@ -148,7 +148,7 @@ class ScenarioConfig:
     ensemble_n: int = _key(10000, _COUNT)
     seed: int = _key(12345, _number(int, above=-1))
     bins: int = _key(32, _COUNT)
-    rho_floor: float = _key(1e-12, _POSITIVE)
+    rho_floor: float = _key(schrodinger.DEFAULT_RHO_FLOOR, _POSITIVE)
     hj_rho_floor: float = _key(verification.HJ_RHO_FLOOR, _POSITIVE)
     hj_time: float = _key(0.5, _POSITIVE)
     hj_dts: tuple = _key((4e-3, 2e-3, 1e-3), _list(_POSITIVE))

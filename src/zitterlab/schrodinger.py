@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -30,8 +30,6 @@ DEFAULT_RHO_FLOOR = 1e-12
 # spectral band |k|_inf >= ALIAS_BAND_FRACTION * k_max watched by the aliasing guard
 ALIAS_BAND_FRACTION = 0.75
 ALIAS_MASS_LIMIT = 1e-8
-# V counts as a(x) + b(y) when it deviates by at most this times max(1, max|V|)
-SEPARABLE_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,15 @@ class Grid2D:
 class WaveFunction:
     """Complex field on a Grid2D at one instant; values indexed [ix, iy].
 
-    spectrum, when not None, is the 2D FFT of values that a free-potential
-    advance() held in k-space.  factors, when not None, is the pair (fx, fy)
-    of (n,) axis factors of a product state, values = np.outer(fx, fy): the
-    solver evolves such a frame as its two factors, and its readers sum over
-    them.  Readers must modify neither.
+    factors, when not None, is the pair (fx, fy) of (n,) axis factors of a
+    product state, values = np.outer(fx, fy): the solver evolves such a frame
+    as its two factors, and its readers sum over them.  Readers must modify
+    neither.
     """
 
     grid: Grid2D
     values: np.ndarray
     time: float = 0.0
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
     factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def norm(self) -> float:
@@ -218,26 +214,6 @@ def _held_buffers(count: int, n: int):
     return held[0][:count], held[1][:count]
 
 
-def _spectrum(psi: WaveFunction) -> np.ndarray:
-    """psi's 2D FFT: the spectrum the frame held, else one fft2 of its values."""
-    return psi.spectrum if psi.spectrum is not None else np.fft.fft2(psi.values)
-
-
-def _axis_parts(v: np.ndarray):
-    """(a, b) with V = a(x) + b(y) to SEPARABLE_TOLERANCE, or None.
-
-    a is the column and b the row of V through its smallest-|V| node, b
-    shifted to vanish there.
-    """
-    i0, j0 = np.unravel_index(np.argmin(np.abs(v)), v.shape)
-    a = v[:, j0]
-    b = v[i0, :] - v[i0, j0]
-    deviation = float(np.abs(a[:, None] + b[None, :] - v).max())
-    if deviation > SEPARABLE_TOLERANCE * max(1.0, float(np.abs(v).max())):
-        return None
-    return a, b
-
-
 def _axis_operator(half_kick: np.ndarray, full_kick: np.ndarray, kinetic: np.ndarray, n_steps: int) -> np.ndarray:
     """A^T for one axis, where A = K F (D^2 F^-1 K F)^(n-1) D is the fused
     Strang sequence of advance() in 1D, run along the rows of the identity.
@@ -285,20 +261,21 @@ def _norm_bound(n: int, steps: int) -> float:
 class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
-    The constructor builds the operators once, plus the aliasing-band masks;
-    advance() reuses them for every call, and frames() is advance() in a
-    loop.  Which path a call runs is fixed by its input, never detected:
-    - the product path, for a psi with factors under the free or the
-      harmonic potential: each axis factor is evolved alone, by the 1D
-      kinetic phase on its spectrum (free) or by the per-axis operator and
-      half kick of a separable V (harmonic), and values = np.outer(fx, fy);
+    advance() reuses the operators for every call, and frames() is advance()
+    in a loop.  Which of three paths a call runs is fixed by its input,
+    never detected:
+    - the product path, for a psi with factors under the free or a harmonic
+      potential: each axis factor is evolved alone, by the 1D kinetic phase
+      on its spectrum (free) or by the per-axis operator and half kick
+      (harmonic), and values = np.outer(fx, fy);
     - the 2D free path, for any other psi under the free potential: k^2 only;
-    - the 2D separable path, for any other psi under a V = a(x) + b(y): the
-      1D kinetic phase and the half and full kicks of each axis;
-    - the 2D loop, for any other V: the 2D kinetic phase and full kick.
-    The two 2D potential paths end with the 2D half kick.  The n x n work
-    buffers (one for the free potential, two for the others) are allocated
-    at the first 2D call.
+    - the 2D loop, for any other psi or potential: the 2D kinetic phase and
+      the half and full kicks of V.
+    The constructor builds the 1D parts: the axis aliasing band and, for a
+    harmonic V, the per-axis kicks and kinetic phase.  The n x n operators
+    (the 2D band, kinetic phase and kicks) and work buffers are built at the
+    first 2D call, so a product-path run builds none; a sampled V, which
+    only the loop runs, builds (and so checks) them here.
     """
 
     def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
@@ -306,42 +283,51 @@ class Propagator:
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.grid = grid
         self.dt = dt
+        self._pot, self._hbar, self._mass = pot, hbar, mass
         self._hbar_over_2m = 0.5 * hbar / mass
         k = grid.wavenumbers
-        self._k2 = k[:, None] ** 2 + k[None, :] ** 2
-        # a harmonic V always passes the separability test below
         self._factored = pot.kind is not PotentialKind.GRID_SAMPLED
-        self._half_kick = self._full_kick = self._kinetic = self._axes = None
-        if pot.kind is not PotentialKind.FREE:
-            v = pot.values(grid, mass)
-            self._half_kick = np.exp(-0.5j * dt * v / hbar)
-            parts = _axis_parts(v)
-            if parts is None:
-                self._kinetic = _kinetic_phase(self._hbar_over_2m * dt, self._k2)
-                self._full_kick = np.exp(-1j * dt * v / hbar)
-            else:
-                # an isotropic V on the square grid has one distinct axis
-                if np.array_equal(*parts):
-                    parts = parts[:1]
-                kinetic = _kinetic_phase(self._hbar_over_2m * dt, k**2)
-                self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
+        self._axes = None
+        if pot.kind is PotentialKind.HARMONIC:
+            # V = a(x) + b(y) with parts 0.5 m (w x)^2, V's column and row
+            # through the centre node, where V is exactly 0; an isotropic V
+            # has one distinct part
+            parts = [0.5 * mass * (w * grid.axis) ** 2 for w in dict.fromkeys(pot.omega)]
+            kinetic = _kinetic_phase(self._hbar_over_2m * dt, k**2)
+            self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
         self._axis_band = np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist
-        self._band = np.logical_or.outer(self._axis_band, self._axis_band)
         # a frame stream advances by one stride throughout, so one cached n suffices
         self._cached_key = None
         self._cached = None
+        self._plane = None if self._factored else self._build_plane()
 
     @cached_property
-    def _buffers(self):
-        """(work, tmp): the n x n work buffers of the 2D paths; work is None
-        for the free potential."""
+    def _k2(self) -> np.ndarray:
+        k = self.grid.wavenumbers
+        return k[:, None] ** 2 + k[None, :] ** 2
+
+    @cached_property
+    def _band(self) -> np.ndarray:
+        return np.logical_or.outer(self._axis_band, self._axis_band)
+
+    def _build_plane(self):
+        """(half_kick, full_kick, kinetic, work, tmp): the n x n kicks, kinetic
+        phase and work buffers of the 2D paths.  Under the free potential all
+        but tmp are None."""
         shape = (self.grid.n, self.grid.n)
-        return None if self._half_kick is None else np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        tmp = np.empty(shape, dtype=complex)
+        if self._pot.kind is PotentialKind.FREE:
+            return None, None, None, None, tmp
+        v = self._pot.values(self.grid, self._mass)
+        half_kick = np.exp(-0.5j * self.dt * v / self._hbar)
+        full_kick = np.exp(-1j * self.dt * v / self._hbar)
+        kinetic = _kinetic_phase(self._hbar_over_2m * self.dt, self._k2)
+        return half_kick, full_kick, kinetic, np.empty(shape, dtype=complex), tmp
 
     def _cached_for(self, n_steps: int, product: bool):
-        """The free n-step phase (per axis on the product path, else 2D), or
-        the (A_x^T, A_y^T) pair of a separable V."""
-        key = (n_steps, product and self._axes is None)
+        """The (A_x^T, A_y^T) pair of a harmonic V, or the free n-step phase
+        (per axis on the product path, else 2D)."""
+        key = (n_steps, product)
         if key != self._cached_key:
             if self._axes is None:
                 k2 = self.grid.wavenumbers**2 if product else self._k2
@@ -382,17 +368,14 @@ class Propagator:
         """psi advanced by n_steps of dt, in a freshly allocated WaveFunction.
 
         Adjacent half kicks are fused into full kicks, so a call costs
-        half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half.
-        On the product path that runs on each factor in 1D: a factor's FFT
-        times the n-step 1D phase (free), or A f with the per-axis operator A
+        half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half,
+        which the 2D loop runs as written: n_steps 2D FFT pairs.  On the
+        product path that runs on each factor in 1D: a factor's FFT times the
+        n-step 1D phase (free), or A f with the per-axis operator A
         (harmonic), inverted and given its axis's half kick; the result
-        carries the new factors and values = np.outer(fx, fy), and no
-        spectrum.  On the 2D free path psi's spectrum (held, else one FFT)
-        times the n-step kinetic phase is a fresh psi^, inverted into the
-        result, which carries psi^ as its spectrum.  With a separable V every
-        factor but the last half kick splits by axis, so psi^ is A_x psi A_y^T:
-        two n x n matrix products with the per-axis operators, built once per
-        n_steps.  The guards read psi^ (or the factors' spectra), the
+        carries the new factors and values = np.outer(fx, fy).  On the 2D
+        free path fft2(psi) times the n-step kinetic phase is psi^, inverted
+        into the result.  The guards read psi^ (or the factors' spectra), the
         spectrum before the last IFFT: finiteness, the aliasing band, and the
         norm against psi's.
         """
@@ -421,46 +404,38 @@ class Propagator:
             if self._axes is not None:
                 fx, fy = fx * self._axes[0][0], fy * self._axes[-1][0]
             return WaveFunction(self.grid, np.outer(fx, fy), time, factors=(fx, fy))
-        work, tmp = self._buffers
-        if self._half_kick is None:
-            spectrum = _spectrum(psi) * self._cached_for(n_steps, product=False)
-        elif self._axes is not None:
-            at_x, at_y = self._cached_for(n_steps, product=False)
-            np.matmul(at_x.T, psi.values, out=tmp)
-            spectrum = np.matmul(tmp, at_y, out=work)
+        if self._plane is None:
+            self._plane = self._build_plane()
+        half_kick, full_kick, kinetic, work, tmp = self._plane
+        if half_kick is None:
+            # a fresh psi^, inverted in place into the result's values
+            work = np.fft.fft2(psi.values) * self._cached_for(n_steps, product=False)
         else:
-            np.multiply(psi.values, self._half_kick, out=work)
+            np.multiply(psi.values, half_kick, out=work)
             for _ in range(n_steps - 1):
                 _fft2(work, work, tmp)
-                work *= self._kinetic
+                work *= kinetic
                 _fft2(work, work, tmp, inverse=True)
-                work *= self._full_kick
+                work *= full_kick
             _fft2(work, work, tmp)
-            spectrum = np.multiply(work, self._kinetic, out=work)
-        self._guard((spectrum,), norm0, steps)
-        if self._half_kick is None:
-            values = np.empty_like(spectrum)
-            _fft2(spectrum, values, tmp, inverse=True)
-            return WaveFunction(self.grid, values, time, spectrum)
+            work *= kinetic
+        self._guard((work,), norm0, steps)
         _fft2(work, work, tmp, inverse=True)
-        return WaveFunction(self.grid, work * self._half_kick, time)
+        return WaveFunction(self.grid, work if half_kick is None else work * half_kick, time)
 
     def frames(self, psi: WaveFunction, frame_stride: int, n_frames: int) -> Iterator[WaveFunction]:
         """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time:
         a copy of psi, then advance() of the frame before by frame_stride,
         each frame's norm guarded against frame 0's.
 
-        On the 2D free path frame 0 carries its spectrum from one FFT, so the
-        spectrum stays in k-space, psi_k^ = psi_{k-1}^ . (the stride phase):
-        a frame costs one multiply and one IFFT.  On the product path a frame
-        costs four 1D FFTs (free) or two n x n matrix-vector products and two
-        1D inverse FFTs (harmonic), plus the np.outer of its factors.
+        On the product path a frame costs four 1D FFTs (free) or two n x n
+        matrix-vector products and two 1D inverse FFTs (harmonic), plus the
+        np.outer of its factors.  On the 2D free path it costs one 2D FFT
+        pair, and on the 2D loop frame_stride of them.
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
         frame = psi.copy()
-        if self._half_kick is None and frame.factors is None:
-            frame.spectrum = np.fft.fft2(frame.values)
         norm0 = _squared_norm(self.grid, _densities(frame))
         yield frame
         for k in range(1, n_frames + 1):
@@ -499,8 +474,7 @@ def stream_frames(
     at a time from one Propagator, so the guards run once per frame.
 
     The arguments are checked here, before the first frame is asked for.
-    Product frames carry their factors and 2D free-potential frames their
-    spectrum; see Propagator.frames.
+    Product frames carry their factors; see Propagator.frames.
     """
     if n_steps % frame_stride != 0:
         raise InvalidInput(f"n_steps = {n_steps} is not a multiple of frame_stride = {frame_stride}")
@@ -516,8 +490,8 @@ def evolve_frames(
     hbar: float = 1.0,
     mass: float = 1.0,
 ) -> list[WaveFunction]:
-    """stream_frames as a list; its frames hold no spectrum."""
-    return [replace(f, spectrum=None) for f in stream_frames(psi, pot, dt, n_steps, frame_stride, hbar, mass)]
+    """stream_frames as a list."""
+    return list(stream_frames(psi, pot, dt, n_steps, frame_stride, hbar, mass))
 
 
 def analytic_free_gaussian(
@@ -568,17 +542,16 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     laplacian=True a third row Lap(Psi)/Psi.  A product frame takes
     fx'/fx and fy'/fy (and fx''/fx + fy''/fy) from 1D spectral derivatives
     of its factors, with rho = np.outer(|fx|^2, |fy|^2).  Any other frame
-    takes psi.spectrum when the solver held it, else one fft2; the
-    derivative spectra i k_x Psi^, i k_y Psi^ (and -k^2 Psi^) are inverted
-    as one stacked FFT into held buffers, and each live cell takes one
-    complex divide.
+    takes one fft2; the derivative spectra i k_x Psi^, i k_y Psi^ (and
+    -k^2 Psi^) are inverted as one stacked FFT into held buffers, and each
+    live cell takes one complex divide.
     """
     if psi.factors is not None:
         return _factor_ratios(psi, rho_floor, laplacian)
     grid = psi.grid
     rho = psi.density()
     mask = rho < rho_floor * float(rho.max())
-    spectrum = _spectrum(psi)
+    spectrum = np.fft.fft2(psi.values)
     k = grid.wavenumbers
     derivs, tmp = _held_buffers(3 if laplacian else 2, grid.n)
     np.multiply(1j * k[:, None], spectrum, out=derivs[0])
@@ -650,7 +623,7 @@ def _energy(psi: WaveFunction, rho, w: np.ndarray, kinetic: np.ndarray, v) -> fl
         if v is not None:
             e += float(rho[0] @ v @ rho[1]) * grid.cell_area()
         return e
-    e = np.sum(kinetic * np.abs(_spectrum(psi)) ** 2) * grid.cell_area() / grid.n**2
+    e = np.sum(kinetic * np.abs(np.fft.fft2(psi.values)) ** 2) * grid.cell_area() / grid.n**2
     if v is not None:
         e = e + np.sum(v * rho) * grid.cell_area()
     return float(e)
@@ -658,8 +631,7 @@ def _energy(psi: WaveFunction, rho, w: np.ndarray, kinetic: np.ndarray, v) -> fl
 
 def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
     """<Psi| -hbar^2/2m Lap + V |Psi>: over the factors of a product frame;
-    else with the kinetic part summed in k-space, over psi.spectrum when the
-    solver held it, else over fft2(psi.values)."""
+    else with the kinetic part summed in k-space, over fft2(psi.values)."""
     return _energy(psi, _densities(psi), *_energy_terms(psi.grid, pot, hbar, mass))
 
 

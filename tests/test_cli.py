@@ -387,7 +387,7 @@ class TestMainEntry:
             # here, 2-row field calls in the next case
             "scenario = hj_residual\nn_grid = 64\nhj_ns = 16, 32, 64\n",
             "scenario = guided_process\nn_grid = 64\nbox_half_width = 8\nT = 0.2\nguided_epsilons = 4e-3, 2e-3, 1e-3\n",
-            # the free frame stream with its .zlab frames, and the separable potential path
+            # the free frame stream with its .zlab frames, and the harmonic product path
             "scenario = free_gaussian\nn_grid = 64\nbox_half_width = 8\nT = 0.05\nwrite_frames = true\n",
             "scenario = harmonic_coherent\nn_grid = 64\nbox_half_width = 5.5\ncenter_x = 0.5\ndt = 3e-3\n",
         ],

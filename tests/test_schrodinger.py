@@ -170,7 +170,7 @@ class TestSplitStep:
     def test_grid_sampled_potential_matches_closed_form(self, grid128):
         X, Y = grid128.mesh()
         sampled = sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.5 * (X**2 + Y**2))
-        # without factors both potentials run the 2D separable path
+        # without factors both potentials run the 2D loop on the same V
         psi0 = replace(zl.init_gaussian(grid128, (2.0, 0), math.sqrt(0.5), (0, 0)), factors=None)
         a = zl.split_step_evolve(psi0, sampled, 1e-3, 200)
         b = zl.split_step_evolve(psi0, zl.harmonic_potential(1.0), 1e-3, 200)
@@ -181,6 +181,9 @@ class TestSplitStep:
         psi0 = zl.init_gaussian(grid128, (0, 0), 1.0, (0, 0))
         with pytest.raises(ValueError):
             zl.split_step_evolve(psi0, bad, 1e-3, 1)
+        # a sampled V runs only the 2D loop, so the propagator checks it when built
+        with pytest.raises(ValueError):
+            zl.stream_frames(psi0, bad, 1e-3, 4, 2)
 
     def test_alias_guard_trips_on_noise(self, grid128):
         rng = np.random.default_rng(1)
@@ -190,6 +193,25 @@ class TestSplitStep:
         for pot in (zl.free_potential(), zl.harmonic_potential(1.0)):
             with pytest.raises(zl.ResolutionLoss):
                 zl.split_step_evolve(zl.WaveFunction(grid128, noise, 0.0), pot, 1e-3, 1)
+
+    @pytest.mark.parametrize("product", [True, False], ids=["product", "2d"])
+    @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
+    def test_alias_guard_trips_inside_the_band(self, grid128, pot, product):
+        # 1e-6 of the mass in a plane wave at 54/64 of k_max, inside the band
+        # that starts at 0.75 k_max; the same wave at 1/2 of k_max passes
+        x = grid128.axis
+        envelope = np.exp(-(x**2) / 4.0)
+        for j, trips in ((54, True), (32, False)):
+            fx = envelope * (1.0 + 1e-3 * np.exp(1j * grid128.wavenumbers[j] * x))
+            psi = sch._product_state(grid128, fx, envelope.astype(complex))
+            if not product:
+                psi = replace(psi, factors=None)
+            prop = zl.Propagator(grid128, pot, 1e-3)
+            if trips:
+                with pytest.raises(zl.ResolutionLoss, match="aliasing band"):
+                    prop.advance(psi, 2)
+            else:
+                assert (prop.advance(psi, 2).factors is not None) == product
 
     @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
     def test_non_finite_psi_rejected(self, pot):
@@ -214,8 +236,7 @@ class TestPropagator:
     def grid64(self):
         return zl.Grid2D(64, 8.0)
 
-    # separable V (harmonic, harmonic_heavy, separable_sampled) runs on the
-    # per-axis operators; the others run the per-step loop
+    # every V runs the per-step loop on a psi without factors
     @pytest.mark.parametrize(
         "kind",
         ["free", "harmonic", "grid_sampled", "harmonic_heavy", "separable_sampled", "near_separable"],
@@ -233,8 +254,7 @@ class TestPropagator:
             "grid_sampled": (sampled(0.3 * X**2 + 0.1 * X * Y), 1.0),
             "harmonic_heavy": (zl.harmonic_potential(1.0, 1.5), 2.5),
             "separable_sampled": (sampled(0.3 * X**2 + np.cos(Y)), 1.0),
-            # off by 1e-6 XY, far above the separability tolerance: the loop
-            # path, which the per-axis operators would miss by ~1e-7
+            # a harmonic V plus a 1e-6 XY coupling
             "near_separable": (sampled(0.5 * (X**2 + Y**2) + 1e-6 * X * Y), 1.0),
         }[kind]
         psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
@@ -283,7 +303,7 @@ class TestPropagator:
 
 
 class TestFrameStream:
-    """Propagator.frames: advance() in a loop, in k-space on the free path."""
+    """Propagator.frames: advance() in a loop."""
 
     @pytest.fixture(scope="class")
     def grid64(self):
@@ -303,29 +323,25 @@ class TestFrameStream:
         reference = self.chained_advance(psi0, zl.free_potential(), 2e-2, 4, 7)
         assert [f.time for f in stream] == [f.time for f in reference]
         assert np.array_equal(stream[0].values, psi0.values) and stream[0].values is not psi0.values
-        for k, (f, ref) in enumerate(zip(stream, reference)):
+        for f, ref in zip(stream, reference):
             # the stream is advance() in a loop: equal bit for bit
             assert np.array_equal(f.values, ref.values)
-            assert k == 0 or np.array_equal(f.spectrum, ref.spectrum)
-            # the held spectrum is the frame's own FFT, up to roundoff
-            assert rel_l2(f.spectrum, np.fft.fft2(f.values)) <= 1e-12
         listed = zl.evolve_frames(psi0, zl.free_potential(), 2e-2, 28, 4)
-        assert all(f.spectrum is None for f in listed)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(listed, stream))
 
-    @pytest.mark.parametrize("kind", ["separable", "loop"])
+    @pytest.mark.parametrize("kind", ["harmonic", "grid_sampled"])
     def test_potential_stream_is_advance(self, grid64, kind):
         X, Y = grid64.mesh()
         pot = {
-            "separable": zl.harmonic_potential(1.0, 1.5),
-            "loop": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.3 * X**2 + 0.1 * X * Y),
+            "harmonic": zl.harmonic_potential(1.0, 1.5),
+            "grid_sampled": sch.Potential(sch.PotentialKind.GRID_SAMPLED, samples=0.3 * X**2 + 0.1 * X * Y),
         }[kind]
         psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
         stream = list(zl.stream_frames(psi0, pot, 2e-2, 21, 3))
         reference = self.chained_advance(psi0, pot, 2e-2, 3, 7)
         assert len(stream) == len(reference) == 8
         for f, ref in zip(stream, reference):
-            assert f.time == ref.time and f.spectrum is None
+            assert f.time == ref.time
             assert np.array_equal(f.values, ref.values)
 
     def test_arguments_checked_before_the_first_frame(self, grid64):
@@ -467,40 +483,6 @@ class TestStreamedSummary:
         assert last is None and rows == []
         assert (tmp_path / "s.csv").read_text() == "t,norm,energy,x_mean,y_mean,sigma_x,sigma_y\n"
 
-    def test_energy_reads_the_held_spectrum(self, grid64):
-        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
-        frame = list(zl.stream_frames(psi0, zl.free_potential(), 1e-2, 20, 5))[-1]
-        # the free energy is all kinetic, quadratic in the spectrum it sums over
-        doubled = replace(frame, spectrum=2.0 * frame.spectrum)
-        assert zl.energy(doubled, zl.free_potential()) == pytest.approx(
-            4.0 * zl.energy(frame, zl.free_potential()), rel=1e-15
-        )
-
-    def test_held_and_recomputed_spectrum_agree_to_roundoff(self, grid64):
-        """energy over the held spectrum S against energy over fft2(ifft2(S)).
-
-        A radix-2 FFT of N points has a relative L2 error of at most
-        eta log2 N, eta = u + gamma_4 (sqrt 2 + u) < 7u with u the unit
-        roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
-        2nd ed., Thm 24.2).  The frame's values are one inverse FFT of S and
-        the recomputed spectrum one forward FFT of them, plus the 1/N scaling:
-        |dS| <= e |S| with e = 2 * 7u log2 N + u.  E = sum w |S|^2 dA/N with
-        weights 0 <= w <= w_max and sum |S|^2 dA/N = norm^2 = 1, so
-        |dE| <= w_max (2e + e^2).
-        """
-        pot = zl.free_potential()
-        psi0 = replace(zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), factors=None)
-        n_points = grid64.n**2
-        u = np.finfo(float).eps / 2
-        e = 2 * 7 * u * math.log2(n_points) + u
-        k = grid64.wavenumbers
-        w_max = 0.5 * float(np.max(k[:, None] ** 2 + k[None, :] ** 2))
-        bound = w_max * (2 * e + e * e)
-        frames = list(zl.stream_frames(psi0, pot, 1e-2, 40, 5))
-        assert all(f.spectrum is not None for f in frames)
-        for f in frames:
-            assert abs(zl.energy(f, pot) - zl.energy(replace(f, spectrum=None), pot)) <= bound
-
 
 @pytest.mark.parametrize("write_frames", ["false", "true"])
 def test_free_gaussian_holds_at_most_two_frames(tmp_path, monkeypatch, write_frames):
@@ -564,7 +546,7 @@ class TestProductPath:
         }[kind]
         psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
         psi = zl.Propagator(grid64, pot, 2e-2, hbar=1.0, mass=mass).advance(psi0, n_steps)
-        assert psi.factors is not None and psi.spectrum is None
+        assert psi.factors is not None
         assert np.array_equal(psi.values, np.outer(*psi.factors))
         assert rel_l2(psi.values, reference_split_step(psi0, pot, 2e-2, n_steps, mass=mass)) <= 1e-12
 
@@ -576,7 +558,7 @@ class TestProductPath:
         reference = TestFrameStream.chained_advance(psi0, pot, 2e-2, 3, 7)
         assert stream[0].factors[0] is not psi0.factors[0]
         for f, ref in zip(stream, reference):
-            assert f.time == ref.time and f.spectrum is None
+            assert f.time == ref.time
             assert np.array_equal(f.values, ref.values)
             assert all(np.array_equal(a, b) for a, b in zip(f.factors, ref.factors))
 
@@ -595,6 +577,41 @@ class TestProductPath:
         # frame 0 is a copy of psi0, factors and all
         assert (frames[0].factors is None) == (psi0.factors is None)
         assert all(f.factors is None for f in frames[1:])
+
+    def test_harmonic_axis_parts_are_the_centre_column_and_row(self, grid64):
+        hbar, mass, dt = 0.7, 1.3, 2e-2
+        pot = zl.harmonic_potential(0.8, 1.5)
+        v = pot.values(grid64, mass)
+        c = grid64.n // 2
+        assert grid64.axis[c] == 0.0
+        prop = zl.Propagator(grid64, pot, dt, hbar, mass)
+        assert len(prop._axes) == 2
+        for (half, full, _), part in zip(prop._axes, (v[:, c], v[c, :])):
+            assert np.array_equal(half, np.exp(-0.5j * dt * part / hbar))
+            assert np.array_equal(full, np.exp(-1j * dt * part / hbar))
+        isotropic = zl.Propagator(grid64, zl.harmonic_potential(0.8), dt, hbar, mass)
+        assert len(isotropic._axes) == 1
+        ax, ay = isotropic._cached_for(3, product=True)
+        assert ax is ay
+
+    def test_product_run_builds_no_2d_operator(self, grid64, monkeypatch, tmp_path):
+        pot = zl.harmonic_potential(1.0, 1.5)
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        real_values = sch.Potential.values
+        calls = []
+
+        def counted(self, grid, mass):
+            calls.append(grid)
+            return real_values(self, grid, mass)
+
+        monkeypatch.setattr(sch.Potential, "values", counted)
+        prop = zl.Propagator(grid64, pot, 2e-2)
+        frames = list(prop.frames(psi0, 3, 4))
+        assert calls == [] and prop._plane is None
+        assert "_k2" not in vars(prop) and "_band" not in vars(prop)
+        # the summary builds V once, for the <V> = |fx|^2 V |fy|^2 of every row
+        sch.frames_summary_csv(tmp_path / "s.csv", frames, pot)
+        assert len(calls) == 1
 
     def test_readers_never_fft2_a_product_frame(self, grid64, monkeypatch, tmp_path):
         psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
@@ -618,15 +635,16 @@ class TestNormGuard:
 
     @pytest.mark.parametrize(
         "kind, path, growth",
-        [("free", "2d", 2), ("free", "product", 4), ("harmonic", "2d", 4 * STRIDE), ("harmonic", "product", 4 * STRIDE)],
+        [("free", "2d", 2), ("free", "product", 4), ("harmonic", "2d", 2 * STRIDE), ("harmonic", "product", 4 * STRIDE)],
     )
     def test_fires_at_the_first_frame_past_the_bound(self, monkeypatch, kind, path, growth):
         # A kinetic phase of modulus 1 + d scales frame k's squared norm by
         # (1 + d)^(growth k): the free 2D path applies the stride's phase once
         # per frame (|psi^|^2 by (1 + d)^2), the free product path once per
-        # factor, and the harmonic paths' per-axis operators hold the 1D phase
-        # once per step on each axis.  d is set so the drift crosses the bound
-        # at k = 2.5; then frames 0..2 pass and frame 3 raises.
+        # factor, the harmonic 2D loop the 2D phase once per step, and the
+        # harmonic product path's per-axis operators hold the 1D phase once
+        # per step on each axis.  d is set so the drift crosses the bound at
+        # k = 2.5; then frames 0..2 pass and frame 3 raises.
         grid = zl.Grid2D(64, 8.0)
         pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0)
         psi0 = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.0, 0.5))
@@ -679,16 +697,29 @@ def test_product_path_matches_the_2d_path(tmp_path_factory, kind, center, k0, si
     """Frames, psi_ratios and summary rows of the product path against the 2D path on one psi.
 
     First order in the unit roundoff u, with relative L2 errors and
-    unitary (to O(u)) steps that carry an error forward without growth.
-    Per frame, each path's FFTs add at most ETA log2 of their length: 2D one
-    pair of n^2 points, product two pairs of n (the same total, counted for
-    both paths).  Each multiply by a computed phase exp(-i theta) adds
-    4u + 3u theta_max (its rounding, and the argument's relative rounding
-    times the largest argument).  The harmonic paths share the per-axis
-    operators A and differ in how they apply them: an n-term product with
-    a unitary A errs by at most gamma_n |A| |x|, and || |A| ||_2 <= sqrt n,
-    so at most gamma_n sqrt n per product, two per path.  So frame k's values
-    differ by at most e_k = (k + 1) e relative.  A ratio d/psi at a live
+    unitary (to O(u)) steps that carry an error forward without growth; per
+    frame the two paths' errors add into e.  Each FFT adds at most ETA log2
+    of its length, and each multiply by a computed phase exp(-i theta) adds
+    p = 4u + 3u theta_max (its rounding, and the argument's relative
+    rounding times the largest argument).
+    - Free: the 2D path takes one pair of n^2 points, the product path two
+      pairs of n (the same total, counted for both paths), and four phases
+      are counted.
+    - Harmonic, the 2D loop: stride 2D FFT pairs and 2 stride + 1 phases
+      (stride kinetic phases, stride - 1 full kicks and two half kicks).
+    - Harmonic, the product path: per axis f A with the per-axis operator A,
+      an inverse 1D FFT and the half kick.  An n-term complex product errs
+      by at most gamma_{n+2} |A| |f| (Higham, Sec. 3.6), and
+      || |A| ||_2 <= ||A||_F = sqrt n ||A||_2 for a scaled unitary A, so by
+      gamma_{n+2} sqrt n.  _axis_operator builds A on the rows of the
+      identity.  In the Frobenius norm, relative, each row FFT adds ETA
+      log2 n, each phase p, and each matrix product of scaled unitaries X, Y
+      gamma_{n+2} sqrt n, since || |X| |Y| ||_F <= ||X||_F ||Y||_F =
+      sqrt n ||XY||_F.  The step S (two FFTs, two phases) is raised to
+      stride - 1 = 2 by one product, and S^m carries m times S's error;
+      then come a half kick, an FFT and a kinetic phase.  In the 2-norm A
+      errs by sqrt n times that, as ||A||_F = sqrt n ||A||_2.
+    So frame k's values differ by at most e_k = (k + 1) e relative.  A ratio d/psi at a live
     cell c moves by (|dd| + |r| |dpsi|) / |psi_c|, with |dpsi| <= e_k ||psi||
     and |dd| <= (e_k + e_d) k_max ||psi||, e_d the derivative kernels' own
     FFT error.  A summary row's density moves by at most
@@ -707,10 +738,18 @@ def test_product_path_matches_the_2d_path(tmp_path_factory, kind, center, k0, si
 
     k_max = float(np.max(np.abs(grid.wavenumbers)))
     v_max = float(np.max(pot.values(grid, mass)))
-    theta_max = 0.5 * hbar / mass * stride * dt * 2 * k_max**2 + 0.5 * dt * v_max / hbar
-    e = ETA * (2 * math.log2(N) + 4 * math.log2(n)) + 4 * (4 * U + 3 * U * theta_max)
-    if kind == "harmonic":
-        e += 4 * gamma(n) * math.sqrt(n)
+    if kind == "free":
+        p = 4 * U + 3 * U * (0.5 * hbar / mass * stride * dt * 2 * k_max**2)
+        e = ETA * (2 * math.log2(N) + 4 * math.log2(n)) + 4 * p
+    else:
+        # the largest argument of a per-step phase: the 2D kinetic phase, the full kick
+        p = 4 * U + 3 * U * (hbar / mass * dt * k_max**2 + dt * v_max / hbar)
+        g = gamma(n + 2) * math.sqrt(n)
+        s_err = 2 * ETA * math.log2(n) + 2 * p
+        a_err = (stride - 1) * s_err + g + ETA * math.log2(n) + 2 * p
+        product_err = 2 * (math.sqrt(n) * a_err + g + ETA * math.log2(n) + p)
+        loop_err = stride * 2 * ETA * math.log2(N) + (2 * stride + 1) * p
+        e = product_err + loop_err
     e_d = ETA * (math.log2(N) + 4 * math.log2(n)) + 2 * U
 
     rows = []
