@@ -23,7 +23,40 @@ import numpy as np
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run, _fixed_epsilon, _step_count, _whole_cycles
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, psi_ratios
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _axis_ratios, psi_ratios
+
+
+@dataclass(frozen=True)
+class AxisField:
+    """The per-axis form of a product frame's field: V(x, y) = (vx(x), vy(y))
+    on the live cells.
+
+    v (n, 2) holds vx at the x nodes in column 0 and vy at the y nodes in
+    column 1, complex or Re V alone as float.  rho (n, 2) holds the factors'
+    densities |fx|^2 and |fy|^2, and cell_min (n, 2) the smaller density of
+    each cell's two nodes per axis, with the periodic wrap.  Cell (i, j) is
+    live iff cell_min[i, 0] * cell_min[j, 1] >= floor = rho_floor max|fx|^2
+    max|fy|^2.  Rounding of a product of non-negative numbers is monotone, so
+    that product is the smallest of the cell's four corner products, and the
+    test equals the dilated node mask bit for bit.
+    """
+
+    v: np.ndarray
+    rho: np.ndarray
+    floor: float
+    cell_min: np.ndarray
+
+    def plane(self):
+        """(v (n, n, 2), node_mask (n, n)) on the grid, as velocity_field
+        builds them for a frame without factors: node (i, j) is masked where
+        rx[i] ry[j] < floor, and v there is 0."""
+        mask = np.outer(self.rho[:, 0], self.rho[:, 1]) < self.floor
+        n = len(self.v)
+        v = np.empty((n, n, 2), dtype=self.v.dtype)
+        v[..., 0] = self.v[:, None, 0]
+        v[..., 1] = self.v[None, :, 1]
+        v[mask] = 0.0
+        return v, mask
 
 
 @dataclass
@@ -34,12 +67,37 @@ class VelocityField:
     At every unmasked node m*v = grad S - i (hbar/2) grad log rho.  A field
     used only for Bohmian transport may hold the real part Re V alone, as a
     real array of the same shape.
+
+    The field of a product frame holds its AxisField in axes and is read
+    through it; its v and node_mask are built from axes at their first read
+    and then kept.  A field given a v holds no axes, so dataclasses.replace
+    of a product field (which reads v) gives a field of the same values read
+    in 2D.
     """
 
     grid: Grid2D
-    v: np.ndarray
-    node_mask: np.ndarray
+    v: np.ndarray | None
+    node_mask: np.ndarray | None
     time: float
+    axes: AxisField | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.v is not None:
+            self.axes = None
+        elif self.axes is not None:
+            del self.v, self.node_mask  # built by __getattr__ at the first read
+
+    def __getattr__(self, name):
+        axes = self.__dict__.get("axes")
+        if name not in ("v", "node_mask") or axes is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.v, self.node_mask = axes.plane()
+        return self.__dict__[name]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """V's dtype: complex, or float for a field of Re V alone."""
+        return (self.v if self.axes is None else self.axes.v).dtype
 
     @cached_property
     def cell_mask(self) -> np.ndarray:
@@ -47,6 +105,16 @@ class VelocityField:
         j|j+1 is masked (periodic wrap); read from node_mask at first use."""
         m = self.node_mask | np.roll(self.node_mask, -1, axis=0)
         return m | np.roll(m, -1, axis=1)
+
+
+def _velocity(ratios: np.ndarray, scale: float, real: bool) -> np.ndarray:
+    """V = -i scale ratios elementwise, as Re V = scale Im(ratios) and
+    Im V = -scale Re(ratios); with real=True Re V alone, as float64."""
+    v = np.empty(ratios.shape, dtype=float if real else complex)
+    v.real = scale * ratios.imag
+    if not real:
+        v.imag = -scale * ratios.real
+    return v
 
 
 def velocity_field(
@@ -60,25 +128,29 @@ def velocity_field(
 
     grad(Psi)/Psi, rho and the node mask rho < rho_floor * max(rho) are
     those of psi_ratios, which reads a product frame through its factors
-    and any other through one fft2.
+    and any other through one fft2.  A product frame's field holds only its
+    AxisField, O(n): vx and vy from the per-axis ratios (2n numbers), the
+    cell minima and the floor.
     On the live cells Re V = (hbar/m) Im(grad(Psi)/Psi) and
     Im V = -(hbar/m) Re(grad(Psi)/Psi).  With real=True, v holds Re V alone
     as float64, which is all Bohmian transport reads, and equals the real
     part of the complex field bit for bit.
     """
-    grid = psi.grid
+    grid, scale = psi.grid, hbar / mass
+    if psi.factors is not None:
+        rx, ry, floor, (ratio_x, ratio_y) = _axis_ratios(psi, rho_floor)
+        rho = np.column_stack([rx, ry])
+        axes = AxisField(
+            _velocity(np.column_stack([ratio_x[0], ratio_y[0]]), scale, real),
+            rho,
+            floor,
+            np.minimum(rho, np.roll(rho, -1, axis=0)),
+        )
+        return VelocityField(grid, None, None, psi.time, axes)
     live, ratios, _, mask = psi_ratios(psi, rho_floor)
-    scale = hbar / mass
     v = np.zeros((grid.n * grid.n, 2), dtype=float if real else complex)
-    v.real[live] = (scale * ratios.imag).T
-    if not real:
-        v.imag[live] = (-scale * ratios.real).T
+    v[live] = _velocity(ratios.T, scale, real)
     return VelocityField(grid, v.reshape(grid.n, grid.n, 2), mask, psi.time)
-
-
-# Along each axis a cell has a lower (0) and an upper (1) corner node.
-_UPPER = np.array([0, 1]).reshape(2, 1, 1)
-_LOWER = 1.0 - _UPPER
 
 
 def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
@@ -92,39 +164,70 @@ def _inside(x: float, y: float, half_width: float) -> bool:
     return -half_width <= x < half_width and -half_width <= y < half_width
 
 
-def _stencil(grid: Grid2D, pts: np.ndarray):
-    """Bilinear stencil of the points pts (M, 2) on the periodic grid.
+class _Stencil:
+    """Linear stencil of the points pts (M, 2) on the periodic grid, per axis.
 
-    Returns the flat node indices (4, M) of the corners (i0, j0), (i1, j0),
-    (i0, j1), (i1, j1), their weights (4, M, 1) and the in-box flags (M,).
-    One stencil serves every frame sampled at the same points.  The large
-    temporaries are updated in place: at 1e4 points each fresh one costs
-    more in page faults than in arithmetic.
+    lo and hi (M, 2) are the flat indices, into an (n, 2) per-axis array, of
+    the lower and upper node of each point's cell along x (column 0) and y
+    (column 1); the upper node wraps to node 0.  frac (M, 2) is the position
+    inside the cell, in [0, 1), so the weights are 1 - frac (lower) and frac
+    (upper).  inside flags the points in the box.  plane, the four-corner
+    form a field without axes reads, is built at its first use.  One stencil
+    serves every frame sampled at the same points.  The large temporaries are
+    updated in place: at 1e4 points each fresh one costs more in page faults
+    than in arithmetic.
     """
-    n, h, L = grid.n, grid.spacing, grid.half_width
-    f = pts + L
-    f /= h
-    c = np.floor(f)
-    f -= c  # the position inside the cell, in [0, 1) per axis
-    c = c.astype(np.int64)
-    np.maximum(c, 0, out=c)
-    np.minimum(c, n - 1, out=c)
-    c = c.T + _UPPER  # (corner, axis, M): i0 | i0 + 1 and j0 | j0 + 1
-    c[c == n] = 0  # the periodic wrap
-    c[:, 0] *= n
-    t = np.abs(_LOWER - f.T)  # their weights per axis: 1 - t | t
-    idx = (c[None, :, 0] + c[:, None, 1]).reshape(4, -1)
-    w = (t[None, :, 0] * t[:, None, 1]).reshape(4, -1, 1)
-    return idx, w, _in_box(pts, L)
+
+    def __init__(self, grid: Grid2D, pts: np.ndarray):
+        n, h, L = grid.n, grid.spacing, grid.half_width
+        f = pts + L
+        f /= h
+        c = np.floor(f)
+        f -= c  # the position inside the cell, in [0, 1) per axis
+        c = c.astype(np.int64)
+        np.maximum(c, 0, out=c)
+        np.minimum(c, n - 1, out=c)
+        c *= 2
+        c[:, 1] += 1  # column 1: the y axis
+        hi = c + 2
+        hi &= 2 * n - 1  # the periodic wrap: n is a power of two
+        self.n, self.lo, self.hi, self.frac = n, c, hi, f
+        self.weight = 1.0 - f
+        self.inside = _in_box(pts, L)
+
+    @cached_property
+    def plane(self):
+        """The flat node indices (4, M) of the corners (i0, j0), (i1, j0),
+        (i0, j1), (i1, j1) and their weights (4, M, 1)."""
+        n = self.n
+        (i0, j0), (i1, j1) = (self.lo >> 1).T, (self.hi >> 1).T
+        i0, i1 = i0 * n, i1 * n
+        (gx, gy), (fx, fy) = self.weight.T, self.frac.T
+        idx = np.stack([i0 + j0, i1 + j0, i0 + j1, i1 + j1])
+        w = np.stack([gx * gy, fx * gy, gx * fy, fx * fy])
+        return idx, w[..., None]
 
 
-def _gather(fld: VelocityField, idx: np.ndarray, w: np.ndarray):
+def _gather(fld: VelocityField, st: _Stencil):
     """Apply a stencil to one field: (values (M, 2), masked (M,) bool).
 
     v may be complex or real (Re V only); the values keep its dtype.  masked
-    is True where any of the four corner nodes is masked: the cell mask at
-    the lower corner idx[0].
+    is True where any of the four corner nodes is masked.  A field with axes
+    takes one 1D lerp per axis, (1 - frac) v[lo] + frac v[hi], and its cell
+    test; any other field the four-corner sum over v, and the cell mask at
+    the lower corner.  The two forms of one field differ in the last bits of
+    the values; at a masked point the values are unspecified.
     """
+    axes = fld.axes
+    if axes is not None:
+        vals = axes.v.take(st.lo)
+        vals *= st.weight
+        upper = axes.v.take(st.hi)
+        upper *= st.frac
+        vals += upper
+        m = axes.cell_min.take(st.lo)
+        return vals, m[:, 0] * m[:, 1] < axes.floor
+    idx, w = st.plane
     g = fld.v.reshape(-1, 2).take(idx, axis=0)
     np.multiply(w, g, out=g)  # in place: a fresh (4, M, 2) product costs more in page faults
     vals = g[0] + g[1]
@@ -133,17 +236,18 @@ def _gather(fld: VelocityField, idx: np.ndarray, w: np.ndarray):
     return vals, fld.cell_mask.ravel().take(idx[0])
 
 
-# Past 2**62 cells a cell index no longer fits _stencil's cast to int64.
+# Past 2**62 cells a cell index no longer fits _Stencil's cast to int64.
 _FAR = 2.0**62
 
 
 def _point_stencil(grid: Grid2D, x: float, y: float):
-    """_stencil of the one point (x, y) in Python scalars: the flat indices
-    of its four corners, their weights and its in-box flag, or None when a
-    coordinate is NaN, infinite or more than _FAR cells out.
+    """_Stencil of the one point (x, y) in Python scalars: its cell's nodes
+    (i0, i1, j0, j1), their weights (1 - fx, fx, 1 - fy, fy) and its in-box
+    flag, or None when a coordinate is NaN, infinite or more than _FAR cells
+    out.
 
-    Each number comes from the same operations as _stencil's, so it equals
-    _stencil's bit for bit.  For one point this replaces some twenty numpy
+    Each number comes from the same operations as _Stencil's, so it equals
+    _Stencil's bit for bit.  For one point this replaces some twenty numpy
     calls on (1, 2) arrays, each of which costs more to set up than its
     arithmetic.
     """
@@ -158,24 +262,31 @@ def _point_stencil(grid: Grid2D, x: float, y: float):
     i0, j0 = min(max(i0, 0), n - 1), min(max(j0, 0), n - 1)
     i1 = i0 + 1 if i0 < n - 1 else 0  # the periodic wrap
     j1 = j0 + 1 if j0 < n - 1 else 0
-    i0, i1 = i0 * n, i1 * n
-    gx, gy = 1.0 - fx, 1.0 - fy
-    idx = (i0 + j0, i1 + j0, i0 + j1, i1 + j1)
-    return idx, (gx * gy, fx * gy, gx * fy, fx * fy), _inside(x, y, L)
+    return (i0, i1, j0, j1), (1.0 - fx, fx, 1.0 - fy, fy), _inside(x, y, L)
 
 
-def _point_gather(fld: VelocityField, idx, w):
+def _point_gather(fld: VelocityField, nodes, w):
     """_gather of one point in Python scalars: (x value, y value, masked).
 
-    The four products are summed in _gather's order.  On a complex field
-    the caller passes each weight as w + 0j, the operand of numpy's complex
-    multiply, so even the signs of zero parts are numpy's; Python's own
-    float * complex does not promote on every version.
+    The products are formed and summed in _gather's order.  On a complex
+    field the caller passes each weight as w + 0j, the operand of numpy's
+    complex multiply, so even the signs of zero parts are numpy's; Python's
+    own float * complex does not promote on every version.  The product of
+    two such weights is then the float product + 0j, bit for bit, because
+    the weights are finite and non-negative.
     """
-    v = fld.v
-    w0, w1, w2, w3 = w
-    k0, k1, k2, k3 = idx
-    item = v.item  # node k's components are items 2k and 2k + 1 of v
+    i0, i1, j0, j1 = nodes
+    gx, fx, gy, fy = w
+    axes = fld.axes
+    if axes is not None:  # column 0 of node i is item 2i, column 1 of node j item 2j + 1
+        v, m = axes.v.item, axes.cell_min.item
+        x = gx * v(2 * i0) + fx * v(2 * i1)
+        y = gy * v(2 * j0 + 1) + fy * v(2 * j1 + 1)
+        return x, y, m(2 * i0) * m(2 * j0 + 1) < axes.floor
+    n = fld.grid.n
+    k0, k1, k2, k3 = i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1
+    w0, w1, w2, w3 = gx * gy, fx * gy, gx * fy, fx * fy
+    item = fld.v.item  # node k's components are items 2k and 2k + 1 of v
     x = w0 * item(2 * k0) + w1 * item(2 * k1) + w2 * item(2 * k2) + w3 * item(2 * k3)
     y = w0 * item(2 * k0 + 1) + w1 * item(2 * k1 + 1) + w2 * item(2 * k2 + 1) + w3 * item(2 * k3 + 1)
     return x, y, fld.cell_mask.item(k0)
@@ -254,15 +365,16 @@ class FrameInterpolator:
         """Field values (M, 2) at time t and points pts, and the ok flags (M,).
 
         ok is False where a point is outside the box or any corner node of
-        its cell is masked in either bracketing frame.
+        its cell is masked in either bracketing frame; the values at such a
+        point are unspecified.
         """
         i, a = self._bracket(t)
-        idx, w, inside = _stencil(self.grid, pts)
-        v0, masked = _gather(self.frames[i], idx, w)
+        st = _Stencil(self.grid, pts)
+        v0, masked = _gather(self.frames[i], st)
         if a == 0.0:
-            return v0, inside & ~masked
-        v1, masked1 = _gather(self.frames[i + 1], idx, w)
-        return (1.0 - a) * v0 + a * v1, inside & ~(masked | masked1)
+            return v0, st.inside & ~masked
+        v1, masked1 = _gather(self.frames[i + 1], st)
+        return (1.0 - a) * v0 + a * v1, st.inside & ~(masked | masked1)
 
     def real_at(self, t: float, pts: np.ndarray):
         vals, ok = self.complex_at(t, pts)
@@ -280,14 +392,14 @@ class FrameInterpolator:
         if point is None:
             vals, ok = self.complex_at(t, np.array([[x, y]], dtype=float))
             return vals.item(0), vals.item(1), bool(ok[0])
-        idx, w, inside = point
+        nodes, w, inside = point
         i, a = self._bracket(t)
         b = 1.0 - a
-        if self.frames[i].v.dtype.kind == "c":  # numpy's operands for complex products
+        if self.frames[i].dtype.kind == "c":  # numpy's operands for complex products
             w, b, a = [complex(c) for c in w], complex(b), complex(a)
-        vx, vy, masked = _point_gather(self.frames[i], idx, w)
+        vx, vy, masked = _point_gather(self.frames[i], nodes, w)
         if a != 0.0:
-            vx1, vy1, masked1 = _point_gather(self.frames[i + 1], idx, w)
+            vx1, vy1, masked1 = _point_gather(self.frames[i + 1], nodes, w)
             vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
         return vx, vy, inside and not masked
 

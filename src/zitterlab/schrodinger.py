@@ -237,6 +237,13 @@ def _kinetic_phase(scale: float, k2: np.ndarray) -> np.ndarray:
     return np.exp(-1j * scale * k2)
 
 
+def _harmonic_parts(grid: Grid2D, pot: Potential, mass: float) -> list:
+    """The distinct per-axis parts 0.5 m (w x)^2 of a harmonic V = a(x) + b(y),
+    a = parts[0] and b = parts[-1]: V's column and row through the centre
+    node, where V is exactly 0.  An isotropic V has one part."""
+    return [0.5 * mass * (w * grid.axis) ** 2 for w in dict.fromkeys(pot.omega)]
+
+
 def _norm_bound(n: int, steps: int) -> float:
     """Roundoff bound on |N_k / N_0 - 1|, N the squared norm, after steps
     steps of dt on an n x n grid.
@@ -289,10 +296,7 @@ class Propagator:
         self._factored = pot.kind is not PotentialKind.GRID_SAMPLED
         self._axes = None
         if pot.kind is PotentialKind.HARMONIC:
-            # V = a(x) + b(y) with parts 0.5 m (w x)^2, V's column and row
-            # through the centre node, where V is exactly 0; an isotropic V
-            # has one distinct part
-            parts = [0.5 * mass * (w * grid.axis) ** 2 for w in dict.fromkeys(pot.omega)]
+            parts = _harmonic_parts(grid, pot, mass)
             kinetic = _kinetic_phase(self._hbar_over_2m * dt, k**2)
             self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
         self._axis_band = np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist
@@ -564,20 +568,21 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     return live, ratios, rho, mask
 
 
-def _factor_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool):
-    """psi_ratios of a product frame.
+def _axis_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool = False):
+    """The per-axis parts of a product frame's psi_ratios: (rx, ry, floor,
+    (ratio_x, ratio_y)).
 
-    Cell (i, j) is live when rx[i] ry[j] >= rho_floor * max(rx) max(ry), so
-    an axis node takes a ratio when it is live against the other axis's
-    maximum: rounding is monotone, so that is when its row (or column) holds
-    a live cell.  Each such node takes one complex divide per derivative.
+    rx and ry are the factors' densities and floor = rho_floor * max(rx)
+    max(ry): cell (i, j) is live when rx[i] ry[j] >= floor.  ratio_x has
+    shape (1, n), fx'/fx, or with laplacian=True (2, n), adding fx''/fx, from
+    1D spectral derivatives; ratio_y likewise.  An axis node takes its ratios
+    when it is live against the other axis's maximum: rounding is monotone,
+    so that is when its row (or column) holds a live cell.  Each such node
+    takes one complex divide per derivative, and every other node holds 0.
     """
-    grid = psi.grid
-    k = grid.wavenumbers
+    k = psi.grid.wavenumbers
     rx, ry = _densities(psi)
-    rho = np.outer(rx, ry)
     floor = rho_floor * (float(rx.max()) * float(ry.max()))
-    mask = rho < floor
     axis_ratios = []
     for f, r, other in ((psi.factors[0], rx, ry), (psi.factors[1], ry, rx)):
         spectrum = np.fft.fft(f)
@@ -586,53 +591,86 @@ def _factor_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool):
         ratio = np.zeros_like(derivs)
         ratio[:, keep] = derivs[:, keep] / f[keep]
         axis_ratios.append(ratio)
+    return rx, ry, floor, axis_ratios
+
+
+def _factor_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool):
+    """psi_ratios of a product frame: _axis_ratios gathered onto the live
+    cells, with rho = np.outer(rx, ry) and mask = rho < floor."""
+    rx, ry, floor, (ratio_x, ratio_y) = _axis_ratios(psi, rho_floor, laplacian)
+    rho = np.outer(rx, ry)
+    mask = rho < floor
     live = np.flatnonzero(~mask)
-    i, j = np.divmod(live, grid.n)
-    ax, ay = axis_ratios[0][:, i], axis_ratios[1][:, j]
+    i, j = np.divmod(live, psi.grid.n)
+    ax, ay = ratio_x[:, i], ratio_y[:, j]
     ratios = [ax[0], ay[0], ax[1] + ay[1]] if laplacian else [ax[0], ay[0]]
     return live, np.array(ratios), rho, mask
 
 
-def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
-    """(w, kinetic, v): the weights hbar^2 k^2/2m per axis (w, for product
-    frames) and on the 2D grid (kinetic) that |Psi^|^2 is summed against,
-    and V on the grid, None for the free potential.
+class _EnergyTerms:
+    """What <Psi|H|Psi> is summed against on one grid, each part built at its
+    first use, so that product frames never build an n x n array under the
+    free or a harmonic potential:
+    - w, the weights hbar^2 k^2/2m per axis (product frames), and kinetic,
+      the same on the 2D grid (any other frame);
+    - parts, a harmonic V's per-axis parts (_harmonic_parts), else None;
+    - v, V on the grid, None for the free potential.
 
     hbar * hbar, not hbar**2: a float multiply overflows to inf where ** raises.
     """
-    k = grid.wavenumbers
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    w = 0.5 * (hbar * hbar) * k**2 / mass
-    kinetic = 0.5 * (hbar * hbar) * k2 / mass
-    return w, kinetic, None if pot.kind is PotentialKind.FREE else pot.values(grid, mass)
+
+    def __init__(self, grid: Grid2D, pot: Potential, hbar: float, mass: float):
+        self.grid, self.pot, self.hbar, self.mass = grid, pot, hbar, mass
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return 0.5 * (self.hbar * self.hbar) * self.grid.wavenumbers**2 / self.mass
+
+    @cached_property
+    def kinetic(self) -> np.ndarray:
+        k = self.grid.wavenumbers
+        return 0.5 * (self.hbar * self.hbar) * (k[:, None] ** 2 + k[None, :] ** 2) / self.mass
+
+    @cached_property
+    def parts(self):
+        return _harmonic_parts(self.grid, self.pot, self.mass) if self.pot.kind is PotentialKind.HARMONIC else None
+
+    @cached_property
+    def v(self):
+        return None if self.pot.kind is PotentialKind.FREE else self.pot.values(self.grid, self.mass)
 
 
-def _energy(psi: WaveFunction, rho, w: np.ndarray, kinetic: np.ndarray, v) -> float:
+def _energy(psi: WaveFunction, rho, terms: _EnergyTerms) -> float:
     """<Psi|H|Psi> over rho as _densities gives it.
 
     A product frame sums in 1D: E_kin = K_x N_y + N_x K_y, with N the axis
-    norms and K the axis kinetic sums over each factor's FFT, and <V> is
-    rx^T V ry.  Any other frame sums kinetic |Psi^|^2 and V rho in 2D.
+    norms and K the axis kinetic sums over each factor's FFT.  Its <V> is
+    ((a.rx) sum(ry) + sum(rx) (b.ry)) h^2 for a harmonic V = a(x) + b(y),
+    else rx^T V ry.  Any other frame sums kinetic |Psi^|^2 and V rho in 2D.
     """
     grid = psi.grid
     if isinstance(rho, tuple):
         h = grid.spacing
-        nx, ny = (float(r.sum()) * h for r in rho)
-        kx, ky = (float(np.sum(w * np.abs(np.fft.fft(f)) ** 2)) * h / grid.n for f in psi.factors)
+        sx, sy = (float(r.sum()) for r in rho)
+        nx, ny = sx * h, sy * h
+        kx, ky = (float(np.sum(terms.w * np.abs(np.fft.fft(f)) ** 2)) * h / grid.n for f in psi.factors)
         e = kx * ny + nx * ky
-        if v is not None:
-            e += float(rho[0] @ v @ rho[1]) * grid.cell_area()
+        if terms.parts is not None:
+            a, b = terms.parts[0], terms.parts[-1]
+            e += (float(a @ rho[0]) * sy + sx * float(b @ rho[1])) * grid.cell_area()
+        elif terms.v is not None:
+            e += float(rho[0] @ terms.v @ rho[1]) * grid.cell_area()
         return e
-    e = np.sum(kinetic * np.abs(np.fft.fft2(psi.values)) ** 2) * grid.cell_area() / grid.n**2
-    if v is not None:
-        e = e + np.sum(v * rho) * grid.cell_area()
+    e = np.sum(terms.kinetic * np.abs(np.fft.fft2(psi.values)) ** 2) * grid.cell_area() / grid.n**2
+    if terms.v is not None:
+        e = e + np.sum(terms.v * rho) * grid.cell_area()
     return float(e)
 
 
 def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
     """<Psi| -hbar^2/2m Lap + V |Psi>: over the factors of a product frame;
     else with the kinetic part summed in k-space, over fft2(psi.values)."""
-    return _energy(psi, _densities(psi), *_energy_terms(psi.grid, pot, hbar, mass))
+    return _energy(psi, _densities(psi), _EnergyTerms(psi.grid, pot, hbar, mass))
 
 
 def _moments(grid: Grid2D, rho):
@@ -658,10 +696,10 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
     """Write one row of t, norm, energy and moments per frame to path.
 
     frames is any iterable of frames on one grid, read once, so a stream is
-    summarized without being held.  The energy terms are built once; per
-    frame rho (a product frame's two axis densities, else |Psi|^2) is
-    computed once and feeds the norm, the energy and the moments.  Returns
-    (last frame or None, rows).
+    summarized without being held.  The energy terms are built once, each
+    at its first use; per frame rho (a product frame's two axis densities,
+    else |Psi|^2) is computed once and feeds the norm, the energy and the
+    moments.  Returns (last frame or None, rows).
     """
     header = ["t", "norm", "energy", "x_mean", "y_mean", "sigma_x", "sigma_y"]
     rows = []
@@ -669,10 +707,10 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
     for frame in frames:
         grid = frame.grid
         if terms is None:
-            terms = _energy_terms(grid, pot, hbar, mass)
+            terms = _EnergyTerms(grid, pot, hbar, mass)
         rho = _densities(frame)
         norm = math.sqrt(_squared_norm(grid, rho))
-        rows.append([frame.time, norm, _energy(frame, rho, *terms), *_moments(grid, rho)])
+        rows.append([frame.time, norm, _energy(frame, rho, terms), *_moments(grid, rho)])
     write_csv(path, header, rows)
     return frame, rows
 

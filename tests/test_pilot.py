@@ -1,5 +1,6 @@
 """Guiding velocity fields, Bohmian trajectories, guided process, ensembles."""
 
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import zitterlab as zl
@@ -242,12 +244,12 @@ class WholeListInterpolator:
         i = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.fields) - 2)
         t0, t1 = float(self.times[i]), float(self.times[i + 1])
         a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
-        idx, w, inside = pilot._stencil(self.grid, pts)
-        v0, masked = pilot._gather(self.fields[i], idx, w)
+        stencil = pilot._Stencil(self.grid, pts)
+        v0, masked = pilot._gather(self.fields[i], stencil)
         if a == 0.0:
-            return v0, inside & ~masked
-        v1, masked1 = pilot._gather(self.fields[i + 1], idx, w)
-        return (1.0 - a) * v0 + a * v1, inside & ~(masked | masked1)
+            return v0, stencil.inside & ~masked
+        v1, masked1 = pilot._gather(self.fields[i + 1], stencil)
+        return (1.0 - a) * v0 + a * v1, stencil.inside & ~(masked | masked1)
 
     def real_at(self, t, pts):
         vals, ok = self.complex_at(t, pts)
@@ -287,10 +289,10 @@ def kernel_probe_points(grid, m, rng):
 
 @pytest.fixture
 def array_kernel(monkeypatch):
-    """The calls of pilot._stencil, the batch stencil, from now on."""
+    """The calls of pilot._Stencil, the batch stencil, from now on."""
     calls = []
-    stencil = pilot._stencil
-    monkeypatch.setattr(pilot, "_stencil", lambda *args: calls.append(args) or stencil(*args))
+    stencil = pilot._Stencil
+    monkeypatch.setattr(pilot, "_Stencil", lambda *args: calls.append(args) or stencil(*args))
     return calls
 
 
@@ -316,12 +318,12 @@ class TestTransportKernel:
             fld = pilot.VelocityField(fld.grid, np.ascontiguousarray(fld.v.real), fld.node_mask, 0.0)
         pts = kernel_probe_points(fld.grid, m, np.random.default_rng(m))  # m = 1: a wrap-row point
         expected, ok_expected = bilinear_oracle(fld, pts)
-        idx, w, inside = pilot._stencil(fld.grid, pts)
-        vals, masked = pilot._gather(fld, idx, w)
+        stencil = pilot._Stencil(fld.grid, pts)
+        vals, masked = pilot._gather(fld, stencil)
         assert vals.dtype == fld.v.dtype
         # same products summed in the same order: equal, not merely within 1e-14
         np.testing.assert_array_equal(vals, expected)
-        assert np.array_equal(inside & ~masked, ok_expected)
+        assert np.array_equal(stencil.inside & ~masked, ok_expected)
         interp_vals, interp_ok = pilot.FrameInterpolator([fld]).complex_at(0.0, pts)
         np.testing.assert_array_equal(interp_vals, expected)
         assert np.array_equal(interp_ok, ok_expected)
@@ -425,6 +427,229 @@ class TestTransportKernel:
         assert full.tv_distance == real.tv_distance
         assert full.failures == real.failures
         assert np.array_equal(full.empirical, real.empirical)
+
+
+U = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * U / (1 - k * U)
+
+
+# |per-axis lerp - four-corner sum| of one product field, in units of
+# S = (1 - f)|v[lo]| + f|v[hi]| per axis and per real part:
+# - the lerp fl(fl((1 - f) v[lo]) + fl(f v[hi])) is within gamma_2 S of
+#   (1 - f) v[lo] + f v[hi];
+# - the four-corner sum rounds each weight product, each term and three
+#   additions, so it is within gamma_5 of its exact sum, whose term
+#   magnitudes add up to (g + f') S <= (1 + u) S, with g = fl(1 - f') the
+#   other axis's computed weights;
+# - that exact sum is (g + f') times the exact lerp, and |g + f' - 1| <= u.
+# A complex multiply by w + 0j rounds each part like a real one.
+LERP_BOUND = gamma(2) + (1 + U) * gamma(5) + U
+
+
+def eager_field(psi, hbar, mass, rho_floor, real):
+    """(v, node_mask) as velocity_field built them before a product frame's
+    field held its axes: psi_ratios, then the live cells filled in place."""
+    grid = psi.grid
+    live, ratios, _, mask = schrodinger.psi_ratios(psi, rho_floor)
+    scale = hbar / mass
+    v = np.zeros((grid.n * grid.n, 2), dtype=float if real else complex)
+    v.real[live] = (scale * ratios.imag).T
+    if not real:
+        v.imag[live] = (-scale * ratios.real).T
+    return v.reshape(grid.n, grid.n, 2), mask
+
+
+def bits(a):
+    """a as uint64 words: array_equal of two of these also tells -0 from +0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestAxisField:
+    """A product frame's field holds its per-axis form and is read through
+    it; v and node_mask are built from it only when read."""
+
+    GRID = zl.Grid2D(64, 8.0)
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        # a packet moving along both axes, t = 0, 0.1, 0.2
+        psi0 = zl.init_gaussian(self.GRID, (0.5, -0.5), 1.0, (1.5, -1.0))
+        return zl.evolve_frames(psi0, zl.free_potential(), 1e-2, 20, 10)
+
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
+    @pytest.mark.parametrize("rho_floor", [schrodinger.DEFAULT_RHO_FLOOR, 1e-6])
+    def test_v_and_node_mask_are_the_eager_arrays(self, frames, hbar, mass, rho_floor):
+        for f in frames:
+            fields = {real: zl.velocity_field(f, hbar, mass, rho_floor, real=real) for real in (False, True)}
+            for real, fld in fields.items():
+                assert fld.axes is not None and "v" not in vars(fld) and "node_mask" not in vars(fld)
+                v, mask = eager_field(f, hbar, mass, rho_floor, real)
+                assert fld.dtype == v.dtype and fld.v.dtype == v.dtype
+                assert np.array_equal(bits(fld.v), bits(v)) and np.array_equal(fld.node_mask, mask)
+                assert fld.v is fld.v and fld.node_mask is fld.node_mask  # built once, then kept
+            # real=True is the complex field's real part, signed zeros included
+            assert np.array_equal(bits(fields[True].v), bits(fields[False].v.real))
+
+    def test_replace_reads_the_same_values_in_2d(self, frames):
+        fld = zl.velocity_field(frames[1])
+        moved = dataclasses.replace(fld, time=0.5)
+        assert moved.axes is None and moved.v is fld.v and moved.time == 0.5
+        assert copy.copy(fld).axes is fld.axes
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.one_of(
+            st.floats(-18.0, 0.0).map(lambda e: 10.0**e),
+            # a floor exactly on some cell's smallest corner product
+            st.tuples(st.integers(0, 63), st.integers(0, 63)),
+        ),
+        st.integers(0, 2),
+    )
+    def test_axis_cell_test_is_the_cell_mask(self, frames, rho_floor, k):
+        """A read of each cell's centre is ok exactly where cell_mask, the
+        dilated node mask of the eager field, leaves the cell live."""
+        f = frames[k]
+        cell = None
+        if isinstance(rho_floor, tuple):
+            cell = rho_floor
+            rx, ry = (np.abs(g) ** 2 for g in f.factors)
+            i, j = cell
+            corner = min(rx[i], rx[(i + 1) % 64]) * min(ry[j], ry[(j + 1) % 64])
+            top = float(rx.max()) * float(ry.max())
+            # a rho_floor whose floor rounds onto the corner product, where one does
+            near = corner / top
+            exact = [r for r in (near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)) if r * top == corner]
+            rho_floor = exact[0] if exact else near
+            cell = cell if exact else None
+        fld = zl.velocity_field(f, rho_floor=rho_floor, real=True)
+        _, mask = eager_field(f, 1.0, 1.0, rho_floor, True)
+        cells = pilot.VelocityField(self.GRID, None, mask, f.time).cell_mask
+        axes = fld.axes
+        assert np.array_equal(np.outer(axes.cell_min[:, 0], axes.cell_min[:, 1]) < axes.floor, cells)
+        L, h = self.GRID.half_width, self.GRID.spacing
+        centres = -L + h * (np.stack(np.indices(cells.shape), axis=-1).reshape(-1, 2) + 0.5)
+        _, ok = pilot.FrameInterpolator([fld]).complex_at(f.time, centres)
+        assert np.array_equal(ok, ~cells.ravel())
+        if cell is not None:
+            assert not cells[cell]  # a product equal to the floor is live
+            assert pilot.FrameInterpolator([fld]).point_at(f.time, *centres[cell[0] * 64 + cell[1]])[2]
+
+    def probe_points(self, axes, rng):
+        """Random points, points in the live cells nearest the floor and in
+        the masked cells nearest it, and points on the box edges."""
+        L, h = self.GRID.half_width, self.GRID.spacing
+        products = np.outer(axes.cell_min[:, 0], axes.cell_min[:, 1]).ravel()
+        order = np.argsort(products)
+        split = np.searchsorted(products[order], axes.floor)  # the first live cell
+        cells = np.concatenate([order[split : split + 40], order[max(split - 40, 0) : split]])
+        near = np.column_stack(np.divmod(cells, self.GRID.n)) + rng.uniform(0, 1, size=(len(cells), 2))
+        edges = np.array(
+            [[-L, 0.3], [0.2, -L], [-L, -L], [L - 1e-12, 0.1], [0.4, L - 0.5 * h], [L, 0.0], [0.0, -L - 1e-9]]
+        )
+        return np.concatenate([rng.uniform(-L, L, size=(400, 2)), -L + h * near, edges])
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("rho_floor", [1e-6, 0.0])
+    def test_the_two_read_forms_agree(self, frames, real, rho_floor):
+        """complex_at, real_at and point_at of one product frame's field, read
+        per axis and in 2D: equal ok flags, and on the ok points values
+        within LERP_BOUND (and the time blend's own rounding) of each other.
+        At a point that is not ok the values are unspecified."""
+        axial = [zl.velocity_field(f, rho_floor=rho_floor, real=real) for f in frames[:2]]
+        planar = [pilot.VelocityField(a.grid, a.v, a.node_mask, a.time) for a in axial]
+        pts = self.probe_points(axial[0].axes, np.random.default_rng(12))
+        for t in (0.0, 0.025, 0.1):
+            va, ok = pilot.FrameInterpolator(axial).complex_at(t, pts)
+            vp, okp = pilot.FrameInterpolator(planar).complex_at(t, pts)
+            assert np.array_equal(ok, okp)
+            if rho_floor:
+                assert ok.any() and not ok.all()
+            bound = self.blend_bound(axial, planar, pts, t)
+            for part in ("real", "imag"):
+                assert np.all((np.abs(getattr(va - vp, part)) <= getattr(bound, part))[ok])
+            ra, rok = pilot.FrameInterpolator(axial).real_at(t, pts)
+            rp, rokp = pilot.FrameInterpolator(planar).real_at(t, pts)
+            assert np.array_equal(rok, rokp) and np.all((np.abs(ra - rp) <= bound.real)[rok])
+            ia, ip = pilot.FrameInterpolator(axial), pilot.FrameInterpolator(planar)
+            for k, (x, y) in enumerate(pts.tolist()):
+                (ax, ay, aok), (px, py, pok) = ia.point_at(t, x, y), ip.point_at(t, x, y)
+                assert aok == pok == ok[k], k
+                if aok:
+                    diff = np.array([ax - px, ay - py])
+                    assert np.all(np.abs(diff.real) <= bound[k].real) and np.all(np.abs(diff.imag) <= bound[k].imag)
+
+    @staticmethod
+    def blend_bound(axial, planar, pts, t):
+        """The per-part bound on |axial read - planar read| at time t."""
+        stencil = pilot._Stencil(axial[0].grid, pts)
+
+        def split(z):
+            return np.abs(np.real(z)) + 1j * np.abs(np.imag(z))
+
+        def lerp_bound(fld):
+            lo, hi = fld.axes.v.take(stencil.lo), fld.axes.v.take(stencil.hi)
+            return LERP_BOUND * (stencil.weight * split(lo) + stencil.frac * split(hi))
+
+        t0, t1 = axial[0].time, axial[1].time
+        a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        if a == 0.0:
+            return lerp_bound(axial[0])
+        b = 1.0 - a
+        size = [split(pilot._gather(f, stencil)[0]) for f in (*axial, *planar)]
+        own = gamma(2) * (b * (size[0] + size[2]) + a * (size[1] + size[3]))
+        return b * lerp_bound(axial[0]) + a * lerp_bound(axial[1]) + own
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("t", [None, 0.0, 0.025, 0.1], ids=["one_frame", "a0", "a_quarter", "a1"])
+    def test_one_point_equals_its_batch_row_bit_for_bit(self, array_kernel, real, t):
+        grid, rng = self.GRID, np.random.default_rng(9)
+        zeros = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0))
+        frames = []
+        for time in (0.0, 0.1):
+            v = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
+            for k, z in enumerate(zeros):  # sums of zero products show the arithmetic's sign rules
+                v[5 + 12 * k : 17 + 12 * k, k % 2] = z
+            rho = rng.uniform(0.5, 1.0, size=(grid.n, 2))
+            rho[[17, 40], [1, 0]] = 1e-3  # masks the cells around x node 40 and y node 17
+            cell_min = np.minimum(rho, np.roll(rho, -1, axis=0))
+            axes = pilot.AxisField(np.ascontiguousarray(v.real) if real else v, rho, 0.1, cell_min)
+            frames.append(pilot.VelocityField(grid, None, None, time, axes))
+        interp = pilot.FrameInterpolator(frames[:1] if t is None else frames)
+        t = 0.0 if t is None else t
+        pts = kernel_probe_points(grid, 1000, np.random.default_rng(8))
+        vals, ok = interp.complex_at(t, pts)
+        parts = vals.view(float)
+        assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
+        assert ok.any() and np.any(~ok & pilot._in_box(pts, grid.half_width))
+        array_kernel.clear()
+        for k, (x, y) in enumerate(pts.tolist()):
+            vx, vy, one_ok = interp.point_at(t, x, y)
+            assert {type(vx), type(vy)} == {complex if vals.dtype.kind == "c" else float} and type(one_ok) is bool
+            assert np.array_equal(bits(np.array([[vx, vy]])), bits(vals[k : k + 1])), k
+            assert one_ok == ok[k], k
+        assert not array_kernel
+        assert all("v" not in vars(f) for f in frames)
+
+    def test_product_runs_build_no_plane(self, free_frames, monkeypatch):
+        # neither a field's v and node_mask nor a four-corner stencil: no n^2 array per field
+        built, fields = [], []
+        make_plane = pilot.AxisField.plane
+        monkeypatch.setattr(pilot.AxisField, "plane", lambda self: built.append(self) or make_plane(self))
+        corners = pilot._Stencil.plane.func
+        monkeypatch.setattr(pilot._Stencil, "plane", property(lambda self: built.append(self) or corners(self)))
+        build = pilot.velocity_field
+        monkeypatch.setattr(pilot, "velocity_field", lambda *a, **k: fields.append(build(*a, **k)) or fields[-1])
+        zl.ensemble_equivariance(free_frames, 2000, 21)
+        assert len(fields) == len(free_frames)
+        params = [zl.PhysParams(epsilon=eps) for eps in (4e-3, 2e-3)]
+        zl.guide_processes((pilot.velocity_field(f) for f in free_frames), params, zl.Permutation(), (1.0, 0.2), 1.0)
+        assert len(fields) == 2 * len(free_frames)
+        assert built == []
+        assert all(f.axes is not None and "v" not in vars(f) and "node_mask" not in vars(f) for f in fields)
 
 
 class TestIntegrateTrajectory:
@@ -850,12 +1075,12 @@ class TestOneSweep:
 
         def fields():
             for f in free_fields:
-                copy = dataclasses.replace(f)
+                held = copy.copy(f)  # keeps f's per-axis form, as dataclasses.replace would not
                 alive[0] += 1
-                weakref.finalize(copy, released)
+                weakref.finalize(held, released)
                 peak[0] = max(peak[0], alive[0])
-                yield copy
-                del copy
+                yield held
+                del held
 
         streamed = self.sweep(fields(), (1.0, 0.2), 0.3)
         held = self.sweep(free_fields, (1.0, 0.2), 0.3)

@@ -1,4 +1,4 @@
-"""tools/output_delta.py: the quoted change of each moved output file."""
+"""tools/output_delta.py quotes each moved output file; tools/bench_pairs.py plans and summarizes alternated pairs."""
 
 import importlib.util
 import json
@@ -54,3 +54,65 @@ def test_structure_change_is_named(output_delta, tmp_path):
     assert output_delta.delta(str(tmp_path / "A" / "0" / "r.json"), str(tmp_path / "B" / "0" / "r.json")) == (
         "structure or text differs"
     )
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+ENV = {"nproc": 2, "platform": "Linux", "python": "3.11", "numpy": "2.4"}
+
+
+def synthetic_run(wall_s, setup_s=0.2, rss=50.0):
+    return {"correct": True, "attempted": 10, "failed": 0, "wall_s": wall_s, "setup_s": setup_s, "peak_rss_mb": rss}
+
+
+def test_pairs_alternate_and_seeds_increase(bench_pairs):
+    assert bench_pairs.plan(4, 70) == [(70, "parent"), (71, "change"), (72, "parent"), (73, "change")]
+
+
+def test_summary_of_synthetic_pairs(bench_pairs, monkeypatch, tmp_path):
+    walls = {"parent": [1.0, 1.2, 0.9, 1.1, 1.3], "change": [0.5, 0.6, 1.0, 0.55, 0.7]}
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "parent" if checkout.endswith("a") else "change"
+        calls.append((seed, side))
+        return synthetic_run(walls[side][seed - 10], rss=50.0 if side == "parent" else 49.0), UNITS, ENV
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("started a subprocess")
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
+    monkeypatch.setattr(bench_pairs, "describe", lambda checkout: "abc1234: parent")
+    monkeypatch.chdir(tmp_path)
+    argv = ["a", "b", "--pr", "7", "--workload", "ensemble", "--pairs", "5", "--seed", "10", "--note", "x"]
+    assert bench_pairs.main(argv) == 0
+    # one run per side per pair, the first side alternating
+    assert calls == [(10, "parent"), (10, "change"), (11, "change"), (11, "parent"), (12, "parent"), (12, "change"),
+                     (13, "change"), (13, "parent"), (14, "parent"), (14, "change")]
+    doc = json.loads((tmp_path / "BENCH_pr7_ensemble.json").read_text())
+    assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent", "change", "parent"]
+    assert [p["seed"] for p in doc["pairs"]] == [10, 11, 12, 13, 14]
+    wall = doc["summary"]["wall_s"]
+    # inclusive quartiles of 0.9, 1.0, 1.1, 1.2, 1.3 and of 0.5, 0.55, 0.6, 0.7, 1.0
+    assert wall["parent"] == pytest.approx({"q1": 1.0, "median": 1.1, "q3": 1.2})
+    assert wall["change"] == pytest.approx({"q1": 0.55, "median": 0.6, "q3": 0.7})
+    assert wall["unit"] == "s" and wall["change_lower_in_pairs"] == "4/5"  # pair 12 read 0.9 -> 1.0
+    assert doc["summary"]["setup_s"]["change_lower_in_pairs"] == "0/5"  # equal is not lower
+    assert doc["summary"]["peak_rss_mb"]["change_lower_in_pairs"] == "5/5"
+    assert doc["parent"] == "abc1234: parent" and doc["change"] == "x" and "no_move_checks" not in doc
+
+
+
+def test_one_pair_summarizes_to_its_values(bench_pairs):
+    pairs = [{"seed": 1, "first": "parent", "parent": synthetic_run(2.0), "change": synthetic_run(3.0)}]
+    summary = bench_pairs.summarize(pairs, UNITS)
+    assert summary["wall_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert summary["wall_s"]["change_lower_in_pairs"] == "0/1"
