@@ -70,14 +70,14 @@ class VelocityField:
 
     The field of a product frame holds its AxisField in axes and is read
     through it; its v and node_mask are built from axes at their first read
-    and then kept.  A field given a v holds no axes, so dataclasses.replace
-    of a product field (which reads v) gives a field of the same values read
-    in 2D.
+    and then kept; repr and == read neither.  A field given a v holds no
+    axes, so dataclasses.replace of a product field (which reads v) gives a
+    field of the same values read in 2D.
     """
 
     grid: Grid2D
-    v: np.ndarray | None
-    node_mask: np.ndarray | None
+    v: np.ndarray | None = field(repr=False, compare=False)
+    node_mask: np.ndarray | None = field(repr=False, compare=False)
     time: float
     axes: AxisField | None = field(default=None, repr=False, compare=False)
 

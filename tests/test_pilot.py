@@ -648,6 +648,7 @@ class TestAxisField:
         params = [zl.PhysParams(epsilon=eps) for eps in (4e-3, 2e-3)]
         zl.guide_processes((pilot.velocity_field(f) for f in free_frames), params, zl.Permutation(), (1.0, 0.2), 1.0)
         assert len(fields) == 2 * len(free_frames)
+        assert all(repr(f) and f == f for f in fields)
         assert built == []
         assert all(f.axes is not None and "v" not in vars(f) and "node_mask" not in vars(f) for f in fields)
 

@@ -80,10 +80,10 @@ def test_summary_of_synthetic_pairs(bench_pairs, monkeypatch, tmp_path):
     walls = {"parent": [1.0, 1.2, 0.9, 1.1, 1.3], "change": [0.5, 0.6, 1.0, 0.55, 0.7]}
     calls = []
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed):
         side = "parent" if checkout.endswith("a") else "change"
-        calls.append((seed, side))
-        return synthetic_run(walls[side][seed - 10], rss=50.0 if side == "parent" else 49.0), UNITS, ENV
+        calls.append((workload, seed, side))
+        return synthetic_run(walls[side][(seed - 10) % 5], rss=50.0 if side == "parent" else 49.0), UNITS, ENV
 
     def no_subprocess(*args, **kwargs):
         raise AssertionError("started a subprocess")
@@ -93,11 +93,13 @@ def test_summary_of_synthetic_pairs(bench_pairs, monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "describe", lambda checkout: "abc1234: parent")
     monkeypatch.chdir(tmp_path)
     argv = ["a", "b", "--pr", "7", "--workload", "ensemble", "--pairs", "5", "--seed", "10", "--note", "x"]
-    assert bench_pairs.main(argv) == 0
-    # one run per side per pair, the first side alternating
-    assert calls == [(10, "parent"), (10, "change"), (11, "change"), (11, "parent"), (12, "parent"), (12, "change"),
-                     (13, "change"), (13, "parent"), (14, "parent"), (14, "change")]
+    assert bench_pairs.main(argv + ["--check", "guided"]) == 0
+    # one run per side per pair, the first side alternating; the check runs as many pairs with the seeds that follow
+    order = [(10, "parent"), (10, "change"), (11, "change"), (11, "parent"), (12, "parent"), (12, "change"),
+             (13, "change"), (13, "parent"), (14, "parent"), (14, "change")]
+    assert calls == [("ensemble", *c) for c in order] + [("guided", seed + 5, side) for seed, side in order]
     doc = json.loads((tmp_path / "BENCH_pr7_ensemble.json").read_text())
+    assert f"--seconds {bench_pairs.SECONDS:g} --trace 0" in doc["command"]
     assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent", "change", "parent"]
     assert [p["seed"] for p in doc["pairs"]] == [10, 11, 12, 13, 14]
     wall = doc["summary"]["wall_s"]
@@ -107,7 +109,9 @@ def test_summary_of_synthetic_pairs(bench_pairs, monkeypatch, tmp_path):
     assert wall["unit"] == "s" and wall["change_lower_in_pairs"] == "4/5"  # pair 12 read 0.9 -> 1.0
     assert doc["summary"]["setup_s"]["change_lower_in_pairs"] == "0/5"  # equal is not lower
     assert doc["summary"]["peak_rss_mb"]["change_lower_in_pairs"] == "5/5"
-    assert doc["parent"] == "abc1234: parent" and doc["change"] == "x" and "no_move_checks" not in doc
+    assert doc["parent"] == "abc1234: parent" and doc["change"] == "x"
+    checks = doc["no_move_checks"]
+    assert checks["guided"]["seeds"] == "15..19" and checks["guided"]["summary"] == doc["summary"]
 
 
 

@@ -6,10 +6,10 @@
 
 PARENT and CHANGE are two checkouts of the repository.  Pair k runs
 ``python3 perfbench/run.py --workload W --seed <seed + k> --seconds S --trace 0``
-once in each checkout, one run at a time; the parent runs first in even
-pairs and the change in odd ones.  Each ``--check`` workload then runs
-``--check-pairs`` pairs the same way, with the seeds that follow.  The
-result goes to ``BENCH_pr<N>_<W>.json`` in the current directory: the
+once in each checkout, one run at a time, with S the ``run_seconds`` of
+``BENCHMARK.json``; the parent runs first in even pairs and the change in
+odd ones.  Each ``--check`` workload then runs as many pairs the same way,
+with the seeds that follow.  The result goes to ``BENCH_pr<N>_<W>.json`` in the current directory: the
 per-metric quartiles of each side, the pairs in which the change read lower,
 and every run's raw numbers.  Quartiles are ``statistics.quantiles(...,
 method="inclusive")``.  The exit status is 1 if any run failed a check.
@@ -26,6 +26,8 @@ import sys
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json"), encoding="utf-8") as fh:
+    SECONDS = json.load(fh)["run_seconds"]
 
 
 def plan(n_pairs: int, seed: int) -> list[tuple[int, str]]:
@@ -54,10 +56,10 @@ def summarize(pairs: list[dict], units: dict) -> dict:
     return summary
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict, dict]:
+def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict, dict]:
     """(run record, units, environment) of one perfbench run in checkout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", f"{seconds:g}", "--trace", "0"]
+    cmd += ["--seconds", f"{SECONDS:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     env = json.loads(next(line for line in lines if line.startswith("# env "))[len("# env ") :])
@@ -67,13 +69,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
     return record, {name: result["metrics"][name]["unit"] for name in METRICS}, env
 
 
-def run_pairs(checkouts: dict, workload: str, n_pairs: int, seed: int, seconds: float):
+def run_pairs(checkouts: dict, workload: str, n_pairs: int, seed: int):
     """(pairs, units, environment) of n_pairs alternated pairs."""
     pairs, units, env = [], {}, {}
     for pair_seed, first in plan(n_pairs, seed):
         pair = {"seed": pair_seed, "first": first}
         for side in (first, SIDES[1 - SIDES.index(first)]):
-            pair[side], units, env = run_once(checkouts[side], workload, pair_seed, seconds)
+            pair[side], units, env = run_once(checkouts[side], workload, pair_seed)
             print(f"# {workload} seed {pair_seed} {side}: wall_s {pair[side]['wall_s']:.4g}", file=sys.stderr)
         pairs.append(pair)
     return pairs, units, env
@@ -95,15 +97,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--note", required=True, help="one line on what the change does")
     parser.add_argument("--check", action="append", default=[], help="a workload expected not to move")
-    parser.add_argument("--check-pairs", type=int, default=3)
     args = parser.parse_args(argv)
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs, units, env = run_pairs(checkouts, args.workload, args.pairs, args.seed, args.seconds)
-    command = f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {args.seconds:g} --trace 0"
+    pairs, units, env = run_pairs(checkouts, args.workload, args.pairs, args.seed)
+    command = f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS:g} --trace 0"
     doc = {
         "workload": args.workload,
         "command": command,
@@ -119,13 +119,13 @@ def main(argv=None) -> int:
     runs = list(pairs)
     if args.check:
         seed = args.seed + args.pairs
-        checks = {"protocol": f"{args.check_pairs} pairs per workload, the same command and alternation"}
+        checks = {"protocol": f"{args.pairs} pairs per workload, the same command and alternation"}
         for workload in args.check:
-            check_pairs, units, _ = run_pairs(checkouts, workload, args.check_pairs, seed, args.seconds)
-            checks[workload] = {"seeds": f"{seed}..{seed + args.check_pairs - 1}"}
+            check_pairs, units, _ = run_pairs(checkouts, workload, args.pairs, seed)
+            checks[workload] = {"seeds": f"{seed}..{seed + args.pairs - 1}"}
             checks[workload].update(summary=summarize(check_pairs, units), pairs=check_pairs)
             runs += check_pairs
-            seed += args.check_pairs
+            seed += args.pairs
         doc["no_move_checks"] = checks
     path = f"BENCH_pr{args.pr}_{args.workload}.json"
     with open(path, "w", encoding="utf-8") as fh:
