@@ -70,20 +70,34 @@ class Grid2D:
         return self.spacing**2
 
 
-@dataclass
+@dataclass(eq=False)
 class WaveFunction:
     """Complex field on a Grid2D at one instant; values indexed [ix, iy].
 
     factors, when not None, is the pair (fx, fy) of (n,) axis factors of a
-    product state, values = np.outer(fx, fy): the solver evolves such a frame
-    as its two factors, and its readers sum over them.  Readers must modify
-    neither.
+    product state: the solver evolves such a frame as its two factors, and
+    its readers sum over them.  A product frame may be given values None;
+    values = np.outer(fx, fy) is then built at its first read and kept.
+    Readers must modify neither.  repr reads neither, and == is identity.
     """
 
     grid: Grid2D
-    values: np.ndarray
+    values: np.ndarray | None = field(repr=False)
     time: float = 0.0
-    factors: tuple | None = field(default=None, repr=False, compare=False)
+    factors: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.values is None:
+            if self.factors is None:
+                raise ValueError("a WaveFunction needs values or factors")
+            del self.values  # built by __getattr__ at the first read
+
+    def __getattr__(self, name):
+        factors = self.__dict__.get("factors")
+        if name != "values" or factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.values = np.outer(*factors)
+        return self.values
 
     def norm(self) -> float:
         return math.sqrt(_squared_norm(self.grid, _densities(self)))
@@ -93,8 +107,10 @@ class WaveFunction:
         return np.outer(*rho) if isinstance(rho, tuple) else rho
 
     def copy(self) -> "WaveFunction":
-        factors = None if self.factors is None else tuple(f.copy() for f in self.factors)
-        return WaveFunction(self.grid, self.values.copy(), self.time, factors=factors)
+        """A copy that shares no array; a product frame's copies only its factors."""
+        if self.factors is None:
+            return WaveFunction(self.grid, self.values.copy(), self.time)
+        return WaveFunction(self.grid, None, self.time, factors=tuple(f.copy() for f in self.factors))
 
 
 def _densities(psi: WaveFunction):
@@ -183,9 +199,10 @@ def init_gaussian(grid: Grid2D, center, sigma0: float, k0) -> WaveFunction:
 
 
 def _product_state(grid: Grid2D, fx: np.ndarray, fy: np.ndarray) -> WaveFunction:
-    """The product frame np.outer(fx, fy) at t = 0, each factor normalized on its axis."""
+    """The product frame of factors fx, fy at t = 0, each normalized on its
+    axis; its values are built at their first read."""
     fx, fy = (f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in (fx, fy))
-    return WaveFunction(grid, np.outer(fx, fy), 0.0, factors=(fx, fy))
+    return WaveFunction(grid, None, 0.0, factors=(fx, fy))
 
 
 def _fft2(src: np.ndarray, out: np.ndarray, tmp: np.ndarray, inverse: bool = False) -> None:
@@ -274,7 +291,7 @@ class Propagator:
     - the product path, for a psi with factors under the free or a harmonic
       potential: each axis factor is evolved alone, by the 1D kinetic phase
       on its spectrum (free) or by the per-axis operator and half kick
-      (harmonic), and values = np.outer(fx, fy);
+      (harmonic), and values is built from the factors at its first read;
     - the 2D free path, for any other psi under the free potential: k^2 only;
     - the 2D loop, for any other psi or potential: the 2D kinetic phase and
       the half and full kicks of V.
@@ -377,9 +394,9 @@ class Propagator:
         product path that runs on each factor in 1D: a factor's FFT times the
         n-step 1D phase (free), or A f with the per-axis operator A
         (harmonic), inverted and given its axis's half kick; the result
-        carries the new factors and values = np.outer(fx, fy).  On the 2D
-        free path fft2(psi) times the n-step kinetic phase is psi^, inverted
-        into the result.  The guards read psi^ (or the factors' spectra), the
+        carries the new factors alone, its values built at their first read.
+        On the 2D free path fft2(psi) times the n-step kinetic phase is psi^,
+        inverted into the result.  The guards read psi^ (or the factors' spectra), the
         spectrum before the last IFFT: finiteness, the aliasing band, and the
         norm against psi's.
         """
@@ -407,7 +424,7 @@ class Propagator:
             fx, fy = (np.fft.ifft(s) for s in spectra)
             if self._axes is not None:
                 fx, fy = fx * self._axes[0][0], fy * self._axes[-1][0]
-            return WaveFunction(self.grid, np.outer(fx, fy), time, factors=(fx, fy))
+            return WaveFunction(self.grid, None, time, factors=(fx, fy))
         if self._plane is None:
             self._plane = self._build_plane()
         half_kick, full_kick, kinetic, work, tmp = self._plane
@@ -433,9 +450,9 @@ class Propagator:
         each frame's norm guarded against frame 0's.
 
         On the product path a frame costs four 1D FFTs (free) or two n x n
-        matrix-vector products and two 1D inverse FFTs (harmonic), plus the
-        np.outer of its factors.  On the 2D free path it costs one 2D FFT
-        pair, and on the 2D loop frame_stride of them.
+        matrix-vector products and two 1D inverse FFTs (harmonic), and holds
+        2n numbers until its values are read.  On the 2D free path it costs
+        one 2D FFT pair, and on the 2D loop frame_stride of them.
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")

@@ -628,6 +628,87 @@ class TestProductPath:
                 sch.psi_ratios(f, laplacian=True)
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestValuesOnDemand:
+    """A product frame holds its factors alone; values is built at its first read and kept."""
+
+    @pytest.fixture(scope="class")
+    def grid64(self):
+        return zl.Grid2D(64, 8.0)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The frames whose values are built, one entry per build."""
+        built = []
+        real_getattr = sch.WaveFunction.__getattr__
+
+        def counted(self, name):
+            if name == "values":
+                built.append(self)
+            return real_getattr(self, name)
+
+        monkeypatch.setattr(sch.WaveFunction, "__getattr__", counted)
+        return built
+
+    def test_product_streams_hold_no_values(self, grid64, builds, tmp_path):
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        streams = {}
+        for kind, pot in (("free", zl.free_potential()), ("harmonic", zl.harmonic_potential(1.0, 1.5))):
+            held = streams[kind] = []
+            stream = zl.stream_frames(psi0, pot, 1e-3, 200, 5)
+            sch.frames_summary_csv(tmp_path / f"{kind}.csv", (held.append(f) or f for f in stream), pot)
+        free = streams["free"]
+        assert zl.ensemble_equivariance(free, 1000, 3).failures == 0
+        params = [zl.PhysParams(epsilon=eps) for eps in (4e-3, 2e-3)]
+        zl.guide_processes([zl.velocity_field(f) for f in free], params, zl.Permutation(), (0.5, -0.5), free[-1].time)
+        assert builds == []
+        frames = [psi0, *free, *streams["harmonic"]]
+        assert len(frames) == 83 and all(f.factors is not None and "values" not in vars(f) for f in frames)
+
+    @pytest.mark.parametrize("kind", ["free", "harmonic"])
+    def test_first_read_is_the_outer_product(self, grid64, builds, kind):
+        pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0, 1.5)
+        psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        for f in zl.stream_frames(psi0, pot, 2e-2, 6, 2):
+            values = f.values
+            assert np.array_equal(bits(values), bits(np.outer(*f.factors)))
+            assert vars(f)["values"] is values and f.values is values
+        assert len(builds) == 4
+
+    def test_copy_holds_only_factors(self, grid64, builds):
+        psi = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
+        values = psi.values
+        copy = psi.copy()
+        assert "values" not in vars(copy) and len(builds) == 1
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(copy.factors, psi.factors))
+        assert copy.time == psi.time and np.array_equal(bits(copy.values), bits(values))
+
+    def test_replace_without_factors_gives_the_2d_frame(self, grid64):
+        psi = zl.Propagator(grid64, zl.harmonic_potential(1.0, 1.5), 2e-2).advance(
+            zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5)), 3
+        )
+        plain = replace(psi, factors=None)
+        assert plain.factors is None and plain.time == psi.time
+        assert np.array_equal(bits(plain.values), bits(np.outer(*psi.factors)))
+        copy = plain.copy()
+        assert copy.values is not plain.values and np.array_equal(bits(copy.values), bits(plain.values))
+
+    def test_eq_is_identity_and_repr_reads_no_array(self):
+        psi = zl.init_gaussian(zl.Grid2D(64, 8.0), (0, 0), 1.0, (0, 0))
+        plain = replace(psi.copy(), factors=None)
+        for f in (psi, plain):
+            assert f == f and not f == f.copy() and f != f.copy()
+            assert repr(f) == "WaveFunction(grid=Grid2D(n=64, half_width=8.0), time=0.0)"
+        assert "values" not in vars(psi)
+
+    def test_a_frame_needs_values_or_factors(self, grid64):
+        with pytest.raises(ValueError, match="values or factors"):
+            sch.WaveFunction(grid64, None)
+
+
 class TestNormGuard:
     """The solver checks every frame's norm against frame 0's, within _norm_bound."""
 

@@ -1,7 +1,10 @@
-"""tools/output_delta.py quotes each moved output file; tools/bench_pairs.py plans and summarizes alternated pairs."""
+"""tools/output_delta.py quotes each moved output file; tools/bench_pairs.py plans and summarizes alternated pairs;
+tools/scaling.py plans and summarizes its runs per grid."""
 
 import importlib.util
 import json
+import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +123,41 @@ def test_one_pair_summarizes_to_its_values(bench_pairs):
     summary = bench_pairs.summarize(pairs, UNITS)
     assert summary["wall_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert summary["wall_s"]["change_lower_in_pairs"] == "0/1"
+
+
+@pytest.fixture(scope="module")
+def scaling():
+    spec = importlib.util.spec_from_file_location("scaling", TOOLS / "scaling.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scaling_plan_and_summary(scaling, monkeypatch, tmp_path):
+    assert scaling.plan(2) == [256, 512, 1024, 256, 512, 1024]
+    calls = []
+
+    def fake_run(cmd, env, **kwargs):
+        # one fresh interpreter per run, handed the config text and an output directory
+        assert cmd[1] == "-c" and env["PYTHONPATH"].endswith("src") and os.path.isdir(cmd[4])
+        n = int(cmd[3].removeprefix("scenario = equivariance\nn_grid = ").rstrip("\n"))
+        calls.append(n)
+        k = calls.count(n)
+        run = {"wall_s": n / 1000 + k / 10, "peak_rss_mb": n / 10 - k, "passed": k != 3 or n != 512, "numpy": "2.4"}
+        return types.SimpleNamespace(stdout=f"noise\n{json.dumps(run)}\n")
+
+    monkeypatch.setattr(scaling.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    # the 512 grid's third run failed its checks
+    assert scaling.main(["--pr", "9"]) == 1
+    assert calls == scaling.plan(3)
+    doc = json.loads((tmp_path / "BENCH_pr9_scaling.json").read_text())
+    assert [r["n_grid"] for r in doc["runs"]] == calls
+    assert doc["machine"].endswith("numpy 2.4")
+    summary = doc["summary"]
+    assert list(summary) == ["256", "512", "1024"]
+    # walls 1.124, 1.224, 1.324 and peaks 101.4, 100.4, 99.4 at n = 1024
+    assert summary["1024"]["wall_s"] == pytest.approx({"unit": "s", "q1": 1.174, "median": 1.224, "q3": 1.274, "max": 1.324})
+    assert summary["1024"]["peak_rss_mb"] == pytest.approx(
+        {"unit": "MB", "q1": 99.9, "median": 100.4, "q3": 100.9, "max": 101.4}
+    )
