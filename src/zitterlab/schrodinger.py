@@ -396,9 +396,9 @@ class Propagator:
         (harmonic), inverted and given its axis's half kick; the result
         carries the new factors alone, its values built at their first read.
         On the 2D free path fft2(psi) times the n-step kinetic phase is psi^,
-        inverted into the result.  The guards read psi^ (or the factors' spectra), the
-        spectrum before the last IFFT: finiteness, the aliasing band, and the
-        norm against psi's.
+        inverted into the result.  The guards read psi^ (or the factors'
+        spectra), the spectrum before the last IFFT: finiteness, the aliasing
+        band, and the norm against psi's.
         """
         return self._advance(psi, n_steps, None, n_steps)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the default equivariance scenario at growing n_grid and write a BENCH file.
 
-    python3 tools/scaling.py --pr 23 [--runs 3]
+    python3 tools/scaling.py --pr N [--runs 3]
 
 Each run is one fresh interpreter that parses ``scenario = equivariance``
 with only ``n_grid`` set, then times ``run_scenario`` into a temporary
@@ -44,10 +44,6 @@ print(json.dumps({"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "passed": result
 """
 
 
-def config_text(n_grid: int) -> str:
-    return f"scenario = equivariance\nn_grid = {n_grid}\n"
-
-
 def plan(n_runs: int) -> list[int]:
     """The n_grid of each run, in order: every grid once per round."""
     return [n for _ in range(n_runs) for n in GRIDS]
@@ -57,7 +53,7 @@ def run_once(n_grid: int) -> dict:
     """{wall_s, peak_rss_mb, passed, numpy} of one run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "-c", CHILD, config_text(n_grid), out]
+        cmd = [sys.executable, "-c", CHILD, f"scenario = equivariance\nn_grid = {n_grid}\n", out]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
