@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Time the default equivariance scenario at growing n_grid and write a BENCH file.
 
-    python3 tools/scaling.py --pr N [--runs 3]
+    python3 tools/scaling.py --pr N
 
-Each run is one fresh interpreter that parses ``scenario = equivariance``
-with only ``n_grid`` set, then times ``run_scenario`` into a temporary
-directory.  It reports that wall time (import excluded) and its own
+It makes RUNS runs per grid.  Each run is one fresh interpreter that
+parses ``scenario = equivariance`` with only ``n_grid`` set, then times
+``run_scenario`` into a temporary directory.  It reports that wall time (import excluded) and its own
 ``ru_maxrss`` (import included), the same peak RSS that perfbench reports.
 The runs go grid by grid in rounds, 256, 512, 1024, 256, ..., so that a
 drift in machine speed falls on every grid alike.  The result goes to
@@ -30,6 +30,7 @@ from bench_pairs import quartiles  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRIDS = (256, 512, 1024)
+RUNS = 5
 METRICS = {"wall_s": "s", "peak_rss_mb": "MB"}
 CHILD = """\
 import json, resource, sys, time
@@ -72,18 +73,17 @@ def summarize(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--runs", type=int, default=3, help="runs per grid (default 3)")
     args = parser.parse_args(argv)
 
     runs = []
-    for n_grid in plan(args.runs):
+    for n_grid in plan(RUNS):
         runs.append({"n_grid": n_grid, **run_once(n_grid)})
         print(f"# n_grid {n_grid}: wall_s {runs[-1]['wall_s']:.3f}, peak_rss_mb {runs[-1]['peak_rss_mb']:.1f}", file=sys.stderr)
     doc = {
         "scenario": "equivariance at its default config, n_grid set",
         "machine": f"{os.cpu_count()}-CPU {platform.system()}, Python {platform.python_version()}, "
         f"numpy {runs[0]['numpy']}",
-        "protocol": f"{args.runs} runs per grid, each in a fresh interpreter, grids alternated in rounds; "
+        "protocol": f"{RUNS} runs per grid, each in a fresh interpreter, grids alternated in rounds; "
         "wall_s times run_scenario alone, peak_rss_mb is the run's ru_maxrss. "
         "Quartiles by statistics.quantiles(method='inclusive').",
         "summary": summarize(runs),
