@@ -406,12 +406,20 @@ class FrameInterpolator:
 
 @dataclass
 class Trajectory:
-    """Time-stamped gravity-center path; positions stay inside the box."""
+    """Time-stamped gravity-center path; positions stay inside the box.
+
+    dt is the spacing of times.  The positions are read from rk4_steps RK4
+    steps of rk4_dt: for integrate_trajectory these are the times' own
+    steps, for a guide_processes reference the shared history's steps at
+    the frame spacing, read at the times by dense output.
+    """
 
     times: np.ndarray
     positions: np.ndarray  # (M, 2) real
     seed_point: np.ndarray
     dt: float
+    rk4_dt: float
+    rk4_steps: int
 
 
 def _sweep(read, steppers):
@@ -489,14 +497,15 @@ def _point_rk4_stepper(x0, t0: float, dt: float, n_steps: int, half_width: float
     Python floats, in its order, so its positions equal _rk4_batch's bit
     for bit.
 
-    Returns (history, fail_step, left_box): the positions from x0 on and,
-    when a step failed (fail_step, else None), whether the point left the
-    box as _rk4_batch classifies it.  The failed step is the last one
-    queried; history then ends at the position that step started from.
+    Returns (history, slopes, fail_step, left_box): the positions from x0
+    on, each taken step's stage slopes (k1x, k1y, ..., k4x, k4y) and, when
+    a step failed (fail_step, else None), whether the point left the box as
+    _rk4_batch classifies it.  The failed step is the last one queried;
+    history then ends at the position that step started from.
     """
     L = half_width
     x, y = x0
-    history = [(x, y)]
+    history, slopes = [(x, y)], []
     half, sixth = dt / 2, dt / 6.0
     for s in range(n_steps):
         t = t0 + s * dt
@@ -516,10 +525,11 @@ def _point_rk4_stepper(x0, t0: float, dt: float, n_steps: int, half_width: float
         ok_domain = _inside(xn, yn, L)
         if not (ok1 and ok2 and ok3 and ok4 and ok_domain):
             stages_in = _inside(x2, y2, L) and _inside(x3, y3, L) and _inside(x4, y4, L)
-            return history, s, not (ok_domain and stages_in)
+            return history, slopes, s, not (ok_domain and stages_in)
         x, y = xn, yn
         history.append((x, y))
-    return history, None, False
+        slopes.append((k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y))
+    return history, slopes, None, False
 
 
 def _check_step(interp: FrameInterpolator, step: float, step_name: str) -> None:
@@ -527,10 +537,11 @@ def _check_step(interp: FrameInterpolator, step: float, step_name: str) -> None:
         raise InvalidInput(f"{step_name} = {step:g} exceeds the frame spacing {interp.spacing:g}")
 
 
-def _trajectory(transport, x0, t0: float, dt: float) -> Trajectory:
-    """The Trajectory of the one point x0 = (x, y) that _point_rk4_stepper
-    moved, or LeftDomain / NodeRegion where it failed."""
-    history, fail_step, left_box = transport
+def _history(transport, x0, t0: float, dt: float):
+    """(positions (n + 1, 2), slopes (n, 4, 2)) of the one point x0 = (x, y)
+    that _point_rk4_stepper moved n steps of dt from t0, or LeftDomain /
+    NodeRegion where it failed."""
+    history, slopes, fail_step, left_box = transport
     if fail_step is not None:
         px, py = history[-1]
         where = f"t = {t0 + fail_step * dt:g}, position ({px:g}, {py:g})"
@@ -538,7 +549,27 @@ def _trajectory(transport, x0, t0: float, dt: float) -> Trajectory:
         if left_box:
             raise LeftDomain(f"{start} left the box at {where}")
         raise NodeRegion(f"{start} hit a masked region at {where}")
-    return Trajectory(t0 + np.arange(len(history)) * dt, np.array(history), np.array(x0), dt)
+    return np.array(history), np.array(slopes).reshape(-1, 4, 2)
+
+
+def _dense_output(history: np.ndarray, slopes: np.ndarray, h: float, offsets: np.ndarray) -> np.ndarray:
+    """Positions (M, 2) at t0 + offsets of the RK4 history with steps h:
+    RK4's own order-3 continuous extension y_i + h sum_k b_k(theta) k_k at
+    theta = offset / h - i (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+    which needs no further read.  An offset within 1e-9 steps of a step
+    boundary reads that boundary's y_i itself."""
+    u = offsets / h
+    i = np.rint(u)
+    on_step = np.abs(u - i) <= 1e-9
+    i = np.where(on_step, i, np.floor(u)).astype(np.int64)
+    s = np.minimum(i, len(slopes) - 1)
+    th = (u - s)[:, None]
+    th2 = th * th
+    c = 2.0 * (th2 * th) / 3.0
+    b1, b23, b4 = th - 1.5 * th2 + c, th2 - c, c - 0.5 * th2
+    k1, k2, k3, k4 = slopes[s, 0], slopes[s, 1], slopes[s, 2], slopes[s, 3]
+    dense = history[s] + h * (b1 * k1 + b23 * k2 + b23 * k3 + b4 * k4)
+    return np.where(on_step[:, None], history[i], dense)
 
 
 def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Trajectory:
@@ -565,7 +596,8 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
     n_steps, dt = _step_count(t0, T, dt)
     x0 = np.asarray(x0, dtype=float).reshape(2).tolist()
     stepper = _point_rk4_stepper(x0, t0, dt, n_steps, interp.grid.half_width)
-    return _trajectory(_sweep(interp.point_at, [stepper])[0], x0, t0, dt)
+    history, _ = _history(_sweep(interp.point_at, [stepper])[0], x0, t0, dt)
+    return Trajectory(t0 + np.arange(n_steps + 1) * dt, history, np.array(x0), dt, dt, n_steps)
 
 
 def _guided_stepper(x0, t0: float, eps: float, n_cycles: int, half_width: float):
@@ -607,13 +639,18 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
     to T.  At every cycle boundary t = t0 + 4q*eps the full complex field is
     read at the current real gravity center and held for the cycle's four
     steps (velocity decisions happen only at creation/annihilation instants).
-    Returns one (process record, Bohmian reference) pair per params; the
-    reference is integrate_trajectory from the same seed with dt = eps to
-    the process's end, and their real parts agree to O(eps) plus
-    interpolation error.
+    Returns one (process record, Bohmian reference) pair per params; their
+    real parts agree to O(eps) plus interpolation error.
 
-    frames, any iterable of fields, is read once: all processes and
-    references query one FrameInterpolator in time order, which holds at
+    All pairs share one reference: RK4 from the same seed in n = ceil(span
+    / frame spacing) steps of h = span / n, span running from t0 to the
+    latest process end, so that no step is longer than the frame spacing.
+    Each pair's reference Trajectory has the times of its process's n'
+    steps, t0 + k ((t0 + n' eps) - t0) / n', and reads its positions from
+    that one history by RK4's continuous extension (_dense_output).
+
+    frames, any iterable of fields, is read once: all processes and the
+    reference query one FrameInterpolator in time order, which holds at
     most three fields.  An eps above the frame spacing, a T short of one
     cycle or an epsilon_mode other than fixed raises InvalidInput before any
     query; a center outside the box (LeftDomain) or in a masked cell
@@ -627,24 +664,30 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
     for params in params_list:
         eps = _fixed_epsilon(params, "guided processes")
         _check_step(interp, eps, "eps")
-        n_cycles = _whole_cycles(T - t0, eps)
-        plans.append((params, n_cycles, *_step_count(t0, t0 + 4 * n_cycles * eps, eps)))
+        plans.append((params, _whole_cycles(T - t0, eps)))
+    span = max(4 * n_cycles * params.epsilon for params, n_cycles in plans)
+    n_ref = max(1, math.ceil(span / interp.spacing - 1e-9))
+    h = span / n_ref
     L = interp.grid.half_width
-    steppers = []
-    for params, n_cycles, n_ref, dt_ref in plans:
-        steppers.append(_guided_stepper(x0, t0, params.epsilon, n_cycles, L))
-        steppers.append(_point_rk4_stepper(x0, t0, dt_ref, n_ref, L))
-    results = _sweep(interp.point_at, steppers)
+    steppers = [_guided_stepper(x0, t0, params.epsilon, n_cycles, L) for params, n_cycles in plans]
+    steppers.append(_point_rk4_stepper(x0, t0, h, n_ref, L))
+    *results, transport = _sweep(interp.point_at, steppers)
+    history, slopes = _history(transport, x0, t0, h)
     pairs = []
-    for (params, n_cycles, _, dt_ref), means, transport in zip(plans, results[::2], results[1::2]):
+    for (params, n_cycles), means in zip(plans, results):
         eps, n_steps = params.epsilon, 4 * n_cycles
         run = _assemble_run(t0 + np.arange(n_steps + 1) * eps, means, np.full(n_steps + 1, eps), params, perm)
-        pairs.append((run, _trajectory(transport, x0, t0, dt_ref)))
+        n, dt = _step_count(t0, t0 + n_steps * eps, eps)
+        offsets = np.arange(n + 1) * dt
+        positions = _dense_output(history, slopes, h, offsets)
+        pairs.append((run, Trajectory(t0 + offsets, positions, np.array(x0), dt, h, n_ref)))
     return pairs
 
 
 def guide_process(frames, params: PhysParams, perm: Permutation, x0, T: float):
-    """guide_processes for one PhysParams: (process record, reference)."""
+    """guide_processes for one PhysParams: (process record, reference), the
+    reference integrated at the frame spacing to the process's end and read
+    at its eps grid."""
     return guide_processes(frames, [params], perm, x0, T)[0]
 
 

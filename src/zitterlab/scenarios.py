@@ -633,6 +633,8 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
             "check": "guided_process_tracking",
             "parameters": {"seed": list(seed), "T": cfg.T, "n": grid.n},
             "samples": [{"eps_or_N": e, "error": g} for e, g in zip(cfg.guided_epsilons, gaps)],
+            # every pair's reference is read from the same RK4 history
+            "reference": {"dt": guided[0][1].rk4_dt, "steps": guided[0][1].rk4_steps},
             "fitted_rate": rate,
             "max_spin_deviation": spin_dev,
             "pass": all(ok for _, ok, _ in checks),

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
 import os
 import re
@@ -414,7 +415,9 @@ class TestTransportKernel:
         # every one-point query through the array kernel writes the same bytes
         monkeypatch.setattr(pilot, "_point_stencil", lambda *args: None)
         array = run_scenario(cfg, tmp_path / "array")
-        assert len(array_kernel) > 1000
+        # 12 + 25 + 50 cycle boundaries, and 40 steps of the shared reference at
+        # the frame spacing 5e-3 with four reads each
+        assert len(array_kernel) == 87 + 4 * 40
         assert [os.path.basename(p) for p in scalar.files] == ["guided_centers.csv", "guided_process.json"]
         assert digests(scalar) == digests(array)
 
@@ -916,9 +919,10 @@ class TestEnsemble:
             assert key in text
 
 
-def rk4_oracle(interp, x0, dt, n_steps):
+def rk4_oracle(interp, x0, dt, n_steps, slopes=None):
     """The RK4 loop _rk4_batch ran before it became a stepper, for one point
-    that must stay alive: its history (n_steps + 1, 1, 2)."""
+    that must stay alive: its history (n_steps + 1, 1, 2).  A list slopes
+    gets each step's stage slopes (4, 2)."""
     x = np.array(x0, dtype=float)
     history = np.empty((n_steps + 1, 1, 2))
     history[0] = x
@@ -932,7 +936,34 @@ def rk4_oracle(interp, x0, dt, n_steps):
         assert (ok1 & ok2 & ok3 & ok4)[0]
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         history[s + 1] = x
+        if slopes is not None:
+            slopes.append(np.concatenate([k1, k2, k3, k4]))
     return history
+
+
+def continuous_extension(history, slopes, h, offsets):
+    """RK4's order-3 dense output of history (n + 1, 2) with stage slopes
+    (n, 4, 2) and steps h, one offset from t0 at a time: y_i + h (b1 k1 +
+    b2 k2 + b3 k3 + b4 k4) at theta = offset / h - i, with b1 = theta -
+    3 theta^2 / 2 + 2 theta^3 / 3, b2 = b3 = theta^2 - 2 theta^3 / 3 and
+    b4 = -theta^2 / 2 + 2 theta^3 / 3; an offset within 1e-9 steps of step
+    boundary i is y_i."""
+    out = []
+    for offset in offsets:
+        u = offset / h
+        if abs(u - round(u)) <= 1e-9:
+            out.append(history[round(u)])
+            continue
+        i = math.floor(u)
+        th = u - i
+        th2 = th * th
+        th3 = th2 * th
+        b1 = th - 3 * th2 / 2 + 2 * th3 / 3
+        b2 = th2 - 2 * th3 / 3
+        b4 = -th2 / 2 + 2 * th3 / 3
+        k1, k2, k3, k4 = slopes[i]
+        out.append(history[i] + h * (b1 * k1 + b2 * k2 + b2 * k3 + b4 * k4))
+    return np.array(out)
 
 
 def guide_process_oracle(fields, eps, x0, T):
@@ -1054,19 +1085,78 @@ class TestOneSweep:
         return zl.guide_processes(fields, params, zl.Permutation(), x0, T)
 
     @pytest.mark.parametrize("frames", ["free", "ulp_retimed", "shifted"])
-    def test_equals_the_per_epsilon_oracle(self, free_frames, free_fields, frames):
+    def test_equals_the_per_epsilon_oracle(self, free_frames, free_fields, frames, monkeypatch):
+        # n: steps of the frame spacing 5e-3 over the latest process end, 0.5
+        # or 0.288 (18, 36 and 72 cycles), so that no step is longer
         if frames == "free":
-            fields, T = free_fields, 0.5
+            fields, T, n = free_fields, 0.5, 100
         elif frames == "ulp_retimed":
-            fields, T = [zl.velocity_field(f) for f in ulp_retimed(free_frames)], 0.29
-        else:  # the reference's dt = ((t0 + n eps) - t0) / n is not eps here
-            fields, T = [dataclasses.replace(f, time=f.time + 0.3) for f in free_fields[:61]], 0.59
+            fields, T, n = [zl.velocity_field(f) for f in ulp_retimed(free_frames)], 0.29, 58
+        else:  # a pair's dt = ((t0 + n eps) - t0) / n is not eps here
+            fields, T, n = [dataclasses.replace(f, time=f.time + 0.3) for f in free_fields[:61]], 0.59, 58
+        dense = []
+        read = pilot._dense_output
+        monkeypatch.setattr(pilot, "_dense_output", lambda *args: dense.append(args) or read(*args))
         x0 = (1.0, 0.2)
-        for eps, (run, ref) in zip(self.EPSILONS, self.sweep(iter(fields), x0, T)):
-            times, means, ref_times, positions, dt = guide_process_oracle(fields, eps, x0, T)
+        pairs = self.sweep(iter(fields), x0, T)
+        span = max(len(run) - 1 for run, _ in pairs) // 4 * 4 * self.EPSILONS[-1]
+        h = span / n
+        slopes = []
+        history = rk4_oracle(WholeListInterpolator(fields), np.array([x0]), h, n, slopes)[:, 0, :]
+        slopes = np.array(slopes).reshape(n, 4, 2)
+        # one shared history, the RK4 oracle's at h bit for bit
+        assert len(dense) == 3 and all(args[0] is dense[0][0] for args in dense)
+        assert np.array_equal(dense[0][0], history) and np.array_equal(dense[0][1], slopes)
+        for eps, (run, ref) in zip(self.EPSILONS, pairs):
+            times, means, ref_times, _, dt = guide_process_oracle(fields, eps, x0, T)
             assert np.array_equal(run.times, times) and np.array_equal(run.means, means)
-            assert np.array_equal(ref.times, ref_times) and np.array_equal(ref.positions, positions)
-            assert ref.dt == dt
+            assert np.array_equal(ref.times, ref_times) and ref.dt == dt
+            assert (ref.rk4_dt, ref.rk4_steps) == (h, n)
+            offsets = np.arange(len(ref_times)) * dt
+            assert np.array_equal(ref.positions, continuous_extension(history, slopes, h, offsets))
+
+    def test_step_doubling_difference_within_the_per_epsilon_references(self, free_fields):
+        # at every cycle boundary, the shared reference against one at h / 2,
+        # and each per-eps reference against its own half-step run
+        x0, T = (1.0, 0.0), 1.0
+        interp = WholeListInterpolator(free_fields)
+        new, old = [], []
+        for eps, (run, ref) in zip(self.EPSILONS, self.sweep(free_fields, x0, T)):
+            h, n = ref.rk4_dt, ref.rk4_steps
+            slopes = []
+            half = rk4_oracle(interp, np.array([x0]), h / 2, 2 * n, slopes)[:, 0, :]
+            offsets = np.arange(len(ref.times)) * ref.dt
+            half = continuous_extension(half, np.array(slopes).reshape(2 * n, 4, 2), h / 2, offsets)
+            new.append(np.max(np.linalg.norm(ref.positions[::4] - half[::4], axis=1)))
+            _, _, _, positions, dt = guide_process_oracle(free_fields, eps, x0, T)
+            half = rk4_oracle(interp, np.array([x0]), dt / 2, 2 * (len(positions) - 1))[::2, 0, :]
+            old.append(np.max(np.linalg.norm(positions[::4] - half[::4], axis=1)))
+        # the per-eps steps of 4e-3 and 2e-3 straddle frame times, where the
+        # field's time interpolation has a kink; those of 1e-3 align with the
+        # frames, and that reference, at a fifth of h, is the more accurate one
+        assert new[0] <= old[0] and new[1] <= old[1]
+        assert max(new) <= max(old)
+
+    @pytest.mark.parametrize(
+        "epsilons, reads",
+        [("4e-3, 2e-3, 1e-3", 437 + 4 * 200), ("2e-3, 1e-3, 5e-4", 875 + 4 * 200)],
+        ids=["default", "perfbench_guided"],
+    )
+    def test_guided_run_reads_each_boundary_and_four_per_reference_step(self, tmp_path, monkeypatch, epsilons, reads):
+        # T = 1 at the frame spacing 5e-3: 200 reference steps, and one read per
+        # cycle boundary (62 + 125 + 250 or 125 + 250 + 500 cycles)
+        count = [0]
+        point_at = pilot.FrameInterpolator.point_at
+
+        def counted(*args):
+            count[0] += 1
+            return point_at(*args)
+
+        monkeypatch.setattr(pilot.FrameInterpolator, "point_at", counted)
+        result = run_scenario(parse_config(f"scenario = guided_process\nguided_epsilons = {epsilons}\n"), tmp_path)
+        assert result.passed and count[0] == reads
+        report = json.loads(Path(tmp_path, "guided_process.json").read_text())
+        assert report["reference"] == {"dt": 1.0 / 200, "steps": 200}
 
     def test_generator_fields_are_released(self, free_fields, steppers):
         alive, peak = [0], [0]
@@ -1089,45 +1179,45 @@ class TestOneSweep:
             assert np.array_equal(run.means, run1.means) and np.array_equal(ref.positions, ref1.positions)
         # the window's three fields plus the one being built
         assert 0 < peak[0] <= 3 + 1
-        assert len(steppers) == 12 and self.all_closed(steppers)
+        assert len(steppers) == 8 and self.all_closed(steppers)
 
     def test_center_in_a_masked_cell_raises_mid_sweep(self, steppers):
         stream = Pulled(drift_fields(21, 1.0, masked_from=4))
         with pytest.raises(zl.NodeRegion, match="gravity center .* entered a masked region"):
             self.sweep(stream, (0.0, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
         assert stream.count <= 6
-        assert len(steppers) == 6 and self.all_closed(steppers)
+        assert len(steppers) == 4 and self.all_closed(steppers)
 
     def test_center_outside_the_box_wins_over_earlier_reference_failures(self, monkeypatch):
         failed = []
         make = pilot._point_rk4_stepper
 
         def spy(x0, t0, dt, n_steps, half_width):
-            history, fail_step, left_box = yield from make(x0, t0, dt, n_steps, half_width)
+            history, slopes, fail_step, left_box = yield from make(x0, t0, dt, n_steps, half_width)
             failed.append((t0 + fail_step * dt, left_box))
-            return history, fail_step, left_box
+            return history, slopes, fail_step, left_box
 
         monkeypatch.setattr(pilot, "_point_rk4_stepper", spy)
-        message = "gravity center (8.025, 0) left the box at t = 0.2"
+        message = "gravity center (8.075, 0) left the box at t = 0.21"
         with pytest.raises(zl.LeftDomain, match=re.escape(message)):
-            self.sweep(drift_fields(21, 5.0), (7.025, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
-        # the references of eps = 0.005 and 0.0025 left the box at t = 0.19 and
-        # 0.1925, before any process read a center outside it
-        assert len(failed) == 2 and all(left and t < 0.195 for t, left in failed)
+            self.sweep(drift_fields(21, 5.0), (7.025, 0.0), 1.0, epsilons=(0.0075,))
+        # the reference (20 steps of 0.0495 over 33 cycles) left the box in its
+        # step from t = 0.1485 to 0.198, before the process read a center outside it
+        assert len(failed) == 1 and failed[0][1] and failed[0][0] == pytest.approx(0.1485)
 
     def test_reference_leaving_the_box_raises(self, steppers):
         # the processes' last reads (t = 0.16, 0.18, 0.19) are inside the
         # box; the references run on to t = 0.2 and end at x = 8.025
         with pytest.raises(zl.LeftDomain, match="left the box"):
             self.sweep(Pulled(drift_fields(5, 5.0)), (7.025, 0.0), 0.2, epsilons=(0.01, 0.005, 0.0025))
-        assert len(steppers) == 6 and self.all_closed(steppers)
+        assert len(steppers) == 4 and self.all_closed(steppers)
 
     def test_T_past_the_stream_raises(self, steppers):
         stream = Pulled(drift_fields(5, 1.0))
         with pytest.raises(zl.InvalidInput, match="past the last frame"):
             self.sweep(stream, (0.0, 0.0), 1.0, epsilons=(0.01, 0.005, 0.0025))
         assert stream.count == 5
-        assert len(steppers) == 6 and self.all_closed(steppers)
+        assert len(steppers) == 4 and self.all_closed(steppers)
 
     def test_epsilon_above_the_spacing_raises_before_a_third_pull(self, steppers):
         stream = Pulled(drift_fields(21, 1.0))
