@@ -1099,7 +1099,7 @@ class TestOneSweep:
         monkeypatch.setattr(pilot, "_dense_output", lambda *args: dense.append(args) or read(*args))
         x0 = (1.0, 0.2)
         pairs = self.sweep(iter(fields), x0, T)
-        span = max(len(run) - 1 for run, _ in pairs) // 4 * 4 * self.EPSILONS[-1]
+        span = max((len(run) - 1) * eps for eps, (run, _) in zip(self.EPSILONS, pairs))
         h = span / n
         slopes = []
         history = rk4_oracle(WholeListInterpolator(fields), np.array([x0]), h, n, slopes)[:, 0, :]
