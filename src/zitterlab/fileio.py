@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -14,20 +15,32 @@ import numpy as np
 ZLAB_MAGIC = b"ZLAB"
 ZLAB_VERSION = 1
 
+# Rows formatted per chunk of a CSV write.
+_CSV_BATCH_ROWS = 1024
 
-def atomic_write_text(path, text: str) -> None:
-    """:func:`atomic_write_bytes` of the UTF-8 encoding of text."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+
+def atomic_write_text(path, text) -> None:
+    """Write text, a str or an iterable of str chunks, to path as UTF-8, atomically."""
+    chunks = (text,) if isinstance(text, str) else text
+    _atomic_write(path, (chunk.encode("utf-8") for chunk in chunks))
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write payload to path via a temp file + rename so readers never see partials."""
+    """Write payload to path, atomically."""
+    _atomic_write(path, (payload,))
+
+
+def _atomic_write(path, chunks) -> None:
+    """Write each bytes chunk in turn to a temp file beside path, then rename it
+    over path, so readers never see partials.  The temp file is removed on any
+    exception, one raised by the chunks iterator included."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,12 +74,23 @@ def _row_format(cell_types: tuple) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """rows: iterable of sequences, each rendered by one cached %-format."""
-    lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row))) % row)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """rows: iterable of sequences, each rendered by one cached %-format.  The
+    text goes to :func:`atomic_write_text` in batches of _CSV_BATCH_ROWS rows,
+    so the file is never held whole."""
+    atomic_write_text(path, _csv_batches(header, rows))
+
+
+def _csv_batches(header, rows):
+    """The CSV text of header and rows, one str per batch of rows."""
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, _CSV_BATCH_ROWS)):
+        lines = []
+        for row in batch:
+            row = tuple(row)
+            lines.append(_row_format(tuple(map(type, row))) % row)
+        lines.append("")  # so that the batch ends in a newline
+        yield "\n".join(lines)
 
 
 def write_zlab_frame(path, values: np.ndarray, box_half_width: float, time: float) -> None:

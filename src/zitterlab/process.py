@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, NonFiniteVelocity, StepBudgetExceeded
-from .fileio import write_csv
+from .fileio import _CSV_BATCH_ROWS, write_csv
 
 # Unit-square vertices u^1..u^4 in the fixed listing order.
 VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
@@ -28,6 +28,9 @@ VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
 # Most 4-step cycles one process run may take, in any epsilon mode, before it
 # is abandoned.
 DE_BROGLIE_CYCLE_BUDGET = 10_000_000
+
+# Steps per chunk of the classical path's cumulative sum.
+_PATH_CHUNK_STEPS = 4096
 
 
 class Sense(Enum):
@@ -279,10 +282,16 @@ class ProcessRun:
         for j in range(1, 5):
             header += [f"re_z1_{j}", f"im_z1_{j}", f"re_z2_{j}", f"im_z2_{j}"]
         header += ["re_mean1", "im_mean1", "re_mean2", "im_mean2"]
-        m = len(self)
-        parts = [np.stack([z.real, z.imag], axis=-1).reshape(m, -1) for z in (self.vertices, self.means)]
-        table = np.column_stack([self.times, *parts])  # re/im interleaved per component
-        write_csv(path, header, ((n, *row.tolist()) for n, row in enumerate(table)))
+        write_csv(path, header, self._csv_rows())
+
+    def _csv_rows(self):
+        """The rows of :meth:`to_csv`, tabulated one CSV batch of steps at a time."""
+        for start in range(0, len(self), _CSV_BATCH_ROWS):
+            block = slice(start, start + _CSV_BATCH_ROWS)
+            times, vertices, means = self.times[block], self.vertices[block], self.means[block]
+            parts = [np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1) for z in (vertices, means)]
+            table = np.column_stack([times, *parts])  # re/im interleaved per component
+            yield from ((n, *row) for n, row in enumerate(table.tolist(), start))
 
 
 def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0, T: float) -> ProcessRun:
@@ -346,8 +355,10 @@ def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation)
     eps changes from cycle to cycle.
     """
     g = (1.0 + 1.0j) * np.sqrt(params.hbar * epsilons / (4.0 * params.mass))
-    offsets = perm.offset_table()[np.arange(len(times)) % 4]  # (M, 4, 2)
-    vertices = means[:, None, :] + g[:, None, None] * offsets
+    vertices = np.empty((len(times), 4, 2), dtype=complex)
+    for r, offsets in enumerate(perm.offset_table()):  # the steps n = r mod 4 share one (4, 2) offset table
+        np.multiply(g[r::4, None, None], offsets, out=vertices[r::4])
+        vertices[r::4] += means[r::4, None, :]
     return ProcessRun(times, vertices, means, epsilons, params, perm)
 
 
@@ -386,16 +397,34 @@ def classical_trajectory(vel: VelocityProgram, z0, T: float, dt: float) -> Class
     For a pure time integrand the classic one-step RK4 rule reduces to
     Simpson's rule over each substep, so the whole path is a cumulative sum.
     """
+    return ClassicalPath(*_classical_path(vel, z0, T, dt, 1))
+
+
+def _classical_path(vel: VelocityProgram, z0, T: float, dt: float, every: int):
+    """(times, positions) of classical_trajectory's path at every `every`-th step.
+
+    The cumulative sum runs in chunks of _PATH_CHUNK_STEPS steps, and each
+    chunk's first increment carries the running sum, so the positions equal
+    one global cumsum bit for bit while only the kept ones are held.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     z0 = np.asarray(z0, dtype=complex).reshape(2)
     n_steps, dt = _step_count(0.0, T, dt)
-    t = np.arange(n_steps + 1) * dt
-    v_nodes = _eval_velocity(vel, t)
-    v_mid = _eval_velocity(vel, t[:-1] + dt / 2)
-    increments = (dt / 6.0) * (v_nodes[:-1] + 4.0 * v_mid + v_nodes[1:])
-    positions = np.empty((n_steps + 1, 2), dtype=complex)
+    kept = np.arange(0, n_steps + 1, every)
+    positions = np.empty((kept.size, 2), dtype=complex)
     positions[0] = z0
-    np.cumsum(increments, axis=0, out=positions[1:])
-    positions[1:] += z0
-    return ClassicalPath(t, positions)
+    carry = np.zeros(2, dtype=complex)
+    for start in range(0, n_steps, _PATH_CHUNK_STEPS):
+        t = np.arange(start, min(start + _PATH_CHUNK_STEPS, n_steps) + 1) * dt
+        v_nodes = _eval_velocity(vel, t)
+        v_mid = _eval_velocity(vel, t[:-1] + dt / 2)
+        sums = (dt / 6.0) * (v_nodes[:-1] + 4.0 * v_mid + v_nodes[1:])
+        sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry = sums[-1]
+        # sums[i] is the sum through step start + i, which ends at position start + i + 1
+        first = -(-(start + 1) // every) * every
+        picked = sums[first - start - 1 :: every]
+        positions[first // every : first // every + len(picked)] = picked + z0
+    return kept * dt, positions

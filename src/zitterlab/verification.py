@@ -26,8 +26,8 @@ from .process import (
     PhysParams,
     Permutation,
     VelocityProgram,
-    classical_trajectory,
     run_process,
+    _classical_path,
     _eval_velocity,
     _fixed_epsilon,
     _whole_cycles,
@@ -318,8 +318,8 @@ def process_convergence_rates(
     mean_errors = []
     for params in sweep:
         run = run_process(params, perm, vel, z0, T)
-        path = classical_trajectory(vel, z0, (len(run) - 1) * params.epsilon, params.epsilon / REFERENCE_REFINEMENT)
-        reference = path.positions[::REFERENCE_REFINEMENT]
+        span, dt = (len(run) - 1) * params.epsilon, params.epsilon / REFERENCE_REFINEMENT
+        _, reference = _classical_path(vel, z0, span, dt, REFERENCE_REFINEMENT)
         dev = run.vertices - reference[:, None, :]
         vertex_errors.append(float(np.max(np.abs(np.linalg.norm(dev, axis=2)))))
         mean_errors.append(float(np.max(np.linalg.norm(run.means - reference, axis=1))))

@@ -348,6 +348,69 @@ class TestClassicalTrajectory:
         assert path.positions[-1][0] == pytest.approx(0.5, abs=1e-9)
 
 
+def one_cumsum_path(vel, z0, T, dt):
+    """classical_trajectory as one np.cumsum over the whole path: the oracle of the chunked sum."""
+    z0 = np.asarray(z0, dtype=complex).reshape(2)
+    n_steps, dt = zl.process._step_count(0.0, T, dt)
+    t = np.arange(n_steps + 1) * dt
+    v_nodes, v_mid = vel(t), vel(t[:-1] + dt / 2)
+    increments = (dt / 6.0) * (v_nodes[:-1] + 4.0 * v_mid + v_nodes[1:])
+    positions = np.empty((n_steps + 1, 2), dtype=complex)
+    positions[0] = z0
+    np.cumsum(increments, axis=0, out=positions[1:])
+    positions[1:] += z0
+    return t, positions
+
+
+CHUNK = zl.process._PATH_CHUNK_STEPS
+CHUNK_VELOCITIES = [
+    zl.CircularVelocity(omega=1.3, amplitude=0.9),
+    zl.PolynomialVelocity((0.5, 1.0, -0.1j), (0.2j, 0.3)),
+]
+
+
+class TestChunkedClassicalPath:
+    @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("vel", CHUNK_VELOCITIES, ids=["circular", "polynomial"])
+    def test_equals_one_cumsum(self, n_steps, vel):
+        path = zl.classical_trajectory(vel, (0.3, -1j), n_steps * 1e-3, 1e-3)
+        times, positions = one_cumsum_path(vel, (0.3, -1j), n_steps * 1e-3, 1e-3)
+        assert len(path.times) == n_steps + 1
+        np.testing.assert_array_equal(path.times, times)
+        np.testing.assert_array_equal(path.positions, positions)
+
+    @pytest.mark.parametrize("chunk", [CHUNK, 7])
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    def test_kept_positions_are_a_stride_of_the_path(self, monkeypatch, chunk, every):
+        # chunks of 7 steps end at every residue of 3 and of 10
+        monkeypatch.setattr(zl.process, "_PATH_CHUNK_STEPS", chunk)
+        vel, n_steps = CHUNK_VELOCITIES[0], 30 * 410
+        times, positions = one_cumsum_path(vel, (0.3, -1j), n_steps * 1e-3, 1e-3)
+        kept_times, kept = zl.process._classical_path(vel, (0.3, -1j), n_steps * 1e-3, 1e-3, every)
+        np.testing.assert_array_equal(kept_times, times[::every])
+        np.testing.assert_array_equal(kept, positions[::every])
+
+
+@pytest.mark.parametrize(
+    "mode,vel",
+    [
+        (zl.EpsilonMode.FIXED, zl.CircularVelocity(omega=2.0, amplitude=0.7)),
+        (zl.EpsilonMode.DE_BROGLIE, zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25))),
+    ],
+    ids=["fixed", "de_broglie"],
+)
+@pytest.mark.parametrize("sense", list(zl.Sense))
+def test_assembly_equals_gathered_offsets(mode, vel, sense):
+    """Vertices built per residue n mod 4 equal the (M, 4, 2) gathered-offset expression bit for bit."""
+    perm = zl.Permutation(sense)
+    run = zl.run_process(params(1e-3, hbar=0.7, mass=1.3, epsilon_mode=mode), perm, vel, (0.3, -1j), 5.0)
+    g = (1.0 + 1.0j) * np.sqrt(0.7 * run.epsilons / (4.0 * 1.3))
+    offsets = perm.offset_table()[np.arange(len(run)) % 4]
+    expected = run.means[:, None, :] + g[:, None, None] * offsets
+    np.testing.assert_array_equal(run.vertices.view(float), expected.view(float))
+    assert np.array_equal(np.signbit(run.vertices.view(float)), np.signbit(expected.view(float)))
+
+
 def test_run_csv_format(tmp_path):
     run = zl.run_process(params(0.25), zl.Permutation(), zl.CircularVelocity(), (0, 0), 1.0)
     path = tmp_path / "run.csv"

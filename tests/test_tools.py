@@ -51,11 +51,31 @@ def test_quotes_each_moved_file(output_delta, tmp_path, capsys):
 
 
 def test_structure_change_is_named(output_delta, tmp_path):
-    for root, payload in ((tmp_path / "A", {"a": 1.0}), (tmp_path / "B", {"a": 1.0, "b": 2.0})):
-        (root / "0").mkdir(parents=True)
-        (root / "0" / "r.json").write_text(json.dumps(payload))
-    assert output_delta.delta(str(tmp_path / "A" / "0" / "r.json"), str(tmp_path / "B" / "0" / "r.json")) == (
-        "structure or text differs"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, ["t", "x"], [[0.0, 1.0], [1.0, 2.0]])
+    write_csv(b, ["t", "x"], [[0.0, 1.0]])
+    assert output_delta.delta(str(a), str(b)) == "structure or text differs"  # a row less
+    write_csv(b, ["t", "x"], [[0.0, 1.0], ["one", 2.0]])
+    assert output_delta.delta(str(a), str(b)) == "structure or text differs"  # a number became text
+
+
+def test_added_and_removed_keys_are_named(output_delta, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(a, {"gap": [4.0, 8.0], "name": "run", "old": {"k": 1}, "rate": 1.0})
+    write_json(b, {"gap": [4.0, 9.0], "name": "run", "reference": {"dt": 0.005, "steps": 200}, "rate": 1.0})
+    # the numbers present in both files are quoted: 8 -> 9 of gap, rate unchanged
+    assert output_delta.delta(str(a), str(b)) == (
+        "1/3 numbers changed, max abs 1.000e+00, max rel 1.250e-01; added reference; removed old"
+    )
+    write_json(b, {"gap": [4.0, 8.0], "name": "run", "old": {"k": 1, "j": 2}, "rate": 1.0})
+    assert output_delta.delta(str(a), str(b)) == (
+        "0/4 numbers changed, max abs 0.000e+00, max rel 0.000e+00; added old.j"
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, ["t", "x", "z"], [[0.0, 1.0, 5.0], [1.0, 2.0, 6.0]])
+    write_csv(b, ["y", "t", "x"], [[7.0, 0.0, 1.0], [8.0, 1.0, 4.0]])
+    assert output_delta.delta(str(a), str(b)) == (
+        "1/4 numbers changed, max abs 2.000e+00, max rel 1.000e+00; added y; removed z"
     )
 
 
@@ -161,3 +181,33 @@ def test_scaling_plan_and_summary(scaling, monkeypatch, tmp_path):
     assert summary["1024"]["peak_rss_mb"] == pytest.approx(
         {"unit": "MB", "q1": 98.4, "median": 99.4, "q3": 100.4, "max": 101.4}
     )
+
+
+def test_scaling_series_with_the_parent_interleaved(scaling, monkeypatch, tmp_path):
+    assert scaling.plan(1, "process_free") == [400, 800, 1600]
+    calls = []
+
+    def fake_run(cmd, env, **kwargs):
+        side = "parent" if env["PYTHONPATH"] == str(tmp_path / "p" / "src") else "change"
+        T = int(cmd[3].removeprefix("scenario = process_free\nvelocity = circular\nT = ").rstrip("\n"))
+        calls.append((T, side))
+        rss = 60.0 if side == "change" else T / 10
+        run = {"wall_s": T / 1000, "peak_rss_mb": rss, "passed": True, "numpy": "2.4"}
+        return types.SimpleNamespace(stdout=json.dumps(run))
+
+    monkeypatch.setattr(scaling.subprocess, "run", fake_run)
+    monkeypatch.setattr(scaling, "describe", lambda checkout: "abc1234: parent")
+    monkeypatch.chdir(tmp_path)
+    assert scaling.main(["--pr", "9", "--series", "process_free", "--parent", str(tmp_path / "p")]) == 0
+    # each size once per round, both sides per run, the side that runs first alternating from pair to pair
+    sizes = scaling.plan(scaling.RUNS, "process_free")
+    assert calls == [
+        (T, side) for k, T in enumerate(sizes) for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))
+    ]
+    doc = json.loads((tmp_path / "BENCH_pr9_scaling.json").read_text())
+    assert doc["scenario"].startswith("process_free") and doc["parent"]["commit"] == "abc1234: parent"
+    assert [r["T"] for r in doc["runs"]] == [r["T"] for r in doc["parent"]["runs"]] == sizes
+    assert [r["first"] for r in doc["runs"]][:4] == ["parent", "change", "parent", "change"]
+    assert list(doc["summary"]) == ["400", "800", "1600"]
+    assert doc["summary"]["1600"]["peak_rss_mb"]["median"] == 60.0
+    assert doc["parent"]["summary"]["1600"]["peak_rss_mb"]["median"] == 160.0

@@ -198,6 +198,26 @@ class TestConvergence:
             err = np.max(np.abs(run.means - path.positions[::10]))
             assert err <= 1e-12
 
+    def test_sweep_reference_is_every_tenth_classical_position(self, monkeypatch):
+        # the finest eps takes many chunks of reference steps, which end at steps that are not multiples of 10
+        assert zl.process._PATH_CHUNK_STEPS % ver.REFERENCE_REFINEMENT != 0
+        vel, z0 = zl.CircularVelocity(omega=2.0, amplitude=0.7), (0.3, -1j)
+        seen = []
+
+        def spy(*args):
+            seen.append((args, zl.process._classical_path(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(ver, "_classical_path", spy)
+        ver.process_convergence_rates(zl.PhysParams(), zl.Permutation(), vel, z0, 1.0, (1e-2, 3e-3, 1e-3, 1e-4))
+        finest_steps = ver.REFERENCE_REFINEMENT * (len(seen[-1][1][1]) - 1)
+        assert len(seen) == 4 and finest_steps > 2 * zl.process._PATH_CHUNK_STEPS
+        for (_, _, span, dt, every), (times, reference) in seen:
+            path = zl.classical_trajectory(vel, z0, span, dt)
+            assert every == ver.REFERENCE_REFINEMENT
+            np.testing.assert_array_equal(times, path.times[::every])
+            np.testing.assert_array_equal(reference, path.positions[::every])
+
     def test_sup_vertex_deviation_closed_form(self):
         # for a frozen drift the deviation is |gamma| * max|s^n u - u| = sqrt(eps/2) * 2 sqrt(2)
         eps = 0.04

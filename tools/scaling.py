@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Time the default equivariance scenario at growing n_grid and write a BENCH file.
+"""Time one scenario at growing size, in fresh interpreters, and write a BENCH file.
 
-    python3 tools/scaling.py --pr N
+    python3 tools/scaling.py --pr N [--series process_free] [--parent DIR]
 
-It makes RUNS runs per grid.  Each run is one fresh interpreter that
-parses ``scenario = equivariance`` with only ``n_grid`` set, then times
-``run_scenario`` into a temporary directory.  It reports that wall time (import excluded) and its own
+A series is a scenario and the config key that grows: ``equivariance`` (the
+default) sets ``n_grid`` to 256, 512 and 1024 in its default config, and
+``process_free`` sets ``T`` to 400, 800 and 1600 with ``velocity =
+circular``.  It makes RUNS runs per size.  Each run is one fresh interpreter
+that parses the config, then times ``run_scenario`` into a temporary
+directory.  It reports that wall time (import excluded) and its own
 ``ru_maxrss`` (import included), the same peak RSS that perfbench reports.
-The runs go grid by grid in rounds, 256, 512, 1024, 256, ..., so that a
-drift in machine speed falls on every grid alike.  The result goes to
-``BENCH_pr<N>_scaling.json`` in the current directory: per grid the
-quartiles and the largest value of each metric, and every run's numbers.
-Quartiles are those of ``tools/bench_pairs.py``.  The exit status is 1 if
-any run failed a scenario check.
+The runs go size by size in rounds, so that a drift in machine speed falls on
+every size alike.  With ``--parent DIR``, a checkout of the parent commit,
+every run is paired with a run of ``DIR/src`` at the same size, and the side
+that runs first alternates from pair to pair.  The result goes to
+``BENCH_pr<N>_scaling.json`` in the current directory: per size the
+quartiles and the largest value of each metric, and every run's numbers,
+the parent's under ``parent``.  Quartiles are those of
+``tools/bench_pairs.py``.  The exit status is 1 if any run failed a scenario
+check.
 """
 
 from __future__ import annotations
@@ -26,10 +32,24 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import quartiles  # noqa: E402
+from bench_pairs import describe, quartiles  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GRIDS = (256, 512, 1024)
+# series name: (what it runs, the key that grows, its sizes, the config with the size left open)
+SERIES = {
+    "equivariance": (
+        "equivariance at its default config, n_grid set",
+        "n_grid",
+        (256, 512, 1024),
+        "scenario = equivariance\nn_grid = {}\n",
+    ),
+    "process_free": (
+        "process_free with velocity = circular, T set",
+        "T",
+        (400, 800, 1600),
+        "scenario = process_free\nvelocity = circular\nT = {}\n",
+    ),
+}
 RUNS = 5
 METRICS = {"wall_s": "s", "peak_rss_mb": "MB"}
 CHILD = """\
@@ -45,26 +65,26 @@ print(json.dumps({"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "passed": result
 """
 
 
-def plan(n_runs: int) -> list[int]:
-    """The n_grid of each run, in order: every grid once per round."""
-    return [n for _ in range(n_runs) for n in GRIDS]
+def plan(n_runs: int, series: str = "equivariance") -> list[int]:
+    """The size of each run, in order: every size once per round."""
+    return [size for _ in range(n_runs) for size in SERIES[series][2]]
 
 
-def run_once(n_grid: int) -> dict:
-    """{wall_s, peak_rss_mb, passed, numpy} of one run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def run_once(config: str, root: str = ROOT) -> dict:
+    """{wall_s, peak_rss_mb, passed, numpy} of one run of root's src in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "-c", CHILD, f"scenario = equivariance\nn_grid = {n_grid}\n", out]
+        cmd = [sys.executable, "-c", CHILD, config, out]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per grid and metric: its unit, quartiles and largest value."""
+def summarize(runs: list[dict], key: str) -> dict:
+    """Per size and metric: its unit, quartiles and largest value."""
     summary = {}
-    for n in sorted({r["n_grid"] for r in runs}):
-        values = {name: [r[name] for r in runs if r["n_grid"] == n] for name in METRICS}
-        summary[str(n)] = {
+    for size in sorted({r[key] for r in runs}):
+        values = {name: [r[name] for r in runs if r[key] == size] for name in METRICS}
+        summary[str(size)] = {
             name: {"unit": unit, **quartiles(values[name]), "max": max(values[name])} for name, unit in METRICS.items()
         }
     return summary
@@ -73,28 +93,50 @@ def summarize(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--series", choices=sorted(SERIES), default="equivariance")
+    parser.add_argument("--parent", help="a checkout of the parent commit, run interleaved with this one")
     args = parser.parse_args(argv)
 
-    runs = []
-    for n_grid in plan(RUNS):
-        runs.append({"n_grid": n_grid, **run_once(n_grid)})
-        print(f"# n_grid {n_grid}: wall_s {runs[-1]['wall_s']:.3f}, peak_rss_mb {runs[-1]['peak_rss_mb']:.1f}", file=sys.stderr)
+    scenario, key, _, config = SERIES[args.series]
+    roots = {"change": ROOT, **({"parent": os.path.abspath(args.parent)} if args.parent else {})}
+    runs = {side: [] for side in roots}
+    for k, size in enumerate(plan(RUNS, args.series)):
+        order = sorted(roots, reverse=k % 2 == 0)  # the parent first in even pairs
+        for side in order:
+            first = {"first": order[0]} if args.parent else {}
+            runs[side].append({key: size, **first, **run_once(config.format(size), roots[side])})
+            last = runs[side][-1]
+            print(
+                f"# {key} {size} {side}: wall_s {last['wall_s']:.3f}, peak_rss_mb {last['peak_rss_mb']:.1f}",
+                file=sys.stderr,
+            )
+    protocol = f"{RUNS} runs per size, each in a fresh interpreter, sizes alternated in rounds"
+    if args.parent:
+        protocol += (
+            "; every change run is paired with a parent run of the same size, the side that runs first "
+            "alternating from pair to pair ('first')"
+        )
     doc = {
-        "scenario": "equivariance at its default config, n_grid set",
+        "scenario": scenario,
         "machine": f"{os.cpu_count()}-CPU {platform.system()}, Python {platform.python_version()}, "
-        f"numpy {runs[0]['numpy']}",
-        "protocol": f"{RUNS} runs per grid, each in a fresh interpreter, grids alternated in rounds; "
-        "wall_s times run_scenario alone, peak_rss_mb is the run's ru_maxrss. "
+        f"numpy {runs['change'][0]['numpy']}",
+        "protocol": f"{protocol}. wall_s times run_scenario alone, peak_rss_mb is the run's ru_maxrss. "
         "Quartiles by statistics.quantiles(method='inclusive').",
-        "summary": summarize(runs),
-        "runs": runs,
+        "summary": summarize(runs["change"], key),
+        "runs": runs["change"],
     }
+    if args.parent:
+        doc["parent"] = {
+            "commit": describe(roots["parent"]),
+            "summary": summarize(runs["parent"], key),
+            "runs": runs["parent"],
+        }
     path = f"BENCH_pr{args.pr}_scaling.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(path)
-    return 0 if all(r["passed"] for r in runs) else 1
+    return 0 if all(r["passed"] for side in runs.values() for r in side) else 1
 
 
 if __name__ == "__main__":
