@@ -355,10 +355,13 @@ def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation)
     eps changes from cycle to cycle.
     """
     g = (1.0 + 1.0j) * np.sqrt(params.hbar * epsilons / (4.0 * params.mass))
+    table = perm.offset_table()
     vertices = np.empty((len(times), 4, 2), dtype=complex)
-    for r, offsets in enumerate(perm.offset_table()):  # the steps n = r mod 4 share one (4, 2) offset table
-        np.multiply(g[r::4, None, None], offsets, out=vertices[r::4])
-        vertices[r::4] += means[r::4, None, :]
+    # the steps of each whole cycle take the (4, 4, 2) table in order; the last partial cycle its first rows
+    whole = len(times) - len(times) % 4
+    np.multiply(g[:whole].reshape(-1, 4, 1, 1), table, out=vertices[:whole].reshape(-1, 4, 4, 2))
+    vertices[:whole] += means[:whole, None, :]
+    vertices[whole:] = means[whole:, None, :] + g[whole:, None, None] * table[: len(times) - whole]
     return ProcessRun(times, vertices, means, epsilons, params, perm)
 
 

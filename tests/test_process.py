@@ -392,18 +392,17 @@ class TestChunkedClassicalPath:
 
 
 @pytest.mark.parametrize(
-    "mode,vel",
-    [
-        (zl.EpsilonMode.FIXED, zl.CircularVelocity(omega=2.0, amplitude=0.7)),
-        (zl.EpsilonMode.DE_BROGLIE, zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25))),
-    ],
-    ids=["fixed", "de_broglie"],
+    "mode,vel,T",
+    # fixed runs of 3, 5000, 5001 and 5002 steps end 0, 1, 2 and 3 steps into a cycle
+    [(zl.EpsilonMode.FIXED, zl.CircularVelocity(omega=2.0, amplitude=0.7), n * 1e-3) for n in (3, 5000, 5001, 5002)]
+    + [(zl.EpsilonMode.DE_BROGLIE, zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25)), 5.0)],
+    ids=["fixed-4", "fixed-5001", "fixed-5002", "fixed-5003", "de_broglie"],
 )
 @pytest.mark.parametrize("sense", list(zl.Sense))
-def test_assembly_equals_gathered_offsets(mode, vel, sense):
-    """Vertices built per residue n mod 4 equal the (M, 4, 2) gathered-offset expression bit for bit."""
+def test_assembly_equals_gathered_offsets(mode, vel, T, sense):
+    """Vertices built a whole cycle at a time equal the (M, 4, 2) gathered-offset expression bit for bit."""
     perm = zl.Permutation(sense)
-    run = zl.run_process(params(1e-3, hbar=0.7, mass=1.3, epsilon_mode=mode), perm, vel, (0.3, -1j), 5.0)
+    run = zl.run_process(params(1e-3, hbar=0.7, mass=1.3, epsilon_mode=mode), perm, vel, (0.3, -1j), T)
     g = (1.0 + 1.0j) * np.sqrt(0.7 * run.epsilons / (4.0 * 1.3))
     offsets = perm.offset_table()[np.arange(len(run)) % 4]
     expected = run.means[:, None, :] + g[:, None, None] * offsets
