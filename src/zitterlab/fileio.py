@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 import os
@@ -17,6 +15,10 @@ ZLAB_VERSION = 1
 
 # Rows formatted per chunk of a CSV write.
 _CSV_BATCH_ROWS = 1024
+
+# %-format of a CSV cell by its column's dtype kind: bools and ints verbatim,
+# strings as-is, and floats with 17 significant digits (round-trip safe).
+_CSV_CELL_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "U": "%s", "f": "%.17g"}
 
 
 def atomic_write_text(path, text) -> None:
@@ -64,33 +66,32 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-@functools.lru_cache(maxsize=256)
-def _row_format(cell_types: tuple) -> str:
-    """%-format of one CSV row: ints verbatim, strings as-is, and every other
-    number with 17 significant digits (round-trip safe)."""
-    return ",".join(
-        "%d" if issubclass(t, (int, np.integer)) else "%s" if issubclass(t, str) else "%.17g" for t in cell_types
-    )
+def write_csv(path, header, columns) -> None:
+    """columns: one array-like per header name, all of one length; no columns
+    at all writes the header alone.  Each column's cell format is set once,
+    from its dtype.  The text goes to :func:`atomic_write_text` in batches of
+    _CSV_BATCH_ROWS rows, so the file is never held whole.  Raises ValueError,
+    before any file is made, on a column count other than the header's,
+    columns that differ in length or a dtype that is not bool, int, uint,
+    float or str."""
+    columns = [np.asarray(column) for column in columns]
+    if columns and len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names but {len(columns)} columns")
+    if len({column.shape for column in columns}) > 1 or columns and columns[0].ndim != 1:
+        raise ValueError(f"columns must be 1-D and of one length, got shapes {[c.shape for c in columns]}")
+    dtypes = [column.dtype for column in columns]
+    if any(dtype.kind not in _CSV_CELL_FORMATS for dtype in dtypes):
+        raise ValueError(f"column dtypes must be bool, int, uint, float or str, got {dtypes}")
+    row_format = ",".join(_CSV_CELL_FORMATS[dtype.kind] for dtype in dtypes) + "\n"
+    atomic_write_text(path, _csv_batches(header, columns, row_format))
 
 
-def write_csv(path, header, rows) -> None:
-    """rows: iterable of sequences, each rendered by one cached %-format.  The
-    text goes to :func:`atomic_write_text` in batches of _CSV_BATCH_ROWS rows,
-    so the file is never held whole."""
-    atomic_write_text(path, _csv_batches(header, rows))
-
-
-def _csv_batches(header, rows):
-    """The CSV text of header and rows, one str per batch of rows."""
+def _csv_batches(header, columns, row_format):
+    """The CSV text of header and columns, one str per batch of rows."""
     yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while batch := list(itertools.islice(rows, _CSV_BATCH_ROWS)):
-        lines = []
-        for row in batch:
-            row = tuple(row)
-            lines.append(_row_format(tuple(map(type, row))) % row)
-        lines.append("")  # so that the batch ends in a newline
-        yield "\n".join(lines)
+    for start in range(0, len(columns[0]) if columns else 0, _CSV_BATCH_ROWS):
+        block = slice(start, start + _CSV_BATCH_ROWS)
+        yield "".join([row_format % row for row in zip(*(column[block].tolist() for column in columns))])
 
 
 def write_zlab_frame(path, values: np.ndarray, box_half_width: float, time: float) -> None:

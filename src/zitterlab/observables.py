@@ -95,6 +95,6 @@ def observables_to_csv(path, table: CycleTable) -> None:
     """One row per cycle: q, then every float column with 17 significant digits."""
     header = ["q", "t_start", "sigma_z", "sigma_orbital", "sigma_intrinsic", "delta_x", "delta_px", "product"]
     header += [f"len{k}" for k in range(4)]
-    columns = [table.t_start, table.sigma_z, table.sigma_orbital, table.sigma_intrinsic, table.delta_x, table.delta_px]
-    rows = np.column_stack([*columns, table.heisenberg_product, table.string_lengths]).tolist()
-    write_csv(path, header, ([q, *row] for q, row in zip(table.cycle_index.tolist(), rows)))
+    columns = [table.cycle_index, table.t_start, table.sigma_z, table.sigma_orbital, table.sigma_intrinsic]
+    columns += [table.delta_x, table.delta_px, table.heisenberg_product, *table.string_lengths.T]
+    write_csv(path, header, columns)

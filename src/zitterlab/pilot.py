@@ -857,9 +857,6 @@ def ensemble_equivariance(
 
 
 def trajectories_to_csv(path, trajectories) -> None:
-    header = ["seed_index", "t", "x", "y"]
-    rows = []
-    for idx, tr in enumerate(trajectories):
-        for t, pos in zip(tr.times, tr.positions):
-            rows.append([idx, t, pos[0], pos[1]])
-    write_csv(path, header, rows)
+    # per trajectory: its seed_index, t, x and y columns; no trajectory writes the header alone
+    parts = [(np.full(len(tr.times), idx), tr.times, *tr.positions.T) for idx, tr in enumerate(trajectories)]
+    write_csv(path, ["seed_index", "t", "x", "y"], [np.concatenate(column) for column in zip(*parts)])

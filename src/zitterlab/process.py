@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, NonFiniteVelocity, StepBudgetExceeded
-from .fileio import _CSV_BATCH_ROWS, write_csv
+from .fileio import write_csv
 
 # Unit-square vertices u^1..u^4 in the fixed listing order.
 VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
@@ -278,20 +278,13 @@ class ProcessRun:
 
     def to_csv(self, path) -> None:
         """Write the run record; floats carry 17 significant digits."""
-        header = ["n", "t"]
-        for j in range(1, 5):
-            header += [f"re_z1_{j}", f"im_z1_{j}", f"re_z2_{j}", f"im_z2_{j}"]
-        header += ["re_mean1", "im_mean1", "re_mean2", "im_mean2"]
-        write_csv(path, header, self._csv_rows())
-
-    def _csv_rows(self):
-        """The rows of :meth:`to_csv`, tabulated one CSV batch of steps at a time."""
-        for start in range(0, len(self), _CSV_BATCH_ROWS):
-            block = slice(start, start + _CSV_BATCH_ROWS)
-            times, vertices, means = self.times[block], self.vertices[block], self.means[block]
-            parts = [np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1) for z in (vertices, means)]
-            table = np.column_stack([times, *parts])  # re/im interleaved per component
-            yield from ((n, *row) for n, row in enumerate(table.tolist(), start))
+        header, columns = ["n", "t"], [np.arange(len(self)), self.times]
+        for j, z in enumerate([*self.vertices.transpose(1, 0, 2), self.means]):  # vertices 1..4, then the mean
+            for k in range(2):
+                name = f"z{k + 1}_{j + 1}" if j < 4 else f"mean{k + 1}"
+                header += [f"re_{name}", f"im_{name}"]
+                columns += [z[:, k].real, z[:, k].imag]
+        write_csv(path, header, columns)
 
 
 def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0, T: float) -> ProcessRun:

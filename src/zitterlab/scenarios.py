@@ -18,7 +18,7 @@ import numpy as np
 
 from . import observables as obs
 from . import pilot, schrodinger, verification
-from .errors import UnknownScenario
+from .errors import InvalidInput, UnknownScenario
 from .fileio import write_csv, write_json
 from .process import (
     CircularVelocity,
@@ -44,6 +44,8 @@ TABLE_EPSILONS = (1e-1, 1e-2, 1e-3)
 GUIDED_EPSILONS = (4e-3, 2e-3, 1e-3)
 # The harmonic and guided scenarios run on 128 points over a half width of 10.
 _SMALL_BOX = ("harmonic_ground", "harmonic_coherent", "guided_process")
+# Steps per block of process_free's checks: whole cycles, so each block starts on a boundary.
+_CHECK_BLOCK_STEPS = 4096
 
 
 def _number(kind=float, above=None):
@@ -215,15 +217,21 @@ def _scenario_process_free(cfg: ScenarioConfig, out) -> ScenarioResult:
     # s^n u^j - u^j from the quarter turn s, (x, y) -> (y, -x) for s_plus, not from offset_table
     turn = np.array([[0, -1], [1, 0]]) if run.perm.sense is Sense.S_PLUS else np.array([[0, 1], [-1, 0]])
     table = np.stack([VERTICES @ np.linalg.matrix_power(turn, n) for n in range(4)]) - VERTICES
-    offsets = table[np.arange(len(run)) % 4]
-    # per-step gamma covers the de_broglie mode, where eps varies by cycle
-    g = (1.0 + 1.0j) * np.sqrt(cfg.hbar * run.epsilons / (4.0 * cfg.mass))
-    predicted = run.means[:, None, :] + g[:, None, None] * offsets
-    identity_dev = float(np.max(np.abs(run.vertices - predicted)))
-    boundary = np.arange(0, len(run), 4)
-    coincidence = float(np.max(np.abs(run.vertices[boundary] - run.means[boundary, None, :])))
-    mean_dev = float(np.max(np.abs(run.vertices.mean(axis=1) - run.means)))
-    scale = max(1.0, float(np.max(np.abs(run.means))))
+    offsets = table[np.arange(_CHECK_BLOCK_STEPS) % 4]
+    # each check's max per block of whole cycles, so the temporaries stay O(block)
+    maxima = []
+    for start in range(0, len(run), _CHECK_BLOCK_STEPS):
+        block = slice(start, start + _CHECK_BLOCK_STEPS)
+        vertices, means = run.vertices[block], run.means[block]
+        # per-step gamma covers the de_broglie mode, where eps varies by cycle
+        g = (1.0 + 1.0j) * np.sqrt(cfg.hbar * run.epsilons[block] / (4.0 * cfg.mass))
+        predicted = means[:, None, :] + g[:, None, None] * offsets[: len(means)]
+        # the offset identity, the boundary coincidence (the block starts on a boundary), the mean and the scale
+        deviations = (vertices - predicted, vertices[::4] - means[::4, None, :], vertices.mean(axis=1) - means, means)
+        maxima.append([np.max(np.abs(d)) for d in deviations])
+    # np.max, unlike max(), passes a NaN in any block on
+    identity_dev, coincidence, mean_dev, means_max = (float(m) for m in np.max(maxima, axis=0))
+    scale = max(1.0, means_max)
     report = {
         "scenario": "process_free",
         "steps": len(run) - 1,
@@ -315,11 +323,8 @@ def _scenario_heisenberg_table(cfg: ScenarioConfig, out) -> ScenarioResult:
             )
     slope = verification.fit_rate(list(delta_x_by_eps), list(delta_x_by_eps.values()))
     csv_path = os.path.join(out, "heisenberg_table.csv")
-    write_csv(
-        csv_path,
-        ["velocity", "epsilon", "delta_x", "delta_px", "product"],
-        [[r["velocity"], r["epsilon"], r["delta_x"], r["delta_px"], r["product"]] for r in rows],
-    )
+    header = ["velocity", "epsilon", "delta_x", "delta_px", "product"]
+    write_csv(csv_path, header, [[r[key] for r in rows] for key in header])
     json_path = os.path.join(out, "heisenberg.json")
     write_json(
         json_path,
@@ -380,14 +385,22 @@ def _scenario_lemma1(cfg: ScenarioConfig, out) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
+def _step_count(T: float, dt: float) -> int:
+    """round(T/dt), the steps of a wave run over [0, T]; InvalidInput if none (T < dt/2)."""
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise InvalidInput(f"a wave run over T = {T} with dt = {dt} would take no step (T < dt/2)")
+    return n_steps
+
+
 def _free_stream(cfg: ScenarioConfig):
     """The free packet's grid, its wave function at t = 0, the step count
     and the stream of its frames: (grid, psi0, n_steps, frames)."""
+    n_steps = _step_count(cfg.T, cfg.dt)
     grid = cfg.grid()
     psi0 = schrodinger.init_gaussian(
         grid, (cfg.center_x, cfg.center_y), cfg.sigma0, (cfg.k0_x, cfg.k0_y)
     )
-    n_steps = int(round(cfg.T / cfg.dt))
     frames = schrodinger.stream_frames(
         psi0, schrodinger.free_potential(), cfg.dt, n_steps, cfg.frame_stride, cfg.hbar, cfg.mass
     )
@@ -444,11 +457,11 @@ def _stationary_frames(grid, omega, times, hbar, mass):
 
 
 def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
+    T = cfg.T if "T" in cfg.provided else 2.0 * math.pi / cfg.omega
+    n_steps = _step_count(T, cfg.dt)
     grid = cfg.grid()
     pot = schrodinger.harmonic_potential(cfg.omega)
     ground = schrodinger.harmonic_ground_state(grid, cfg.omega, cfg.hbar, cfg.mass)
-    T = cfg.T if "T" in cfg.provided else 2.0 * math.pi / cfg.omega
-    n_steps = int(round(T / cfg.dt))
     stride = max(1, n_steps // 50)
     n_steps = stride * (n_steps // stride)
     evolved = schrodinger.stream_frames(ground, pot, cfg.dt, n_steps, stride, cfg.hbar, cfg.mass)
@@ -490,7 +503,7 @@ def _scenario_harmonic_coherent(cfg: ScenarioConfig, out) -> ScenarioResult:
     period = 2.0 * math.pi / cfg.omega
     # land exactly on the period: near the turning point even a dt-sized time
     # offset would dominate the splitting error
-    n_steps = int(round(period / cfg.dt))
+    n_steps = _step_count(period, cfg.dt)
     dt = period / n_steps
     stride = max(1, n_steps // 40)
     while n_steps % stride:
@@ -602,30 +615,23 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
     seed = (cfg.seed_x, cfg.seed_y)
     gaps = []
     spin_dev = 0.0
-    center_rows = []
+    centers = []  # per run: its seed_index, t, x and y columns at the cycle boundaries
     perm = cfg.perm()
     guided = pilot.guide_processes(fields, [cfg.phys(eps) for eps in cfg.guided_epsilons], perm, seed, cfg.T)
     for idx, (run, reference) in enumerate(guided):
         boundaries = np.arange(0, len(run), 4)
-        gap = float(
-            np.max(
-                np.linalg.norm(
-                    run.real_means()[boundaries] - reference.positions[boundaries], axis=1
-                )
-            )
-        )
-        gaps.append(gap)
+        center = run.real_means()[boundaries]
+        gaps.append(float(np.max(np.linalg.norm(center - reference.positions[boundaries], axis=1))))
         target = obs.intrinsic_spin_closed_form(perm, cfg.hbar)
         spin_dev = max(spin_dev, float(np.max(np.abs(obs.measure_run(run).sigma_intrinsic - target))))
-        for b in boundaries:
-            center_rows.append([idx, run.times[b], run.real_means()[b][0], run.real_means()[b][1]])
+        centers.append((np.full(boundaries.size, idx), run.times[boundaries], center[:, 0], center[:, 1]))
     rate = verification.fit_rate(cfg.guided_epsilons, gaps)
     checks = [
         ("tracking_rate", rate >= 0.8, f"rate {rate:.3f}, gaps {['%.2e' % g for g in gaps]}"),
         ("guided_spin", spin_dev <= 1e-12 * max(1.0, cfg.hbar), f"max dev {spin_dev:.3e}"),
     ]
     traj_path = os.path.join(out, "guided_centers.csv")
-    write_csv(traj_path, ["seed_index", "t", "x", "y"], center_rows)
+    write_csv(traj_path, ["seed_index", "t", "x", "y"], [np.concatenate(column) for column in zip(*centers)])
     json_path = os.path.join(out, "guided_process.json")
     write_json(
         json_path,

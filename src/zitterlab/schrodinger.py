@@ -728,7 +728,7 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
         rho = _densities(frame)
         norm = math.sqrt(_squared_norm(grid, rho))
         rows.append([frame.time, norm, _energy(frame, rho, terms), *_moments(grid, rho)])
-    write_csv(path, header, rows)
+    write_csv(path, header, zip(*rows))
     return frame, rows
 
 

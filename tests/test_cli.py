@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import zitterlab as zl
@@ -163,6 +164,39 @@ class TestRunScenario:
         checks = {name: ok for name, ok, _ in run_scenario(cfg, tmp_path).checks}
         assert checks == {"offset_identity": False, "boundary_coincidence": True, "mean_of_vertices": True}
 
+    @pytest.mark.parametrize("block", [4, 8, 4096])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # eps varies by cycle; 113 states
+            "epsilon_mode = de_broglie\nvelocity = polynomial\nvelocity_coeffs_x = 2, 1.5\n"
+            "velocity_coeffs_y = 0.5+0.25j, -0.25\nT = 5\nz0_x = 3+2j\n",
+            # 103 states: the run ends two steps into a cycle
+            "velocity = circular\nT = 1.02\nz0_y = -1j\n",
+        ],
+        ids=["de_broglie", "partial_cycle"],
+    )
+    def test_process_free_checks_by_block_equal_the_whole_run(self, tmp_path, monkeypatch, text, block):
+        from zitterlab import scenarios
+
+        monkeypatch.setattr(scenarios, "_CHECK_BLOCK_STEPS", block)
+        cfg = parse_config("scenario = process_free\n" + text)
+        run_scenario(cfg, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        run = zl.run_process(cfg.phys(), cfg.perm(), cfg.program(), (cfg.z0_x, cfg.z0_y), cfg.T)
+        g = (1.0 + 1.0j) * np.sqrt(cfg.hbar * run.epsilons / (4.0 * cfg.mass))
+        predicted = run.means[:, None, :] + g[:, None, None] * run.perm.offset_table()[np.arange(len(run)) % 4]
+        boundary = np.arange(0, len(run), 4)
+        assert report == {
+            "scenario": "process_free",
+            "steps": len(run) - 1,
+            "offset_identity_max_dev": float(np.max(np.abs(run.vertices - predicted))),
+            "boundary_coincidence_max_dev": float(
+                np.max(np.abs(run.vertices[boundary] - run.means[boundary, None, :]))
+            ),
+            "mean_of_vertices_max_dev": float(np.max(np.abs(run.vertices.mean(axis=1) - run.means))),
+        }
+
     def test_spin_table_check_and_rows(self, tmp_path):
         cfg = parse_config("scenario = spin_table\ncycles = 5\nepsilons = 0.1, 0.01\n")
         result = run_scenario(cfg, tmp_path)
@@ -302,6 +336,27 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = free_gaussian\nT = 1e-5\n",
+            "scenario = harmonic_ground\nT = 1e-5\n",
+            "scenario = equivariance\nT = 1e-5\n",
+            "scenario = guided_process\nT = 1e-5\n",
+            # its T is the period 2 pi / omega
+            "scenario = harmonic_coherent\ndt = 20\n",
+        ],
+        ids=["free_gaussian", "harmonic_ground", "equivariance", "guided_process", "harmonic_coherent"],
+    )
+    def test_wave_run_of_no_step_exits_two(self, tmp_path, capsys, text):
+        # T < dt/2 rounds to 0 steps
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "would take no step" in err
+        assert not list((tmp_path / "o").glob("*"))
 
     @pytest.mark.parametrize(
         "text, failure",

@@ -45,7 +45,7 @@ def test_parse_config_returns_a_config_or_raises_config_error(pairs):
 SMALL = {
     "n_grid": st.sampled_from(["16", "32", "64"]),
     "box_half_width": st.sampled_from(["4", "8"]),
-    "T": st.sampled_from(["0.02", "0.05", "0.1"]),
+    "T": st.sampled_from(["0.02", "0.05", "0.1", "1e-5"]),  # 1e-5 < dt/2 at the default dt: a wave run of no step
     "ensemble_n": st.just("1000"),
     "cycles": st.sampled_from(["1", "2", "5"]),
     "hj_ns": st.sampled_from(["16, 32", "16, 32, 64"]),

@@ -10,23 +10,61 @@ from zitterlab import fileio
 from zitterlab.fileio import atomic_write_bytes, atomic_write_text, write_csv, write_json
 
 
-def one_shot_csv(header, rows) -> bytes:
-    """The CSV as one string: header and rows joined, then encoded once."""
-    lines = [",".join(header)] + [fileio._row_format(tuple(map(type, row))) % tuple(row) for row in rows]
+def one_shot_csv(header, columns) -> bytes:
+    """The CSV as one string, each cell formatted by hand by its column's
+    dtype: bools and ints as integers, strings as-is, other numbers with 17
+    significant digits; header and rows joined, then encoded once."""
+    texts = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind in "biu":
+            texts.append([str(int(cell)) for cell in column])
+        elif column.dtype.kind == "U":
+            texts.append([str(cell) for cell in column])
+        else:
+            texts.append([f"{float(cell):.17g}" for cell in column])
+    lines = [",".join(header)] + [",".join(row) for row in zip(*texts)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_csv_of_several_batches_equals_one_shot_text(tmp_path):
-    n = 2 * fileio._CSV_BATCH_ROWS + 3
-    rows = [(k, k * 0.1, "tag" if k % 2 else "", -k / 7.0) for k in range(n)]
+    k = np.arange(2 * fileio._CSV_BATCH_ROWS + 3)
+    columns = [k, k * 0.1, np.where(k % 2 == 1, "tag", ""), -k / 7.0]
     header = ["n", "t", "label", "x"]
     path = tmp_path / "rows.csv"
-    write_csv(path, header, iter(rows))
-    assert path.read_bytes() == one_shot_csv(header, rows)
-    write_csv(path, header, rows[: fileio._CSV_BATCH_ROWS])  # exactly one batch
-    assert path.read_bytes() == one_shot_csv(header, rows[: fileio._CSV_BATCH_ROWS])
+    write_csv(path, header, iter(columns))
+    assert path.read_bytes() == one_shot_csv(header, columns)
+    one_batch = [column[: fileio._CSV_BATCH_ROWS] for column in columns]
+    write_csv(path, header, one_batch)
+    assert path.read_bytes() == one_shot_csv(header, one_batch)
     write_csv(path, header, [])
     assert path.read_bytes() == b"n,t,label,x\n"
+    write_csv(path, header, [column[:0] for column in columns])
+    assert path.read_bytes() == b"n,t,label,x\n"
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (["a", "b"], [[1.0]]),
+        (["a"], [[1.0], [2.0]]),
+        (["a", "b"], [[1.0], [1.0, 2.0]]),
+        (["a"], [np.zeros((2, 2))]),
+        (["a"], [[2**70, 1]]),
+        (["a"], [[1.0 + 2.0j]]),
+        (["a"], [np.array([b"x"])]),
+    ],
+    ids=["fewer_columns", "more_columns", "ragged", "two_d", "object", "complex", "bytes"],
+)
+def test_bad_columns_raise_before_any_file_is_made(tmp_path, monkeypatch, header, columns):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+    made = []
+    monkeypatch.setattr(fileio, "_atomic_write", lambda *args: made.append(args))
+    with pytest.raises(ValueError):
+        write_csv(path, header, columns)
+    assert made == []
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_text_writer_takes_a_str_or_chunks(tmp_path):
@@ -39,28 +77,28 @@ def test_text_writer_takes_a_str_or_chunks(tmp_path):
     assert path.read_bytes() == b"\x00\xff"
 
 
-def test_rows_that_raise_leave_the_target_and_no_temp_file(tmp_path):
+def test_chunks_that_raise_leave_the_target_and_no_temp_file(tmp_path):
     path = tmp_path / "run.csv"
     path.write_bytes(b"old\n")
 
-    def rows():
-        for k in range(fileio._CSV_BATCH_ROWS + fileio._CSV_BATCH_ROWS // 2):
-            yield (k, 0.5 * k)
+    def chunks():
+        yield "n,x\n"
         raise RuntimeError("source failed")
 
     with pytest.raises(RuntimeError, match="source failed"):
-        write_csv(path, ["n", "x"], rows())
+        atomic_write_text(path, chunks())
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["run.csv"]
 
 
 def test_streamed_csv_holds_a_fraction_of_the_file(tmp_path):
     n, width = 50_000, 8
-    rows = ((k, *(k * 1e-3 + c for c in range(width))) for k in range(n))
+    k = np.arange(n)
+    columns = [k, *(k * 1e-3 + c for c in range(width))]  # made before tracing: only the write is measured
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        write_csv(path, ["n", *(f"c{c}" for c in range(width))], rows)
+        write_csv(path, ["n", *(f"c{c}" for c in range(width))], columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -80,7 +118,7 @@ def test_each_write_calls_one_public_writer(tmp_path, monkeypatch):
 
     for name in ("atomic_write_text", "atomic_write_bytes"):
         monkeypatch.setattr(fileio, name, counted(name, getattr(fileio, name)))
-    write_csv(tmp_path / "a.csv", ["x"], [[1.0], [2.0]])
+    write_csv(tmp_path / "a.csv", ["x"], [[1.0, 2.0]])
     assert calls == ["atomic_write_text"]
     write_json(tmp_path / "b.json", {"x": 1.0})
     assert calls == ["atomic_write_text"] * 2

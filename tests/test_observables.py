@@ -4,8 +4,8 @@ The spin oracle below re-derives the 16-term average directly from the raw
 real positions of a run, independently of the library's implementation.
 ``loop_measure_run`` is the earlier per-cycle implementation of
 ``measure_run``, kept here as an independent oracle for the columnar table,
-and ``records_to_csv`` is the earlier record-by-record row builder of
-``observables_to_csv``, kept as a byte oracle for the columnar writer.
+and ``records_to_csv`` builds the earlier record-by-record CSV of
+``observables_to_csv`` cell by cell, kept as a byte oracle for the columnar writer.
 """
 
 import math
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zitterlab as zl
-from zitterlab.fileio import write_csv
 
 FIELDS = (
     "cycle_index",
@@ -71,7 +70,9 @@ def loop_measure_run(run):
 
 
 def records_to_csv(path, cycles):
-    """The row-per-record CSV writer that observables_to_csv replaced."""
+    """The row-per-record CSV that observables_to_csv replaced, each cell
+    formatted by hand: the cycle index as an integer, every other cell with
+    17 significant digits."""
     header = [
         "q",
         "t_start",
@@ -86,9 +87,9 @@ def records_to_csv(path, cycles):
         "len2",
         "len3",
     ]
-    rows = [
-        [
-            c["cycle_index"],
+    lines = [",".join(header)]
+    for c in cycles:
+        floats = [
             c["t_start"],
             c["sigma_z"],
             c["sigma_orbital"],
@@ -98,9 +99,8 @@ def records_to_csv(path, cycles):
             c["heisenberg_product"],
             *c["string_lengths"],
         ]
-        for c in cycles
-    ]
-    write_csv(path, header, rows)
+        lines.append(",".join([str(int(c["cycle_index"])), *(f"{float(x):.17g}" for x in floats)]))
+    path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def brute_force_cycle_spin(run, q):

@@ -1471,3 +1471,10 @@ def test_trajectory_csv(free_fields, tmp_path):
     assert len(lines) == 1 + len(t1.times) + len(t2.times)
     assert lines[1].split(",")[0] == "0"
     assert lines[-1].split(",")[0] == "1"
+    # cell by cell, as the earlier row loop wrote them
+    trajectories = enumerate([t1, t2])
+    assert lines[1:] == [
+        f"{idx},{t:.17g},{x:.17g},{y:.17g}" for idx, tr in trajectories for t, (x, y) in zip(tr.times, tr.positions)
+    ]
+    pilot.trajectories_to_csv(path, [])
+    assert path.read_text() == "seed_index,t,x,y\n"

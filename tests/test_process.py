@@ -461,23 +461,33 @@ def oracle_run_csv(run) -> bytes:
     return oracle_csv(header, rows)
 
 
-def test_write_csv_matches_per_cell_rule(tmp_path):
+def test_write_csv_formats_each_column_by_its_dtype(tmp_path):
     from zitterlab.fileio import write_csv
 
-    header = ["a", "b", "c", "d", "e", "f"]
-    rows = [
-        [1, np.int64(-7), True, "tag", np.float64(0.1), 1.0],
-        (np.int32(3), np.uint8(255), False, "", float("nan"), float("inf")),
-        [0, -0, np.bool_(True), "x,y", -0.0, float("-inf")],
-        [2**70, np.int64(2**62), np.float32(0.1), "%d %s", 5e-324, -1.7976931348623157e308],
-        [1, np.int64(-7), True, "tag", np.float64(0.1), 1.0],  # a repeated row shape
-        np.array([1.5, 2.0, 3e-300, -4.25, 0.0, 1e22]),
-    ]
+    columns = {
+        "int": [1, -7, 0, -0],
+        "int64": np.array([2**62, -(2**63), 3, 0], dtype=np.int64),
+        "int32": np.array([3, -1, 2**31 - 1, 0], dtype=np.int32),
+        "uint8": np.array([255, 0, 1, 7], dtype=np.uint8),
+        "bool": [True, False, np.bool_(True), False],
+        "str": ["tag", "", "x,y", "%d %s"],
+        "float32": np.array([0.1, -0.0, 1e-45, np.inf], dtype=np.float32),
+        "float": [np.float64(0.1), float("nan"), -0.0, 5e-324],
+        "extremes": [float("inf"), float("-inf"), -1.7976931348623157e308, 1e22],
+    }
+    header = list(columns)
     path = tmp_path / "mixed.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header, list(columns.values()))
+    rows = list(zip(*map(np.asarray, columns.values())))
     assert path.read_bytes() == oracle_csv(header, rows)
+    assert path.read_text().splitlines()[1:] == [
+        "1,4611686018427387904,3,255,1,tag,0.10000000149011612,0.10000000000000001,inf",
+        "-7,-9223372036854775808,-1,0,0,,-0,nan,-inf",
+        "0,3,2147483647,1,1,x,y,1.4012984643248171e-45,-0,-1.7976931348623157e+308",
+        "0,0,0,7,0,%d %s,inf,4.9406564584124654e-324,1e+22",
+    ]
     write_csv(path, header, [])
-    assert path.read_bytes() == b"a,b,c,d,e,f\n"
+    assert path.read_bytes() == (",".join(header) + "\n").encode()
 
 
 @pytest.mark.parametrize(

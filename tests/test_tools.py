@@ -53,9 +53,9 @@ def test_quotes_each_moved_file(output_delta, tmp_path, capsys):
 def test_structure_change_is_named(output_delta, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(a, ["t", "x"], [[0.0, 1.0], [1.0, 2.0]])
-    write_csv(b, ["t", "x"], [[0.0, 1.0]])
+    write_csv(b, ["t", "x"], [[0.0], [1.0]])
     assert output_delta.delta(str(a), str(b)) == "structure or text differs"  # a row less
-    write_csv(b, ["t", "x"], [[0.0, 1.0], ["one", 2.0]])
+    write_csv(b, ["t", "x"], [["0", "one"], [1.0, 2.0]])
     assert output_delta.delta(str(a), str(b)) == "structure or text differs"  # a number became text
 
 
@@ -72,8 +72,8 @@ def test_added_and_removed_keys_are_named(output_delta, tmp_path):
         "0/4 numbers changed, max abs 0.000e+00, max rel 0.000e+00; added old.j"
     )
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(a, ["t", "x", "z"], [[0.0, 1.0, 5.0], [1.0, 2.0, 6.0]])
-    write_csv(b, ["y", "t", "x"], [[7.0, 0.0, 1.0], [8.0, 1.0, 4.0]])
+    write_csv(a, ["t", "x", "z"], [[0.0, 1.0], [1.0, 2.0], [5.0, 6.0]])
+    write_csv(b, ["y", "t", "x"], [[7.0, 8.0], [0.0, 1.0], [1.0, 4.0]])
     assert output_delta.delta(str(a), str(b)) == (
         "1/4 numbers changed, max abs 2.000e+00, max rel 1.000e+00; added y; removed z"
     )
