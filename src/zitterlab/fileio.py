@@ -72,9 +72,15 @@ def write_csv(path, header, columns) -> None:
     from its dtype.  The text goes to :func:`atomic_write_text` in batches of
     _CSV_BATCH_ROWS rows, so the file is never held whole.  Raises ValueError,
     before any file is made, on a column count other than the header's,
-    columns that differ in length or a dtype that is not bool, int, uint,
-    float or str."""
-    columns = [np.asarray(column) for column in columns]
+    columns that differ in length, a dtype that is not bool, int, uint,
+    float or str, or a str column built from items that are not all str
+    (numpy would write its numbers by str(), outside the %.17g rule)."""
+    given = list(columns)
+    columns = [np.asarray(column) for column in given]
+    for column, array in zip(given, columns):
+        if array.dtype.kind == "U" and not isinstance(column, np.ndarray):
+            if not all(isinstance(item, str) for item in column):
+                raise ValueError(f"a str column holds items that are not str: {array[:3].tolist()}")
     if columns and len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     if len({column.shape for column in columns}) > 1 or columns and columns[0].ndim != 1:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run, _fixed_epsilon, _step_count, _whole_cycles
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _axis_ratios, psi_ratios
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _axis_ratios, _densities, psi_ratios
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,13 @@ class _Stencil:
     lo and hi (M, 2) are the flat indices, into an (n, 2) per-axis array, of
     the lower and upper node of each point's cell along x (column 0) and y
     (column 1); the upper node wraps to node 0.  frac (M, 2) is the position
-    inside the cell, in [0, 1), so the weights are 1 - frac (lower) and frac
-    (upper).  inside flags the points in the box.  plane, the four-corner
-    form a field without axes reads, is built at its first use.  One stencil
-    serves every frame sampled at the same points.  The large temporaries are
-    updated in place: at 1e4 points each fresh one costs more in page faults
-    than in arithmetic.
+    inside the cell, in [0, 1), so the weights are weight = 1 - frac (lower)
+    and frac (upper).  inside flags the points in the box.  A product
+    bracket reads its per-axis table at lo and hi; plane, the four-corner
+    form that any other bracket reads, is built at its first use.  One
+    stencil serves every frame sampled at the same points.  The large
+    temporaries are updated in place: at 1e4 points each fresh one costs
+    more in page faults than in arithmetic.
     """
 
     def __init__(self, grid: Grid2D, pts: np.ndarray):
@@ -209,24 +210,14 @@ class _Stencil:
 
 
 def _gather(fld: VelocityField, st: _Stencil):
-    """Apply a stencil to one field: (values (M, 2), masked (M,) bool).
+    """The four-corner read of one field at a stencil: (values (M, 2),
+    masked (M,) bool).
 
     v may be complex or real (Re V only); the values keep its dtype.  masked
-    is True where any of the four corner nodes is masked.  A field with axes
-    takes one 1D lerp per axis, (1 - frac) v[lo] + frac v[hi], and its cell
-    test; any other field the four-corner sum over v, and the cell mask at
-    the lower corner.  The two forms of one field differ in the last bits of
-    the values; at a masked point the values are unspecified.
+    is True where any of the four corner nodes is masked, read from the cell
+    mask at the lower corner; at a masked point the values are unspecified.
+    A product field builds its v and node_mask for this read.
     """
-    axes = fld.axes
-    if axes is not None:
-        vals = axes.v.take(st.lo)
-        vals *= st.weight
-        upper = axes.v.take(st.hi)
-        upper *= st.frac
-        vals += upper
-        m = axes.cell_min.take(st.lo)
-        return vals, m[:, 0] * m[:, 1] < axes.floor
     idx, w = st.plane
     g = fld.v.reshape(-1, 2).take(idx, axis=0)
     np.multiply(w, g, out=g)  # in place: a fresh (4, M, 2) product costs more in page faults
@@ -234,6 +225,13 @@ def _gather(fld: VelocityField, st: _Stencil):
     vals += g[2]
     vals += g[3]
     return vals, fld.cell_mask.ravel().take(idx[0])
+
+
+def _masked_cells(cell_min: np.ndarray, floor: float, lo: np.ndarray) -> np.ndarray:
+    """The per-axis cell test at the lower nodes lo (M, 2) of _Stencil: True
+    where cell_min[lo_x, 0] * cell_min[lo_y, 1] < floor, the cell masked."""
+    m = cell_min.take(lo)
+    return m[:, 0] * m[:, 1] < floor
 
 
 # Past 2**62 cells a cell index no longer fits _Stencil's cast to int64.
@@ -277,12 +275,6 @@ def _point_gather(fld: VelocityField, nodes, w):
     """
     i0, i1, j0, j1 = nodes
     gx, fx, gy, fy = w
-    axes = fld.axes
-    if axes is not None:  # column 0 of node i is item 2i, column 1 of node j item 2j + 1
-        v, m = axes.v.item, axes.cell_min.item
-        x = gx * v(2 * i0) + fx * v(2 * i1)
-        y = gy * v(2 * j0 + 1) + fy * v(2 * j1 + 1)
-        return x, y, m(2 * i0) * m(2 * j0 + 1) < axes.floor
     n = fld.grid.n
     k0, k1, k2, k3 = i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1
     w0, w1, w2, w3 = gx * gy, fx * gy, gx * fy, fx * fy
@@ -316,6 +308,18 @@ class FrameInterpolator:
     The slack past either end is 1e-9 frame spacings; a single frame is valid
     at its own time only.  A query past the last frame or before the held
     window raises InvalidInput (a ValueError) instead of holding an end frame.
+
+    A bracket (i, a), a the weight on frame i + 1, is a product bracket when
+    frame i has axes and, unless a = 0, frame i + 1 too.  It is read from one
+    per-axis table: v_a = (1 - a) v_i + a v_(i+1), or frame i's own v at
+    a = 0, and the cell test of the smaller cell minimum of the two frames
+    against the larger floor.  The last table is kept, so the RK4's two
+    mid-stage reads share one.  A point reads (1 - frac) v_a[lo] + frac
+    v_a[hi] per axis.  Rounding of a product of non-negative numbers is
+    monotone, so a cell the table's test leaves live is live in both frames;
+    the cells it masks take each frame's own test, and the ok flags are
+    those of the two frames' tests.  Any other bracket, a mixed one
+    included, reads each frame by the four-corner sum and blends the two.
     """
 
     def __init__(self, fields):
@@ -326,6 +330,7 @@ class FrameInterpolator:
         self.grid, self.t0 = self.frames[0].grid, self.times[0]
         self.spacing = self.times[1] - self.t0 if self._pull() else math.inf
         self.slack = 1e-9 * self.spacing if len(self.times) > 1 else 0.0
+        self._table_key = self._table = None
 
     def _pull(self) -> bool:
         """Append the stream's next field; False once the stream has ended."""
@@ -361,6 +366,20 @@ class FrameInterpolator:
                 i = 1
         return i, a
 
+    def _axis_table(self, i: int, a: float):
+        """(v_a, cell_min, floor) of the product bracket (i, a); at a = 0
+        frame i's own arrays."""
+        if a == 0.0:
+            axes = self.frames[i].axes
+            return axes.v, axes.cell_min, axes.floor
+        key = (self.times[i], a)  # times strictly increase: times[i] names frame i and its successor
+        if key != self._table_key:
+            f0, f1 = self.frames[i].axes, self.frames[i + 1].axes
+            v = (1.0 - a) * f0.v + a * f1.v
+            self._table = v, np.minimum(f0.cell_min, f1.cell_min), max(f0.floor, f1.floor)
+            self._table_key = key
+        return self._table
+
     def complex_at(self, t: float, pts: np.ndarray):
         """Field values (M, 2) at time t and points pts, and the ok flags (M,).
 
@@ -370,6 +389,19 @@ class FrameInterpolator:
         """
         i, a = self._bracket(t)
         st = _Stencil(self.grid, pts)
+        if self.frames[i].axes is not None and (a == 0.0 or self.frames[i + 1].axes is not None):
+            v, cell_min, floor = self._axis_table(i, a)
+            vals = v.take(st.lo)
+            vals *= st.weight
+            upper = v.take(st.hi)
+            upper *= st.frac
+            vals += upper
+            masked = _masked_cells(cell_min, floor, st.lo)
+            if a != 0.0 and masked.any():  # the table's test is sufficient, not necessary
+                k = np.flatnonzero(masked)
+                lo, (f0, f1) = st.lo[k], (f.axes for f in self.frames[i : i + 2])
+                masked[k] = _masked_cells(f0.cell_min, f0.floor, lo) | _masked_cells(f1.cell_min, f1.floor, lo)
+            return vals, st.inside & ~masked
         v0, masked = _gather(self.frames[i], st)
         if a == 0.0:
             return v0, st.inside & ~masked
@@ -384,8 +416,11 @@ class FrameInterpolator:
         """complex_at of the one point (x, y) in Python scalars: (vx, vy, ok),
         vx and vy complex or float as the fields are.
 
-        The point is read with _point_stencil and _point_gather, bit for bit
-        what complex_at gives for the row [[x, y]]; a NaN, infinite or far
+        The point is read by the operations of complex_at's row [[x, y]], in
+        its order, so the result equals that row bit for bit: on a product
+        bracket each of the cell's two nodes per axis is blended in time and
+        then the two are lerped, and each frame takes its own cell test;
+        on any other _point_gather reads each frame.  A NaN, infinite or far
         point, which has no scalar stencil, is read by complex_at itself.
         """
         point = _point_stencil(self.grid, x, y)
@@ -395,12 +430,31 @@ class FrameInterpolator:
         nodes, w, inside = point
         i, a = self._bracket(t)
         b = 1.0 - a
-        if self.frames[i].dtype.kind == "c":  # numpy's operands for complex products
+        fld = self.frames[i]
+        if fld.dtype.kind == "c":  # numpy's operands for complex products
             w, b, a = [complex(c) for c in w], complex(b), complex(a)
-        vx, vy, masked = _point_gather(self.frames[i], nodes, w)
-        if a != 0.0:
-            vx1, vy1, masked1 = _point_gather(self.frames[i + 1], nodes, w)
-            vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
+        axes = fld.axes
+        if axes is None or a != 0.0 and self.frames[i + 1].axes is None:
+            vx, vy, masked = _point_gather(fld, nodes, w)
+            if a != 0.0:
+                vx1, vy1, masked1 = _point_gather(self.frames[i + 1], nodes, w)
+                vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
+            return vx, vy, inside and not masked
+        # column 0 of node i is item 2i of an (n, 2) array, column 1 of node j item 2j + 1
+        i0, i1, j0, j1 = nodes
+        ix0, ix1, iy0, iy1 = 2 * i0, 2 * i1, 2 * j0 + 1, 2 * j1 + 1
+        gx, fx, gy, fy = w
+        v, m = axes.v.item, axes.cell_min.item
+        masked = m(ix0) * m(iy0) < axes.floor
+        if a == 0.0:
+            vx = gx * v(ix0) + fx * v(ix1)
+            vy = gy * v(iy0) + fy * v(iy1)
+        else:
+            axes = self.frames[i + 1].axes
+            v1, m = axes.v.item, axes.cell_min.item
+            vx = gx * (b * v(ix0) + a * v1(ix0)) + fx * (b * v(ix1) + a * v1(ix1))
+            vy = gy * (b * v(iy0) + a * v1(iy0)) + fy * (b * v(iy1) + a * v1(iy1))
+            masked = masked or m(ix0) * m(iy0) < axes.floor
         return vx, vy, inside and not masked
 
 
@@ -736,12 +790,20 @@ def coarse_density_histogram(psi: WaveFunction, bins: int) -> np.ndarray:
     """|Psi|^2 integrated over a bins x bins coarse grid, normalized to 1.
 
     Integrates the piecewise-constant cell measure exactly, splitting cells
-    that straddle a coarse-bin edge by their overlap fractions.
+    that straddle a coarse-bin edge by their overlap fractions.  A product
+    frame's density is rx ry per cell, so its histogram is the outer product
+    of the two per-axis sums, O(n) and not O(n^2).
     """
     grid = psi.grid
-    rho = psi.density()
     bx0, bx1, fx = _axis_bin_split(grid, bins)
     by0, by1, fy = _axis_bin_split(grid, bins)
+    if psi.factors is not None:
+        rx, ry = _densities(psi)
+        hx = np.bincount(bx0, rx * fx, bins) + np.bincount(bx1, rx * (1.0 - fx), bins)
+        hy = np.bincount(by0, ry * fy, bins) + np.bincount(by1, ry * (1.0 - fy), bins)
+        hist = np.outer(hx, hy)
+        return hist / hist.sum()
+    rho = psi.density()
     hist = np.zeros((bins, bins))
     for bx, wx in ((bx0, fx), (bx1, 1.0 - fx)):
         for by, wy in ((by0, fy), (by1, 1.0 - fy)):

@@ -396,6 +396,35 @@ def complex_hj_residual(
 
 
 # ---------------------------------------------------------------------------
+# marginal CDF of a product frame
+# ---------------------------------------------------------------------------
+
+
+def marginal_cdf(psi: WaveFunction, axis: int, x) -> np.ndarray:
+    """F(x) = the integral from -L to x of the product frame psi's density
+    |f|^2 along axis (0: x, 1: y), normalized to 1 over the box [-L, L).
+
+    |f|^2 is read as its trigonometric interpolant on the periodic grid (the
+    Nyquist term as a cosine) and integrated term by term, so F(-L) = 0 and
+    F(L) = 1.  The Bohmian flow of a product frame splits per axis, and a 1D
+    flow keeps F along every path: F_T(x_T) = F_0(x_0) (Holland, The Quantum
+    Theory of Motion, 1993, sec. 3).  Costs O(len(x) n).
+    """
+    if psi.factors is None:
+        raise InvalidInput("marginal_cdf reads the factors of a product frame")
+    grid = psi.grid
+    n, L = grid.n, grid.half_width
+    c = np.fft.rfft(np.abs(psi.factors[axis]) ** 2)
+    c = c[1:] / c[0].real  # mode m of the density over its mean, m = 1..n/2
+    k = (math.pi / L) * np.arange(1, n // 2 + 1)
+    s = np.asarray(x, dtype=float).reshape(-1, 1) + L
+    terms = (np.exp(1j * k * s) - 1.0) / (1j * k)
+    terms *= c
+    terms[:, :-1] *= 2.0  # modes m and -m; the Nyquist mode n/2 is one cosine
+    return (s[:, 0] + terms.real.sum(axis=1)) / (2.0 * L)
+
+
+# ---------------------------------------------------------------------------
 # least-action stationarity and saddle signature
 # ---------------------------------------------------------------------------
 

@@ -52,8 +52,10 @@ def test_csv_of_several_batches_equals_one_shot_text(tmp_path):
         (["a"], [[2**70, 1]]),
         (["a"], [[1.0 + 2.0j]]),
         (["a"], [np.array([b"x"])]),
+        (["x"], [["one", 2.0, 0.1]]),
+        (["x", "y"], [[1.0, 2.0], ("a", 3)]),
     ],
-    ids=["fewer_columns", "more_columns", "ragged", "two_d", "object", "complex", "bytes"],
+    ids=["fewer_columns", "more_columns", "ragged", "two_d", "object", "complex", "bytes", "str_and_float", "str_and_int"],
 )
 def test_bad_columns_raise_before_any_file_is_made(tmp_path, monkeypatch, header, columns):
     path = tmp_path / "t.csv"

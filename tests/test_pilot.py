@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import zitterlab as zl
-from zitterlab import pilot, schrodinger
+from zitterlab import pilot, schrodinger, verification
 from zitterlab.cli import parse_config
 from zitterlab.scenarios import run_scenario
 
@@ -232,8 +232,11 @@ def bilinear_oracle(fld, pts):
 
 
 class WholeListInterpolator:
-    """The bracket a forward-reading FrameInterpolator must reproduce: a
-    searchsorted over every frame's time, then pilot's stencil and gathers."""
+    """The reads a forward-reading FrameInterpolator must reproduce: a
+    searchsorted over every frame's time for the bracket, then pilot's
+    stencil.  Two product fields blend their nodes per axis, then lerp, and
+    take each frame's cell test; any other pair takes the four-corner
+    gathers and blends them."""
 
     def __init__(self, fields):
         self.fields = list(fields)
@@ -246,10 +249,19 @@ class WholeListInterpolator:
         t0, t1 = float(self.times[i]), float(self.times[i + 1])
         a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         stencil = pilot._Stencil(self.grid, pts)
-        v0, masked = pilot._gather(self.fields[i], stencil)
+        frames = self.fields[i : i + 2] if a else self.fields[i : i + 1]
+        if all(f.axes is not None for f in frames):
+            v = frames[0].axes.v if a == 0.0 else (1.0 - a) * frames[0].axes.v + a * frames[1].axes.v
+            vals = stencil.weight * v.take(stencil.lo) + stencil.frac * v.take(stencil.hi)
+            masked = np.zeros(len(pts), dtype=bool)
+            for f in frames:
+                m = f.axes.cell_min.take(stencil.lo)
+                masked |= m[:, 0] * m[:, 1] < f.axes.floor
+            return vals, stencil.inside & ~masked
+        v0, masked = pilot._gather(frames[0], stencil)
         if a == 0.0:
             return v0, stencil.inside & ~masked
-        v1, masked1 = pilot._gather(self.fields[i + 1], stencil)
+        v1, masked1 = pilot._gather(frames[1], stencil)
         return (1.0 - a) * v0 + a * v1, stencil.inside & ~(masked | masked1)
 
     def real_at(self, t, pts):
@@ -637,6 +649,41 @@ class TestAxisField:
         assert not array_kernel
         assert all("v" not in vars(f) for f in frames)
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_cells_the_table_masks_take_each_frames_test(self, real):
+        """Two product fields whose floors differ: the table's cell test (the
+        smaller cell minima against the larger floor) masks cells that both
+        frames leave live, and complex_at and point_at still give the ok
+        flags of the two frames' own tests, which are those of the 2D read."""
+        grid, rng = self.GRID, np.random.default_rng(14)
+        frames = []
+        for time, floor in ((0.0, 0.05), (0.1, 0.3)):
+            v = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
+            rho = rng.uniform(0.2, 1.0, size=(grid.n, 2))
+            axes = pilot.AxisField(v.real.copy() if real else v, rho, floor, np.minimum(rho, np.roll(rho, -1, axis=0)))
+            frames.append(pilot.VelocityField(grid, None, None, time, axes))
+        pts = kernel_probe_points(grid, 2000, np.random.default_rng(15))
+        st = pilot._Stencil(grid, pts)
+
+        def cell_test(cell_min, floor):
+            m = cell_min.take(st.lo)
+            return m[:, 0] * m[:, 1] < floor
+
+        exact = cell_test(frames[0].axes.cell_min, 0.05) | cell_test(frames[1].axes.cell_min, 0.3)
+        table = cell_test(np.minimum(frames[0].axes.cell_min, frames[1].axes.cell_min), 0.3)
+        assert np.all(table | ~exact)  # the table's test is sufficient
+        assert np.count_nonzero(st.inside & table & ~exact) >= 100  # and not necessary
+        assert np.any(st.inside & exact) and np.any(st.inside & ~table)
+        planar = [pilot.VelocityField(grid, f.v, f.node_mask, f.time) for f in frames]
+        for t in (0.0, 0.025, 0.1):
+            frames_read = frames if t else frames[:1]
+            expected = st.inside & ~(exact if t else cell_test(frames[0].axes.cell_min, 0.05))
+            _, ok = pilot.FrameInterpolator(frames_read).complex_at(t, pts)
+            assert np.array_equal(ok, expected)
+            assert np.array_equal(pilot.FrameInterpolator(planar[: len(frames_read)]).complex_at(t, pts)[1], expected)
+            interp = pilot.FrameInterpolator(frames_read)
+            assert [interp.point_at(t, x, y)[2] for x, y in pts.tolist()] == expected.tolist()
+
     def test_product_runs_build_no_plane(self, free_frames, monkeypatch):
         # neither a field's v and node_mask nor a four-corner stencil: no n^2 array per field
         built, fields = [], []
@@ -861,6 +908,41 @@ class TestEnsemble:
         p_value = stats.chi2.sf(chi2, df=int(live.sum()) - 1)
         assert p_value > 0.001
 
+    @staticmethod
+    def plane_histogram(psi, bins):
+        """coarse_density_histogram's n^2 form: each of the four overlap
+        pieces of every cell added into its bin by np.add.at."""
+        rho = psi.density()
+        bx0, bx1, fx = pilot._axis_bin_split(psi.grid, bins)
+        by0, by1, fy = pilot._axis_bin_split(psi.grid, bins)
+        hist = np.zeros((bins, bins))
+        for bx, wx in ((bx0, fx), (bx1, 1.0 - fx)):
+            for by, wy in ((by0, fy), (by1, 1.0 - fy)):
+                np.add.at(hist, (bx[:, None], by[None, :]), rho * wx[:, None] * wy[None, :])
+        return hist / hist.sum()
+
+    @pytest.mark.parametrize("n, bins", [(64, 8), (64, 7), (128, 32), (256, 7)])
+    def test_product_histogram_is_the_plane_sum(self, n, bins):
+        """The per-axis histogram of a product frame equals the n^2 sum over
+        psi.density() = outer(rx, ry) within the rounding of both.  The terms
+        are non-negative, so a sum of k computed terms is within gamma_(k-1)
+        of its exact value.  Each bin of the n^2 form sums at most 4 c^2
+        terms of 3 roundings (c = n/bins + 2 cells touch a bin per axis);
+        each per-axis sum at most 2c terms of 1 rounding, then one add and
+        the outer product.  Normalizing adds the bins^2 - 1 additions of the
+        total and one divide."""
+        grid = zl.Grid2D(n, 8.0)
+        psi = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, -1.0))
+        flat = zl.WaveFunction(grid, psi.values, 0.0)
+        expected = self.plane_histogram(psi, bins)
+        c = n // bins + 2
+        plane, axial = 3 + 4 * c * c, 2 * (2 * c + 1) + 1
+        k_plane, k_axial = 2 * plane + bins * bins, 2 * axial + bins * bins
+        bound = (gamma(k_plane) + gamma(k_axial)) * expected / (1 - gamma(k_plane))
+        assert np.all(np.abs(pilot.coarse_density_histogram(psi, bins) - expected) <= bound)
+        # a frame without factors keeps the n^2 sum
+        assert np.array_equal(pilot.coarse_density_histogram(flat, bins), self.plane_histogram(flat, bins))
+
     def test_equivariance_report(self, free_frames):
         rep = zl.ensemble_equivariance(free_frames, 4000, 7)
         assert rep.failures == 0
@@ -917,6 +999,76 @@ class TestEnsemble:
         text = path.read_text()
         for key in ('"N"', '"seed"', '"T"', '"tv_distance"', '"bins"', '"failures"'):
             assert key in text
+
+
+class TestMarginalCdf:
+    """The batch transport of a product stream keeps each axis's marginal
+    CDF along every path, F_T(x_T) = F_0(x_0), to within the transport's own
+    error at the frame spacing."""
+
+    GRID = zl.Grid2D(64, 8.0)
+    STRIDE = 5  # solver steps of 1e-3 per frame: a frame spacing of 5e-3
+
+    def test_is_the_gaussian_cdf(self):
+        # |f|^2 of sigma0 = 1 is the normal density of variance 1 about 0.5; the
+        # tail outside the box and the spectral error are far below 1e-12
+        psi = zl.init_gaussian(self.GRID, (0.5, -0.5), 1.0, (1.5, -1.0))
+        x = np.array([-8.0, -1.3, 0.5, 2.2, 8.0 - 1e-9])
+        for axis, centre in ((0, 0.5), (1, -0.5)):
+            expected = stats.norm.cdf(x, loc=centre)
+            expected[0], expected[-1] = 0.0, 1.0
+            assert np.max(np.abs(verification.marginal_cdf(psi, axis, x) - expected)) < 1e-12
+        with pytest.raises(zl.InvalidInput):
+            verification.marginal_cdf(zl.WaveFunction(self.GRID, psi.values, 0.0), 0, x)
+
+    def transport(self, stride):
+        """(residual, positions at T, alive, frame at T) of 2,000 samples of a
+        packet moving along both axes, moved to T = 1 by _rk4_batch one frame
+        interval per step."""
+        psi0 = zl.init_gaussian(self.GRID, (0.5, -0.5), 1.0, (1.5, -1.0))
+        frames = zl.evolve_frames(psi0, zl.free_potential(), 1e-3, 1000, stride)
+        interp = pilot.FrameInterpolator(zl.velocity_field(f, real=True) for f in frames)
+        x0 = zl.sample_from_density(frames[0], 2000, np.random.default_rng(5))
+        xT, alive, _, _ = pilot._rk4_batch(interp, x0, interp.spacing, len(frames) - 1)
+        residual = max(
+            np.max(np.abs(verification.marginal_cdf(frames[-1], a, xT[alive, a])
+                          - verification.marginal_cdf(frames[0], a, x0[alive, a])))
+            for a in (0, 1)
+        )
+        return residual, xT, alive, frames[-1]
+
+    def check(self):
+        """(residual at STRIDE, its bound).  The transport error is second
+        order in the frame spacing (the time interpolation), so the run at
+        twice the stride moves each point 4 times as far from its exact end,
+        and |F_T(x_2s) - F_T(x_s)| / 3 estimates the error at s (Richardson).
+        The bound is twice the largest estimate."""
+        residual, xs, alive, last = self.transport(self.STRIDE)
+        _, x2s, alive2, _ = self.transport(2 * self.STRIDE)
+        both = alive & alive2
+        assert both.all()
+        estimate = max(
+            np.max(np.abs(verification.marginal_cdf(last, a, x2s[:, a]) - verification.marginal_cdf(last, a, xs[:, a])))
+            for a in (0, 1)
+        ) / 3
+        return residual, 2 * estimate
+
+    def test_transport_keeps_each_marginal_cdf(self):
+        residual, bound = self.check()
+        assert residual <= bound  # 4.6e-7 against 9.9e-7
+
+    def test_a_velocity_error_of_1e_4_fails_the_check(self, monkeypatch):
+        clean, _ = self.check()
+        real_at = pilot.FrameInterpolator.real_at
+
+        def scaled(self, t, pts):
+            vals, ok = real_at(self, t, pts)
+            return vals * (1 + 1e-4), ok
+
+        monkeypatch.setattr(pilot.FrameInterpolator, "real_at", scaled)
+        residual, bound = self.check()
+        assert residual > bound  # 5.7e-5 against 9.9e-7
+        assert residual > 10 * clean
 
 
 def rk4_oracle(interp, x0, dt, n_steps, slopes=None):

@@ -95,8 +95,19 @@ def synthetic_run(wall_s, setup_s=0.2, rss=50.0):
     return {"correct": True, "attempted": 10, "failed": 0, "wall_s": wall_s, "setup_s": setup_s, "peak_rss_mb": rss}
 
 
-def test_pairs_alternate_and_seeds_increase(bench_pairs):
-    assert bench_pairs.plan(4, 70) == [(70, "parent"), (71, "change"), (72, "parent"), (73, "change")]
+@pytest.mark.parametrize("n_pairs", [2, 5, 10])
+def test_pair_order_is_seeded_and_both_orders_occur(bench_pairs, n_pairs):
+    plans = {seed: bench_pairs.plan(n_pairs, seed) for seed in range(70, 90)}
+    for seed, pairs in plans.items():
+        assert pairs == bench_pairs.plan(n_pairs, seed)  # the same order for the same seed
+        assert [pair_seed for pair_seed, _ in pairs] == list(range(seed, seed + n_pairs))
+        firsts = [first for _, first in pairs]
+        # equal shares, the parent taking the odd one out: both orders occur
+        assert firsts.count("parent") == (n_pairs + 1) // 2 and firsts.count("change") == n_pairs // 2
+    # the order is drawn, not fixed: seeds give different orders, and not always strict alternation
+    orders = {tuple(first for _, first in pairs) for pairs in plans.values()}
+    assert len(orders) > 1
+    assert any(order != tuple(bench_pairs.SIDES[k % 2] for k in range(n_pairs)) for order in orders)
 
 
 def test_summary_of_synthetic_pairs(bench_pairs, monkeypatch, tmp_path):
@@ -117,13 +128,17 @@ def test_summary_of_synthetic_pairs(bench_pairs, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     argv = ["a", "b", "--pr", "7", "--workload", "ensemble", "--pairs", "5", "--seed", "10", "--note", "x"]
     assert bench_pairs.main(argv + ["--check", "guided"]) == 0
-    # one run per side per pair, the first side alternating; the check runs as many pairs with the seeds that follow
-    order = [(10, "parent"), (10, "change"), (11, "change"), (11, "parent"), (12, "parent"), (12, "change"),
-             (13, "change"), (13, "parent"), (14, "parent"), (14, "change")]
-    assert calls == [("ensemble", *c) for c in order] + [("guided", seed + 5, side) for seed, side in order]
+    # one run per side per pair, the first side as plan() draws it; the check runs as
+    # many pairs with the seeds that follow and the draw of its own first seed
+    def runs(workload, first_seed):
+        other = {"parent": "change", "change": "parent"}
+        return [(workload, seed, side) for seed, first in bench_pairs.plan(5, first_seed) for side in (first, other[first])]
+
+    assert calls == runs("ensemble", 10) + runs("guided", 15)
     doc = json.loads((tmp_path / "BENCH_pr7_ensemble.json").read_text())
     assert f"--seconds {bench_pairs.SECONDS:g} --trace 0" in doc["command"]
-    assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent", "change", "parent"]
+    assert [p["first"] for p in doc["pairs"]] == [first for _, first in bench_pairs.plan(5, 10)]
+    assert [p["first"] for p in doc["no_move_checks"]["guided"]["pairs"]] == [f for _, f in bench_pairs.plan(5, 15)]
     assert [p["seed"] for p in doc["pairs"]] == [10, 11, 12, 13, 14]
     wall = doc["summary"]["wall_s"]
     # inclusive quartiles of 0.9, 1.0, 1.1, 1.2, 1.3 and of 0.5, 0.55, 0.6, 0.7, 1.0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run perfbench in alternated pairs on two checkouts and write a BENCH file.
+"""Run perfbench in pairs on two checkouts, in a seeded order, and write a BENCH file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pr 22 --workload ensemble --pairs 8 \\
         --seed 2201 --note "what the change does" [--check guided --check wave]
@@ -7,11 +7,14 @@
 PARENT and CHANGE are two checkouts of the repository.  Pair k runs
 ``python3 perfbench/run.py --workload W --seed <seed + k> --seconds S --trace 0``
 once in each checkout, one run at a time, with S the ``run_seconds`` of
-``BENCHMARK.json``; the parent runs first in even pairs and the change in
-odd ones.  Each ``--check`` workload then runs as many pairs the same way,
-with the seeds that follow.  The result goes to ``BENCH_pr<N>_<W>.json`` in the current directory: the
-per-metric quartiles of each side, the pairs in which the change read lower,
-and every run's raw numbers.  Quartiles are ``statistics.quantiles(...,
+``BENCHMARK.json``.  Which side runs first in each pair is drawn from
+``random.Random(seed)``: a shuffle of equal shares of parent-first and
+change-first pairs (the parent takes the odd one out), recorded as each
+pair's ``first``.  Each ``--check`` workload then runs as many pairs the
+same way, with the seeds that follow and its own draw.  The result goes to
+``BENCH_pr<N>_<W>.json`` in the current directory: the per-metric quartiles
+of each side, the pairs in which the change read lower, and every run's raw
+numbers.  Quartiles are ``statistics.quantiles(...,
 method="inclusive")``.  The exit status is 1 if any run failed a check.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -31,8 +35,12 @@ with open(os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json"), 
 
 
 def plan(n_pairs: int, seed: int) -> list[tuple[int, str]]:
-    """(seed, side that runs first) of each pair: seeds increase, sides alternate."""
-    return [(seed + k, SIDES[k % 2]) for k in range(n_pairs)]
+    """(seed, side that runs first) of each pair: seeds increase from seed,
+    and the order of the sides is a shuffle by random.Random(seed) of
+    ceil(n/2) parent-first and floor(n/2) change-first pairs."""
+    firsts = [SIDES[k % 2] for k in range(n_pairs)]
+    random.Random(seed).shuffle(firsts)
+    return [(seed + k, first) for k, first in enumerate(firsts)]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -70,7 +78,7 @@ def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict, dict]
 
 
 def run_pairs(checkouts: dict, workload: str, n_pairs: int, seed: int):
-    """(pairs, units, environment) of n_pairs alternated pairs."""
+    """(pairs, units, environment) of the n_pairs pairs of plan(n_pairs, seed)."""
     pairs, units, env = [], {}, {}
     for pair_seed, first in plan(n_pairs, seed):
         pair = {"seed": pair_seed, "first": first}
@@ -110,16 +118,17 @@ def main(argv=None) -> int:
         "parent": describe(checkouts["parent"]),
         "change": args.note,
         "machine": f"{env['nproc']}-CPU {env['platform']}, Python {env['python']}, numpy {env['numpy']}",
-        "protocol": f"{args.pairs} {args.workload} pairs (seeds {args.seed}..{args.seed + args.pairs - 1}), "
-        "alternating which side runs first; each side runs from its own checkout directory, one run at a "
-        "time. Quartiles by statistics.quantiles(method='inclusive').",
+        "protocol": f"{args.pairs} {args.workload} pairs (seeds {args.seed}..{args.seed + args.pairs - 1}); "
+        "which side runs first is a shuffle by random.Random(first seed) of equal shares, recorded per pair "
+        "as 'first'; each side runs from its own checkout directory, one run at a time. Quartiles by "
+        "statistics.quantiles(method='inclusive').",
         "summary": summarize(pairs, units),
         "pairs": pairs,
     }
     runs = list(pairs)
     if args.check:
         seed = args.seed + args.pairs
-        checks = {"protocol": f"{args.pairs} pairs per workload, the same command and alternation"}
+        checks = {"protocol": f"{args.pairs} pairs per workload, the same command and order rule"}
         for workload in args.check:
             check_pairs, units, _ = run_pairs(checkouts, workload, args.pairs, seed)
             checks[workload] = {"seeds": f"{seed}..{seed + args.pairs - 1}"}
