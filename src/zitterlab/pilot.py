@@ -245,9 +245,8 @@ def _point_stencil(grid: Grid2D, x: float, y: float):
     out.
 
     Each number comes from the same operations as _Stencil's, so it equals
-    _Stencil's bit for bit.  For one point this replaces some twenty numpy
-    calls on (1, 2) arrays, each of which costs more to set up than its
-    arithmetic.
+    _Stencil's bit for bit.  point_at's product read takes it in place of
+    some twenty numpy calls on (1, 2) arrays.
     """
     n, h, L = grid.n, grid.spacing, grid.half_width
     fx = (x + L) / h
@@ -261,27 +260,6 @@ def _point_stencil(grid: Grid2D, x: float, y: float):
     i1 = i0 + 1 if i0 < n - 1 else 0  # the periodic wrap
     j1 = j0 + 1 if j0 < n - 1 else 0
     return (i0, i1, j0, j1), (1.0 - fx, fx, 1.0 - fy, fy), _inside(x, y, L)
-
-
-def _point_gather(fld: VelocityField, nodes, w):
-    """_gather of one point in Python scalars: (x value, y value, masked).
-
-    The products are formed and summed in _gather's order.  On a complex
-    field the caller passes each weight as w + 0j, the operand of numpy's
-    complex multiply, so even the signs of zero parts are numpy's; Python's
-    own float * complex does not promote on every version.  The product of
-    two such weights is then the float product + 0j, bit for bit, because
-    the weights are finite and non-negative.
-    """
-    i0, i1, j0, j1 = nodes
-    gx, fx, gy, fy = w
-    n = fld.grid.n
-    k0, k1, k2, k3 = i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1
-    w0, w1, w2, w3 = gx * gy, fx * gy, gx * fy, fx * fy
-    item = fld.v.item  # node k's components are items 2k and 2k + 1 of v
-    x = w0 * item(2 * k0) + w1 * item(2 * k1) + w2 * item(2 * k2) + w3 * item(2 * k3)
-    y = w0 * item(2 * k0 + 1) + w1 * item(2 * k1 + 1) + w2 * item(2 * k2 + 1) + w3 * item(2 * k3 + 1)
-    return x, y, fld.cell_mask.item(k0)
 
 
 def bohm_velocity_at(fld: VelocityField, x) -> np.ndarray:
@@ -416,45 +394,41 @@ class FrameInterpolator:
         """complex_at of the one point (x, y) in Python scalars: (vx, vy, ok),
         vx and vy complex or float as the fields are.
 
-        The point is read by the operations of complex_at's row [[x, y]], in
-        its order, so the result equals that row bit for bit: on a product
-        bracket each of the cell's two nodes per axis is blended in time and
-        then the two are lerped, and each frame takes its own cell test;
-        on any other _point_gather reads each frame.  A NaN, infinite or far
-        point, which has no scalar stencil, is read by complex_at itself.
+        A product bracket at a point with a scalar stencil is read by the
+        operations of complex_at's row [[x, y]], in its order, so the result
+        equals that row bit for bit: each of the cell's two nodes per axis is
+        blended in time and then the two are lerped, and each frame takes its
+        own cell test.  On a complex field each weight is given as w + 0j,
+        the operand of numpy's complex multiply, so even the signs of zero
+        parts are numpy's; Python's own float * complex does not promote on
+        every version.  Any other query, a 2D or mixed bracket or a NaN,
+        infinite or far point, returns complex_at's row itself.
         """
+        i, a = self._bracket(t)
         point = _point_stencil(self.grid, x, y)
-        if point is None:
+        axes = self.frames[i].axes
+        later = None if a == 0.0 else self.frames[i + 1].axes
+        if point is None or axes is None or a != 0.0 and later is None:
             vals, ok = self.complex_at(t, np.array([[x, y]], dtype=float))
             return vals.item(0), vals.item(1), bool(ok[0])
         nodes, w, inside = point
-        i, a = self._bracket(t)
         b = 1.0 - a
-        fld = self.frames[i]
-        if fld.dtype.kind == "c":  # numpy's operands for complex products
+        if axes.v.dtype.kind == "c":  # numpy's operands for complex products
             w, b, a = [complex(c) for c in w], complex(b), complex(a)
-        axes = fld.axes
-        if axes is None or a != 0.0 and self.frames[i + 1].axes is None:
-            vx, vy, masked = _point_gather(fld, nodes, w)
-            if a != 0.0:
-                vx1, vy1, masked1 = _point_gather(self.frames[i + 1], nodes, w)
-                vx, vy, masked = b * vx + a * vx1, b * vy + a * vy1, masked or masked1
-            return vx, vy, inside and not masked
         # column 0 of node i is item 2i of an (n, 2) array, column 1 of node j item 2j + 1
         i0, i1, j0, j1 = nodes
         ix0, ix1, iy0, iy1 = 2 * i0, 2 * i1, 2 * j0 + 1, 2 * j1 + 1
         gx, fx, gy, fy = w
         v, m = axes.v.item, axes.cell_min.item
         masked = m(ix0) * m(iy0) < axes.floor
-        if a == 0.0:
+        if later is None:
             vx = gx * v(ix0) + fx * v(ix1)
             vy = gy * v(iy0) + fy * v(iy1)
         else:
-            axes = self.frames[i + 1].axes
-            v1, m = axes.v.item, axes.cell_min.item
+            v1, m = later.v.item, later.cell_min.item
             vx = gx * (b * v(ix0) + a * v1(ix0)) + fx * (b * v(ix1) + a * v1(ix1))
             vy = gy * (b * v(iy0) + a * v1(iy0)) + fy * (b * v(iy1) + a * v1(iy1))
-            masked = masked or m(ix0) * m(iy0) < axes.floor
+            masked = masked or m(ix0) * m(iy0) < later.floor
         return vx, vy, inside and not masked
 
 

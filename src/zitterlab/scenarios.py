@@ -450,10 +450,11 @@ def _scenario_free_gaussian(cfg: ScenarioConfig, out) -> ScenarioResult:
     return ScenarioResult("free_gaussian", files, checks)
 
 
-def _stationary_frames(grid, omega, times, hbar, mass):
-    ground = schrodinger.harmonic_ground_state(grid, omega, hbar, mass)
+def _stationary_frames(ground, omega, times, hbar):
+    """The ground state's product frames at times: factors (fx e^{-i E0 t/hbar}, fy)."""
+    fx, fy = ground.factors
     e0 = hbar * omega  # 2D isotropic ground energy
-    return (WaveFunction(grid, ground.values * np.exp(-1j * e0 * t / hbar), float(t)) for t in times)
+    return (WaveFunction(ground.grid, None, float(t), factors=(fx * np.exp(-1j * e0 * t / hbar), fy)) for t in times)
 
 
 def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
@@ -471,7 +472,7 @@ def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
     energy_drift = abs(e_end - e_start) / abs(e_start)
     # stationarity of the guidance law on the exact ground state
     times = np.linspace(0.0, n_steps * cfg.dt, 51)
-    frames = _stationary_frames(grid, cfg.omega, times, cfg.hbar, cfg.mass)
+    frames = _stationary_frames(ground, cfg.omega, times, cfg.hbar)
     fields = (pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in frames)
     seed = (cfg.seed_x, cfg.seed_y)
     traj = pilot.integrate_trajectory(fields, seed, dt=times[1] - times[0], T=float(times[-1]))
@@ -597,8 +598,7 @@ def _scenario_hj_residual(cfg: ScenarioConfig, out) -> ScenarioResult:
                 "time": cfg.hj_time,
                 "rho_floor": cfg.hj_rho_floor,
             },
-            "samples": [{"eps_or_N": d, "error": e} for d, e in zip(cfg.hj_dts, dt_errors)]
-            + [{"eps_or_N": n, "error": e} for n, e in zip(cfg.hj_ns, n_errors)],
+            "samples": verification.sweep_samples([*cfg.hj_dts, *cfg.hj_ns], errors),
             "base_linf": base_linf,
             "fitted_rate": dt_slope,
             "n_sweep_reduction": reduction,
@@ -638,7 +638,7 @@ def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
         {
             "check": "guided_process_tracking",
             "parameters": {"seed": list(seed), "T": cfg.T, "n": grid.n},
-            "samples": [{"eps_or_N": e, "error": g} for e, g in zip(cfg.guided_epsilons, gaps)],
+            "samples": verification.sweep_samples(cfg.guided_epsilons, gaps),
             # every pair's reference is read from the same RK4 history
             "reference": {"dt": guided[0][1].rk4_dt, "steps": guided[0][1].rk4_steps},
             "fitted_rate": rate,

@@ -185,6 +185,11 @@ def fit_rate(xs, errors) -> float:
     return float(np.polyfit(np.log(xs), np.log(errors), 1)[0])
 
 
+def sweep_samples(values, errors) -> list:
+    """The "samples" of a sweep's JSON: one {"eps_or_N", "error"} per swept value."""
+    return [{"eps_or_N": v, "error": e} for v, e in zip(values, errors)]
+
+
 @dataclass
 class RateReport:
     """Sweep record: errors per discretization value plus the fitted slope."""
@@ -204,9 +209,7 @@ class RateReport:
             {
                 "check": self.check,
                 "parameters": self.parameters,
-                "samples": [
-                    {"eps_or_N": v, "error": e} for v, e in zip(self.values, self.errors)
-                ],
+                "samples": sweep_samples(self.values, self.errors),
                 "fitted_rate": self.fitted_rate,
                 "target": self.target,
                 "band": list(self.band),

@@ -404,7 +404,8 @@ class TestTransportKernel:
             # uint64 views: assert_array_equal holds -0 and +0 equal
             assert np.array_equal(one.view(np.uint64), vals[k : k + 1].view(np.uint64)), k
             assert one_ok == ok[k], k
-        assert not array_kernel  # every one-point query took the scalar path
+        # every one-point query of a 2D field is the batch read of its own row
+        assert [args[1].tolist() for args in array_kernel] == [[p] for p in pts.tolist()]
 
     @pytest.mark.parametrize("point", [(math.nan, 0.1), (0.2, math.inf), (-math.inf, math.nan), (1e300, 0.0)])
     def test_non_finite_point_reads_what_the_array_kernel_reads(self, masked_field, point):
@@ -432,6 +433,20 @@ class TestTransportKernel:
         assert len(array_kernel) == 87 + 4 * 40
         assert [os.path.basename(p) for p in scalar.files] == ["guided_centers.csv", "guided_process.json"]
         assert digests(scalar) == digests(array)
+
+    def test_harmonic_ground_reads_product_fields_in_scalars(self, tmp_path, monkeypatch, array_kernel):
+        """The stationary frames are product frames: no field takes an fft2 and
+        no trajectory read builds a batch stencil."""
+        fft2_calls = []
+
+        def refuse(*args, **kwargs):
+            fft2_calls.append(args)
+            raise AssertionError("np.fft.fft2 called")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        result = run_scenario(parse_config("scenario = harmonic_ground\n"), tmp_path)
+        assert result.passed
+        assert not fft2_calls and not array_kernel
 
     def test_real_transport_gives_the_same_report(self, free_frames, monkeypatch):
         real = zl.ensemble_equivariance(free_frames, 2000, 21)
@@ -648,6 +663,38 @@ class TestAxisField:
             assert one_ok == ok[k], k
         assert not array_kernel
         assert all("v" not in vars(f) for f in frames)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("product_first", [True, False], ids=["product_then_2d", "2d_then_product"])
+    @pytest.mark.parametrize("t", [0.0, 0.025, 0.1], ids=["a0", "a_quarter", "a1"])
+    def test_mixed_bracket_point_is_its_batch_row(self, array_kernel, real, product_first, t):
+        """A bracket of one per-axis field and one 2D field: point_at returns
+        complex_at's row bit for bit, with its ok flag.  Only the product
+        field read alone (a = 0) takes the scalar path."""
+        grid, rng = self.GRID, np.random.default_rng(16)
+        v_axes = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
+        v_plane = rng.normal(size=(grid.n, grid.n, 2)) + 1j * rng.normal(size=(grid.n, grid.n, 2))
+        if real:
+            v_axes, v_plane = np.ascontiguousarray(v_axes.real), np.ascontiguousarray(v_plane.real)
+        rho = rng.uniform(0.5, 1.0, size=(grid.n, 2))
+        rho[[17, 40], [1, 0]] = 1e-3  # masks the cells around x node 40 and y node 17
+        axes = pilot.AxisField(v_axes, rho, 0.1, np.minimum(rho, np.roll(rho, -1, axis=0)))
+        mask = np.zeros((grid.n, grid.n), dtype=bool)
+        mask[[41, 63, 30], [18, 5, 30]] = True
+        product = pilot.VelocityField(grid, None, None, 0.0 if product_first else 0.1, axes)
+        planar = pilot.VelocityField(grid, v_plane, mask, 0.1 if product_first else 0.0)
+        fields = [product, planar] if product_first else [planar, product]
+        interp = pilot.FrameInterpolator(fields)
+        pts = kernel_probe_points(grid, 500, np.random.default_rng(17))
+        vals, ok = interp.complex_at(t, pts)
+        assert ok.any() and np.any(~ok & pilot._in_box(pts, grid.half_width))
+        array_kernel.clear()
+        for k, (x, y) in enumerate(pts.tolist()):
+            vx, vy, one_ok = interp.point_at(t, x, y)
+            assert {type(vx), type(vy)} == {complex if vals.dtype.kind == "c" else float} and type(one_ok) is bool
+            assert np.array_equal(bits(np.array([[vx, vy]])), bits(vals[k : k + 1])), k
+            assert one_ok == ok[k], k
+        assert len(array_kernel) == (0 if product_first and t == 0.0 else len(pts))
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_cells_the_table_masks_take_each_frames_test(self, real):

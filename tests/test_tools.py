@@ -198,7 +198,7 @@ def test_scaling_plan_and_summary(scaling, monkeypatch, tmp_path):
     )
 
 
-def test_scaling_series_with_the_parent_interleaved(scaling, monkeypatch, tmp_path):
+def test_scaling_series_with_the_parent_interleaved(scaling, bench_pairs, monkeypatch, tmp_path):
     assert scaling.plan(1, "process_free") == [400, 800, 1600]
     calls = []
 
@@ -214,15 +214,17 @@ def test_scaling_series_with_the_parent_interleaved(scaling, monkeypatch, tmp_pa
     monkeypatch.setattr(scaling, "describe", lambda checkout: "abc1234: parent")
     monkeypatch.chdir(tmp_path)
     assert scaling.main(["--pr", "9", "--series", "process_free", "--parent", str(tmp_path / "p")]) == 0
-    # each size once per round, both sides per run, the side that runs first alternating from pair to pair
+    # each size once per round, both sides per run, the side that runs first drawn by bench_pairs.plan seeded with --pr
     sizes = scaling.plan(scaling.RUNS, "process_free")
+    firsts = [first for _, first in bench_pairs.plan(len(sizes), 9)]
     assert calls == [
-        (T, side) for k, T in enumerate(sizes) for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))
+        (T, side) for T, first in zip(sizes, firsts) for side in (first, "change" if first == "parent" else "parent")
     ]
     doc = json.loads((tmp_path / "BENCH_pr9_scaling.json").read_text())
     assert doc["scenario"].startswith("process_free") and doc["parent"]["commit"] == "abc1234: parent"
     assert [r["T"] for r in doc["runs"]] == [r["T"] for r in doc["parent"]["runs"]] == sizes
-    assert [r["first"] for r in doc["runs"]][:4] == ["parent", "change", "parent", "change"]
+    assert [r["first"] for r in doc["runs"]] == [r["first"] for r in doc["parent"]["runs"]] == firsts
+    assert firsts.count("parent") == 8 and any(a == b for a, b in zip(firsts, firsts[1:]))  # not strict alternation
     assert list(doc["summary"]) == ["400", "800", "1600"]
     assert doc["summary"]["1600"]["peak_rss_mb"]["median"] == 60.0
     assert doc["parent"]["summary"]["1600"]["peak_rss_mb"]["median"] == 160.0

@@ -12,8 +12,10 @@ directory.  It reports that wall time (import excluded) and its own
 ``ru_maxrss`` (import included), the same peak RSS that perfbench reports.
 The runs go size by size in rounds, so that a drift in machine speed falls on
 every size alike.  With ``--parent DIR``, a checkout of the parent commit,
-every run is paired with a run of ``DIR/src`` at the same size, and the side
-that runs first alternates from pair to pair.  The result goes to
+every run is paired with a run of ``DIR/src`` at the same size.  Which side
+runs first in each pair is drawn as ``tools/bench_pairs.py`` draws it, by
+its ``plan`` seeded with the ``--pr`` number, and recorded as each run's
+``first``.  The result goes to
 ``BENCH_pr<N>_scaling.json`` in the current directory: per size the
 quartiles and the largest value of each metric, and every run's numbers,
 the parent's under ``parent``.  Quartiles are those of
@@ -32,7 +34,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import describe, quartiles  # noqa: E402
+from bench_pairs import describe, plan as pair_plan, quartiles  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # series name: (what it runs, the key that grows, its sizes, the config with the size left open)
@@ -100,8 +102,9 @@ def main(argv=None) -> int:
     scenario, key, _, config = SERIES[args.series]
     roots = {"change": ROOT, **({"parent": os.path.abspath(args.parent)} if args.parent else {})}
     runs = {side: [] for side in roots}
-    for k, size in enumerate(plan(RUNS, args.series)):
-        order = sorted(roots, reverse=k % 2 == 0)  # the parent first in even pairs
+    sizes = plan(RUNS, args.series)
+    for size, (_, drawn) in zip(sizes, pair_plan(len(sizes), args.pr)):
+        order = sorted(roots, key=lambda side: side != drawn)  # the drawn side first
         for side in order:
             first = {"first": order[0]} if args.parent else {}
             runs[side].append({key: size, **first, **run_once(config.format(size), roots[side])})
@@ -114,7 +117,7 @@ def main(argv=None) -> int:
     if args.parent:
         protocol += (
             "; every change run is paired with a parent run of the same size, the side that runs first "
-            "alternating from pair to pair ('first')"
+            f"drawn by tools/bench_pairs.py's plan seeded with {args.pr} ('first')"
         )
     doc = {
         "scenario": scenario,
