@@ -42,6 +42,41 @@ def test_csv_of_several_batches_equals_one_shot_text(tmp_path):
     assert path.read_bytes() == b"n,t,label,x\n"
 
 
+NAN_A, NAN_B = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+SPECIAL = np.array([0.0, -0.0, NAN_A, NAN_B, np.inf, -np.inf, 5e-324])
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])  # one row, and rows that end on each side of a batch
+def test_each_float_bit_pattern_keeps_its_own_text(tmp_path, n):
+    # The float64 columns cycle through 0.0, -0.0, two NaN payloads, +-inf and
+    # the smallest subnormal: 0.0 and -0.0 meet in row 0 (special, next) and
+    # row 1 (special, mixed), and down each column.  0.1 sits in float16,
+    # float32, float64 and longdouble columns, 2.5 fills a column over every
+    # batch boundary, and bool, int, uint and str columns sit in between.
+    k = np.arange(n)
+    columns = [
+        SPECIAL[k % 7],
+        k % 3 == 0,
+        np.full(n, 0.1, dtype=np.float16),
+        -k,
+        np.full(n, 0.1, dtype=np.float32),
+        (k % 256).astype(np.uint8),
+        np.where(k % 2 == 0, "-0", "nan"),
+        SPECIAL[(k + 1) % 7],
+        np.full(n, np.longdouble(1) / 10),
+        np.where(k % 5 == 0, 0.1, -SPECIAL[k % 7]),
+        np.full(n, 2.5),
+    ]
+    header = ["special", "flag", "f16", "int", "f32", "uint", "label", "next", "long", "mixed", "same"]
+    path = tmp_path / "bits.csv"
+    write_csv(path, header, columns)
+    text = path.read_bytes()
+    assert text == one_shot_csv(header, columns)
+    rows = [b"0,1,0.0999755859375,0,0.10000000149011612,0,-0,-0,0.10000000000000001,0.10000000000000001,2.5"]
+    rows.append(b"-0,0,0.0999755859375,-1,0.10000000149011612,1,nan,nan,0.10000000000000001,0,2.5")
+    assert text.splitlines()[1:3] == rows[:n]
+
+
 @pytest.mark.parametrize(
     "header, columns",
     [
@@ -93,8 +128,9 @@ def test_chunks_that_raise_leave_the_target_and_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["run.csv"]
 
 
-def test_streamed_csv_holds_a_fraction_of_the_file(tmp_path):
-    n, width = 50_000, 8
+@pytest.mark.parametrize("width", [8, 21])  # 21 float columns: run.csv's width
+def test_streamed_csv_holds_a_fraction_of_the_file(tmp_path, width):
+    n = 50_000
     k = np.arange(n)
     columns = [k, *(k * 1e-3 + c for c in range(width))]  # made before tracing: only the write is measured
     path = tmp_path / "big.csv"

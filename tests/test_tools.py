@@ -1,5 +1,5 @@
-"""tools/output_delta.py quotes each moved output file; tools/bench_pairs.py plans and summarizes alternated pairs;
-tools/scaling.py plans and summarizes its runs per grid."""
+"""tools/output_delta.py quotes each moved output file; tools/bench_pairs.py plans and summarizes alternated pairs
+and A/A runs; tools/scaling.py plans and summarizes its runs per grid."""
 
 import importlib.util
 import json
@@ -158,6 +158,51 @@ def test_one_pair_summarizes_to_its_values(bench_pairs):
     summary = bench_pairs.summarize(pairs, UNITS)
     assert summary["wall_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert summary["wall_s"]["change_lower_in_pairs"] == "0/1"
+    assert summary["wall_s"]["ratio"] == {"median": 1.5, "low": 1.5, "high": 1.5, "coverage": 0.0}
+
+
+def test_paired_ratio_and_its_sign_test_interval(bench_pairs):
+    # ten pairs: the change reads 0.70 .. 0.79 of the parent, in shuffled order
+    ratios = [0.74, 0.71, 0.79, 0.70, 0.76, 0.73, 0.78, 0.72, 0.77, 0.75]
+    pairs = [
+        {"seed": k, "first": "parent", "parent": synthetic_run(2.0, rss=40.0), "change": synthetic_run(2.0 * r)}
+        for k, r in enumerate(ratios)
+    ]
+    ratio = bench_pairs.summarize(pairs, UNITS)["wall_s"]["ratio"]
+    # n = 10: P(B < 2) = 11/1024 <= 0.025 < P(B < 3) = 56/1024, so the 2nd smallest and 2nd largest
+    assert ratio == pytest.approx({"median": 0.745, "low": 0.71, "high": 0.78, "coverage": 1 - 22 / 1024})
+    assert ratio["high"] < 1  # the interval excludes 1
+    assert bench_pairs.summarize(pairs, UNITS)["peak_rss_mb"]["ratio"]["median"] == 1.25
+    # n = 20: k = 6 (P(B < 6) = 0.0207, P(B < 7) = 0.0577); n = 5 is too few for 95%: min and max at 1 - 2/32
+    interval = bench_pairs.sign_interval(list(range(20)))
+    assert (interval["low"], interval["high"]) == (5, 14) and interval["coverage"] == pytest.approx(0.9586, abs=1e-4)
+    assert bench_pairs.sign_interval([3, 1, 2, 5, 4]) == {"median": 3, "low": 1, "high": 5, "coverage": 0.9375}
+
+
+def test_aa_runs_a_checkout_against_a_copy_of_itself(bench_pairs, monkeypatch, tmp_path):
+    checkout = tmp_path / "repo"
+    for name in ("src/zitterlab/a.py", "perfbench/run.py", "perfbench/work/old.json", ".git/HEAD"):
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(name)
+    seen = {}
+
+    def fake_run(path, workload, seed):
+        seen.setdefault(path, sorted(str(p.relative_to(path)) for p in Path(path).rglob("*") if p.is_file()))
+        return synthetic_run(1.0 if path == str(checkout) else 1.1), UNITS, ENV
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "describe", lambda path: "abc1234: parent")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):  # CHANGE and --aa together
+        bench_pairs.main([str(checkout), "b", "--aa", "--workload", "process", "--pairs", "2", "--seed", "1"])
+    with pytest.raises(SystemExit):  # no CHANGE and no --aa
+        bench_pairs.main([str(checkout), "--pr", "1", "--note", "x", "--workload", "process", "--pairs", "2", "--seed", "1"])
+    assert bench_pairs.main([str(checkout), "--aa", "--workload", "process", "--pairs", "4", "--seed", "1"]) == 0
+    (copy,) = set(seen) - {str(checkout)}
+    # the copy holds the tree without .git and perfbench/work, and is removed afterwards
+    assert seen[copy] == ["perfbench/run.py", "src/zitterlab/a.py"] and not os.path.exists(copy)
+    doc = json.loads((tmp_path / "BENCH_aa_process.json").read_text())
+    assert doc["change"].startswith("A/A") and doc["summary"]["wall_s"]["ratio"]["median"] == pytest.approx(1.1)
 
 
 @pytest.fixture(scope="module")
