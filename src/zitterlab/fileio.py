@@ -78,6 +78,11 @@ def write_csv(path, header, columns) -> None:
     columns that differ in length, a dtype that is not bool, int, uint,
     float or str, or a str column built from items that are not all str
     (numpy would write its numbers by str(), outside the %.17g rule)."""
+    atomic_write_text(path, _csv_text(header, [_csv_columns(header, columns)]))
+
+
+def _csv_columns(header, columns) -> list:
+    """columns as arrays, checked as write_csv says."""
     given = list(columns)
     columns = [np.asarray(column) for column in given]
     for column, array in zip(given, columns):
@@ -91,18 +96,33 @@ def write_csv(path, header, columns) -> None:
     dtypes = [column.dtype for column in columns]
     if any(dtype.kind not in _CSV_CELL_FORMATS for dtype in dtypes):
         raise ValueError(f"column dtypes must be bool, int, uint, float or str, got {dtypes}")
-    atomic_write_text(path, _csv_batches(header, columns))
+    return columns
 
 
-def _csv_batches(header, columns):
-    """The CSV text of header and columns, one str per batch of rows.  Within a
+def write_csv_blocks(path, header, blocks) -> None:
+    """The CSV of the rows of blocks, in order: each block is the columns of
+    its rows, as write_csv takes them, so a table made block by block is
+    written without being held whole.  The bytes equal write_csv's of the
+    joined columns.  A bad block raises write_csv's ValueError when it is
+    reached, and the target is left as it was."""
+    atomic_write_text(path, _csv_text(header, (_csv_columns(header, columns) for columns in blocks)))
+
+
+def _csv_text(header, blocks):
+    """The CSV text of header and then each block's rows (see :func:`_csv_batches`)."""
+    yield ",".join(header) + "\n"
+    for columns in blocks:
+        yield from _csv_batches(columns)
+
+
+def _csv_batches(columns):
+    """The CSV text of the columns' rows, one str per batch of rows.  Within a
     batch the float columns are cast to float64 (exact for float16 and
     float32, and what %.17g does to a longdouble) and keyed by their bits, so
     each distinct bit pattern is formatted once, all of them by one % call,
     and its str is shared by every cell that holds it; 0.0 and -0.0, and NaNs
     of different payloads, are different keys.  Bool, int and uint cells are
     formatted by %d, and str cells are written as they are."""
-    yield ",".join(header) + "\n"
     floats = [k for k, column in enumerate(columns) if column.dtype.kind == "f"]
     for start in range(0, len(columns[0]) if columns else 0, _CSV_BATCH_ROWS):
         block = [column[start : start + _CSV_BATCH_ROWS] for column in columns]

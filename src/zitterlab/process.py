@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, NonFiniteVelocity, StepBudgetExceeded
-from .fileio import write_csv
+from .fileio import write_csv_blocks
 
 # Unit-square vertices u^1..u^4 in the fixed listing order.
 VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
@@ -29,8 +30,22 @@ VERTICES = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int64)
 # is abandoned.
 DE_BROGLIE_CYCLE_BUDGET = 10_000_000
 
-# Steps per chunk of the classical path's cumulative sum.
-_PATH_CHUNK_STEPS = 4096
+# States per block of a streamed run, and kept positions per block of a
+# classical path.  A whole number of cycles, so every run block starts on a
+# cycle boundary.
+_BLOCK_STATES = 4096
+
+# The running sum before the first increment: x + -0.0 is x for every float
+# x, where x + 0.0 would turn a -0.0 into 0.0.
+_NO_SUM = np.full(2, complex(-0.0, -0.0))
+_NO_SUM.setflags(write=False)
+
+# run.csv's columns: n, t, then Re and Im of each point's x and y, vertices 1..4 and then the mean.
+_RUN_CSV_HEADER = ["n", "t"] + [
+    f"{part}_{name}"
+    for name in [*(f"z{k}_{j}" for j in range(1, 5) for k in (1, 2)), "mean1", "mean2"]
+    for part in ("re", "im")
+]
 
 
 class Sense(Enum):
@@ -278,17 +293,36 @@ class ProcessRun:
 
     def to_csv(self, path) -> None:
         """Write the run record; floats carry 17 significant digits."""
-        header, columns = ["n", "t"], [np.arange(len(self)), self.times]
-        for j, z in enumerate([*self.vertices.transpose(1, 0, 2), self.means]):  # vertices 1..4, then the mean
+        _write_run_csv(path, [_Block(0, self.times, self.means, self.epsilons, self.vertices)])
+
+
+class _Block(NamedTuple):
+    """States start .. start + len(times) - 1 of a run, as ProcessRun holds them."""
+
+    start: int
+    times: np.ndarray
+    means: np.ndarray
+    epsilons: np.ndarray
+    vertices: np.ndarray
+
+
+def _write_run_csv(path, blocks) -> None:
+    """The CSV of a run given as its _Blocks in order: the state index n, t,
+    then the real and imaginary parts of vertices 1..4 and of the mean, each
+    point's x before its y; floats carry 17 significant digits."""
+
+    def columns(block):
+        cells = [np.arange(block.start, block.start + len(block.times)), block.times]
+        for z in [*block.vertices.transpose(1, 0, 2), block.means]:
             for k in range(2):
-                name = f"z{k + 1}_{j + 1}" if j < 4 else f"mean{k + 1}"
-                header += [f"re_{name}", f"im_{name}"]
-                columns += [z[:, k].real, z[:, k].imag]
-        write_csv(path, header, columns)
+                cells += [z[:, k].real, z[:, k].imag]
+        return cells
+
+    write_csv_blocks(path, _RUN_CSV_HEADER, map(columns, blocks))
 
 
 def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0, T: float) -> ProcessRun:
-    """Run the four-point process over [0, T].
+    """Run the four-point process over [0, T]: the blocks of _run_blocks, joined.
 
     fixed/compton modes take n = floor(T/eps) uniform steps.  de_broglie mode
     marches whole cycles, refreshing eps at every cycle boundary from the
@@ -297,12 +331,38 @@ def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0,
     boundary, the time of step 4*floor(n/4) (so steps 1-3 of a cycle read V
     at its start and step 4 at its end), and mean_n = z0 + sum_{k<=n} V_k eps_k.
     """
+    params, n_states, blocks = _run_blocks(params, perm, vel, z0, T)
+    times, epsilons = np.empty(n_states), np.empty(n_states)
+    means, vertices = np.empty((n_states, 2), dtype=complex), np.empty((n_states, 4, 2), dtype=complex)
+    for block in blocks:
+        rows = slice(block.start, block.start + len(block.times))
+        times[rows], means[rows], epsilons[rows], vertices[rows] = block[1:]  # the fields after start
+    return ProcessRun(times, vertices, means, epsilons, params, perm)
+
+
+def _run_blocks(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0, T: float):
+    """(params, n_states, blocks): run_process's run as a stream of whole cycles.
+
+    params has compton's eps filled in, n_states is the run's length, and
+    blocks yields its states in order as _Blocks of _BLOCK_STATES states, the
+    last one shorter, so every block starts on a cycle boundary.  A block
+    holds O(_BLOCK_STATES) memory whatever T is; only a de_broglie run's
+    schedule is held whole.  A bad T, eps or step budget, and any error of
+    the de_broglie schedule, raise here; a non-finite V raises when its block
+    is made.
+    """
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     z0 = np.asarray(z0, dtype=complex).reshape(2)
 
     if params.epsilon_mode is EpsilonMode.DE_BROGLIE:
+        # the schedule is made whole: V decides each cycle's eps, so the run's length is known only at its end
         times, epsilons, v = _de_broglie_schedule(params, vel, T)
+        n_states = times.size
+
+        def steps(start, stop):
+            return times[start:stop], epsilons[start:stop], v[max(start - 1, 0) : stop - 1]
+
     else:
         if params.epsilon_mode is EpsilonMode.COMPTON:
             params = replace(params, epsilon=params.compton_epsilon())
@@ -310,14 +370,43 @@ def run_process(params: PhysParams, perm: Permutation, vel: VelocityProgram, z0,
         n_steps = int(math.floor(T / eps + 1e-9))
         if n_steps > 4 * DE_BROGLIE_CYCLE_BUDGET:
             raise StepBudgetExceeded(f"{n_steps:.3g} steps exceed the budget of {DE_BROGLIE_CYCLE_BUDGET} cycles")
-        n = np.arange(n_steps + 1)
-        times, epsilons = n * eps, np.full(n_steps + 1, eps)
-        v = _eval_velocity(vel, 4 * (n[1:] // 4) * eps)  # (n_steps, 2)
-    means = np.empty((times.size, 2), dtype=complex)
-    means[0] = z0
-    np.cumsum(v * epsilons[1:, None], axis=0, out=means[1:])
-    means[1:] += z0
-    return _assemble_run(times, means, epsilons, params, perm)
+        n_states = n_steps + 1
+
+        def steps(start, stop):
+            n = np.arange(start, stop)
+            return n * eps, np.full(n.size, eps), _eval_velocity(vel, 4 * (n[n > 0] // 4) * eps)
+
+    return params, n_states, _blocks(params, perm, z0, n_states, steps)
+
+
+def _blocks(params: PhysParams, perm: Permutation, z0, n_states: int, steps):
+    """The _Blocks of _run_blocks; steps(start, stop) gives the times and
+    epsilons of states start..stop-1 and the V of the steps landing on them."""
+    carry = _NO_SUM
+    for start in range(0, n_states, _BLOCK_STATES):
+        stop = min(start + _BLOCK_STATES, n_states)
+        times, epsilons, v = steps(start, stop)
+        first = stop - start - len(v)  # 1 in the block of state 0, which no step lands on
+        means = np.empty((stop - start, 2), dtype=complex)
+        means[:first] = z0
+        landed = means[first:]
+        np.multiply(v, epsilons[first:, None], out=landed)
+        carry = _running_sum(landed, carry)
+        landed += z0
+        yield _Block(start, times, means, epsilons, _vertices(means, epsilons, params, perm))
+
+
+def _running_sum(increments, carry):
+    """Replace increments (k, 2) by their running sum continued from carry,
+    the sum before them, in place; returns the sum through their last row
+    (carry itself when there is none).
+
+    Each chunk's first increment takes the carry, so chunked sums equal one
+    global cumsum bit for bit.
+    """
+    increments[:1] += carry
+    np.cumsum(increments, axis=0, out=increments)
+    return increments[-1].copy() if len(increments) else carry
 
 
 def _de_broglie_schedule(params: PhysParams, vel: VelocityProgram, T: float):
@@ -341,21 +430,26 @@ def _de_broglie_schedule(params: PhysParams, vel: VelocityProgram, T: float):
     return np.asarray(times), np.asarray(epsilons), np.asarray(v, dtype=complex).reshape(-1, 2)
 
 
-def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation) -> ProcessRun:
-    """ProcessRun from the mean path: vertex n = mean_n + gamma(eps_n) (s^n u^j - u^j).
+def _vertices(means, epsilons, params: PhysParams, perm: Permutation) -> np.ndarray:
+    """Vertex n = mean_n + gamma(eps_n) (s^n u^j - u^j) of consecutive states, the first on a cycle boundary.
 
     gamma is taken per step from epsilons, which covers de_broglie runs whose
     eps changes from cycle to cycle.
     """
     g = (1.0 + 1.0j) * np.sqrt(params.hbar * epsilons / (4.0 * params.mass))
     table = perm.offset_table()
-    vertices = np.empty((len(times), 4, 2), dtype=complex)
+    vertices = np.empty((len(means), 4, 2), dtype=complex)
     # the steps of each whole cycle take the (4, 4, 2) table in order; the last partial cycle its first rows
-    whole = len(times) - len(times) % 4
+    whole = len(means) - len(means) % 4
     np.multiply(g[:whole].reshape(-1, 4, 1, 1), table, out=vertices[:whole].reshape(-1, 4, 4, 2))
     vertices[:whole] += means[:whole, None, :]
-    vertices[whole:] = means[whole:, None, :] + g[whole:, None, None] * table[: len(times) - whole]
-    return ProcessRun(times, vertices, means, epsilons, params, perm)
+    vertices[whole:] = means[whole:, None, :] + g[whole:, None, None] * table[: len(means) - whole]
+    return vertices
+
+
+def _assemble_run(times, means, epsilons, params: PhysParams, perm: Permutation) -> ProcessRun:
+    """ProcessRun from the mean path of states n = 0, 1, ...; vertices by _vertices."""
+    return ProcessRun(times, _vertices(means, epsilons, params, perm), means, epsilons, params, perm)
 
 
 def _step_count(t0: float, T: float, dt: float):
@@ -393,34 +487,50 @@ def classical_trajectory(vel: VelocityProgram, z0, T: float, dt: float) -> Class
     For a pure time integrand the classic one-step RK4 rule reduces to
     Simpson's rule over each substep, so the whole path is a cumulative sum.
     """
-    return ClassicalPath(*_classical_path(vel, z0, T, dt, 1))
+    times, positions = zip(*_classical_path(vel, z0, T, dt, 1))
+    return ClassicalPath(np.concatenate(times), np.concatenate(positions))
 
 
 def _classical_path(vel: VelocityProgram, z0, T: float, dt: float, every: int):
-    """(times, positions) of classical_trajectory's path at every `every`-th step.
+    """(times, positions) blocks of classical_trajectory's path at every
+    `every`-th step, _BLOCK_STATES kept positions a block, the last one shorter.
 
-    The cumulative sum runs in chunks of _PATH_CHUNK_STEPS steps, and each
-    chunk's first increment carries the running sum, so the positions equal
-    one global cumsum bit for bit while only the kept ones are held.
+    Each block sums the steps from the previous block's last kept position to
+    its own last, about _BLOCK_STATES steps at a time, continuing the running
+    sum as _running_sum does, so the positions equal one global cumsum bit
+    for bit while only a block is held.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     z0 = np.asarray(z0, dtype=complex).reshape(2)
     n_steps, dt = _step_count(0.0, T, dt)
-    kept = np.arange(0, n_steps + 1, every)
+    return _path_blocks(vel, z0, n_steps, dt, every)
+
+
+def _path_blocks(vel: VelocityProgram, z0, n_steps: int, dt: float, every: int):
+    n_kept, carry = n_steps // every + 1, _NO_SUM
+    # each sum spans about _BLOCK_STATES steps, however many steps a kept position takes
+    per_sum = max(1, _BLOCK_STATES // every)
+    for first in range(0, n_kept, _BLOCK_STATES):
+        kept = np.arange(first, min(first + _BLOCK_STATES, n_kept)) * every
+        parts = []
+        for part in np.split(kept, range(per_sum, kept.size, per_sum)):
+            positions, carry = _path_block(vel, z0, part, dt, every, carry)
+            parts.append(positions)
+        yield kept * dt, np.concatenate(parts)
+
+
+def _path_block(vel: VelocityProgram, z0, kept, dt: float, every: int, carry):
+    """(positions, carry): the path at the kept steps, summed from carry, the
+    sum at the kept step before them, and the sum through the last of them."""
+    t = np.arange(max(kept[0] - every, 0), kept[-1] + 1) * dt
+    v_nodes = _eval_velocity(vel, t)
+    v_mid = _eval_velocity(vel, t[:-1] + dt / 2)
+    sums = (dt / 6.0) * (v_nodes[:-1] + 4.0 * v_mid + v_nodes[1:])
+    carry = _running_sum(sums, carry)
+    # sums[i] is the position i + 1 steps after t[0]; position 0, in the first block, is z0
+    picked = sums[every - 1 :: every]
     positions = np.empty((kept.size, 2), dtype=complex)
-    positions[0] = z0
-    carry = np.zeros(2, dtype=complex)
-    for start in range(0, n_steps, _PATH_CHUNK_STEPS):
-        t = np.arange(start, min(start + _PATH_CHUNK_STEPS, n_steps) + 1) * dt
-        v_nodes = _eval_velocity(vel, t)
-        v_mid = _eval_velocity(vel, t[:-1] + dt / 2)
-        sums = (dt / 6.0) * (v_nodes[:-1] + 4.0 * v_mid + v_nodes[1:])
-        sums[0] += carry
-        np.cumsum(sums, axis=0, out=sums)
-        carry = sums[-1]
-        # sums[i] is the sum through step start + i, which ends at position start + i + 1
-        first = -(-(start + 1) // every) * every
-        picked = sums[first - start - 1 :: every]
-        positions[first // every : first // every + len(picked)] = picked + z0
-    return kept * dt, positions
+    positions[: kept.size - len(picked)] = z0
+    np.add(picked, z0, out=positions[kept.size - len(picked) :])
+    return positions, carry

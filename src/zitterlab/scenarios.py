@@ -30,6 +30,8 @@ from .process import (
     Sense,
     VERTICES,
     _fixed_epsilon,
+    _run_blocks,
+    _write_run_csv,
     run_process,
     zero_velocity,
 )
@@ -44,8 +46,6 @@ TABLE_EPSILONS = (1e-1, 1e-2, 1e-3)
 GUIDED_EPSILONS = (4e-3, 2e-3, 1e-3)
 # The harmonic and guided scenarios run on 128 points over a half width of 10.
 _SMALL_BOX = ("harmonic_ground", "harmonic_coherent", "guided_process")
-# Steps per block of process_free's checks: whole cycles, so each block starts on a boundary.
-_CHECK_BLOCK_STEPS = 4096
 
 
 def _number(kind=float, above=None):
@@ -211,30 +211,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
 
 
 def _scenario_process_free(cfg: ScenarioConfig, out) -> ScenarioResult:
-    run = run_process(cfg.phys(), cfg.perm(), cfg.program(), (cfg.z0_x, cfg.z0_y), cfg.T)
-    path = os.path.join(out, "run.csv")
-    run.to_csv(path)
+    perm = cfg.perm()
+    _, n_states, blocks = _run_blocks(cfg.phys(), perm, cfg.program(), (cfg.z0_x, cfg.z0_y), cfg.T)
     # s^n u^j - u^j from the quarter turn s, (x, y) -> (y, -x) for s_plus, not from offset_table
-    turn = np.array([[0, -1], [1, 0]]) if run.perm.sense is Sense.S_PLUS else np.array([[0, 1], [-1, 0]])
+    turn = np.array([[0, -1], [1, 0]]) if perm.sense is Sense.S_PLUS else np.array([[0, 1], [-1, 0]])
     table = np.stack([VERTICES @ np.linalg.matrix_power(turn, n) for n in range(4)]) - VERTICES
-    offsets = table[np.arange(_CHECK_BLOCK_STEPS) % 4]
-    # each check's max per block of whole cycles, so the temporaries stay O(block)
     maxima = []
-    for start in range(0, len(run), _CHECK_BLOCK_STEPS):
-        block = slice(start, start + _CHECK_BLOCK_STEPS)
-        vertices, means = run.vertices[block], run.means[block]
-        # per-step gamma covers the de_broglie mode, where eps varies by cycle
-        g = (1.0 + 1.0j) * np.sqrt(cfg.hbar * run.epsilons[block] / (4.0 * cfg.mass))
-        predicted = means[:, None, :] + g[:, None, None] * offsets[: len(means)]
-        # the offset identity, the boundary coincidence (the block starts on a boundary), the mean and the scale
-        deviations = (vertices - predicted, vertices[::4] - means[::4, None, :], vertices.mean(axis=1) - means, means)
-        maxima.append([np.max(np.abs(d)) for d in deviations])
+
+    def checked(blocks):
+        """The blocks passed through, the max of each check over each block appended to maxima."""
+        for block in blocks:
+            maxima.append(_free_check_maxima(cfg, table, block))
+            yield block
+
+    path = os.path.join(out, "run.csv")
+    _write_run_csv(path, checked(blocks))
     # np.max, unlike max(), passes a NaN in any block on
     identity_dev, coincidence, mean_dev, means_max = (float(m) for m in np.max(maxima, axis=0))
     scale = max(1.0, means_max)
     report = {
         "scenario": "process_free",
-        "steps": len(run) - 1,
+        "steps": n_states - 1,
         "offset_identity_max_dev": identity_dev,
         "boundary_coincidence_max_dev": coincidence,
         "mean_of_vertices_max_dev": mean_dev,
@@ -246,6 +243,18 @@ def _scenario_process_free(cfg: ScenarioConfig, out) -> ScenarioResult:
         ("mean_of_vertices", mean_dev <= 1e-13 * scale, f"max dev {mean_dev:.3e}"),
     ]
     return ScenarioResult("process_free", [path, os.path.join(out, "report.json")], checks)
+
+
+def _free_check_maxima(cfg: ScenarioConfig, table, block) -> list:
+    """process_free's four maxima over one block of whole cycles, from the offset table s^n u^j - u^j:
+    the offset identity, the boundary coincidence, the mean of the vertices and |mean|."""
+    vertices, means = block.vertices, block.means
+    # per-step gamma covers the de_broglie mode, where eps varies by cycle
+    g = (1.0 + 1.0j) * np.sqrt(cfg.hbar * block.epsilons / (4.0 * cfg.mass))
+    predicted = means[:, None, :] + g[:, None, None] * table[np.arange(len(means)) % 4]
+    # the block starts on a boundary, so its boundaries are every fourth state
+    deviations = (vertices - predicted, vertices[::4] - means[::4, None, :], vertices.mean(axis=1) - means, means)
+    return [np.max(np.abs(d)) for d in deviations]
 
 
 def _table_programs(cfg: ScenarioConfig):

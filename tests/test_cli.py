@@ -177,13 +177,14 @@ class TestRunScenario:
         ids=["de_broglie", "partial_cycle"],
     )
     def test_process_free_checks_by_block_equal_the_whole_run(self, tmp_path, monkeypatch, text, block):
-        from zitterlab import scenarios
-
-        monkeypatch.setattr(scenarios, "_CHECK_BLOCK_STEPS", block)
+        monkeypatch.setattr(zl.process, "_BLOCK_STATES", block)
         cfg = parse_config("scenario = process_free\n" + text)
-        run_scenario(cfg, tmp_path)
-        report = json.loads((tmp_path / "report.json").read_text())
+        run_scenario(cfg, tmp_path / "out")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
         run = zl.run_process(cfg.phys(), cfg.perm(), cfg.program(), (cfg.z0_x, cfg.z0_y), cfg.T)
+        # the run's CSV, written block by block, is the whole run's
+        run.to_csv(tmp_path / "whole.csv")
+        assert (tmp_path / "out" / "run.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         g = (1.0 + 1.0j) * np.sqrt(cfg.hbar * run.epsilons / (4.0 * cfg.mass))
         predicted = run.means[:, None, :] + g[:, None, None] * run.perm.offset_table()[np.arange(len(run)) % 4]
         boundary = np.arange(0, len(run), 4)

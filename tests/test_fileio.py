@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zitterlab import fileio
-from zitterlab.fileio import atomic_write_bytes, atomic_write_text, write_csv, write_json
+from zitterlab.fileio import atomic_write_bytes, atomic_write_text, write_csv, write_csv_blocks, write_json
 
 
 def one_shot_csv(header, columns) -> bytes:
@@ -40,6 +40,22 @@ def test_csv_of_several_batches_equals_one_shot_text(tmp_path):
     assert path.read_bytes() == b"n,t,label,x\n"
     write_csv(path, header, [column[:0] for column in columns])
     assert path.read_bytes() == b"n,t,label,x\n"
+
+
+def test_blocks_of_rows_write_the_joined_columns(tmp_path):
+    k = np.arange(2 * fileio._CSV_BATCH_ROWS + 3)
+    columns = [k, k * 0.1, np.where(k % 2 == 1, "tag", ""), -k / 7.0]
+    header = ["n", "t", "label", "x"]
+    path = tmp_path / "rows.csv"
+    cuts = [0, 5, 5, 600, len(k)]  # an empty block, and blocks that end inside a batch
+    write_csv_blocks(path, header, ([column[a:b] for column in columns] for a, b in zip(cuts, cuts[1:])))
+    assert path.read_bytes() == one_shot_csv(header, columns)
+    # a bad block after a good one: the target stays as it was, and no temp file is left
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="header names"):
+        write_csv_blocks(path, header, iter([columns, columns[:3]]))
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 NAN_A, NAN_B = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)

@@ -1,13 +1,17 @@
 """Core four-point process: recurrence, invariants, classical reference."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import zitterlab as zl
+from zitterlab import verification
+from zitterlab.cli import parse_config
 from zitterlab.process import VERTICES
+from zitterlab.scenarios import run_scenario
 
 
 def params(eps, hbar=1.0, mass=1.0, **kw):
@@ -362,7 +366,7 @@ def one_cumsum_path(vel, z0, T, dt):
     return t, positions
 
 
-CHUNK = zl.process._PATH_CHUNK_STEPS
+CHUNK = zl.process._BLOCK_STATES
 CHUNK_VELOCITIES = [
     zl.CircularVelocity(omega=1.3, amplitude=0.9),
     zl.PolynomialVelocity((0.5, 1.0, -0.1j), (0.2j, 0.3)),
@@ -380,15 +384,82 @@ class TestChunkedClassicalPath:
         np.testing.assert_array_equal(path.positions, positions)
 
     @pytest.mark.parametrize("chunk", [CHUNK, 7])
-    @pytest.mark.parametrize("every", [1, 3, 10])
+    @pytest.mark.parametrize("every", [1, 3, 7, 10])
     def test_kept_positions_are_a_stride_of_the_path(self, monkeypatch, chunk, every):
-        # chunks of 7 steps end at every residue of 3 and of 10
-        monkeypatch.setattr(zl.process, "_PATH_CHUNK_STEPS", chunk)
+        # blocks of 7 kept positions, and a last block of fewer; at every = 7 the path ends a step past its last kept
+        monkeypatch.setattr(zl.process, "_BLOCK_STATES", chunk)
         vel, n_steps = CHUNK_VELOCITIES[0], 30 * 410
         times, positions = one_cumsum_path(vel, (0.3, -1j), n_steps * 1e-3, 1e-3)
-        kept_times, kept = zl.process._classical_path(vel, (0.3, -1j), n_steps * 1e-3, 1e-3, every)
+        blocks = list(zl.process._classical_path(vel, (0.3, -1j), n_steps * 1e-3, 1e-3, every))
+        assert [len(b) for _, b in blocks[:-1]] == [chunk] * (len(blocks) - 1) and 0 < len(blocks[-1][1]) <= chunk
+        kept_times, kept = (np.concatenate(parts) for parts in zip(*blocks))
         np.testing.assert_array_equal(kept_times, times[::every])
         np.testing.assert_array_equal(kept, positions[::every])
+
+
+def bits(a):
+    """The bit patterns of a float or complex array, so that equality tells -0.0 from 0.0 and sees NaN payloads."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def whole_run_oracle(p, perm, vel, z0, T):
+    """run_process as it was before runs came in blocks: one np.cumsum of V eps over
+    the whole run, then every vertex from the cycle table.  (times, means, epsilons, vertices)"""
+    z0 = np.asarray(z0, dtype=complex).reshape(2)
+    if p.epsilon_mode is zl.EpsilonMode.DE_BROGLIE:
+        times, epsilons, v = zl.process._de_broglie_schedule(p, vel, T)
+    else:
+        if p.epsilon_mode is zl.EpsilonMode.COMPTON:
+            p = replace(p, epsilon=p.compton_epsilon())
+        eps = p.epsilon
+        n_steps = int(math.floor(T / eps + 1e-9))
+        n = np.arange(n_steps + 1)
+        times, epsilons = n * eps, np.full(n_steps + 1, eps)
+        v = vel(4 * (n[1:] // 4) * eps)
+    means = np.empty((times.size, 2), dtype=complex)
+    means[0] = z0
+    np.cumsum(v * epsilons[1:, None], axis=0, out=means[1:])
+    means[1:] += z0
+    g = (1.0 + 1.0j) * np.sqrt(p.hbar * epsilons / (4.0 * p.mass))
+    table = perm.offset_table()
+    vertices = np.empty((len(times), 4, 2), dtype=complex)
+    whole = len(times) - len(times) % 4
+    np.multiply(g[:whole].reshape(-1, 4, 1, 1), table, out=vertices[:whole].reshape(-1, 4, 4, 2))
+    vertices[:whole] += means[:whole, None, :]
+    vertices[whole:] = means[whole:, None, :] + g[whole:, None, None] * table[: len(times) - whole]
+    return times, means, epsilons, vertices
+
+
+@pytest.mark.parametrize("block", [4, 12, CHUNK])
+@pytest.mark.parametrize(
+    "mode,vel,T",
+    [
+        # 5,002 steps: past one default block, and the last cycle ends two steps in
+        (zl.EpsilonMode.FIXED, zl.CircularVelocity(omega=2.0, amplitude=0.7), 5.002),
+        # eps = h/(4 m c^2) = 0.7 pi / 585, 4,098 steps: the last cycle ends two steps in
+        (zl.EpsilonMode.COMPTON, zl.PolynomialVelocity((0.5, 1.0, -0.1j), (0.2j, 0.3)), 15.407),
+        # 8,741 states, eps changing every cycle
+        (zl.EpsilonMode.DE_BROGLIE, zl.PolynomialVelocity((2.0, 1.5), (0.5 + 0.25j, -0.25)), 20.0),
+        # Re z0_x and every Re V_x eps are -0.0, so every Re mean_x is -0.0 in one cumsum
+        (zl.EpsilonMode.FIXED, zl.ConstantVelocity(-0.0, 0.5), 5.002),
+    ],
+    ids=["fixed", "compton", "de_broglie", "negative_zero"],
+)
+def test_streamed_blocks_equal_the_whole_run(monkeypatch, mode, vel, T, block):
+    monkeypatch.setattr(zl.process, "_BLOCK_STATES", block)
+    p = params(1e-3, hbar=0.7, mass=1.3, epsilon_mode=mode, light_speed=15.0)
+    perm, z0 = zl.Permutation(zl.Sense.S_MINUS), (complex(-0.0, 0.3), -1j)
+    expected = whole_run_oracle(p, perm, vel, z0, T)
+    used, n_states, blocks = zl.process._run_blocks(p, perm, vel, z0, T)
+    blocks = list(blocks)
+    assert n_states == len(expected[0]) > CHUNK and (mode is zl.EpsilonMode.DE_BROGLIE or n_states % 4 == 3)
+    assert [b.start for b in blocks] == list(range(0, n_states, block))
+    for k, name in enumerate(("times", "means", "epsilons", "vertices")):
+        joined = np.concatenate([getattr(b, name) for b in blocks])
+        assert np.array_equal(bits(joined), bits(expected[k])), name
+    # run_process joins the same blocks
+    run = zl.run_process(p, perm, vel, z0, T)
+    assert run.params == used and np.array_equal(bits(run.vertices), bits(expected[3]))
 
 
 @pytest.mark.parametrize(
@@ -425,6 +496,39 @@ def test_run_csv_format(tmp_path):
     assert float(row[1]) == run.times[1]
     run.to_csv(tmp_path / "run2.csv")
     assert (tmp_path / "run2.csv").read_bytes() == path.read_bytes()
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convergence_sweep_memory_is_flat_in_T():
+    # at T = 1 the finest run takes 10,001 states, two full blocks and a part
+    def sweep(T):
+        vel = zl.CircularVelocity()
+        return lambda: verification.process_convergence_rates(
+            params(1e-2), zl.Permutation(), vel, (0, 0), T, (1e-2, 3e-3, 1e-3, 1e-4)
+        )
+
+    small, large = traced_peak(sweep(1.0)), traced_peak(sweep(4.0))
+    assert large <= 1.2 * small, (small, large)
+
+
+def test_process_free_memory_is_flat_in_T(tmp_path, monkeypatch):
+    # blocks of 512 states keep the runs short: at T = 10.24 the run takes 1,025 states, two full blocks and one
+    monkeypatch.setattr(zl.process, "_BLOCK_STATES", 512)
+
+    def scenario(T):
+        cfg = parse_config(f"scenario = process_free\nvelocity = circular\nT = {T}\n")
+        return lambda: run_scenario(cfg, tmp_path / str(T))
+
+    small, large = traced_peak(scenario(10.24)), traced_peak(scenario(40.96))
+    assert large <= 1.2 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,7 @@ def test_scaling_plan_and_summary(scaling, monkeypatch, tmp_path):
 
 def test_scaling_series_with_the_parent_interleaved(scaling, bench_pairs, monkeypatch, tmp_path):
     assert scaling.plan(1, "process_free") == [400, 800, 1600]
+    assert scaling.plan(2, "convergence") == [4, 8, 16, 4, 8, 16]
     calls = []
 
     def fake_run(cmd, env, **kwargs):

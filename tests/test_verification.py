@@ -199,20 +199,19 @@ class TestConvergence:
             assert err <= 1e-12
 
     def test_sweep_reference_is_every_tenth_classical_position(self, monkeypatch):
-        # the finest eps takes many chunks of reference steps, which end at steps that are not multiples of 10
-        assert zl.process._PATH_CHUNK_STEPS % ver.REFERENCE_REFINEMENT != 0
+        # the finest eps's reference comes in several blocks, of REFERENCE_REFINEMENT steps per kept position
         vel, z0 = zl.CircularVelocity(omega=2.0, amplitude=0.7), (0.3, -1j)
         seen = []
 
         def spy(*args):
-            seen.append((args, zl.process._classical_path(*args)))
-            return seen[-1][1]
+            seen.append((args, list(zl.process._classical_path(*args))))
+            return iter(seen[-1][1])
 
         monkeypatch.setattr(ver, "_classical_path", spy)
         ver.process_convergence_rates(zl.PhysParams(), zl.Permutation(), vel, z0, 1.0, (1e-2, 3e-3, 1e-3, 1e-4))
-        finest_steps = ver.REFERENCE_REFINEMENT * (len(seen[-1][1][1]) - 1)
-        assert len(seen) == 4 and finest_steps > 2 * zl.process._PATH_CHUNK_STEPS
-        for (_, _, span, dt, every), (times, reference) in seen:
+        assert len(seen) == 4 and len(seen[-1][1]) > 2
+        for (_, _, span, dt, every), blocks in seen:
+            times, reference = (np.concatenate(parts) for parts in zip(*blocks))
             path = zl.classical_trajectory(vel, z0, span, dt)
             assert every == ver.REFERENCE_REFINEMENT
             np.testing.assert_array_equal(times, path.times[::every])
@@ -224,6 +223,58 @@ class TestConvergence:
         run = zl.run_process(zl.PhysParams(epsilon=eps), zl.Permutation(), zl.zero_velocity(), (0, 0), 1.0)
         dev = np.max(np.abs(np.linalg.norm(run.vertices - run.means[:, None, :], axis=2)))
         assert dev == pytest.approx(math.sqrt(eps / 2) * 2 * math.sqrt(2), rel=1e-12)
+
+
+def whole_increment_residuals(f, params, perm, vel, T):
+    """cycle_increment_residuals as one batch over the whole run, as it was before runs came in blocks."""
+    eps = params.epsilon
+    n_cycles = int(math.floor(T / (4.0 * eps) + 1e-9))
+    run = zl.run_process(params, perm, vel, np.zeros(2, dtype=complex), 4 * n_cycles * eps)
+    n = 4 * np.arange(1, n_cycles + 1)
+    t = run.times[n]
+    y_now = np.mean(f.value(run.vertices[n], t[:, None]), axis=1)
+    y_prev = np.mean(f.value(run.vertices[n - 1], run.times[n - 1][:, None]), axis=1)
+    gap = (y_now - y_prev) / eps - ver.dynkin_apply(f, run.means[n], t, vel(t), params)
+    return np.hypot(gap.real, gap.imag)
+
+
+def whole_convergence_errors(params, perm, vel, z0, T):
+    """(sup vertex deviation, sup mean deviation) of the whole run from every tenth classical position."""
+    run = zl.run_process(params, perm, vel, z0, T)
+    path = zl.classical_trajectory(vel, z0, (len(run) - 1) * params.epsilon, params.epsilon / 10)
+    reference = path.positions[::10]
+    dev = np.linalg.norm(run.vertices - reference[:, None, :], axis=2)
+    return float(np.max(np.abs(dev))), float(np.max(np.linalg.norm(run.means - reference, axis=1)))
+
+
+# At eps = 1e-4, T = 0.4096 ends the run on state 4,096: the last block of every size below holds that one boundary.
+BLOCK_SWEEP, BLOCK_T = (1e-2, 3e-3, 1e-3, 1e-4), 0.4096
+
+
+@pytest.mark.parametrize("block", [4, 8, zl.process._BLOCK_STATES])
+class TestBlocksEqualTheWholeRun:
+    """Block by block, and at 4 states a block one boundary a batch, the sweeps read what one batch of the whole run gives."""
+
+    def test_cycle_increments(self, monkeypatch, block):
+        monkeypatch.setattr(zl.process, "_BLOCK_STATES", block)
+        f, perm = ver.CATALOG["gaussian_series"], zl.Permutation(zl.Sense.S_MINUS)
+        vel = zl.PolynomialVelocity((0.5, 1j), (-0.25 + 0.5j, 0.0, 0.3))
+        report = ver.generator_identity_check(f, zl.PhysParams(hbar=1.3), perm, vel, BLOCK_T, BLOCK_SWEEP)
+        for eps, error in zip(report.values, report.errors):
+            expected = whole_increment_residuals(f, zl.PhysParams(hbar=1.3, epsilon=eps), perm, vel, BLOCK_T)
+            assert error == np.max(expected)
+        assert len(expected) == 1024 and 4 * len(expected) % block == 0  # state 4,096 starts a block of its own
+        res = ver.cycle_increment_residuals(f, zl.PhysParams(hbar=1.3, epsilon=1e-4), perm, vel, BLOCK_T)
+        assert np.array_equal(res, expected)
+
+    def test_convergence(self, monkeypatch, block):
+        monkeypatch.setattr(zl.process, "_BLOCK_STATES", block)
+        vel, z0, perm = zl.CircularVelocity(omega=2.0, amplitude=0.7), (0.3, -1j), zl.Permutation()
+        vertex, mean = ver.process_convergence_rates(zl.PhysParams(hbar=1.3), perm, vel, z0, BLOCK_T, BLOCK_SWEEP)
+        for eps, vertex_error, mean_error in zip(vertex.values, vertex.errors, mean.errors):
+            params = zl.PhysParams(hbar=1.3, epsilon=eps)
+            assert (vertex_error, mean_error) == whole_convergence_errors(params, perm, vel, z0, BLOCK_T)
+        assert zl.run_process(params, perm, vel, z0, BLOCK_T).times.size == 4097
 
 
 class TestComplexHJResidual:

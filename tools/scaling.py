@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Time one scenario at growing size, in fresh interpreters, and write a BENCH file.
 
-    python3 tools/scaling.py --pr N [--series process_free] [--parent DIR]
+    python3 tools/scaling.py --pr N [--series process_free|convergence] [--parent DIR]
 
 A series is a scenario and the config key that grows: ``equivariance`` (the
-default) sets ``n_grid`` to 256, 512 and 1024 in its default config, and
+default) sets ``n_grid`` to 256, 512 and 1024 in its default config,
 ``process_free`` sets ``T`` to 400, 800 and 1600 with ``velocity =
-circular``.  It makes RUNS runs per size.  Each run is one fresh interpreter
+circular``, and ``convergence`` sets ``T`` to 4, 8 and 16 in its default
+config.  It makes RUNS runs per size.  Each run is one fresh interpreter
 that parses the config, then times ``run_scenario`` into a temporary
 directory.  It reports that wall time (import excluded) and its own
 ``ru_maxrss`` (import included), the same peak RSS that perfbench reports.
@@ -50,6 +51,12 @@ SERIES = {
         "T",
         (400, 800, 1600),
         "scenario = process_free\nvelocity = circular\nT = {}\n",
+    ),
+    "convergence": (
+        "convergence at its default config, T set",
+        "T",
+        (4, 8, 16),
+        "scenario = convergence\nT = {}\n",
     ),
 }
 RUNS = 5
