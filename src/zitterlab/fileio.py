@@ -158,16 +158,20 @@ def write_zlab_frame(path, values: np.ndarray, box_half_width: float, time: floa
 
 
 def read_zlab_frame(path):
-    """Inverse of :func:`write_zlab_frame`; returns (values, box_half_width, time)."""
+    """Inverse of :func:`write_zlab_frame`; returns (values, box_half_width,
+    time).  Raises ValueError for a file that is not such a frame: a wrong
+    magic or version, a header cut short, or a payload other than N*N
+    values."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != ZLAB_MAGIC:
         raise ValueError("not a ZLAB frame")
-    version, n, box_half_width, time = struct.unpack("<IIdd", blob[4 : 4 + 24])
+    if len(blob) < 28:
+        raise ValueError(f"ZLAB header truncated at {len(blob)} of 28 bytes")
+    version, n, box_half_width, time = struct.unpack("<IIdd", blob[4:28])
     if version != ZLAB_VERSION:
         raise ValueError(f"unsupported ZLAB version {version}")
-    flat = np.frombuffer(blob[28:], dtype="<f8")
-    if flat.size != 2 * n * n:
+    if len(blob) != 28 + 16 * n * n:
         raise ValueError("ZLAB payload size mismatch")
-    pairs = flat.reshape(n, n, 2)
+    pairs = np.frombuffer(blob, dtype="<f8", offset=28).reshape(n, n, 2)
     return pairs[..., 0] + 1j * pairs[..., 1], box_half_width, time

@@ -15,7 +15,6 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -23,88 +22,32 @@ import numpy as np
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run, _fixed_epsilon, _step_count, _whole_cycles
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _axis_ratios, _densities, psi_ratios
-
-
-@dataclass(frozen=True)
-class AxisField:
-    """The per-axis form of a product frame's field: V(x, y) = (vx(x), vy(y))
-    on the live cells.
-
-    v (n, 2) holds vx at the x nodes in column 0 and vy at the y nodes in
-    column 1, complex or Re V alone as float.  rho (n, 2) holds the factors'
-    densities |fx|^2 and |fy|^2, and cell_min (n, 2) the smaller density of
-    each cell's two nodes per axis, with the periodic wrap.  Cell (i, j) is
-    live iff cell_min[i, 0] * cell_min[j, 1] >= floor = rho_floor max|fx|^2
-    max|fy|^2.  Rounding of a product of non-negative numbers is monotone, so
-    that product is the smallest of the cell's four corner products, and the
-    test equals the dilated node mask bit for bit.
-    """
-
-    v: np.ndarray
-    rho: np.ndarray
-    floor: float
-    cell_min: np.ndarray
-
-    def plane(self):
-        """(v (n, n, 2), node_mask (n, n)) on the grid, as velocity_field
-        builds them for a frame without factors: node (i, j) is masked where
-        rx[i] ry[j] < floor, and v there is 0."""
-        mask = np.outer(self.rho[:, 0], self.rho[:, 1]) < self.floor
-        n = len(self.v)
-        v = np.empty((n, n, 2), dtype=self.v.dtype)
-        v[..., 0] = self.v[:, None, 0]
-        v[..., 1] = self.v[None, :, 1]
-        v[mask] = 0.0
-        return v, mask
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _axis_ratios, _densities
 
 
 @dataclass
 class VelocityField:
-    """Complex guiding velocity sampled on the grid at one instant.
+    """Complex guiding velocity of a product frame at one instant, per axis:
+    V(x, y) = (vx(x), vy(y)) on the live cells.
 
-    v has shape (n, n, 2); node_mask is True where the field is invalid.
-    At every unmasked node m*v = grad S - i (hbar/2) grad log rho.  A field
-    used only for Bohmian transport may hold the real part Re V alone, as a
-    real array of the same shape.
-
-    The field of a product frame holds its AxisField in axes and is read
-    through it; its v and node_mask are built from axes at their first read
-    and then kept; repr and == read neither.  A field given a v holds no
-    axes, so dataclasses.replace of a product field (which reads v) gives a
-    field of the same values read in 2D.
+    v (n, 2) holds vx at the x nodes in column 0 and vy at the y nodes in
+    column 1: complex, or for a field used only for Bohmian transport Re V
+    alone as float.  At every live node m*v = grad S - i (hbar/2) grad log
+    rho.  cell_min (n, 2) holds the smaller density of each cell's two nodes
+    per axis, of the factors' densities |fx|^2 and |fy|^2, with the periodic
+    wrap.  Cell (i, j) is live iff cell_min[i, 0] * cell_min[j, 1] >= floor
+    = rho_floor max|fx|^2 max|fy|^2.  Rounding of a product of non-negative
+    numbers is monotone, so that product is the smallest of the cell's four
+    corner products, and the test equals bit for bit the node mask
+    rho < floor of the n x n density, dilated to the cells.  repr and ==
+    read no array.
     """
 
     grid: Grid2D
-    v: np.ndarray | None = field(repr=False, compare=False)
-    node_mask: np.ndarray | None = field(repr=False, compare=False)
+    v: np.ndarray = field(repr=False, compare=False)
+    cell_min: np.ndarray = field(repr=False, compare=False)
+    floor: float
     time: float
-    axes: AxisField | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.v is not None:
-            self.axes = None
-        elif self.axes is not None:
-            del self.v, self.node_mask  # built by __getattr__ at the first read
-
-    def __getattr__(self, name):
-        axes = self.__dict__.get("axes")
-        if name not in ("v", "node_mask") or axes is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.v, self.node_mask = axes.plane()
-        return self.__dict__[name]
-
-    @property
-    def dtype(self) -> np.dtype:
-        """V's dtype: complex, or float for a field of Re V alone."""
-        return (self.v if self.axes is None else self.axes.v).dtype
-
-    @cached_property
-    def cell_mask(self) -> np.ndarray:
-        """True for the cell (i, j) when any of its corner nodes i|i+1,
-        j|j+1 is masked (periodic wrap); read from node_mask at first use."""
-        m = self.node_mask | np.roll(self.node_mask, -1, axis=0)
-        return m | np.roll(m, -1, axis=1)
 
 
 def _velocity(ratios: np.ndarray, scale: float, real: bool) -> np.ndarray:
@@ -124,33 +67,18 @@ def velocity_field(
     rho_floor: float = DEFAULT_RHO_FLOOR,
     real: bool = False,
 ) -> VelocityField:
-    """V = -i (hbar/m) grad(Psi)/Psi on the grid, 0 at masked nodes.
-
-    grad(Psi)/Psi, rho and the node mask rho < rho_floor * max(rho) are
-    those of psi_ratios, which reads a product frame through its factors
-    and any other through one fft2.  A product frame's field holds only its
-    AxisField, O(n): vx and vy from the per-axis ratios (2n numbers), the
-    cell minima and the floor.
+    """V = -i (hbar/m) grad(Psi)/Psi per axis, O(n): vx and vy from the
+    per-axis ratios of psi_ratios (2n numbers, 0 at an axis node with no
+    live cell), the cell minima and the floor rho_floor * max(rho).
     On the live cells Re V = (hbar/m) Im(grad(Psi)/Psi) and
     Im V = -(hbar/m) Re(grad(Psi)/Psi).  With real=True, v holds Re V alone
     as float64, which is all Bohmian transport reads, and equals the real
     part of the complex field bit for bit.
     """
-    grid, scale = psi.grid, hbar / mass
-    if psi.factors is not None:
-        rx, ry, floor, (ratio_x, ratio_y) = _axis_ratios(psi, rho_floor)
-        rho = np.column_stack([rx, ry])
-        axes = AxisField(
-            _velocity(np.column_stack([ratio_x[0], ratio_y[0]]), scale, real),
-            rho,
-            floor,
-            np.minimum(rho, np.roll(rho, -1, axis=0)),
-        )
-        return VelocityField(grid, None, None, psi.time, axes)
-    live, ratios, _, mask = psi_ratios(psi, rho_floor)
-    v = np.zeros((grid.n * grid.n, 2), dtype=float if real else complex)
-    v[live] = _velocity(ratios.T, scale, real)
-    return VelocityField(grid, v.reshape(grid.n, grid.n, 2), mask, psi.time)
+    rx, ry, floor, (ratio_x, ratio_y) = _axis_ratios(psi, rho_floor)
+    rho = np.column_stack([rx, ry])
+    v = _velocity(np.column_stack([ratio_x[0], ratio_y[0]]), hbar / mass, real)
+    return VelocityField(psi.grid, v, np.minimum(rho, np.roll(rho, -1, axis=0)), floor, psi.time)
 
 
 def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
@@ -171,12 +99,10 @@ class _Stencil:
     the lower and upper node of each point's cell along x (column 0) and y
     (column 1); the upper node wraps to node 0.  frac (M, 2) is the position
     inside the cell, in [0, 1), so the weights are weight = 1 - frac (lower)
-    and frac (upper).  inside flags the points in the box.  A product
-    bracket reads its per-axis table at lo and hi; plane, the four-corner
-    form that any other bracket reads, is built at its first use.  One
-    stencil serves every frame sampled at the same points.  The large
-    temporaries are updated in place: at 1e4 points each fresh one costs
-    more in page faults than in arithmetic.
+    and frac (upper).  inside flags the points in the box.  A bracket reads
+    its per-axis table at lo and hi.  One stencil serves every frame sampled
+    at the same points.  The large temporaries are updated in place: at 1e4
+    points each fresh one costs more in page faults than in arithmetic.
     """
 
     def __init__(self, grid: Grid2D, pts: np.ndarray):
@@ -192,39 +118,9 @@ class _Stencil:
         c[:, 1] += 1  # column 1: the y axis
         hi = c + 2
         hi &= 2 * n - 1  # the periodic wrap: n is a power of two
-        self.n, self.lo, self.hi, self.frac = n, c, hi, f
+        self.lo, self.hi, self.frac = c, hi, f
         self.weight = 1.0 - f
         self.inside = _in_box(pts, L)
-
-    @cached_property
-    def plane(self):
-        """The flat node indices (4, M) of the corners (i0, j0), (i1, j0),
-        (i0, j1), (i1, j1) and their weights (4, M, 1)."""
-        n = self.n
-        (i0, j0), (i1, j1) = (self.lo >> 1).T, (self.hi >> 1).T
-        i0, i1 = i0 * n, i1 * n
-        (gx, gy), (fx, fy) = self.weight.T, self.frac.T
-        idx = np.stack([i0 + j0, i1 + j0, i0 + j1, i1 + j1])
-        w = np.stack([gx * gy, fx * gy, gx * fy, fx * fy])
-        return idx, w[..., None]
-
-
-def _gather(fld: VelocityField, st: _Stencil):
-    """The four-corner read of one field at a stencil: (values (M, 2),
-    masked (M,) bool).
-
-    v may be complex or real (Re V only); the values keep its dtype.  masked
-    is True where any of the four corner nodes is masked, read from the cell
-    mask at the lower corner; at a masked point the values are unspecified.
-    A product field builds its v and node_mask for this read.
-    """
-    idx, w = st.plane
-    g = fld.v.reshape(-1, 2).take(idx, axis=0)
-    np.multiply(w, g, out=g)  # in place: a fresh (4, M, 2) product costs more in page faults
-    vals = g[0] + g[1]
-    vals += g[2]
-    vals += g[3]
-    return vals, fld.cell_mask.ravel().take(idx[0])
 
 
 def _masked_cells(cell_min: np.ndarray, floor: float, lo: np.ndarray) -> np.ndarray:
@@ -245,8 +141,8 @@ def _point_stencil(grid: Grid2D, x: float, y: float):
     out.
 
     Each number comes from the same operations as _Stencil's, so it equals
-    _Stencil's bit for bit.  point_at's product read takes it in place of
-    some twenty numpy calls on (1, 2) arrays.
+    _Stencil's bit for bit.  point_at takes it in place of some twenty numpy
+    calls on (1, 2) arrays.
     """
     n, h, L = grid.n, grid.spacing, grid.half_width
     fx = (x + L) / h
@@ -287,17 +183,15 @@ class FrameInterpolator:
     at its own time only.  A query past the last frame or before the held
     window raises InvalidInput (a ValueError) instead of holding an end frame.
 
-    A bracket (i, a), a the weight on frame i + 1, is a product bracket when
-    frame i has axes and, unless a = 0, frame i + 1 too.  It is read from one
-    per-axis table: v_a = (1 - a) v_i + a v_(i+1), or frame i's own v at
-    a = 0, and the cell test of the smaller cell minimum of the two frames
-    against the larger floor.  The last table is kept, so the RK4's two
-    mid-stage reads share one.  A point reads (1 - frac) v_a[lo] + frac
-    v_a[hi] per axis.  Rounding of a product of non-negative numbers is
-    monotone, so a cell the table's test leaves live is live in both frames;
-    the cells it masks take each frame's own test, and the ok flags are
-    those of the two frames' tests.  Any other bracket, a mixed one
-    included, reads each frame by the four-corner sum and blends the two.
+    A bracket (i, a), a the weight on frame i + 1, is read from one per-axis
+    table: v_a = (1 - a) v_i + a v_(i+1), or frame i's own v at a = 0, and
+    the cell test of the smaller cell minimum of the two frames against the
+    larger floor.  The last table is kept, so the RK4's two mid-stage reads
+    share one.  A point reads (1 - frac) v_a[lo] + frac v_a[hi] per axis.
+    Rounding of a product of non-negative numbers is monotone, so a cell the
+    table's test leaves live is live in both frames; the cells it masks take
+    each frame's own test, and the ok flags are those of the two frames'
+    tests.
     """
 
     def __init__(self, fields):
@@ -345,14 +239,14 @@ class FrameInterpolator:
         return i, a
 
     def _axis_table(self, i: int, a: float):
-        """(v_a, cell_min, floor) of the product bracket (i, a); at a = 0
-        frame i's own arrays."""
+        """(v_a, cell_min, floor) of the bracket (i, a); at a = 0 frame i's
+        own arrays."""
         if a == 0.0:
-            axes = self.frames[i].axes
-            return axes.v, axes.cell_min, axes.floor
+            f = self.frames[i]
+            return f.v, f.cell_min, f.floor
         key = (self.times[i], a)  # times strictly increase: times[i] names frame i and its successor
         if key != self._table_key:
-            f0, f1 = self.frames[i].axes, self.frames[i + 1].axes
+            f0, f1 = self.frames[i], self.frames[i + 1]
             v = (1.0 - a) * f0.v + a * f1.v
             self._table = v, np.minimum(f0.cell_min, f1.cell_min), max(f0.floor, f1.floor)
             self._table_key = key
@@ -367,24 +261,18 @@ class FrameInterpolator:
         """
         i, a = self._bracket(t)
         st = _Stencil(self.grid, pts)
-        if self.frames[i].axes is not None and (a == 0.0 or self.frames[i + 1].axes is not None):
-            v, cell_min, floor = self._axis_table(i, a)
-            vals = v.take(st.lo)
-            vals *= st.weight
-            upper = v.take(st.hi)
-            upper *= st.frac
-            vals += upper
-            masked = _masked_cells(cell_min, floor, st.lo)
-            if a != 0.0 and masked.any():  # the table's test is sufficient, not necessary
-                k = np.flatnonzero(masked)
-                lo, (f0, f1) = st.lo[k], (f.axes for f in self.frames[i : i + 2])
-                masked[k] = _masked_cells(f0.cell_min, f0.floor, lo) | _masked_cells(f1.cell_min, f1.floor, lo)
-            return vals, st.inside & ~masked
-        v0, masked = _gather(self.frames[i], st)
-        if a == 0.0:
-            return v0, st.inside & ~masked
-        v1, masked1 = _gather(self.frames[i + 1], st)
-        return (1.0 - a) * v0 + a * v1, st.inside & ~(masked | masked1)
+        v, cell_min, floor = self._axis_table(i, a)
+        vals = v.take(st.lo)
+        vals *= st.weight
+        upper = v.take(st.hi)
+        upper *= st.frac
+        vals += upper
+        masked = _masked_cells(cell_min, floor, st.lo)
+        if a != 0.0 and masked.any():  # the table's test is sufficient, not necessary
+            k = np.flatnonzero(masked)
+            lo, (f0, f1) = st.lo[k], self.frames[i : i + 2]
+            masked[k] = _masked_cells(f0.cell_min, f0.floor, lo) | _masked_cells(f1.cell_min, f1.floor, lo)
+        return vals, st.inside & ~masked
 
     def real_at(self, t: float, pts: np.ndarray):
         vals, ok = self.complex_at(t, pts)
@@ -394,33 +282,33 @@ class FrameInterpolator:
         """complex_at of the one point (x, y) in Python scalars: (vx, vy, ok),
         vx and vy complex or float as the fields are.
 
-        A product bracket at a point with a scalar stencil is read by the
-        operations of complex_at's row [[x, y]], in its order, so the result
-        equals that row bit for bit: each of the cell's two nodes per axis is
-        blended in time and then the two are lerped, and each frame takes its
-        own cell test.  On a complex field each weight is given as w + 0j,
-        the operand of numpy's complex multiply, so even the signs of zero
-        parts are numpy's; Python's own float * complex does not promote on
-        every version.  Any other query, a 2D or mixed bracket or a NaN,
-        infinite or far point, returns complex_at's row itself.
+        A point with a scalar stencil is read by the operations of
+        complex_at's row [[x, y]], in its order, so the result equals that
+        row bit for bit: each of the cell's two nodes per axis is blended in
+        time and then the two are lerped, and each frame takes its own cell
+        test.  On a complex field each weight is given as w + 0j, the
+        operand of numpy's complex multiply, so even the signs of zero parts
+        are numpy's; Python's own float * complex does not promote on every
+        version.  A NaN, infinite or far point returns complex_at's row
+        itself.
         """
         i, a = self._bracket(t)
         point = _point_stencil(self.grid, x, y)
-        axes = self.frames[i].axes
-        later = None if a == 0.0 else self.frames[i + 1].axes
-        if point is None or axes is None or a != 0.0 and later is None:
+        first = self.frames[i]
+        later = None if a == 0.0 else self.frames[i + 1]
+        if point is None:
             vals, ok = self.complex_at(t, np.array([[x, y]], dtype=float))
             return vals.item(0), vals.item(1), bool(ok[0])
         nodes, w, inside = point
         b = 1.0 - a
-        if axes.v.dtype.kind == "c":  # numpy's operands for complex products
+        if first.v.dtype.kind == "c":  # numpy's operands for complex products
             w, b, a = [complex(c) for c in w], complex(b), complex(a)
         # column 0 of node i is item 2i of an (n, 2) array, column 1 of node j item 2j + 1
         i0, i1, j0, j1 = nodes
         ix0, ix1, iy0, iy1 = 2 * i0, 2 * i1, 2 * j0 + 1, 2 * j1 + 1
         gx, fx, gy, fy = w
-        v, m = axes.v.item, axes.cell_min.item
-        masked = m(ix0) * m(iy0) < axes.floor
+        v, m = first.v.item, first.cell_min.item
+        masked = m(ix0) * m(iy0) < first.floor
         if later is None:
             vx = gx * v(ix0) + fx * v(ix1)
             vy = gy * v(iy0) + fy * v(iy1)
@@ -764,24 +652,17 @@ def coarse_density_histogram(psi: WaveFunction, bins: int) -> np.ndarray:
     """|Psi|^2 integrated over a bins x bins coarse grid, normalized to 1.
 
     Integrates the piecewise-constant cell measure exactly, splitting cells
-    that straddle a coarse-bin edge by their overlap fractions.  A product
-    frame's density is rx ry per cell, so its histogram is the outer product
-    of the two per-axis sums, O(n) and not O(n^2).
+    that straddle a coarse-bin edge by their overlap fractions.  The density
+    is rx ry per cell, so the histogram is the outer product of the two
+    per-axis sums, O(n) and not O(n^2).
     """
     grid = psi.grid
     bx0, bx1, fx = _axis_bin_split(grid, bins)
     by0, by1, fy = _axis_bin_split(grid, bins)
-    if psi.factors is not None:
-        rx, ry = _densities(psi)
-        hx = np.bincount(bx0, rx * fx, bins) + np.bincount(bx1, rx * (1.0 - fx), bins)
-        hy = np.bincount(by0, ry * fy, bins) + np.bincount(by1, ry * (1.0 - fy), bins)
-        hist = np.outer(hx, hy)
-        return hist / hist.sum()
-    rho = psi.density()
-    hist = np.zeros((bins, bins))
-    for bx, wx in ((bx0, fx), (bx1, 1.0 - fx)):
-        for by, wy in ((by0, fy), (by1, 1.0 - fy)):
-            np.add.at(hist, (bx[:, None], by[None, :]), rho * wx[:, None] * wy[None, :])
+    rx, ry = _densities(psi)
+    hx = np.bincount(bx0, rx * fx, bins) + np.bincount(bx1, rx * (1.0 - fx), bins)
+    hy = np.bincount(by0, ry * fy, bins) + np.bincount(by1, ry * (1.0 - fy), bins)
+    hist = np.outer(hx, hy)
     return hist / hist.sum()
 
 

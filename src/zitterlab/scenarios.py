@@ -463,7 +463,7 @@ def _stationary_frames(ground, omega, times, hbar):
     """The ground state's product frames at times: factors (fx e^{-i E0 t/hbar}, fy)."""
     fx, fy = ground.factors
     e0 = hbar * omega  # 2D isotropic ground energy
-    return (WaveFunction(ground.grid, None, float(t), factors=(fx * np.exp(-1j * e0 * t / hbar), fy)) for t in times)
+    return (WaveFunction(ground.grid, (fx * np.exp(-1j * e0 * t / hbar), fy), float(t)) for t in times)
 
 
 def _scenario_harmonic_ground(cfg: ScenarioConfig, out) -> ScenarioResult:
@@ -619,7 +619,6 @@ def _scenario_hj_residual(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 def _scenario_guided_process(cfg: ScenarioConfig, out) -> ScenarioResult:
     grid, _, _, psi_frames = _free_stream(cfg)
-    # each frame carries its factors, so every field is built from 1D transforms
     fields = (pilot.velocity_field(f, cfg.hbar, cfg.mass, cfg.rho_floor) for f in psi_frames)
     seed = (cfg.seed_x, cfg.seed_y)
     gaps = []

@@ -416,13 +416,13 @@ def complex_hj_residual(
 
 
 # ---------------------------------------------------------------------------
-# marginal CDF of a product frame
+# marginal CDF of a frame
 # ---------------------------------------------------------------------------
 
 
 def marginal_cdf(psi: WaveFunction, axis: int, x) -> np.ndarray:
-    """F(x) = the integral from -L to x of the product frame psi's density
-    |f|^2 along axis (0: x, 1: y), normalized to 1 over the box [-L, L).
+    """F(x) = the integral from -L to x of psi's density |f|^2 along axis
+    (0: x, 1: y), normalized to 1 over the box [-L, L).
 
     |f|^2 is read as its trigonometric interpolant on the periodic grid (the
     Nyquist term as a cosine) and integrated term by term, so F(-L) = 0 and
@@ -430,8 +430,6 @@ def marginal_cdf(psi: WaveFunction, axis: int, x) -> np.ndarray:
     flow keeps F along every path: F_T(x_T) = F_0(x_0) (Holland, The Quantum
     Theory of Motion, 1993, sec. 3).  Costs O(len(x) n).
     """
-    if psi.factors is None:
-        raise InvalidInput("marginal_cdf reads the factors of a product frame")
     grid = psi.grid
     n, L = grid.n, grid.half_width
     c = np.fft.rfft(np.abs(psi.factors[axis]) ** 2)

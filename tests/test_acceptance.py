@@ -194,12 +194,9 @@ def test_criterion_7_bohm_trajectories(free_fields_256):
     crit.check("self_similar", rel < 1e-4, f"rel err {rel:.2e}")
 
     grid = zl.Grid2D(128, 10.0)
-    ground = zl.harmonic_ground_state(grid, 1.0)
+    fx, fy = zl.harmonic_ground_state(grid, 1.0).factors
     times = np.linspace(0.0, 2 * math.pi, 51)
-    fields = [
-        zl.velocity_field(zl.WaveFunction(grid, ground.values * np.exp(-1j * t), float(t)))
-        for t in times
-    ]
+    fields = [zl.velocity_field(zl.WaveFunction(grid, (fx * np.exp(-1j * t), fy), float(t))) for t in times]
     drift = 0.0
     for seed in ((0.5, -0.3), (1.0, 0.8)):
         tr = zl.integrate_trajectory(fields, seed, dt=times[1] - times[0])

@@ -145,8 +145,11 @@ def test_chunks_that_raise_leave_the_target_and_no_temp_file(tmp_path):
 
 
 @pytest.mark.parametrize("width", [8, 21])  # 21 float columns: run.csv's width
-def test_streamed_csv_holds_a_fraction_of_the_file(tmp_path, width):
-    n = 50_000
+def test_streamed_csv_holds_a_fraction_of_the_file(tmp_path, monkeypatch, width):
+    # 50,000 rows in 512-row batches, both cut by 8: the file holds as many
+    # batches, and tracemalloc follows an eighth of the allocations
+    monkeypatch.setattr(fileio, "_CSV_BATCH_ROWS", fileio._CSV_BATCH_ROWS // 8)
+    n = 50_000 // 8
     k = np.arange(n)
     columns = [k, *(k * 1e-3 + c for c in range(width))]  # made before tracing: only the write is measured
     path = tmp_path / "big.csv"
@@ -158,6 +161,29 @@ def test_streamed_csv_holds_a_fraction_of_the_file(tmp_path, width):
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size / 4, (peak, size)
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda blob: b"ZLAX" + blob[4:], "not a ZLAB frame"),
+        (lambda blob: blob[:4] + b"\x02" + blob[5:], "unsupported ZLAB version 2"),
+        (lambda blob: blob[:-8], "payload size mismatch"),
+        (lambda blob: blob + b"\x00", "payload size mismatch"),
+        (lambda blob: blob[:6], "header truncated at 6 of 28 bytes"),
+        (lambda blob: blob[:27], "header truncated at 27 of 28 bytes"),
+    ],
+    ids=["magic", "version", "short_payload", "long_payload", "header_6", "header_27"],
+)
+def test_malformed_zlab_frames_raise_value_error(tmp_path, cut, message):
+    path = tmp_path / "f.zlab"
+    values = np.arange(16).reshape(4, 4) * (1 + 0.5j)
+    fileio.write_zlab_frame(path, values, 2.5, 0.125)
+    read, half_width, time = fileio.read_zlab_frame(path)
+    assert np.array_equal(read, values) and (half_width, time) == (2.5, 0.125)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        fileio.read_zlab_frame(path)
 
 
 def test_each_write_calls_one_public_writer(tmp_path, monkeypatch):

@@ -43,16 +43,24 @@ def free_fields(free_frames):
 @pytest.fixture(scope="module")
 def ground_fields(grid):
     """Stationary-state fields over one oscillator period (analytic frames)."""
-    ground = zl.harmonic_ground_state(grid, 1.0)
+    fx, fy = zl.harmonic_ground_state(grid, 1.0).factors
     times = np.linspace(0.0, 2 * math.pi, 51)
-    frames = [
-        zl.WaveFunction(grid, ground.values * np.exp(-1j * t), float(t)) for t in times
-    ]
-    return [zl.velocity_field(f) for f in frames]
+    return [zl.velocity_field(zl.WaveFunction(grid, (fx * np.exp(-1j * t), fy), float(t))) for t in times]
 
 
 def spreading_width(t, sigma0=1.0):
     return sigma0 * math.sqrt(1.0 + (t / (2.0 * sigma0**2)) ** 2)
+
+
+def axis_densities(psi):
+    return [np.abs(f) ** 2 for f in psi.factors]
+
+
+def live_nodes(psi, fld):
+    """(n, 2) flags of the x nodes (column 0) and y nodes (column 1) whose
+    row or column of cells holds a node at or above fld's floor."""
+    rx, ry = axis_densities(psi)
+    return np.column_stack([rx * float(ry.max()) >= fld.floor, ry * float(rx.max()) >= fld.floor])
 
 
 class TestVelocityField:
@@ -62,20 +70,18 @@ class TestVelocityField:
         psi = zl.analytic_free_gaussian(grid, 1.0, (0, 0), (0, 0), t)
         field = zl.velocity_field(psi)
         g_t = (t / 4.0) / (1.0 + t * t / 4.0)
-        X, Y = grid.mesh()
-        bulk = psi.density() > 1e-4 * psi.density().max()
-        assert np.max(np.abs(field.v[..., 0].real - g_t * X)[bulk]) < 1e-8
-        assert np.max(np.abs(field.v[..., 1].real - g_t * Y)[bulk]) < 1e-8
+        for axis, r in enumerate(axis_densities(psi)):
+            bulk = r > 1e-4 * r.max()
+            assert np.max(np.abs(field.v[:, axis].real - g_t * grid.axis)[bulk]) < 1e-8
 
     def test_real_ground_state_is_osmotic_only(self, grid):
         omega = 1.0
         psi = zl.harmonic_ground_state(grid, omega)
         field = zl.velocity_field(psi, rho_floor=1e-6)
-        X, Y = grid.mesh()
-        bulk = ~field.node_mask
-        assert np.max(np.abs(field.v[..., 0].real[bulk])) < 1e-10
+        bulk = live_nodes(psi, field)[:, 0]
+        assert np.max(np.abs(field.v[bulk, 0].real)) < 1e-10
         # Im V = -(hbar/2m) grad log rho = omega * x per axis
-        assert np.max(np.abs(field.v[..., 0].imag - omega * X)[bulk]) < 1e-6
+        assert np.max(np.abs(field.v[bulk, 0].imag - omega * grid.axis[bulk])) < 1e-6
 
     def test_action_decomposition_identity(self, grid):
         # m V = grad S - i (hbar/2) grad log rho with grad S = hbar Im(grad Psi/Psi)
@@ -83,24 +89,23 @@ class TestVelocityField:
         psi = zl.analytic_free_gaussian(grid, 1.0, (0.5, -0.2), (0, 0), 0.5)
         hbar, mass = 1.0, 2.0
         field = zl.velocity_field(psi, hbar=hbar, mass=mass)
-        live, ratios, _, mask = schrodinger.psi_ratios(psi)
-        assert np.array_equal(mask, field.node_mask)
-        lhs = mass * field.v.reshape(-1, 2)[live].T
+        live, ratios, rho, mask = schrodinger.psi_ratios(psi)
+        assert np.array_equal(mask, rho < field.floor)
+        i, j = np.divmod(live, grid.n)
+        lhs = mass * np.array([field.v[i, 0], field.v[j, 1]])
         rhs = hbar * ratios.imag - 0.5j * hbar * (2.0 * ratios.real)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    @pytest.mark.parametrize("product", [True, False])
-    def test_default_floor_keeps_the_deep_tail_live(self, grid, product):
+    def test_default_floor_keeps_the_deep_tail_live(self, grid):
         # the default rho_floor is 1e-12 of max rho: a cell at 1e-12 <= rho/max rho < 1e-6 is live
         psi = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.0, 0.5))
-        if not product:
-            psi = dataclasses.replace(psi, factors=None)
         field = zl.velocity_field(psi)
         rho = psi.density()
+        node_mask = rho < field.floor
         tail = (rho >= 1e-12 * rho.max()) & (rho < 1e-6 * rho.max())
         assert tail.sum() > 100
-        assert not field.node_mask[tail].any()
-        assert field.node_mask[rho < 0.5e-12 * rho.max()].all()
+        assert not node_mask[tail].any()
+        assert node_mask[rho < 0.5e-12 * rho.max()].all()
 
 
 def plain_gradient(grid, values):
@@ -111,14 +116,14 @@ def plain_gradient(grid, values):
 
 
 def ratio_re_field(psi, hbar=1.0, mass=1.0, rho_floor=schrodinger.DEFAULT_RHO_FLOOR):
-    """The Re V field from plain numpy: an fft2 of psi, one ifft2 per
-    component and a complex divide.  The oracle for the field kernel."""
+    """(Re V (n, n, 2), node mask) from plain numpy: an fft2 of psi.values,
+    one ifft2 per component and a complex divide.  The oracle for the field
+    kernel."""
     rho = np.abs(psi.values) ** 2
     mask = rho < rho_floor * float(rho.max())
     ratio = plain_gradient(psi.grid, psi.values) / np.where(mask, 1.0, psi.values)[..., None]
     ratio[mask] = 0.0
-    v = -1j * (hbar / mass) * ratio
-    return pilot.VelocityField(psi.grid, np.ascontiguousarray(v.real), mask, psi.time)
+    return (-1j * (hbar / mass) * ratio).real, mask
 
 
 class TestFieldKernel:
@@ -128,27 +133,38 @@ class TestFieldKernel:
 
     @pytest.fixture(scope="class")
     def stream(self, grid):
-        # without factors: the 2D free path, whose frames velocity_field reads through fft2
-        psi0 = dataclasses.replace(zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, 0.5)), factors=None)
+        psi0 = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, 0.5))
         return list(zl.stream_frames(psi0, zl.free_potential(), 1e-3, 600, 60))
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
     def test_matches_ratio_oracle(self, stream, hbar, mass):
-        # Both sides take the same spectral gradient g of the same psi.  Each
-        # then rounds at most eight times in quantities bounded by |g|/|psi|
-        # on the way to V (the oracle's complex divide and -i hbar/m scaling;
-        # conj(psi) g, |psi|^2, the divide and the hbar/m scaling here), so
-        # per component |V - V_oracle| <= 16 eps (hbar/m) |g|/|psi|.
+        # The field takes each factor's 1D spectral derivative, the oracle the
+        # 2D spectral gradient g of psi.values.  A radix-2 FFT of N points errs
+        # by at most 7u log2 N of its input's L2 norm (Higham, Thm 24.2), so
+        # the two derivatives differ by at most e k_max ||psi||_2 at a cell,
+        # e = 7u (2 log2 n^2 + 2 log2 n) + u (the rounding of psi.values); at a
+        # live cell c the ratios then differ by e k_max ||psi||_2 / |psi_c|,
+        # as ||fx||_2 / |fx_i| <= ||psi||_2 / |psi_c|.  Each side then rounds
+        # at most eight times in quantities bounded by |g|/|psi_c| on the way
+        # to V.  The node masks agree but where rho is within roundoff of the
+        # floor.
+        grid = stream[0].grid
+        k_max = float(np.max(np.abs(grid.wavenumbers)))
+        e = 3.5 * self.EPS * (2 * math.log2(grid.n**2) + 2 * math.log2(grid.n)) + self.EPS / 2
         for f in stream:
-            plain = zl.WaveFunction(f.grid, f.values, f.time)
-            oracle = ratio_re_field(plain, hbar, mass)
-            fld = zl.velocity_field(plain, hbar, mass, real=True)
-            assert np.array_equal(fld.node_mask, oracle.node_mask)
-            live = ~fld.node_mask
-            g = np.abs(plain_gradient(f.grid, f.values))[live]
-            bound = 16 * self.EPS * (hbar / mass) * g / np.abs(f.values[live])[:, None]
-            assert np.all(np.abs(fld.v[live] - oracle.v[live]) <= bound)
-            assert np.all(fld.v[~live] == 0.0)
+            oracle, mask = ratio_re_field(f, hbar, mass)
+            fld = zl.velocity_field(f, hbar, mass, real=True)
+            rho = f.density()
+            differ = mask != (rho < fld.floor)
+            assert np.all(np.abs(rho[differ] - fld.floor) <= 8 * self.EPS * fld.floor)
+            live = ~mask & ~differ
+            i, j = np.nonzero(live)
+            v = np.column_stack([fld.v[i, 0], fld.v[j, 1]])
+            g = np.abs(plain_gradient(grid, f.values))[live]
+            psi_c = np.abs(f.values[live])[:, None]
+            bound = (hbar / mass) * (e * k_max * np.linalg.norm(f.values) + 16 * self.EPS * g) / psi_c
+            assert np.all(np.abs(v - oracle[live]) <= bound)
+            assert np.all(fld.v[~live_nodes(f, fld)] == 0.0)
 
     def test_real_field_is_the_real_part(self, stream):
         for f in stream[:3]:
@@ -156,27 +172,31 @@ class TestFieldKernel:
             assert real.v.dtype == float and full.v.dtype == complex
             assert np.array_equal(real.v, full.v.real)
 
-    def test_cell_mask_dilates_the_node_mask(self, grid):
-        mask = np.zeros((grid.n, grid.n), dtype=bool)
-        mask[5, 7] = mask[0, 0] = True
-        cells = pilot.VelocityField(grid, np.zeros((grid.n, grid.n, 2)), mask, 0.0).cell_mask
-        # a node is a corner of the cells (i - 1 | i, j - 1 | j), wrapping at 0
-        expected = np.zeros_like(mask)
-        for i, j in ((5, 7), (0, 0)):
-            for di in (-1, 0):
-                for dj in (-1, 0):
-                    expected[(i + di) % grid.n, (j + dj) % grid.n] = True
-        assert np.array_equal(cells, expected)
+
+def axis_field(grid, v, time=0.0, rho=None, floor=0.0):
+    """The field of the per-axis values v (n, 2) at time, whose cells are
+    tested on the node densities rho (n, 2), all 1 by default, against floor."""
+    rho = np.ones(v.shape) if rho is None else rho
+    return pilot.VelocityField(grid, v, np.minimum(rho, np.roll(rho, -1, axis=0)), floor, time)
 
 
-def synthetic_field(grid, vx_node=None):
-    """Constant-zero field with one node's Re Vx set, for interpolation tests."""
-    v = np.zeros((grid.n, grid.n, 2), dtype=complex)
-    mask = np.zeros((grid.n, grid.n), dtype=bool)
+def expanded(v, rho, floor):
+    """(v (n, n, 2), node mask (n, n)) on the grid of axis_field's field of
+    v, rho and floor: node (i, j) holds (v[i, 0], v[j, 1]) and is masked
+    where rho[i, 0] rho[j, 1] < floor."""
+    return np.stack(np.broadcast_arrays(v[:, None, 0], v[None, :, 1]), axis=-1), np.outer(*rho.T) < floor
+
+
+def synthetic_field(grid, vx_node=None, masked_x=None):
+    """Zero field with the Re Vx of one x node set, vx_node = (i, value), and
+    the cells around x node masked_x masked, for interpolation tests."""
+    v = np.zeros((grid.n, 2), dtype=complex)
+    rho = np.ones((grid.n, 2))
     if vx_node is not None:
-        (i, j), value = vx_node
-        v[i, j, 0] = value
-    return pilot.VelocityField(grid, v, mask, 0.0)
+        v[vx_node[0], 0] = vx_node[1]
+    if masked_x is not None:
+        rho[masked_x, 0] = 0.0
+    return axis_field(grid, v, rho=rho, floor=0.5)
 
 
 class TestBohmVelocityAt:
@@ -184,16 +204,15 @@ class TestBohmVelocityAt:
         field = free_fields[100]
         i, j = 70, 64
         x = (grid.axis[i], grid.axis[j])
-        np.testing.assert_allclose(zl.bohm_velocity_at(field, x), field.v[i, j].real, atol=1e-14)
+        np.testing.assert_allclose(zl.bohm_velocity_at(field, x), [field.v[i, 0].real, field.v[j, 1].real], atol=1e-14)
 
     def test_bilinear_midpoint(self, grid):
-        field = synthetic_field(grid, vx_node=((64, 64), 1.0))
+        field = synthetic_field(grid, vx_node=(64, 1.0))
         x_mid = (grid.axis[64] + grid.spacing / 2, grid.axis[64])
         np.testing.assert_allclose(zl.bohm_velocity_at(field, x_mid), [0.5, 0.0], atol=1e-14)
 
     def test_node_region_raises(self, grid):
-        field = synthetic_field(grid)
-        field.node_mask[80, 80] = True
+        field = synthetic_field(grid, masked_x=80)
         probe = (grid.axis[80] - 0.3 * grid.spacing, grid.axis[80])
         with pytest.raises(zl.NodeRegion):
             zl.bohm_velocity_at(field, probe)
@@ -204,9 +223,9 @@ class TestBohmVelocityAt:
             zl.bohm_velocity_at(field, (10.5, 0.0))
 
 
-def bilinear_oracle(fld, pts):
-    """The direct four-corner formula the shared stencil kernel replaced."""
-    grid = fld.grid
+def bilinear_oracle(grid, v, m, pts):
+    """The direct four-corner formula of the field v (n, n, 2) with node mask
+    m (n, n) at pts: (values, ok)."""
     n, h, L = grid.n, grid.spacing, grid.half_width
     inside = np.all((pts >= -L) & (pts < L), axis=1)
     fx = (pts[:, 0] + L) / h
@@ -219,9 +238,7 @@ def bilinear_oracle(fld, pts):
     j0 = np.clip(j0, 0, n - 1)
     i1 = (i0 + 1) % n
     j1 = (j0 + 1) % n
-    m = fld.node_mask
     ok = inside & ~(m[i0, j0] | m[i1, j0] | m[i0, j1] | m[i1, j1])
-    v = fld.v
     vals = (
         (1 - tx) * (1 - ty) * v[i0, j0]
         + tx * (1 - ty) * v[i1, j0]
@@ -234,9 +251,8 @@ def bilinear_oracle(fld, pts):
 class WholeListInterpolator:
     """The reads a forward-reading FrameInterpolator must reproduce: a
     searchsorted over every frame's time for the bracket, then pilot's
-    stencil.  Two product fields blend their nodes per axis, then lerp, and
-    take each frame's cell test; any other pair takes the four-corner
-    gathers and blends them."""
+    stencil.  Two fields blend their nodes per axis, then lerp, and take
+    each frame's cell test."""
 
     def __init__(self, fields):
         self.fields = list(fields)
@@ -250,19 +266,13 @@ class WholeListInterpolator:
         a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         stencil = pilot._Stencil(self.grid, pts)
         frames = self.fields[i : i + 2] if a else self.fields[i : i + 1]
-        if all(f.axes is not None for f in frames):
-            v = frames[0].axes.v if a == 0.0 else (1.0 - a) * frames[0].axes.v + a * frames[1].axes.v
-            vals = stencil.weight * v.take(stencil.lo) + stencil.frac * v.take(stencil.hi)
-            masked = np.zeros(len(pts), dtype=bool)
-            for f in frames:
-                m = f.axes.cell_min.take(stencil.lo)
-                masked |= m[:, 0] * m[:, 1] < f.axes.floor
-            return vals, stencil.inside & ~masked
-        v0, masked = pilot._gather(frames[0], stencil)
-        if a == 0.0:
-            return v0, stencil.inside & ~masked
-        v1, masked1 = pilot._gather(frames[1], stencil)
-        return (1.0 - a) * v0 + a * v1, stencil.inside & ~(masked | masked1)
+        v = frames[0].v if a == 0.0 else (1.0 - a) * frames[0].v + a * frames[1].v
+        vals = stencil.weight * v.take(stencil.lo) + stencil.frac * v.take(stencil.hi)
+        masked = np.zeros(len(pts), dtype=bool)
+        for f in frames:
+            m = f.cell_min.take(stencil.lo)
+            masked |= m[:, 0] * m[:, 1] < f.floor
+        return vals, stencil.inside & ~masked
 
     def real_at(self, t, pts):
         vals, ok = self.complex_at(t, pts)
@@ -276,7 +286,7 @@ def ulp_retimed(free_frames, dt=0.005, count=60):
     step k starts an ulp before it and needs frame k - 1 again."""
     times = [(k - 1) * dt + dt if k and (k - 1) * dt + dt > k * dt else k * dt for k in range(count)]
     assert sum(t != k * dt for k, t in enumerate(times)) >= 5
-    return [zl.WaveFunction(f.grid, f.values, t) for f, t in zip(free_frames, times)]
+    return [zl.WaveFunction(f.grid, f.factors, t) for f, t in zip(free_frames, times)]
 
 
 def kernel_probe_points(grid, m, rng):
@@ -310,109 +320,53 @@ def array_kernel(monkeypatch):
 
 
 class TestTransportKernel:
-    """The stencil/gather kernel reproduces the four-corner formula."""
+    """The per-axis reads reproduce the four-corner formula."""
 
     @pytest.fixture(scope="class")
     def masked_field(self):
-        grid = zl.Grid2D(64, 8.0)
+        """(v, rho, floor) of a random complex field on the 64^2 box of half
+        width 8 whose cells around x node 41 and y node 18 are masked."""
         rng = np.random.default_rng(3)
-        v = rng.normal(size=(64, 64, 2)) + 1j * rng.normal(size=(64, 64, 2))
-        mask = np.zeros((64, 64), dtype=bool)
-        mask[41, 18] = True
-        mask[63, 5] = True
-        mask[10, 63] = True
-        return pilot.VelocityField(grid, v, mask, 0.0)
+        v = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+        rho = np.ones((64, 2))
+        rho[[41, 18], [0, 1]] = 1e-3
+        return v, rho, 0.1
 
     @pytest.mark.parametrize("m", [1, 1000])
     @pytest.mark.parametrize("real", [False, True])
     def test_matches_four_corner_oracle(self, masked_field, m, real):
-        fld = masked_field
+        v, rho, floor = masked_field
         if real:
-            fld = pilot.VelocityField(fld.grid, np.ascontiguousarray(fld.v.real), fld.node_mask, 0.0)
-        pts = kernel_probe_points(fld.grid, m, np.random.default_rng(m))  # m = 1: a wrap-row point
-        expected, ok_expected = bilinear_oracle(fld, pts)
-        stencil = pilot._Stencil(fld.grid, pts)
-        vals, masked = pilot._gather(fld, stencil)
-        assert vals.dtype == fld.v.dtype
-        # same products summed in the same order: equal, not merely within 1e-14
-        np.testing.assert_array_equal(vals, expected)
-        assert np.array_equal(stencil.inside & ~masked, ok_expected)
-        interp_vals, interp_ok = pilot.FrameInterpolator([fld]).complex_at(0.0, pts)
-        np.testing.assert_array_equal(interp_vals, expected)
-        assert np.array_equal(interp_ok, ok_expected)
+            v = np.ascontiguousarray(v.real)
+        grid = zl.Grid2D(64, 8.0)
+        pts = kernel_probe_points(grid, m, np.random.default_rng(m))  # m = 1: a wrap-row point
+        expected, ok_expected = bilinear_oracle(grid, *expanded(v, rho, floor), pts)
+        vals, ok = pilot.FrameInterpolator([axis_field(grid, v, rho=rho, floor=floor)]).complex_at(0.0, pts)
+        assert vals.dtype == v.dtype
+        assert np.array_equal(ok, ok_expected)
+        bound = lerp_bound(v, pilot._Stencil(grid, pts))
+        for part in ("real", "imag"):
+            assert np.all((np.abs(getattr(vals - expected, part)) <= getattr(bound, part))[ok])
 
     def test_probe_points_cover_every_case(self, masked_field):
-        grid = masked_field.grid
+        grid = zl.Grid2D(64, 8.0)
         L = grid.half_width
         pts = kernel_probe_points(grid, 1000, np.random.default_rng(1000))
-        _, ok = bilinear_oracle(masked_field, pts)
+        _, ok = bilinear_oracle(grid, *expanded(*masked_field), pts)
         i0 = np.floor((pts + L) / grid.spacing).astype(int)
         inside = np.all((pts >= -L) & (pts < L), axis=1)
         assert np.any(inside & (i0[:, 0] == grid.n - 1)) and np.any(inside & (i0[:, 1] == grid.n - 1))
         assert np.any(~inside)
         assert np.any(inside & ~ok)  # masked corners
 
-    def test_two_frames_match_oracle_blend(self, masked_field):
-        fld = masked_field
-        later_mask = np.zeros_like(fld.node_mask)
-        later_mask[30, 30] = True
-        later = pilot.VelocityField(fld.grid, 2.0 * fld.v[::-1].copy(), later_mask, 0.1)
-        interp = pilot.FrameInterpolator([fld, later])
-        pts = kernel_probe_points(fld.grid, 1000, np.random.default_rng(5))
-        pts[9] = (fld.grid.axis[30] + 0.5 * fld.grid.spacing, fld.grid.axis[30])
-        v0, ok0 = bilinear_oracle(fld, pts)
-        v1, ok1 = bilinear_oracle(later, pts)
-        vals, ok = interp.complex_at(0.025, pts)
-        np.testing.assert_array_equal(vals, 0.75 * v0 + 0.25 * v1)
-        assert np.array_equal(ok, ok0 & ok1)
-        assert not ok[9]
-
-    @staticmethod
-    def signed_zeros(fld):
-        """fld with four blocks of v set to the four complex zeros, where sums
-        of zero products show the sign rules of the arithmetic."""
-        v = fld.v.copy()
-        zeros = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0))
-        for k, z in enumerate(zeros):
-            v[5 + 12 * k : 17 + 12 * k, 3:30, k % 2] = z
-        return pilot.VelocityField(fld.grid, v, fld.node_mask, fld.time)
-
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    @pytest.mark.parametrize("zeros", [False, True], ids=["random", "signed_zeros"])
-    @pytest.mark.parametrize("t", [None, 0.0, 0.025, 0.1], ids=["one_frame", "a0", "a_quarter", "a1"])
-    def test_one_point_equals_its_batch_row_bit_for_bit(self, masked_field, array_kernel, real, zeros, t):
-        later_mask = np.zeros_like(masked_field.node_mask)
-        later_mask[30, 30] = True
-        frames = [masked_field, pilot.VelocityField(masked_field.grid, 2.0 * masked_field.v[::-1], later_mask, 0.1)]
-        if zeros:
-            frames = [self.signed_zeros(f) for f in frames]
-        if real:
-            frames = [pilot.VelocityField(f.grid, np.ascontiguousarray(f.v.real), f.node_mask, f.time) for f in frames]
-        interp = pilot.FrameInterpolator(frames[:1] if t is None else frames)
-        t = 0.0 if t is None else t
-        pts = kernel_probe_points(masked_field.grid, 1000, np.random.default_rng(8))
-        vals, ok = interp.complex_at(t, pts)
-        if zeros:  # the batch holds zeros of both signs
-            parts = vals.view(float)
-            assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
-        array_kernel.clear()
-        for k, (x, y) in enumerate(pts.tolist()):
-            vx, vy, one_ok = interp.point_at(t, x, y)
-            assert {type(vx), type(vy)} == {complex if vals.dtype.kind == "c" else float} and type(one_ok) is bool
-            one = np.array([[vx, vy]])
-            assert one.shape == (1, 2) and one.dtype == vals.dtype
-            # uint64 views: assert_array_equal holds -0 and +0 equal
-            assert np.array_equal(one.view(np.uint64), vals[k : k + 1].view(np.uint64)), k
-            assert one_ok == ok[k], k
-        # every one-point query of a 2D field is the batch read of its own row
-        assert [args[1].tolist() for args in array_kernel] == [[p] for p in pts.tolist()]
-
     @pytest.mark.parametrize("point", [(math.nan, 0.1), (0.2, math.inf), (-math.inf, math.nan), (1e300, 0.0)])
     def test_non_finite_point_reads_what_the_array_kernel_reads(self, masked_field, point):
-        later = pilot.VelocityField(masked_field.grid, 2.0 * masked_field.v[::-1], masked_field.node_mask, 0.1)
+        v, rho, floor = masked_field
+        grid = zl.Grid2D(64, 8.0)
+        fields = [axis_field(grid, v, 0.0, rho, floor), axis_field(grid, 2.0 * v[::-1], 0.1, rho, floor)]
         with np.errstate(invalid="ignore"):  # the int64 cast of a NaN or far cell
-            vx, vy, ok = pilot.FrameInterpolator([masked_field, later]).point_at(0.025, *point)
-            expected, expected_ok = WholeListInterpolator([masked_field, later]).complex_at(0.025, np.array([point]))
+            vx, vy, ok = pilot.FrameInterpolator(fields).point_at(0.025, *point)
+            expected, expected_ok = WholeListInterpolator(fields).complex_at(0.025, np.array([point]))
         assert np.array_equal(np.array([[vx, vy]]).view(np.uint64), expected.view(np.uint64))
         assert not ok and not expected_ok[0]
 
@@ -480,9 +434,20 @@ def gamma(k):
 LERP_BOUND = gamma(2) + (1 + U) * gamma(5) + U
 
 
+def split(z):
+    """|Re z| + i |Im z|, the magnitudes of the two parts."""
+    return np.abs(np.real(z)) + 1j * np.abs(np.imag(z))
+
+
+def lerp_bound(v, stencil):
+    """The per-part bound LERP_BOUND S of the per-axis reads of v (n, 2) at
+    the stencil's points against their four-corner sums."""
+    return LERP_BOUND * (stencil.weight * split(v.take(stencil.lo)) + stencil.frac * split(v.take(stencil.hi)))
+
+
 def eager_field(psi, hbar, mass, rho_floor, real):
-    """(v, node_mask) as velocity_field built them before a product frame's
-    field held its axes: psi_ratios, then the live cells filled in place."""
+    """(v (n, n, 2), node_mask (n, n)) of psi's field on the grid, from
+    psi_ratios: the live cells filled in place, 0 elsewhere."""
     grid = psi.grid
     live, ratios, _, mask = schrodinger.psi_ratios(psi, rho_floor)
     scale = hbar / mass
@@ -499,8 +464,8 @@ def bits(a):
 
 
 class TestAxisField:
-    """A product frame's field holds its per-axis form and is read through
-    it; v and node_mask are built from it only when read."""
+    """A field holds V per axis and is read through it, in agreement with
+    the four-corner reads of its values on the grid."""
 
     GRID = zl.Grid2D(64, 8.0)
 
@@ -512,23 +477,17 @@ class TestAxisField:
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
     @pytest.mark.parametrize("rho_floor", [schrodinger.DEFAULT_RHO_FLOOR, 1e-6])
-    def test_v_and_node_mask_are_the_eager_arrays(self, frames, hbar, mass, rho_floor):
+    def test_field_on_the_grid_is_the_eager_arrays(self, frames, hbar, mass, rho_floor):
         for f in frames:
             fields = {real: zl.velocity_field(f, hbar, mass, rho_floor, real=real) for real in (False, True)}
             for real, fld in fields.items():
-                assert fld.axes is not None and "v" not in vars(fld) and "node_mask" not in vars(fld)
                 v, mask = eager_field(f, hbar, mass, rho_floor, real)
-                assert fld.dtype == v.dtype and fld.v.dtype == v.dtype
-                assert np.array_equal(bits(fld.v), bits(v)) and np.array_equal(fld.node_mask, mask)
-                assert fld.v is fld.v and fld.node_mask is fld.node_mask  # built once, then kept
+                plane, node_mask = expanded(fld.v, np.column_stack(axis_densities(f)), fld.floor)
+                plane[node_mask] = 0.0
+                assert fld.v.dtype == v.dtype
+                assert np.array_equal(bits(plane), bits(v)) and np.array_equal(node_mask, mask)
             # real=True is the complex field's real part, signed zeros included
             assert np.array_equal(bits(fields[True].v), bits(fields[False].v.real))
-
-    def test_replace_reads_the_same_values_in_2d(self, frames):
-        fld = zl.velocity_field(frames[1])
-        moved = dataclasses.replace(fld, time=0.5)
-        assert moved.axes is None and moved.v is fld.v and moved.time == 0.5
-        assert copy.copy(fld).axes is fld.axes
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -540,8 +499,8 @@ class TestAxisField:
         st.integers(0, 2),
     )
     def test_axis_cell_test_is_the_cell_mask(self, frames, rho_floor, k):
-        """A read of each cell's centre is ok exactly where cell_mask, the
-        dilated node mask of the eager field, leaves the cell live."""
+        """A read of each cell's centre is ok exactly where the dilated node
+        mask of the eager field leaves the cell live."""
         f = frames[k]
         cell = None
         if isinstance(rho_floor, tuple):
@@ -557,9 +516,10 @@ class TestAxisField:
             cell = cell if exact else None
         fld = zl.velocity_field(f, rho_floor=rho_floor, real=True)
         _, mask = eager_field(f, 1.0, 1.0, rho_floor, True)
-        cells = pilot.VelocityField(self.GRID, None, mask, f.time).cell_mask
-        axes = fld.axes
-        assert np.array_equal(np.outer(axes.cell_min[:, 0], axes.cell_min[:, 1]) < axes.floor, cells)
+        # a cell is masked when any of its corner nodes i|i+1, j|j+1 is (periodic wrap)
+        cells = mask | np.roll(mask, -1, axis=0)
+        cells |= np.roll(cells, -1, axis=1)
+        assert np.array_equal(np.outer(fld.cell_min[:, 0], fld.cell_min[:, 1]) < fld.floor, cells)
         L, h = self.GRID.half_width, self.GRID.spacing
         centres = -L + h * (np.stack(np.indices(cells.shape), axis=-1).reshape(-1, 2) + 0.5)
         _, ok = pilot.FrameInterpolator([fld]).complex_at(f.time, centres)
@@ -568,14 +528,14 @@ class TestAxisField:
             assert not cells[cell]  # a product equal to the floor is live
             assert pilot.FrameInterpolator([fld]).point_at(f.time, *centres[cell[0] * 64 + cell[1]])[2]
 
-    def probe_points(self, axes, rng):
+    def probe_points(self, fld, rng):
         """Random points, points in the live cells nearest the floor and in
         the masked cells nearest it, and points on the box edges."""
         L, h = self.GRID.half_width, self.GRID.spacing
-        products = np.outer(axes.cell_min[:, 0], axes.cell_min[:, 1]).ravel()
+        products = np.outer(fld.cell_min[:, 0], fld.cell_min[:, 1]).ravel()
         order = np.argsort(products)
-        split = np.searchsorted(products[order], axes.floor)  # the first live cell
-        cells = np.concatenate([order[split : split + 40], order[max(split - 40, 0) : split]])
+        first = np.searchsorted(products[order], fld.floor)  # the first live cell
+        cells = np.concatenate([order[first : first + 40], order[max(first - 40, 0) : first]])
         near = np.column_stack(np.divmod(cells, self.GRID.n)) + rng.uniform(0, 1, size=(len(cells), 2))
         edges = np.array(
             [[-L, 0.3], [0.2, -L], [-L, -L], [L - 1e-12, 0.1], [0.4, L - 0.5 * h], [L, 0.0], [0.0, -L - 1e-9]]
@@ -585,53 +545,45 @@ class TestAxisField:
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("rho_floor", [1e-6, 0.0])
     def test_the_two_read_forms_agree(self, frames, real, rho_floor):
-        """complex_at, real_at and point_at of one product frame's field, read
-        per axis and in 2D: equal ok flags, and on the ok points values
-        within LERP_BOUND (and the time blend's own rounding) of each other.
-        At a point that is not ok the values are unspecified."""
+        """complex_at, real_at and point_at of a field read per axis, against
+        the four-corner formula (bilinear_oracle) of its eager arrays, blended
+        in time: equal ok flags, and on the ok points values within
+        LERP_BOUND (and the time blend's own rounding) of each other.  At a
+        point that is not ok the values are unspecified."""
         axial = [zl.velocity_field(f, rho_floor=rho_floor, real=real) for f in frames[:2]]
-        planar = [pilot.VelocityField(a.grid, a.v, a.node_mask, a.time) for a in axial]
-        pts = self.probe_points(axial[0].axes, np.random.default_rng(12))
+        eager = [eager_field(f, 1.0, 1.0, rho_floor, real) for f in frames[:2]]
+        pts = self.probe_points(axial[0], np.random.default_rng(12))
+        reads = [bilinear_oracle(self.GRID, v, mask, pts) for v, mask in eager]
         for t in (0.0, 0.025, 0.1):
+            a = t / frames[1].time
+            vp, okp = reads[0] if a == 0.0 else ((1.0 - a) * reads[0][0] + a * reads[1][0], reads[0][1] & reads[1][1])
             va, ok = pilot.FrameInterpolator(axial).complex_at(t, pts)
-            vp, okp = pilot.FrameInterpolator(planar).complex_at(t, pts)
             assert np.array_equal(ok, okp)
             if rho_floor:
                 assert ok.any() and not ok.all()
-            bound = self.blend_bound(axial, planar, pts, t)
+            bound = self.blend_bound(axial, reads, pts, a)
             for part in ("real", "imag"):
                 assert np.all((np.abs(getattr(va - vp, part)) <= getattr(bound, part))[ok])
             ra, rok = pilot.FrameInterpolator(axial).real_at(t, pts)
-            rp, rokp = pilot.FrameInterpolator(planar).real_at(t, pts)
-            assert np.array_equal(rok, rokp) and np.all((np.abs(ra - rp) <= bound.real)[rok])
-            ia, ip = pilot.FrameInterpolator(axial), pilot.FrameInterpolator(planar)
+            assert np.array_equal(rok, okp) and np.all((np.abs(ra - vp.real) <= bound.real)[rok])
+            ia = pilot.FrameInterpolator(axial)
             for k, (x, y) in enumerate(pts.tolist()):
-                (ax, ay, aok), (px, py, pok) = ia.point_at(t, x, y), ip.point_at(t, x, y)
-                assert aok == pok == ok[k], k
+                ax, ay, aok = ia.point_at(t, x, y)
+                assert aok == ok[k], k
                 if aok:
-                    diff = np.array([ax - px, ay - py])
+                    diff = np.array([ax, ay]) - vp[k]
                     assert np.all(np.abs(diff.real) <= bound[k].real) and np.all(np.abs(diff.imag) <= bound[k].imag)
 
     @staticmethod
-    def blend_bound(axial, planar, pts, t):
-        """The per-part bound on |axial read - planar read| at time t."""
+    def blend_bound(axial, reads, pts, a):
+        """The per-part bound on |per-axis read - four-corner read| at the
+        weight a on the later frame; reads are the frames' four-corner reads."""
         stencil = pilot._Stencil(axial[0].grid, pts)
-
-        def split(z):
-            return np.abs(np.real(z)) + 1j * np.abs(np.imag(z))
-
-        def lerp_bound(fld):
-            lo, hi = fld.axes.v.take(stencil.lo), fld.axes.v.take(stencil.hi)
-            return LERP_BOUND * (stencil.weight * split(lo) + stencil.frac * split(hi))
-
-        t0, t1 = axial[0].time, axial[1].time
-        a = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         if a == 0.0:
-            return lerp_bound(axial[0])
+            return lerp_bound(axial[0].v, stencil)
         b = 1.0 - a
-        size = [split(pilot._gather(f, stencil)[0]) for f in (*axial, *planar)]
-        own = gamma(2) * (b * (size[0] + size[2]) + a * (size[1] + size[3]))
-        return b * lerp_bound(axial[0]) + a * lerp_bound(axial[1]) + own
+        own = 2 * gamma(2) * (b * split(reads[0][0]) + a * split(reads[1][0]))
+        return b * lerp_bound(axial[0].v, stencil) + a * lerp_bound(axial[1].v, stencil) + own
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("t", [None, 0.0, 0.025, 0.1], ids=["one_frame", "a0", "a_quarter", "a1"])
@@ -645,9 +597,7 @@ class TestAxisField:
                 v[5 + 12 * k : 17 + 12 * k, k % 2] = z
             rho = rng.uniform(0.5, 1.0, size=(grid.n, 2))
             rho[[17, 40], [1, 0]] = 1e-3  # masks the cells around x node 40 and y node 17
-            cell_min = np.minimum(rho, np.roll(rho, -1, axis=0))
-            axes = pilot.AxisField(np.ascontiguousarray(v.real) if real else v, rho, 0.1, cell_min)
-            frames.append(pilot.VelocityField(grid, None, None, time, axes))
+            frames.append(axis_field(grid, np.ascontiguousarray(v.real) if real else v, time, rho, 0.1))
         interp = pilot.FrameInterpolator(frames[:1] if t is None else frames)
         t = 0.0 if t is None else t
         pts = kernel_probe_points(grid, 1000, np.random.default_rng(8))
@@ -662,53 +612,20 @@ class TestAxisField:
             assert np.array_equal(bits(np.array([[vx, vy]])), bits(vals[k : k + 1])), k
             assert one_ok == ok[k], k
         assert not array_kernel
-        assert all("v" not in vars(f) for f in frames)
-
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    @pytest.mark.parametrize("product_first", [True, False], ids=["product_then_2d", "2d_then_product"])
-    @pytest.mark.parametrize("t", [0.0, 0.025, 0.1], ids=["a0", "a_quarter", "a1"])
-    def test_mixed_bracket_point_is_its_batch_row(self, array_kernel, real, product_first, t):
-        """A bracket of one per-axis field and one 2D field: point_at returns
-        complex_at's row bit for bit, with its ok flag.  Only the product
-        field read alone (a = 0) takes the scalar path."""
-        grid, rng = self.GRID, np.random.default_rng(16)
-        v_axes = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
-        v_plane = rng.normal(size=(grid.n, grid.n, 2)) + 1j * rng.normal(size=(grid.n, grid.n, 2))
-        if real:
-            v_axes, v_plane = np.ascontiguousarray(v_axes.real), np.ascontiguousarray(v_plane.real)
-        rho = rng.uniform(0.5, 1.0, size=(grid.n, 2))
-        rho[[17, 40], [1, 0]] = 1e-3  # masks the cells around x node 40 and y node 17
-        axes = pilot.AxisField(v_axes, rho, 0.1, np.minimum(rho, np.roll(rho, -1, axis=0)))
-        mask = np.zeros((grid.n, grid.n), dtype=bool)
-        mask[[41, 63, 30], [18, 5, 30]] = True
-        product = pilot.VelocityField(grid, None, None, 0.0 if product_first else 0.1, axes)
-        planar = pilot.VelocityField(grid, v_plane, mask, 0.1 if product_first else 0.0)
-        fields = [product, planar] if product_first else [planar, product]
-        interp = pilot.FrameInterpolator(fields)
-        pts = kernel_probe_points(grid, 500, np.random.default_rng(17))
-        vals, ok = interp.complex_at(t, pts)
-        assert ok.any() and np.any(~ok & pilot._in_box(pts, grid.half_width))
-        array_kernel.clear()
-        for k, (x, y) in enumerate(pts.tolist()):
-            vx, vy, one_ok = interp.point_at(t, x, y)
-            assert {type(vx), type(vy)} == {complex if vals.dtype.kind == "c" else float} and type(one_ok) is bool
-            assert np.array_equal(bits(np.array([[vx, vy]])), bits(vals[k : k + 1])), k
-            assert one_ok == ok[k], k
-        assert len(array_kernel) == (0 if product_first and t == 0.0 else len(pts))
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_cells_the_table_masks_take_each_frames_test(self, real):
-        """Two product fields whose floors differ: the table's cell test (the
-        smaller cell minima against the larger floor) masks cells that both
-        frames leave live, and complex_at and point_at still give the ok
-        flags of the two frames' own tests, which are those of the 2D read."""
+        """Two fields whose floors differ: the table's cell test (the smaller
+        cell minima against the larger floor) masks cells that both frames
+        leave live, and complex_at and point_at still give the ok flags of the
+        two frames' own tests, which are those of the four-corner formula."""
         grid, rng = self.GRID, np.random.default_rng(14)
-        frames = []
+        frames, oracle_ok = [], []
         for time, floor in ((0.0, 0.05), (0.1, 0.3)):
             v = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
             rho = rng.uniform(0.2, 1.0, size=(grid.n, 2))
-            axes = pilot.AxisField(v.real.copy() if real else v, rho, floor, np.minimum(rho, np.roll(rho, -1, axis=0)))
-            frames.append(pilot.VelocityField(grid, None, None, time, axes))
+            frames.append(axis_field(grid, v.real.copy() if real else v, time, rho, floor))
+            oracle_ok.append(lambda pts, v=v, rho=rho, floor=floor: bilinear_oracle(grid, *expanded(v, rho, floor), pts)[1])
         pts = kernel_probe_points(grid, 2000, np.random.default_rng(15))
         st = pilot._Stencil(grid, pts)
 
@@ -716,38 +633,19 @@ class TestAxisField:
             m = cell_min.take(st.lo)
             return m[:, 0] * m[:, 1] < floor
 
-        exact = cell_test(frames[0].axes.cell_min, 0.05) | cell_test(frames[1].axes.cell_min, 0.3)
-        table = cell_test(np.minimum(frames[0].axes.cell_min, frames[1].axes.cell_min), 0.3)
+        exact = cell_test(frames[0].cell_min, 0.05) | cell_test(frames[1].cell_min, 0.3)
+        table = cell_test(np.minimum(frames[0].cell_min, frames[1].cell_min), 0.3)
         assert np.all(table | ~exact)  # the table's test is sufficient
         assert np.count_nonzero(st.inside & table & ~exact) >= 100  # and not necessary
         assert np.any(st.inside & exact) and np.any(st.inside & ~table)
-        planar = [pilot.VelocityField(grid, f.v, f.node_mask, f.time) for f in frames]
         for t in (0.0, 0.025, 0.1):
             frames_read = frames if t else frames[:1]
-            expected = st.inside & ~(exact if t else cell_test(frames[0].axes.cell_min, 0.05))
+            expected = st.inside & ~(exact if t else cell_test(frames[0].cell_min, 0.05))
             _, ok = pilot.FrameInterpolator(frames_read).complex_at(t, pts)
             assert np.array_equal(ok, expected)
-            assert np.array_equal(pilot.FrameInterpolator(planar[: len(frames_read)]).complex_at(t, pts)[1], expected)
+            assert np.array_equal(np.logical_and.reduce([read(pts) for read in oracle_ok[: len(frames_read)]]), expected)
             interp = pilot.FrameInterpolator(frames_read)
             assert [interp.point_at(t, x, y)[2] for x, y in pts.tolist()] == expected.tolist()
-
-    def test_product_runs_build_no_plane(self, free_frames, monkeypatch):
-        # neither a field's v and node_mask nor a four-corner stencil: no n^2 array per field
-        built, fields = [], []
-        make_plane = pilot.AxisField.plane
-        monkeypatch.setattr(pilot.AxisField, "plane", lambda self: built.append(self) or make_plane(self))
-        corners = pilot._Stencil.plane.func
-        monkeypatch.setattr(pilot._Stencil, "plane", property(lambda self: built.append(self) or corners(self)))
-        build = pilot.velocity_field
-        monkeypatch.setattr(pilot, "velocity_field", lambda *a, **k: fields.append(build(*a, **k)) or fields[-1])
-        zl.ensemble_equivariance(free_frames, 2000, 21)
-        assert len(fields) == len(free_frames)
-        params = [zl.PhysParams(epsilon=eps) for eps in (4e-3, 2e-3)]
-        zl.guide_processes((pilot.velocity_field(f) for f in free_frames), params, zl.Permutation(), (1.0, 0.2), 1.0)
-        assert len(fields) == 2 * len(free_frames)
-        assert all(repr(f) and f == f for f in fields)
-        assert built == []
-        assert all(f.axes is not None and "v" not in vars(f) and "node_mask" not in vars(f) for f in fields)
 
 
 class TestIntegrateTrajectory:
@@ -863,7 +761,7 @@ class TestTransportClock:
 
     @pytest.fixture(scope="class")
     def shifted(self, frames):
-        return [zl.WaveFunction(f.grid, f.values, f.time + self.SHIFT) for f in frames]
+        return [zl.WaveFunction(f.grid, f.factors, f.time + self.SHIFT) for f in frames]
 
     @staticmethod
     def fields(frames):
@@ -980,15 +878,12 @@ class TestEnsemble:
         total and one divide."""
         grid = zl.Grid2D(n, 8.0)
         psi = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.5, -1.0))
-        flat = zl.WaveFunction(grid, psi.values, 0.0)
         expected = self.plane_histogram(psi, bins)
         c = n // bins + 2
         plane, axial = 3 + 4 * c * c, 2 * (2 * c + 1) + 1
         k_plane, k_axial = 2 * plane + bins * bins, 2 * axial + bins * bins
         bound = (gamma(k_plane) + gamma(k_axial)) * expected / (1 - gamma(k_plane))
         assert np.all(np.abs(pilot.coarse_density_histogram(psi, bins) - expected) <= bound)
-        # a frame without factors keeps the n^2 sum
-        assert np.array_equal(pilot.coarse_density_histogram(flat, bins), self.plane_histogram(flat, bins))
 
     def test_equivariance_report(self, free_frames):
         rep = zl.ensemble_equivariance(free_frames, 4000, 7)
@@ -998,11 +893,8 @@ class TestEnsemble:
         assert again.tv_distance == rep.tv_distance
 
     def test_stationary_state_keeps_histogram(self, ground_fields, grid):
-        ground = zl.harmonic_ground_state(grid, 1.0)
-        frames = [
-            zl.WaveFunction(grid, ground.values * np.exp(-1j * t), float(t))
-            for t in np.linspace(0, 1.0, 11)
-        ]
+        fx, fy = zl.harmonic_ground_state(grid, 1.0).factors
+        frames = [zl.WaveFunction(grid, (fx * np.exp(-1j * t), fy), float(t)) for t in np.linspace(0, 1.0, 11)]
         rep = zl.ensemble_equivariance(frames, 2000, 11)
         rng = np.random.default_rng(11)
         seeds = zl.sample_from_density(frames[0], 2000, rng)
@@ -1065,8 +957,6 @@ class TestMarginalCdf:
             expected = stats.norm.cdf(x, loc=centre)
             expected[0], expected[-1] = 0.0, 1.0
             assert np.max(np.abs(verification.marginal_cdf(psi, axis, x) - expected)) < 1e-12
-        with pytest.raises(zl.InvalidInput):
-            verification.marginal_cdf(zl.WaveFunction(self.GRID, psi.values, 0.0), 0, x)
 
     def transport(self, stride):
         """(residual, positions at T, alive, frame at T) of 2,000 samples of a
@@ -1211,10 +1101,9 @@ def drift_fields(n_frames, vx, masked_from=None):
     8, at t = 0, 0.05, ...; from frame masked_from on every node is masked."""
     grid = zl.Grid2D(64, 8.0)
     for k in range(n_frames):
-        v = np.zeros((grid.n, grid.n, 2), dtype=complex)
-        v[..., 0] = vx
-        mask = np.full((grid.n, grid.n), masked_from is not None and k >= masked_from)
-        yield pilot.VelocityField(grid, v, mask, 0.05 * k)
+        v = np.zeros((grid.n, 2), dtype=complex)
+        v[:, 0] = vx
+        yield axis_field(grid, v, 0.05 * k, floor=2.0 if masked_from is not None and k >= masked_from else 0.0)
 
 
 def flipping_fields(n_frames, vx):
@@ -1365,7 +1254,7 @@ class TestOneSweep:
 
         def fields():
             for f in free_fields:
-                held = copy.copy(f)  # keeps f's per-axis form, as dataclasses.replace would not
+                held = copy.copy(f)
                 alive[0] += 1
                 weakref.finalize(held, released)
                 peak[0] = max(peak[0], alive[0])
@@ -1467,8 +1356,7 @@ class TestErrorText:
         assert str(err.value) == text
 
     def test_bohm_velocity_at(self, grid):
-        field = synthetic_field(grid)
-        field.node_mask[80, 80] = True
+        field = synthetic_field(grid, masked_x=80)
         with pytest.raises(zl.LeftDomain) as left:
             zl.bohm_velocity_at(field, np.array([10.5, 0.25]))
         with pytest.raises(zl.NodeRegion) as masked:
@@ -1642,10 +1530,9 @@ class TestBoxEdge:
     def fields():
         """Re V = (-1, 0) at t = 0 and t = 1 on the 16^2 box of half width 10."""
         grid = zl.Grid2D(16, 10.0)
-        v = np.zeros((grid.n, grid.n, 2))
-        v[..., 0] = -1.0
-        mask = np.zeros((grid.n, grid.n), dtype=bool)
-        return [pilot.VelocityField(grid, v, mask, t) for t in (0.0, 1.0)]
+        v = np.zeros((grid.n, 2))
+        v[:, 0] = -1.0
+        return [axis_field(grid, v, t) for t in (0.0, 1.0)]
 
     def test_one_point(self):
         assert pilot.FrameInterpolator(self.fields()).point_at(0.5, -10.0, 0.0) == (-1.0, 0.0, True)

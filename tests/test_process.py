@@ -157,6 +157,11 @@ class TestStep:
         with pytest.raises(zl.NonFiniteVelocity):
             zl.run_process(params(0.1), zl.Permutation(), bad, (0, 0), 0.4)
 
+    @pytest.mark.parametrize("T", [0.0, -0.0, -1.0])
+    def test_non_positive_T_rejected(self, T):
+        with pytest.raises(ValueError, match="T must be > 0"):
+            zl.run_process(params(0.1), zl.Permutation(), zl.zero_velocity(), (0, 0), T)
+
 
 def offset_identity_deviation(run):
     """Vertices minus (mean + gamma * offset table), for every step."""
@@ -350,6 +355,27 @@ class TestClassicalTrajectory:
         vel = zl.SampledVelocity(ts, np.stack([ts, np.zeros_like(ts)], axis=1))
         path = zl.classical_trajectory(vel, (0, 0), 1.0, 1e-3)
         assert path.positions[-1][0] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "times, values, error, message",
+        [
+            ([0.0, 0.5, 1.0], np.zeros((3, 3)), ValueError, "times \\(M,\\) and values \\(M, 2\\)"),
+            ([[0.0], [0.5], [1.0]], np.zeros((3, 2)), ValueError, "times \\(M,\\) and values \\(M, 2\\)"),
+            ([0.0, 0.5], np.zeros((3, 2)), ValueError, "times \\(M,\\) and values \\(M, 2\\)"),
+            ([0.0, 0.5, 0.5], np.zeros((3, 2)), ValueError, "strictly increasing, M >= 2"),
+            ([0.0, 1.0, 0.5], np.zeros((3, 2)), ValueError, "strictly increasing, M >= 2"),
+            ([0.0], np.zeros((1, 2)), ValueError, "strictly increasing, M >= 2"),
+            ([0.0, math.nan], np.zeros((2, 2)), zl.NonFiniteVelocity, "non-finite"),
+            ([0.0, math.inf], np.zeros((2, 2)), zl.NonFiniteVelocity, "non-finite"),
+            ([0.0, 1.0], [[0.0, 0.0], [complex(0.0, math.nan), 0.0]], zl.NonFiniteVelocity, "non-finite"),
+        ],
+        ids=["values_3_wide", "times_2d", "lengths_differ", "repeated", "decreasing", "one_knot", "nan_time",
+             "inf_time", "nan_value"],
+    )
+    def test_sampled_table_checked(self, times, values, error, message):
+        with pytest.raises(error, match=message) as raised:
+            zl.SampledVelocity(times, values)
+        assert raised.type is error
 
 
 def one_cumsum_path(vel, z0, T, dt):

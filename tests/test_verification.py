@@ -306,10 +306,8 @@ class TestComplexHJResidual:
     def test_stationary_state_residual(self):
         # phase is exactly linear in t, so the only residual is spatial noise
         grid = zl.Grid2D(128, 10.0)
-        ground = zl.harmonic_ground_state(grid, 1.0)
-        frames = [
-            zl.WaveFunction(grid, ground.values * np.exp(-1j * t), t) for t in (0.499, 0.5, 0.501)
-        ]
+        fx, fy = zl.harmonic_ground_state(grid, 1.0).factors
+        frames = [zl.WaveFunction(grid, (fx * np.exp(-1j * t), fy), t) for t in (0.499, 0.5, 0.501)]
         report = ver.complex_hj_residual(frames, zl.harmonic_potential(1.0))
         assert report.overall_linf < 1e-8
         assert report.overall_linf_centered < 1e-8
@@ -320,7 +318,8 @@ class TestComplexHJResidual:
         healthy = ver.complex_hj_residual(frames, zl.free_potential())
         assert math.isfinite(healthy.overall_linf) and math.isfinite(healthy.overall_linf_centered)
         # frame 3 is read only by the second interior frame
-        frames[3] = zl.WaveFunction(frames[3].grid, np.full_like(frames[3].values, np.nan), frames[3].time)
+        nan = tuple(np.full_like(f, np.nan) for f in frames[3].factors)
+        frames[3] = zl.WaveFunction(frames[3].grid, nan, frames[3].time)
         report = ver.complex_hj_residual(frames, zl.free_potential())
         assert math.isnan(report.overall_linf) and math.isnan(report.overall_linf_centered)
 
