@@ -186,6 +186,14 @@ def test_malformed_zlab_frames_raise_value_error(tmp_path, cut, message):
         fileio.read_zlab_frame(path)
 
 
+@pytest.mark.parametrize("shape", [(4, 5), (16,), (4, 4, 2)])
+def test_only_square_frames_are_written(tmp_path, shape):
+    path = tmp_path / "f.zlab"
+    with pytest.raises(ValueError, match="frame must be square"):
+        fileio.write_zlab_frame(path, np.zeros(shape, dtype=complex), 2.5, 0.0)
+    assert not path.exists()
+
+
 def test_each_write_calls_one_public_writer(tmp_path, monkeypatch):
     calls = []
 

@@ -359,6 +359,25 @@ class TestTransportKernel:
         assert np.any(~inside)
         assert np.any(inside & ~ok)  # masked corners
 
+    def test_two_frames_match_oracle_blend(self, masked_field):
+        """Between two fields the read is the time blend of their four-corner
+        reads, and a point is ok only where both frames leave its cell live:
+        point 9 sits in a cell that only the later frame masks."""
+        v, rho, floor = masked_field
+        grid = zl.Grid2D(64, 8.0)
+        later_rho = np.ones_like(rho)
+        later_rho[30, 0] = 1e-3
+        fields = [axis_field(grid, v, 0.0, rho, floor), axis_field(grid, 2.0 * v[::-1], 0.1, later_rho, floor)]
+        pts = kernel_probe_points(grid, 1000, np.random.default_rng(5))
+        pts[9] = (grid.axis[30] + 0.5 * grid.spacing, grid.axis[30])
+        reads = [bilinear_oracle(grid, *expanded(f.v, r, floor), pts) for f, r in zip(fields, (rho, later_rho))]
+        vals, ok = pilot.FrameInterpolator(fields).complex_at(0.025, pts)
+        assert np.array_equal(ok, reads[0][1] & reads[1][1])
+        assert reads[0][1][9] and not ok[9]
+        bound = TestAxisField.blend_bound(fields, reads, pts, 0.25)
+        for part in ("real", "imag"):
+            assert np.all((np.abs(getattr(vals - (0.75 * reads[0][0] + 0.25 * reads[1][0]), part)) <= getattr(bound, part))[ok])
+
     @pytest.mark.parametrize("point", [(math.nan, 0.1), (0.2, math.inf), (-math.inf, math.nan), (1e300, 0.0)])
     def test_non_finite_point_reads_what_the_array_kernel_reads(self, masked_field, point):
         v, rho, floor = masked_field
@@ -586,15 +605,16 @@ class TestAxisField:
         return b * lerp_bound(axial[0].v, stencil) + a * lerp_bound(axial[1].v, stencil) + own
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["random", "signed_zeros"])
     @pytest.mark.parametrize("t", [None, 0.0, 0.025, 0.1], ids=["one_frame", "a0", "a_quarter", "a1"])
-    def test_one_point_equals_its_batch_row_bit_for_bit(self, array_kernel, real, t):
+    def test_one_point_equals_its_batch_row_bit_for_bit(self, array_kernel, real, zeros, t):
         grid, rng = self.GRID, np.random.default_rng(9)
-        zeros = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0))
         frames = []
         for time in (0.0, 0.1):
             v = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
-            for k, z in enumerate(zeros):  # sums of zero products show the arithmetic's sign rules
-                v[5 + 12 * k : 17 + 12 * k, k % 2] = z
+            if zeros:  # sums of zero products show the arithmetic's sign rules
+                for k, z in enumerate((complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0))):
+                    v[5 + 12 * k : 17 + 12 * k, k % 2] = z
             rho = rng.uniform(0.5, 1.0, size=(grid.n, 2))
             rho[[17, 40], [1, 0]] = 1e-3  # masks the cells around x node 40 and y node 17
             frames.append(axis_field(grid, np.ascontiguousarray(v.real) if real else v, time, rho, 0.1))
@@ -602,8 +622,9 @@ class TestAxisField:
         t = 0.0 if t is None else t
         pts = kernel_probe_points(grid, 1000, np.random.default_rng(8))
         vals, ok = interp.complex_at(t, pts)
-        parts = vals.view(float)
-        assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
+        if zeros:  # the batch holds zeros of both signs
+            parts = vals.view(float)
+            assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
         assert ok.any() and np.any(~ok & pilot._in_box(pts, grid.half_width))
         array_kernel.clear()
         for k, (x, y) in enumerate(pts.tolist()):
@@ -680,6 +701,11 @@ class TestIntegrateTrajectory:
     def test_dt_larger_than_frame_spacing_rejected(self, free_fields):
         with pytest.raises(ValueError):
             zl.integrate_trajectory(free_fields, (0.5, 0.0), dt=0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -5e-3])
+    def test_non_positive_dt_rejected(self, free_fields, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            zl.integrate_trajectory(free_fields, (0.5, 0.0), dt=dt)
 
 
 class TestFrameSpan:
@@ -827,6 +853,15 @@ class TestGuideProcess:
     def test_epsilon_above_frame_spacing_rejected(self, free_fields):
         with pytest.raises(ValueError):
             zl.guide_process(free_fields, zl.PhysParams(epsilon=0.5), zl.Permutation(), (1, 0), 1.0)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)], ids=["nan_real", "inf_imag"])
+    def test_non_finite_field_raises(self, grid, bad):
+        # a live field whose Vx is bad at every node: the first cycle's read is not finite
+        v = np.zeros((grid.n, 2), dtype=complex)
+        v[:, 0] = bad
+        fields = [axis_field(grid, v, t) for t in (0.0, 0.1, 0.2)]
+        with pytest.raises(zl.NonFiniteVelocity, match="guiding field produced a non-finite value"):
+            zl.guide_process(fields, zl.PhysParams(epsilon=4e-3), zl.Permutation(), (1.0, 0.0), 0.2)
 
     @pytest.mark.parametrize("mode", [zl.EpsilonMode.COMPTON, zl.EpsilonMode.DE_BROGLIE])
     def test_non_fixed_epsilon_rejected_before_any_query(self, free_fields, monkeypatch, mode):
@@ -1434,6 +1469,16 @@ class TestStreamedEnsemble:
         # the stream ends before T
         with pytest.raises(zl.InvalidInput, match="no frame at T"):
             zl.ensemble_equivariance(iter(free_frames[:10]), 1000, 3, T=float(free_frames[20].time))
+
+    def test_T_before_the_first_frame(self, free_frames):
+        for frames in (free_frames[2:10], iter(free_frames[2:10])):
+            with pytest.raises(zl.InvalidInput, match="no frame at T"):
+                zl.ensemble_equivariance(frames, 1000, 3, T=float(free_frames[1].time))
+
+    @pytest.mark.parametrize("T", [None, 0.1])
+    def test_no_frames_rejected(self, T):
+        with pytest.raises(zl.InvalidInput, match="need at least one frame"):
+            zl.ensemble_equivariance(iter([]), 1000, 3, T=T)
 
     def test_stream_error_surfaces_where_the_serial_read_raises_it(self, free_frames):
         error = zl.ResolutionLoss("spectral mass reached the aliasing band; refine the grid")

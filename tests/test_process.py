@@ -103,6 +103,11 @@ class TestPermutation:
                 for j in range(1, 5):
                     np.testing.assert_array_equal(table[r, j - 1], p.apply(r, j) - VERTICES[j - 1])
 
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_apply_rejects_vertex_index_out_of_range(self, j):
+        with pytest.raises(ValueError, match="vertex index j must be in 1..4"):
+            zl.Permutation().apply(0, j)
+
     def test_s_minus_is_inverse(self):
         plus, minus = zl.Permutation(), zl.Permutation(zl.Sense.S_MINUS)
         for j in range(1, 5):
@@ -355,6 +360,28 @@ class TestClassicalTrajectory:
         vel = zl.SampledVelocity(ts, np.stack([ts, np.zeros_like(ts)], axis=1))
         path = zl.classical_trajectory(vel, (0, 0), 1.0, 1e-3)
         assert path.positions[-1][0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_sampled_table_describes_its_span(self):
+        vel = zl.SampledVelocity(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)))
+        assert vel.describe() == "sampled(0.0..1.0, 11 knots)"
+
+    def test_a_program_is_named_by_its_class(self):
+        """The base VelocityProgram has no velocity; a subclass that gives one
+        and no describe() is named by its class in the non-finite error."""
+        with pytest.raises(NotImplementedError):
+            zl.VelocityProgram()(0.0)
+
+        class Spike(zl.VelocityProgram):
+            def __call__(self, t):
+                return np.full(np.shape(t) + (2,), complex(math.inf, 0.0))
+
+        with pytest.raises(zl.NonFiniteVelocity, match="velocity program Spike returned a non-finite value"):
+            zl.run_process(params(0.1), zl.Permutation(), Spike(), (0, 0), 0.4)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            zl.classical_trajectory(zl.zero_velocity(), (0, 0), 1.0, dt)
 
     @pytest.mark.parametrize(
         "times, values, error, message",

@@ -61,6 +61,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             zl.Grid2D(n, 10.0)
 
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_half_widths(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite and > 0"):
+            zl.Grid2D(64, half_width)
+
 
 class TestInitGaussian:
     def test_normalized(self, grid128):
@@ -126,6 +131,62 @@ class TestAnalyticFreeGaussian:
         rhs = 0.5j * np.fft.ifft2(-(k[:, None] ** 2 + k[None, :] ** 2) * np.fft.fft2(here.values))
         assert np.max(np.abs(dpsi_dt - rhs)) < 1e-7
 
+    @pytest.mark.parametrize("k0", [(0.0, 0.0), (1.0, -0.5)], ids=["at_rest", "boosted"])
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_ratios_are_the_plain_ratios_of_its_values(self, grid128, t, k0):
+        """hj_residual reads an analytic frame's ratios per axis, from factors
+        not renormalized on the grid: they are plain_ratios of its values
+        within the bound of test_product_path_matches_the_plain_2d_reference,
+        at e_k = u for the rounding of np.outer."""
+        psi = zl.analytic_free_gaussian(grid128, 1.0, k0, (0.5, -0.5), t)
+        live, ratios, _, mask = sch.psi_ratios(psi, 1e-8)
+        assert live.size and mask.any()
+        values = psi.values
+        expected = plain_ratios(grid128, values, live)
+        k_max = float(np.max(np.abs(grid128.wavenumbers)))
+        e_d = ETA * (2 * math.log2(grid128.n**2) + 4 * math.log2(grid128.n)) + 2 * U
+        r = np.abs(expected)
+        bound = ((U + e_d) * k_max + r * U) * np.linalg.norm(values) / np.abs(values.ravel()[live]) + 2 * U * r
+        assert np.all(np.abs(ratios - expected) <= bound)
+
+    @staticmethod
+    def periodised(grid, k0, center, t, hbar, mass):
+        """analytic_free_gaussian's factors summed over the images m = -1, 0, 1
+        of the box (center - 2 L m, phase e^{2 i L k0 m}): the packet's exact
+        free evolution on the periodic box, to the e^-225 of the next image."""
+        L, parts = grid.half_width, []
+        for axis in range(2):
+            f = 0
+            for m in (-1, 0, 1):
+                c = list(center)
+                c[axis] -= 2 * L * m
+                image = zl.analytic_free_gaussian(grid, 1.0, k0, c, t, hbar, mass)
+                f = f + np.exp(2j * L * k0[axis] * m) * image.factors[axis]
+            parts.append(f)
+        return parts
+
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
+    @pytest.mark.parametrize("k0", [(0.0, 0.0), (1.0, -0.5)], ids=["at_rest", "boosted"])
+    @pytest.mark.parametrize("t", [0.3, 1.5])
+    def test_is_the_free_split_step_on_the_box(self, grid128, t, k0, hbar, mass):
+        """The free solver is exact in time, so from the periodised packet at
+        t = 0 it gives the periodised packet at t, to rounding: the free
+        path's bound 4 ETA log2 n + 2 p of
+        test_product_path_matches_the_plain_2d_reference, the reference's
+        own two factors' 2 p_ref (their exponent is at most (2L)^2/(4 sigma0^2)
+        + |k0| L + hbar k0^2 t/(2m) on the central image, and an image m != 0
+        is below e^-25 where its exponent is large) and u for np.outer."""
+        center = (0.5, -0.5)
+        psi0 = zl.WaveFunction(grid128, tuple(self.periodised(grid128, k0, center, 0.0, hbar, mass)))
+        psi = zl.split_step_evolve(psi0, zl.free_potential(), t / 10, 10, hbar, mass)
+        expected = np.outer(*self.periodised(grid128, k0, center, t, hbar, mass))
+        L, k_max, k0_max = grid128.half_width, float(np.max(np.abs(grid128.wavenumbers))), max(map(abs, k0))
+        p = 4 * U + 3 * U * (0.5 * hbar / mass * t * 2 * k_max**2)
+        p_ref = 4 * U + 3 * U * (L**2 + k0_max * L + hbar * k0_max**2 * t / (2 * mass))
+        bound = 4 * ETA * math.log2(grid128.n) + 2 * p + 2 * p_ref + U
+        assert psi.time == pytest.approx(t)
+        assert rel_l2(psi.values, expected) <= bound
+
 
 class TestSplitStep:
     def test_free_evolution_matches_analytic(self, grid128):
@@ -184,15 +245,18 @@ class TestSplitStep:
             with pytest.raises(zl.ResolutionLoss):
                 zl.split_step_evolve(psi, pot, 1e-3, 1)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("pot", [zl.free_potential(), zl.harmonic_potential(1.0)], ids=["free", "harmonic"])
-    def test_alias_guard_trips_inside_the_band(self, grid128, pot):
+    def test_alias_guard_trips_inside_the_band(self, grid128, pot, axis):
         # 1e-6 of the mass in a plane wave at 54/64 of k_max, inside the band
-        # that starts at 0.75 k_max; the same wave at 1/2 of k_max passes
+        # that starts at 0.75 k_max; the same wave at 1/2 of k_max passes.
+        # The guard reads each axis's spectrum: the wave trips it on either.
         x = grid128.axis
         envelope = np.exp(-(x**2) / 4.0)
         for j, trips in ((54, True), (32, False)):
-            fx = envelope * (1.0 + 1e-3 * np.exp(1j * grid128.wavenumbers[j] * x))
-            psi = sch._product_state(grid128, fx, envelope.astype(complex))
+            wavy = envelope * (1.0 + 1e-3 * np.exp(1j * grid128.wavenumbers[j] * x))
+            factors = (wavy, envelope.astype(complex))
+            psi = sch._product_state(grid128, *(factors if axis == "x" else factors[::-1]))
             prop = zl.Propagator(grid128, pot, 1e-3)
             if trips:
                 with pytest.raises(zl.ResolutionLoss, match="aliasing band"):
@@ -247,6 +311,11 @@ class TestPropagator:
         assert a.values is not b.values and np.array_equal(a.values, b.values)
         assert prop.advance(psi0, 0).values is not psi0.values
 
+    def test_negative_n_steps_rejected(self, grid64):
+        psi0 = zl.init_gaussian(grid64, (0, 0), 1.0, (0, 0))
+        with pytest.raises(ValueError, match="n_steps must be >= 0"):
+            zl.Propagator(grid64, zl.free_potential(), 1e-2).advance(psi0, -1)
+
     def test_rejects_bad_input(self, grid64):
         psi0 = zl.WaveFunction(zl.Grid2D(64, 12.0), (np.ones(64, dtype=complex), np.ones(64, dtype=complex)))
         prop = zl.Propagator(grid64, zl.free_potential(), 1e-2)
@@ -282,6 +351,13 @@ class TestFrameStream:
             assert np.array_equal(f.values, ref.values)
         listed = zl.evolve_frames(psi0, zl.free_potential(), 2e-2, 28, 4)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(listed, stream))
+
+    @pytest.mark.parametrize("other", [zl.Grid2D(32, 8.0), zl.Grid2D(64, 12.0)], ids=["n", "half_width"])
+    def test_psi_on_another_grid_rejected_before_the_first_frame(self, grid64, other):
+        f = np.ones(other.n, dtype=complex)
+        frames = zl.Propagator(grid64, zl.free_potential(), 1e-2).frames(zl.WaveFunction(other, (f, f)), 2, 3)
+        with pytest.raises(ValueError, match="psi lives on"):
+            next(frames)
 
     def test_arguments_checked_before_the_first_frame(self, grid64):
         psi0 = zl.init_gaussian(grid64, (0, 0), 1.0, (0, 0))

@@ -277,6 +277,15 @@ class TestBlocksEqualTheWholeRun:
         assert zl.run_process(params, perm, vel, z0, BLOCK_T).times.size == 4097
 
 
+@pytest.mark.parametrize("method", ["value", "grad", "laplacian"])
+def test_base_test_function_has_no_closed_forms(method):
+    f = ver.TestFunction()
+    z = np.zeros((1, 2), dtype=complex)
+    assert f.dt(z, 0.0) == 0.0
+    with pytest.raises(NotImplementedError):
+        getattr(f, method)(z, 0.0)
+
+
 class TestComplexHJResidual:
     def frames(self, n, dt_frame, t0=0.5, box=20.0):
         grid = zl.Grid2D(n, box)
