@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ZitterlabError as exc:
+    except (ZitterlabError, OSError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for path in result.files:

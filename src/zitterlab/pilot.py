@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run, _fixed_epsilon, _step_count, _whole_cycles
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _axis_ratios, _densities
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _densities, psi_ratios
 
 
 @dataclass
@@ -75,7 +75,7 @@ def velocity_field(
     as float64, which is all Bohmian transport reads, and equals the real
     part of the complex field bit for bit.
     """
-    rx, ry, floor, (ratio_x, ratio_y) = _axis_ratios(psi, rho_floor)
+    rx, ry, floor, (ratio_x, ratio_y) = psi_ratios(psi, rho_floor)
     rho = np.column_stack([rx, ry])
     v = _velocity(np.column_stack([ratio_x[0], ratio_y[0]]), hbar / mass, real)
     return VelocityField(psi.grid, v, np.minimum(rho, np.roll(rho, -1, axis=0)), floor, psi.time)
@@ -567,12 +567,15 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
 
     frames, any iterable of fields, is read once: all processes and the
     reference query one FrameInterpolator in time order, which holds at
-    most three fields.  An eps above the frame spacing, a T short of one
-    cycle or an epsilon_mode other than fixed raises InvalidInput before any
-    query; a center outside the box (LeftDomain) or in a masked cell
-    (NodeRegion) or a query past the last frame (InvalidInput) raises when
-    the sweep gets there, and a failed reference after the sweep.
+    most three fields.  An empty params_list raises InvalidInput before any
+    field is read, and an eps above the frame spacing, a T short of one
+    cycle or an epsilon_mode other than fixed before any query; a center
+    outside the box (LeftDomain) or in a masked cell (NodeRegion) or a query
+    past the last frame (InvalidInput) raises when the sweep gets there,
+    and a failed reference after the sweep.
     """
+    if not params_list:
+        raise InvalidInput("guided processes need at least one PhysParams")
     interp = FrameInterpolator(frames)
     t0 = interp.t0
     x0 = np.asarray(x0, dtype=float).reshape(2).tolist()

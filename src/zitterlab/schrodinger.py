@@ -205,10 +205,13 @@ def _kinetic_phase(scale: float, k2: np.ndarray) -> np.ndarray:
     return np.exp(-1j * scale * k2)
 
 
-def _harmonic_parts(grid: Grid2D, pot: Potential, mass: float) -> list:
-    """The distinct per-axis parts 0.5 m (w x)^2 of a harmonic V = a(x) + b(y),
-    a = parts[0] and b = parts[-1]: V's column and row through the centre
-    node, where V is exactly 0.  An isotropic V has one part."""
+def _potential_parts(grid: Grid2D, pot: Potential, mass: float) -> list:
+    """The distinct per-axis parts of V = a(x) + b(y), a = parts[0] and b =
+    parts[-1]: 0.5 m (w x)^2 for a harmonic V, its column and row through
+    the centre node, where V is exactly 0 (an isotropic V has one part), and
+    one part of zeros for the free V."""
+    if pot.kind is PotentialKind.FREE:
+        return [np.zeros(grid.n)]
     return [0.5 * mass * (w * grid.axis) ** 2 for w in dict.fromkeys(pot.omega)]
 
 
@@ -253,7 +256,7 @@ class Propagator:
         k = grid.wavenumbers
         self._axes = None
         if pot.kind is PotentialKind.HARMONIC:
-            parts = _harmonic_parts(grid, pot, mass)
+            parts = _potential_parts(grid, pot, mass)
             kinetic = _kinetic_phase(self._hbar_over_2m * dt, k**2)
             self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
         self._axis_band = np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist
@@ -442,35 +445,19 @@ def harmonic_ground_state(grid: Grid2D, omega: float, hbar: float = 1.0, mass: f
 
 
 def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacian: bool = False):
-    """(live, ratios, rho, mask): the spectral grad(Psi)/Psi on the live cells.
-
-    rho = np.outer(|fx|^2, |fy|^2) = |Psi|^2, mask is rho < rho_floor *
-    max(rho), and live the flat row-major indices of the cells it leaves,
-    np.flatnonzero(~mask).  ratios has shape (2, L) for L live cells,
-    (fx'/fx, fy'/fy), and with laplacian=True a third row fx''/fx + fy''/fy
-    = Lap(Psi)/Psi: the per-axis ratios of _axis_ratios, gathered onto the
-    live cells.
-    """
-    rx, ry, floor, (ratio_x, ratio_y) = _axis_ratios(psi, rho_floor, laplacian)
-    rho = np.outer(rx, ry)
-    mask = rho < floor
-    live = np.flatnonzero(~mask)
-    i, j = np.divmod(live, psi.grid.n)
-    ax, ay = ratio_x[:, i], ratio_y[:, j]
-    ratios = [ax[0], ay[0], ax[1] + ay[1]] if laplacian else [ax[0], ay[0]]
-    return live, np.array(ratios), rho, mask
-
-
-def _axis_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool = False):
-    """The per-axis parts of psi_ratios: (rx, ry, floor, (ratio_x, ratio_y)).
+    """The spectral grad(Psi)/Psi of a product frame, per axis: (rx, ry,
+    floor, (ratio_x, ratio_y)).
 
     rx and ry are the factors' densities and floor = rho_floor * max(rx)
-    max(ry): cell (i, j) is live when rx[i] ry[j] >= floor.  ratio_x has
-    shape (1, n), fx'/fx, or with laplacian=True (2, n), adding fx''/fx, from
-    1D spectral derivatives; ratio_y likewise.  An axis node takes its ratios
-    when it is live against the other axis's maximum: rounding is monotone,
-    so that is when its row (or column) holds a live cell.  Each such node
-    takes one complex divide per derivative, and every other node holds 0.
+    max(ry): cell (i, j) is live unless rx[i] ry[j] < floor, so a NaN
+    density counts as live.  ratio_x has shape (1, n), fx'/fx, or with
+    laplacian=True (2, n), adding fx''/fx, from 1D spectral derivatives;
+    ratio_y likewise.  At cell (i, j), grad(Psi)/Psi = (ratio_x[0, i],
+    ratio_y[0, j]) and Lap(Psi)/Psi = ratio_x[1, i] + ratio_y[1, j].  An
+    axis node takes its ratios when it is live against the other axis's
+    maximum: rounding is monotone, so that is when its row (or column) holds
+    a live cell.  Each such node takes one complex divide per derivative,
+    and every other node holds 0.
     """
     k = psi.grid.wavenumbers
     rx, ry = _densities(psi)
@@ -489,7 +476,7 @@ def _axis_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool = False):
 class _EnergyTerms:
     """What <Psi|H|Psi> is summed against on one grid, each part built at its
     first use: w, the weights hbar^2 k^2/2m per axis, and parts, a harmonic
-    V's per-axis parts (_harmonic_parts), else None.
+    V's per-axis parts (_potential_parts), else None.
 
     hbar * hbar, not hbar**2: a float multiply overflows to inf where ** raises.
     """
@@ -503,7 +490,7 @@ class _EnergyTerms:
 
     @cached_property
     def parts(self):
-        return _harmonic_parts(self.grid, self.pot, self.mass) if self.pot.kind is PotentialKind.HARMONIC else None
+        return _potential_parts(self.grid, self.pot, self.mass) if self.pot.kind is PotentialKind.HARMONIC else None
 
 
 def _energy(psi: WaveFunction, rho, terms: _EnergyTerms) -> float:

@@ -33,7 +33,7 @@ from .process import (
     _fixed_epsilon,
     _whole_cycles,
 )
-from .schrodinger import Potential, WaveFunction, psi_ratios
+from .schrodinger import Potential, WaveFunction, _potential_parts, psi_ratios
 
 HJ_RHO_FLOOR = 1e-4  # relative density floor for residual statistics
 REFERENCE_REFINEMENT = 10  # reference substeps per process step in the convergence sweep
@@ -386,29 +386,35 @@ def complex_hj_residual(
 ) -> HJResidualReport:
     """Evaluate dS/dt + (grad S)^2/2m + V - i(hbar/2m) Lap S on the real slice.
 
-    All action derivatives are expressed through Psi ratios, so no logarithm
-    branch is ever chosen: grad S = -i hbar grad(Psi)/Psi, Lap S = -i hbar
-    (Lap(Psi)/Psi - (grad(Psi)/Psi)^2), and dS/dt comes from the principal-log
-    increment of Psi between the neighbouring frames (central difference,
-    second order in the frame spacing).
+    All action derivatives are expressed through Psi ratios: grad S = -i hbar
+    grad(Psi)/Psi, Lap S = -i hbar (Lap(Psi)/Psi - (grad(Psi)/Psi)^2), and
+    dS/dt comes from the principal-log increment of Psi between the
+    neighbouring frames (central difference, second order in the frame
+    spacing).  A product frame's action splits as S = Sx(x) + Sy(y), so the
+    residual at a live cell (i, j) is Rx[i] + Ry[j], each axis term from its
+    own ratios, log and part of V.  A log wraps, by pi hbar / dt_frame, only
+    where one axis's phase increment passes pi.
     """
     if len(psi_frames) < 3:
-        raise ValueError("need at least 3 consecutive frames")
-    v_grid = pot.values(psi_frames[0].grid, mass).ravel()
+        raise InvalidInput(f"need at least 3 consecutive frames, got {len(psi_frames)}")
+    parts = _potential_parts(psi_frames[0].grid, pot, mass)
     linf, linf_centered = [], []
-    for i in range(1, len(psi_frames) - 1):
-        prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
+    for prev_f, here, next_f in zip(psi_frames, psi_frames[1:], psi_frames[2:]):
         dt_frame = 0.5 * (next_f.time - prev_f.time)
-        live, ratios, _, _ = psi_ratios(here, rho_floor, laplacian=True)
-        if live.size == 0:
+        rx, ry, floor, ratios = psi_ratios(here, rho_floor, laplacian=True)
+        live = ~(np.outer(rx, ry) < floor)
+        if not live.any():
             raise InvalidInput(f"rho_floor = {rho_floor:g} masks every cell")
-        ratio_sq = ratios[0] ** 2 + ratios[1] ** 2
-        # -(hbar * hbar), not (-1j * hbar) ** 2: the same value, but a float
-        # multiply overflows to inf where complex ** raises
-        grad_s_sq = -(hbar * hbar) * ratio_sq
-        lap_s = -1j * hbar * (ratios[2] - ratio_sq)
-        ds_dt = -1j * hbar * np.log(next_f.values.ravel()[live] / prev_f.values.ravel()[live]) / (2.0 * dt_frame)
-        residual = ds_dt + grad_s_sq / (2.0 * mass) + v_grid[live] - 0.5j * hbar / mass * lap_s
+        terms = []
+        for f0, f1, (d, d2), part in zip(prev_f.factors, next_f.factors, ratios, (parts[0], parts[-1])):
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at a node no live cell reads
+                ds_dt = -1j * hbar * np.log(f1 / f0) / (2.0 * dt_frame)
+            # -(hbar * hbar), not (-1j * hbar) ** 2: the same value, but a float
+            # multiply overflows to inf where complex ** raises
+            grad_s_sq = -(hbar * hbar) * d**2
+            lap_s = -1j * hbar * (d2 - d**2)
+            terms.append(ds_dt + grad_s_sq / (2.0 * mass) + part - 0.5j * hbar / mass * lap_s)
+        residual = (terms[0][:, None] + terms[1])[live]
         linf.append(float(np.abs(residual).max()))
         linf_centered.append(float(np.abs(residual - np.mean(residual)).max()))
     # np.max keeps a NaN of any frame; builtin max drops one after the first
@@ -489,22 +495,25 @@ def least_action_saddle_check(
     raise Re g by exactly (m/2)|d|^2 and imaginary ones lower it by the same
     amount (the saddle that defines a complex minimum).
     """
-    live, ratios, _, _ = psi_ratios(psi, rho_floor, laplacian=True)
-    grad_s = -1j * hbar * ratios[:2]
-    lap_s = -1j * hbar * (ratios[2] - ratios[0] ** 2 - ratios[1] ** 2)
-    v_live = pot.values(psi.grid, mass).ravel()[live]
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, live.size, size=n_points)
+    rx, ry, floor, (ratio_x, ratio_y) = psi_ratios(psi, rho_floor, laplacian=True)
+    live = np.flatnonzero(~(np.outer(rx, ry) < floor))
+    # the seeded picks of the live cells, their ratios and V gathered per axis
+    i, j = np.divmod(live[np.random.default_rng(seed).integers(0, live.size, size=n_points)], psi.grid.n)
+    (dx, d2x), (dy, d2y) = ratio_x[:, i], ratio_y[:, j]
+    grad_s = -1j * hbar * np.array([dx, dy])
+    lap_s = -1j * hbar * (d2x + d2y - dx**2 - dy**2)
+    parts = _potential_parts(psi.grid, pot, mass)
+    v = parts[0][i] + parts[-1][j]
 
     def objective(vel, p):
         kinetic = 0.5 * mass * np.sum(vel * vel)
-        return kinetic - v_live[p] - np.sum(vel * grad_s[:, p]) + 0.5j * hbar / mass * lap_s[p]
+        return kinetic - v[p] - np.sum(vel * grad_s[:, p]) + 0.5j * hbar / mass * lap_s[p]
 
     directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / math.sqrt(2)]
     max_grad = 0.0
     max_real_mismatch = 0.0
     max_imag_mismatch = 0.0
-    for p in picks:
+    for p in range(n_points):
         v_star = grad_s[:, p] / mass
         base = objective(v_star, p)
         for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1j * np.array([1.0, 0.0]), 1j * np.array([0.0, 1.0])):

@@ -404,6 +404,15 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "PacketTooNarrow" in capsys.readouterr().err
 
+    def test_unusable_out_exit_three(self, tmp_path, capsys):
+        # --out below a regular file: the run's first write raises NotADirectoryError
+        cfg = tmp_path / "spin.cfg"
+        cfg.write_text(MINIMAL)
+        (tmp_path / "file").write_text("")
+        assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "file" / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: NotADirectoryError: ") and "Traceback" not in err
+
     def test_step_budget_exit_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(zl.process, "DE_BROGLIE_CYCLE_BUDGET", 1)
         cfg = tmp_path / "long.cfg"

@@ -22,6 +22,8 @@ from zitterlab import pilot, schrodinger, verification
 from zitterlab.cli import parse_config
 from zitterlab.scenarios import run_scenario
 
+from gather import gathered_ratios
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -89,7 +91,7 @@ class TestVelocityField:
         psi = zl.analytic_free_gaussian(grid, 1.0, (0.5, -0.2), (0, 0), 0.5)
         hbar, mass = 1.0, 2.0
         field = zl.velocity_field(psi, hbar=hbar, mass=mass)
-        live, ratios, rho, mask = schrodinger.psi_ratios(psi)
+        live, ratios, rho, mask = gathered_ratios(psi)
         assert np.array_equal(mask, rho < field.floor)
         i, j = np.divmod(live, grid.n)
         lhs = mass * np.array([field.v[i, 0], field.v[j, 1]])
@@ -466,9 +468,10 @@ def lerp_bound(v, stencil):
 
 def eager_field(psi, hbar, mass, rho_floor, real):
     """(v (n, n, 2), node_mask (n, n)) of psi's field on the grid, from
-    psi_ratios: the live cells filled in place, 0 elsewhere."""
+    psi_ratios gathered onto the live cells: those filled in place, 0
+    elsewhere."""
     grid = psi.grid
-    live, ratios, _, mask = schrodinger.psi_ratios(psi, rho_floor)
+    live, ratios, _, mask = gathered_ratios(psi, rho_floor)
     scale = hbar / mass
     v = np.zeros((grid.n * grid.n, 2), dtype=float if real else complex)
     v.real[live] = (scale * ratios.imag).T
@@ -862,6 +865,14 @@ class TestGuideProcess:
         fields = [axis_field(grid, v, t) for t in (0.0, 0.1, 0.2)]
         with pytest.raises(zl.NonFiniteVelocity, match="guiding field produced a non-finite value"):
             zl.guide_process(fields, zl.PhysParams(epsilon=4e-3), zl.Permutation(), (1.0, 0.0), 0.2)
+
+    def test_no_params_rejected_before_any_field_is_read(self):
+        def fields():
+            raise AssertionError("read a field")
+            yield
+
+        with pytest.raises(zl.InvalidInput, match="at least one PhysParams"):
+            zl.guide_processes(fields(), [], zl.Permutation(), (1.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("mode", [zl.EpsilonMode.COMPTON, zl.EpsilonMode.DE_BROGLIE])
     def test_non_fixed_epsilon_rejected_before_any_query(self, free_fields, monkeypatch, mode):

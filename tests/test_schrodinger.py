@@ -15,6 +15,8 @@ from zitterlab.cli import parse_config
 from zitterlab.fileio import read_zlab_frame
 from zitterlab.scenarios import run_scenario
 
+from gather import gathered_ratios
+
 
 @pytest.fixture(scope="module")
 def grid128():
@@ -139,7 +141,7 @@ class TestAnalyticFreeGaussian:
         within the bound of test_product_path_matches_the_plain_2d_reference,
         at e_k = u for the rounding of np.outer."""
         psi = zl.analytic_free_gaussian(grid128, 1.0, k0, (0.5, -0.5), t)
-        live, ratios, _, mask = sch.psi_ratios(psi, 1e-8)
+        live, ratios, _, mask = gathered_ratios(psi, 1e-8)
         assert live.size and mask.any()
         values = psi.values
         expected = plain_ratios(grid128, values, live)
@@ -408,8 +410,9 @@ class TestGradientFields:
 
     def test_laplacian_ratio_shares_the_spectrum(self, grid128):
         psi = zl.analytic_free_gaussian(grid128, 1.0, (1.0, 0.5), (0, 0), 0.4)
-        live_l, ratios_l, rho_l, mask_l = sch.psi_ratios(psi, 1e-8, laplacian=True)
-        live, ratios, rho, mask = sch.psi_ratios(psi, 1e-8)
+        live_l, ratios_l, rho_l, mask_l = gathered_ratios(psi, 1e-8, laplacian=True)
+        live, ratios, rho, mask = gathered_ratios(psi, 1e-8)
+        assert [r.shape for r in sch.psi_ratios(psi, 1e-8, laplacian=True)[3]] == [(2, grid128.n)] * 2
         assert ratios_l.shape == (3, live.size) and ratios.shape == (2, live.size)
         assert np.array_equal(ratios_l[:2], ratios) and np.array_equal(mask_l, mask) and np.array_equal(rho_l, rho)
         assert np.array_equal(live_l, live) and np.array_equal(live, np.flatnonzero(~mask))
@@ -434,7 +437,7 @@ class TestGradientFields:
             h = grid.spacing
             v = psi.values
             # d/dx psi from the kernel's ratio, on its live cells (a superset of bulk)
-            live, ratios, _, _ = sch.psi_ratios(psi, 1e-4)
+            live, ratios, _, _ = gathered_ratios(psi, 1e-4)
             gx = np.zeros_like(v)
             gx.ravel()[live] = ratios[0] * v.ravel()[live]
             fd4 = (
@@ -846,7 +849,7 @@ def test_product_path_matches_the_plain_2d_reference(tmp_path_factory, kind, cen
         norm = float(np.linalg.norm(b))
         assert np.linalg.norm(a.values - b) <= e_k * norm
 
-        live_a, ra, _, _ = sch.psi_ratios(a, 1e-8)
+        live_a, ra, _, _ = gathered_ratios(a, 1e-8)
         rho_b = np.abs(b.ravel()) ** 2
         live_b = np.flatnonzero(rho_b >= 1e-8 * rho_b.max())
         both, ia, ib = np.intersect1d(live_a, live_b, return_indices=True)

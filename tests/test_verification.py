@@ -1,12 +1,17 @@
 """Generator identity, convergence rates, Hamilton-Jacobi residual, saddle check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import zitterlab as zl
-from zitterlab import verification as ver
+from zitterlab import schrodinger, verification as ver
+from zitterlab.cli import parse_config
+from zitterlab.scenarios import _analytic_frame_triple
+
+from gather import gathered_ratios
 
 SWEEP = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
@@ -286,6 +291,36 @@ def test_base_test_function_has_no_closed_forms(method):
         getattr(f, method)(z, 0.0)
 
 
+U = np.finfo(float).eps / 2
+HJ_CFG = parse_config("scenario = hj_residual\n")
+# the six residuals of the default hj_residual run: its dt sweep, then its n sweep at the finest dt
+HJ_SWEEP = [(HJ_CFG.n_grid, dt) for dt in HJ_CFG.hj_dts] + [(n, min(HJ_CFG.hj_dts)) for n in HJ_CFG.hj_ns]
+
+
+def plain_hj_residual(psi_frames, pot, hbar=1.0, mass=1.0, rho_floor=ver.HJ_RHO_FLOOR):
+    """(report, scale): the residual on the n x n planes, as computed before
+    it split per axis, from the gathered ratios, each frame's values, V's
+    values and one principal log of the 2D ratio per live cell; scale is
+    the largest sum |dS/dt| + |(grad S)^2/2m| + |V| + |(hbar/2m) Lap S| of
+    the residual's terms over the live cells."""
+    v_grid = pot.values(psi_frames[0].grid, mass).ravel()
+    linf, linf_centered, scale = [], [], 0.0
+    for i in range(1, len(psi_frames) - 1):
+        prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
+        dt_frame = 0.5 * (next_f.time - prev_f.time)
+        live, ratios, _, _ = gathered_ratios(here, rho_floor, laplacian=True)
+        ratio_sq = ratios[0] ** 2 + ratios[1] ** 2
+        grad_s_sq = -(hbar * hbar) * ratio_sq
+        lap_s = -1j * hbar * (ratios[2] - ratio_sq)
+        ds_dt = -1j * hbar * np.log(next_f.values.ravel()[live] / prev_f.values.ravel()[live]) / (2.0 * dt_frame)
+        terms = [ds_dt, grad_s_sq / (2.0 * mass), v_grid[live], -0.5j * hbar / mass * lap_s]
+        residual = terms[0] + terms[1] + terms[2] + terms[3]
+        linf.append(float(np.abs(residual).max()))
+        linf_centered.append(float(np.abs(residual - np.mean(residual)).max()))
+        scale = max(scale, float(np.max(sum(np.abs(t) for t in terms))))
+    return ver.HJResidualReport(float(np.max(linf)), float(np.max(linf_centered))), scale
+
+
 class TestComplexHJResidual:
     def frames(self, n, dt_frame, t0=0.5, box=20.0):
         grid = zl.Grid2D(n, box)
@@ -333,8 +368,76 @@ class TestComplexHJResidual:
         assert math.isnan(report.overall_linf) and math.isnan(report.overall_linf_centered)
 
     def test_needs_three_frames(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(zl.InvalidInput, match="at least 3 consecutive frames, got 2"):
             ver.complex_hj_residual(self.frames(64, 1e-3)[:2], zl.free_potential())
+
+    def test_axis_increments_adding_past_pi_do_not_wrap(self):
+        """Each axis's phase moves by about 1.8 between the outer frames
+        (k0 = 3, dt_frame = 0.2), together past pi: one principal log of the
+        2D ratio wraps by 2 pi there, and the residual jumps by one branch,
+        pi hbar / dt_frame = 15.7 (15.83 read before the residual split per
+        axis).  The per-axis logs do not wrap, and the residual stays under
+        half a branch.  A single axis whose increment passes pi still wraps."""
+        cfg = replace(HJ_CFG, k0_x=3.0, k0_y=3.0, hj_time=0.5)
+        dt_frame = 0.2
+        frames = _analytic_frame_triple(cfg, 128, dt_frame)
+        report = ver.complex_hj_residual(frames, zl.free_potential(), cfg.hbar, cfg.mass, cfg.hj_rho_floor)
+        assert report.overall_linf < math.pi * cfg.hbar / (2 * dt_frame)
+
+    @staticmethod
+    def assert_matches_plain(frames, pot, dt_frame, hbar=1.0, mass=1.0, rho_floor=ver.HJ_RHO_FLOOR):
+        """The per-axis residual against plain_hj_residual, to rounding.
+
+        Per live cell the two forms differ only in rounding, with u the unit
+        roundoff.  The ratio z of the next frame's Psi to the previous one's
+        takes three complex operations in the plain form (the two products
+        of np.outer and a divide) and two in the per-axis form (one divide
+        per axis, the logs summed).  Each errs by at most 6u relative
+        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.6:
+        sqrt 2 gamma_2 for a product, sqrt 2 gamma_4 for a divide), so the
+        logs differ by at most 30u and dS/dt by 30u hbar / (2 dt_frame).
+        Every other operation (the log's own rounding, the terms and their
+        sums, at most 16 on any path) errs by at most u relative to the sum
+        of the terms' magnitudes, scale.  overall_linf moves by at most that
+        cell bound, the centred value by twice it plus the mean's rounding,
+        log2(n^2) u scale for a pairwise sum.
+        """
+        report = ver.complex_hj_residual(frames, pot, hbar, mass, rho_floor)
+        plain, scale = plain_hj_residual(frames, pot, hbar, mass, rho_floor)
+        bound = U * (15 * hbar / dt_frame + 16 * scale)
+        assert abs(report.overall_linf - plain.overall_linf) <= bound
+        log2_cells = 2 * math.log2(frames[0].grid.n)
+        assert abs(report.overall_linf_centered - plain.overall_linf_centered) <= 2 * bound + log2_cells * U * scale
+
+    @pytest.mark.parametrize("n, dt_frame", HJ_SWEEP)
+    def test_matches_the_plain_residual_on_the_default_sweep(self, n, dt_frame):
+        frames = _analytic_frame_triple(HJ_CFG, n, dt_frame)
+        self.assert_matches_plain(frames, zl.free_potential(), dt_frame, HJ_CFG.hbar, HJ_CFG.mass, HJ_CFG.hj_rho_floor)
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_matches_the_plain_residual_on_a_harmonic_stream(self, stride):
+        pot = zl.harmonic_potential(1.0, 1.5)
+        psi0 = zl.init_gaussian(zl.Grid2D(128, 10.0), (0.5, -0.5), 1.0, (1.0, 0.5))
+        frames = list(zl.stream_frames(psi0, pot, 1e-3, 6 * stride, stride))
+        self.assert_matches_plain(frames, pot, stride * 1e-3)
+
+    def test_reads_no_plane(self, monkeypatch):
+        """Neither check builds a frame's values or V on the n x n grid."""
+        grid = zl.Grid2D(64, 8.0)
+        harmonic = zl.harmonic_potential(1.0, 1.5)
+        cases = [
+            (self.frames(64, 1e-3), zl.free_potential()),
+            (list(zl.stream_frames(zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.0, 0.5)), harmonic, 1e-3, 4, 2)), harmonic),
+        ]
+
+        def refuse(*args):
+            raise AssertionError("an n x n plane was built")
+
+        monkeypatch.setattr(schrodinger.WaveFunction, "values", property(refuse))
+        monkeypatch.setattr(schrodinger.Potential, "values", refuse)
+        for frames, pot in cases:
+            assert math.isfinite(ver.complex_hj_residual(frames, pot).overall_linf)
+            assert ver.least_action_saddle_check(frames[1], pot, n_points=20).saddle_ok
 
     def test_potential_enters_residual(self):
         # evaluating free frames against the wrong potential leaves V behind
