@@ -3,6 +3,8 @@
 Config files are flat UTF-8 ``key = value`` documents; ``#`` starts a comment.
 List values are comma separated, complex values use Python literals (``1+0.5j``).
 Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime error.
+Parsing a config, ``version`` and ``list-scenarios`` load no numpy; a run
+imports the scenarios once its config has parsed.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import sys
 from dataclasses import fields
 
 from . import __version__
+from .config import SCENARIOS, ScenarioConfig
 from .errors import ConfigError, MissingRequired, OutOfRange, UnknownField, UnknownScenario, ZitterlabError
-from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 # key -> its ScenarioConfig field; the field's metadata holds the value parser
 # and the per-scenario defaults.
@@ -86,7 +88,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        result = run_scenario(parse_config_file(args.config), args.out)
+        cfg = parse_config_file(args.config)
+        from .scenarios import run_scenario
+
+        result = run_scenario(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

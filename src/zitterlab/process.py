@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import EpsilonMode, Sense
 from .errors import EpsilonUnderflow, InvalidInput, NonFiniteVelocity, StepBudgetExceeded
 from .fileio import write_csv_blocks
 
@@ -48,13 +48,6 @@ _RUN_CSV_HEADER = ["n", "t"] + [
 ]
 
 
-class Sense(Enum):
-    """Orientation of the vertex 4-cycle; selects the sign of the spin."""
-
-    S_PLUS = "s_plus"
-    S_MINUS = "s_minus"
-
-
 @dataclass(frozen=True)
 class Permutation:
     """One of the two circular permutations of the unit-square vertices.
@@ -79,12 +72,6 @@ class Permutation:
         """(4, 4, 2) int array: [n mod 4, j-1] -> s^n u^j - u^j, by apply's index rule."""
         r = np.arange(4)
         return VERTICES[(r + self.shift() * r[:, None]) % 4] - VERTICES
-
-
-class EpsilonMode(Enum):
-    FIXED = "fixed"
-    DE_BROGLIE = "de_broglie"
-    COMPTON = "compton"
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import DEFAULT_RHO_FLOOR
 from .errors import InvalidInput, PacketTooNarrow, PacketTouchesBoundary, ResolutionLoss
 from .fileio import write_csv, write_zlab_frame
 
-# fraction of max rho below which a cell counts as a node
-DEFAULT_RHO_FLOOR = 1e-12
 # spectral band |k|_inf >= ALIAS_BAND_FRACTION * k_max watched by the aliasing guard
 ALIAS_BAND_FRACTION = 0.75
 ALIAS_MASS_LIMIT = 1e-8

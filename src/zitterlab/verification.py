@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import HJ_RHO_FLOOR
 from .errors import InvalidInput
 from .fileio import write_json
 from .process import (
@@ -35,7 +36,6 @@ from .process import (
 )
 from .schrodinger import Potential, WaveFunction, _potential_parts, psi_ratios
 
-HJ_RHO_FLOOR = 1e-4  # relative density floor for residual statistics
 REFERENCE_REFINEMENT = 10  # reference substeps per process step in the convergence sweep
 
 

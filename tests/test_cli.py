@@ -472,4 +472,4 @@ class TestMainEntry:
 def test_every_scenario_name_has_a_runner():
     from zitterlab.scenarios import _RUNNERS
 
-    assert set(_RUNNERS) == set(SCENARIOS)
+    assert tuple(_RUNNERS) == SCENARIOS  # the same names, in the catalog's order

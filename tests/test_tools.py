@@ -205,6 +205,32 @@ def test_aa_runs_a_checkout_against_a_copy_of_itself(bench_pairs, monkeypatch, t
     assert doc["change"].startswith("A/A") and doc["summary"]["wall_s"]["ratio"]["median"] == pytest.approx(1.1)
 
 
+@pytest.fixture
+def outside_git(monkeypatch, tmp_path):
+    """Two directories that git sees as no work tree, and tmp_path as the working directory."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    return str(tmp_path / "parent"), str(tmp_path / "change")
+
+
+def test_a_parent_outside_git_fails_before_any_run(bench_pairs, monkeypatch, tmp_path, outside_git):
+    runs = []
+
+    def fake_run(checkout, workload, seed):
+        runs.append((checkout, workload, seed))
+        return synthetic_run(1.0), UNITS, ENV
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = [*outside_git, "--pr", "1", "--note", "x", "--workload", "process", "--pairs", "2", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert runs == [] and not list(tmp_path.glob("BENCH_*"))
+    message = str(exc.value)
+    assert message.startswith(f"cannot describe {outside_git[0]}: fatal: not a git repository") and "\n" not in message
+
+
 @pytest.fixture(scope="module")
 def scaling():
     spec = importlib.util.spec_from_file_location("scaling", TOOLS / "scaling.py")
@@ -274,3 +300,11 @@ def test_scaling_series_with_the_parent_interleaved(scaling, bench_pairs, monkey
     assert list(doc["summary"]) == ["400", "800", "1600"]
     assert doc["summary"]["1600"]["peak_rss_mb"]["median"] == 60.0
     assert doc["parent"]["summary"]["1600"]["peak_rss_mb"]["median"] == 160.0
+
+
+def test_scaling_parent_outside_git_fails_before_any_run(scaling, monkeypatch, outside_git):
+    runs = []
+    monkeypatch.setattr(scaling, "run_once", lambda config, root: runs.append(root))
+    with pytest.raises(SystemExit, match="not a git repository"):
+        scaling.main(["--pr", "9", "--series", "process_free", "--parent", outside_git[0]])
+    assert runs == []

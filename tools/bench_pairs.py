@@ -124,10 +124,11 @@ def run_pairs(checkouts: dict, workload: str, n_pairs: int, seed: int):
 
 
 def describe(checkout: str) -> str:
-    """'<short hash>: <subject>' of the checkout's HEAD."""
-    proc = subprocess.run(
-        ["git", "log", "-1", "--format=%h: %s"], cwd=checkout, capture_output=True, text=True, check=True
-    )
+    """'<short hash>: <subject>' of the checkout's HEAD; exits with git's last
+    line of error if it has none, as in a directory that is not a git work tree."""
+    proc = subprocess.run(["git", "log", "-1", "--format=%h: %s"], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"cannot describe {checkout}: {''.join(proc.stderr.strip().splitlines()[-1:])}")
     return proc.stdout.strip()
 
 
@@ -158,12 +159,13 @@ def main(argv=None) -> int:
 def bench(checkouts: dict, args) -> int:
     """Run the pairs and checks of args on checkouts, write the BENCH file and
     return the exit status."""
+    parent = describe(checkouts["parent"])  # before any run, so a bad PARENT costs none
     pairs, units, env = run_pairs(checkouts, args.workload, args.pairs, args.seed)
     command = f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS:g} --trace 0"
     doc = {
         "workload": args.workload,
         "command": command,
-        "parent": describe(checkouts["parent"]),
+        "parent": parent,
         "change": "A/A: a copy of the parent's tree" if args.aa else args.note,
         "machine": f"{env['nproc']}-CPU {env['platform']}, Python {env['python']}, numpy {env['numpy']}",
         "protocol": f"{args.pairs} {args.workload} pairs (seeds {args.seed}..{args.seed + args.pairs - 1}); "

@@ -108,6 +108,7 @@ def main(argv=None) -> int:
 
     scenario, key, _, config = SERIES[args.series]
     roots = {"change": ROOT, **({"parent": os.path.abspath(args.parent)} if args.parent else {})}
+    commit = describe(roots["parent"]) if args.parent else None  # before any run, so a bad PARENT costs none
     runs = {side: [] for side in roots}
     sizes = plan(RUNS, args.series)
     for size, (_, drawn) in zip(sizes, pair_plan(len(sizes), args.pr)):
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
     }
     if args.parent:
         doc["parent"] = {
-            "commit": describe(roots["parent"]),
+            "commit": commit,
             "summary": summarize(runs["parent"], key),
             "runs": runs["parent"],
         }
