@@ -28,6 +28,8 @@ SCENARIOS = (
     "guided_process",
 )
 GUIDED_EPSILONS = (4e-3, 2e-3, 1e-3)
+CONVERGENCE_EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+TABLE_EPSILONS = (1e-1, 1e-2, 1e-3)
 # The harmonic and guided scenarios run on 128 points over a half width of 10.
 _SMALL_BOX = ("harmonic_ground", "harmonic_coherent", "guided_process")
 
@@ -134,7 +136,9 @@ class ScenarioConfig:
     z0_x: complex = _key(0.0, _COMPLEX)
     z0_y: complex = _key(0.0, _COMPLEX)
     cycles: int = _key(100, _COUNT)
-    epsilons: tuple = _key((), _list(_POSITIVE))
+    epsilons: tuple = _key(
+        CONVERGENCE_EPSILONS, _list(_POSITIVE), spin_table=TABLE_EPSILONS, heisenberg_table=TABLE_EPSILONS
+    )
     T: float = _key(1.0, _POSITIVE)
     dt: float = _key(1e-3, _POSITIVE)
     n_grid: int = _key(256, _COUNT, **dict.fromkeys(_SMALL_BOX, 128))

@@ -34,9 +34,6 @@ from .process import (
 )
 from .schrodinger import Grid2D, WaveFunction
 
-CONVERGENCE_EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-TABLE_EPSILONS = (1e-1, 1e-2, 1e-3)
-
 
 @dataclass
 class ScenarioResult:
@@ -127,7 +124,6 @@ def _table_cycles(cfg: ScenarioConfig, eps: float, perm: Permutation, vel) -> ob
 
 
 def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
-    eps_list = cfg.epsilons or TABLE_EPSILONS
     files = []
     rows = []
     worst = 0.0
@@ -135,7 +131,7 @@ def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
         perm = Permutation(sense)
         target = obs.intrinsic_spin_closed_form(perm, cfg.hbar)
         for vel_name, vel in _table_programs(cfg):
-            for i, eps in enumerate(eps_list):
+            for i, eps in enumerate(cfg.epsilons):
                 table = _table_cycles(cfg, eps, perm, vel)
                 csv_path = os.path.join(out, f"obs_{sense.value}_{vel_name}_e{i}.csv")
                 obs.observables_to_csv(csv_path, table)
@@ -161,13 +157,12 @@ def _scenario_spin_table(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_heisenberg_table(cfg: ScenarioConfig, out) -> ScenarioResult:
-    eps_list = tuple(cfg.epsilons or TABLE_EPSILONS)
     perm = cfg.perm()
     rows = []
     worst_rel = 0.0
     delta_x_by_eps = {}
     for vel_name, vel in _table_programs(cfg):
-        for eps in eps_list:
+        for eps in cfg.epsilons:
             table = _table_cycles(cfg, eps, perm, vel)
             target = 0.5 * cfg.hbar
             rel = float(np.max(np.abs(table.heisenberg_product - target) / target))
@@ -200,10 +195,9 @@ def _scenario_heisenberg_table(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_convergence(cfg: ScenarioConfig, out) -> ScenarioResult:
-    eps_list = cfg.epsilons or CONVERGENCE_EPSILONS
     vel = cfg.program()
     vertex_report, mean_report = verification.process_convergence_rates(
-        cfg.phys(), cfg.perm(), vel, (cfg.z0_x, cfg.z0_y), cfg.T, eps_list
+        cfg.phys(), cfg.perm(), vel, (cfg.z0_x, cfg.z0_y), cfg.T, cfg.epsilons
     )
     fv = os.path.join(out, "convergence_vertices.json")
     fm = os.path.join(out, "convergence_mean.json")
@@ -217,20 +211,19 @@ def _scenario_convergence(cfg: ScenarioConfig, out) -> ScenarioResult:
 
 
 def _scenario_lemma1(cfg: ScenarioConfig, out) -> ScenarioResult:
-    eps_list = cfg.epsilons or CONVERGENCE_EPSILONS
     vel = cfg.program()
     files = []
     checks = []
     for name in ("quadratic", "product"):
         report = verification.generator_identity_check(
-            verification.CATALOG[name], cfg.phys(), cfg.perm(), vel, cfg.T, eps_list
+            verification.CATALOG[name], cfg.phys(), cfg.perm(), vel, cfg.T, cfg.epsilons
         )
         path = os.path.join(out, f"lemma1_{name}.json")
         report.to_json(path)
         files.append(path)
         checks.append((f"residual_rate_{name}", report.passed, f"rate {report.fitted_rate:.4f}"))
     linear_residual = 0.0
-    for eps in eps_list:
+    for eps in cfg.epsilons:
         res = verification.cycle_increment_residuals(
             verification.CATALOG["linear"], cfg.phys(eps), cfg.perm(), vel, cfg.T
         )

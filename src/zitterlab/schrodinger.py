@@ -472,47 +472,40 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     return rx, ry, floor, axis_ratios
 
 
-class _EnergyTerms:
-    """What <Psi|H|Psi> is summed against on one grid, each part built at its
-    first use: w, the weights hbar^2 k^2/2m per axis, and parts, a harmonic
-    V's per-axis parts (_potential_parts), else None.
+def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
+    """(w, parts): what <Psi|H|Psi> is summed against on one grid.  w holds
+    the weights hbar^2 k^2/2m per axis, and parts a harmonic V's per-axis
+    parts (_potential_parts), else None.
 
     hbar * hbar, not hbar**2: a float multiply overflows to inf where ** raises.
     """
-
-    def __init__(self, grid: Grid2D, pot: Potential, hbar: float, mass: float):
-        self.grid, self.pot, self.hbar, self.mass = grid, pot, hbar, mass
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return 0.5 * (self.hbar * self.hbar) * self.grid.wavenumbers**2 / self.mass
-
-    @cached_property
-    def parts(self):
-        return _potential_parts(self.grid, self.pot, self.mass) if self.pot.kind is PotentialKind.HARMONIC else None
+    w = 0.5 * (hbar * hbar) * grid.wavenumbers**2 / mass
+    parts = _potential_parts(grid, pot, mass) if pot.kind is PotentialKind.HARMONIC else None
+    return w, parts
 
 
-def _energy(psi: WaveFunction, rho, terms: _EnergyTerms) -> float:
-    """<Psi|H|Psi> over the axis densities rho = (rx, ry) of _densities,
-    summed in 1D: E_kin = K_x N_y + N_x K_y, with N the axis norms and K the
-    axis kinetic sums over each factor's FFT, plus, for a harmonic V = a(x)
-    + b(y), <V> = ((a.rx) sum(ry) + sum(rx) (b.ry)) h^2.
+def _energy(psi: WaveFunction, rho, w, parts) -> float:
+    """<Psi|H|Psi> over the axis densities rho = (rx, ry) of _densities and
+    the terms w, parts of _energy_terms, summed in 1D: E_kin = K_x N_y +
+    N_x K_y, with N the axis norms and K the axis kinetic sums over each
+    factor's FFT, plus, for a harmonic V = a(x) + b(y), <V> = ((a.rx)
+    sum(ry) + sum(rx) (b.ry)) h^2.
     """
     grid = psi.grid
     h = grid.spacing
     sx, sy = (float(r.sum()) for r in rho)
     nx, ny = sx * h, sy * h
-    kx, ky = (float(np.sum(terms.w * np.abs(np.fft.fft(f)) ** 2)) * h / grid.n for f in psi.factors)
+    kx, ky = (float(np.sum(w * np.abs(np.fft.fft(f)) ** 2)) * h / grid.n for f in psi.factors)
     e = kx * ny + nx * ky
-    if terms.parts is not None:
-        a, b = terms.parts[0], terms.parts[-1]
+    if parts is not None:
+        a, b = parts[0], parts[-1]
         e += (float(a @ rho[0]) * sy + sx * float(b @ rho[1])) * grid.cell_area()
     return e
 
 
 def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
     """<Psi| -hbar^2/2m Lap + V |Psi>, summed over the factors."""
-    return _energy(psi, _densities(psi), _EnergyTerms(psi.grid, pot, hbar, mass))
+    return _energy(psi, _densities(psi), *_energy_terms(psi.grid, pot, hbar, mass))
 
 
 def _moments(grid: Grid2D, rho):
@@ -537,8 +530,8 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
     """Write one row of t, norm, energy and moments per frame to path.
 
     frames is any iterable of frames on one grid, read once, so a stream is
-    summarized without being held.  The energy terms are built once, each
-    at its first use; per frame rho (the two axis densities) is computed
+    summarized without being held.  The energy terms are built once, at the
+    first frame; per frame rho (the two axis densities) is computed
     once and feeds the norm, the energy and the moments.  Returns (last
     frame or None, rows).
     """
@@ -548,10 +541,10 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
     for frame in frames:
         grid = frame.grid
         if terms is None:
-            terms = _EnergyTerms(grid, pot, hbar, mass)
+            terms = _energy_terms(grid, pot, hbar, mass)
         rho = _densities(frame)
         norm = math.sqrt(_squared_norm(grid, rho))
-        rows.append([frame.time, norm, _energy(frame, rho, terms), *_moments(grid, rho)])
+        rows.append([frame.time, norm, _energy(frame, rho, *terms), *_moments(grid, rho)])
     write_csv(path, header, zip(*rows))
     return frame, rows
 

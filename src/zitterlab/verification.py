@@ -37,6 +37,8 @@ from .process import (
 from .schrodinger import Potential, WaveFunction, _potential_parts, psi_ratios
 
 REFERENCE_REFINEMENT = 10  # reference substeps per process step in the convergence sweep
+SADDLE_FD_STEP = 1e-3  # central-difference step of the saddle check's stationarity gradient
+SADDLE_DELTAS = (1e-2, 1e-1)  # sizes of the saddle check's real and imaginary perturbations
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +379,17 @@ class HJResidualReport:
     overall_linf_centered: float
 
 
+def _live_ratios(psi: WaveFunction, rho_floor: float):
+    """(live, (ratio_x, ratio_y)) of psi: live, the n x n mask of the cells
+    psi_ratios counts live, and the per-axis ratios with laplacian=True.
+    InvalidInput where the floor masks every cell."""
+    rx, ry, floor, ratios = psi_ratios(psi, rho_floor, laplacian=True)
+    live = ~(np.outer(rx, ry) < floor)
+    if not live.any():
+        raise InvalidInput(f"rho_floor = {rho_floor:g} masks every cell")
+    return live, ratios
+
+
 def complex_hj_residual(
     psi_frames,
     pot: Potential,
@@ -401,10 +414,7 @@ def complex_hj_residual(
     linf, linf_centered = [], []
     for prev_f, here, next_f in zip(psi_frames, psi_frames[1:], psi_frames[2:]):
         dt_frame = 0.5 * (next_f.time - prev_f.time)
-        rx, ry, floor, ratios = psi_ratios(here, rho_floor, laplacian=True)
-        live = ~(np.outer(rx, ry) < floor)
-        if not live.any():
-            raise InvalidInput(f"rho_floor = {rho_floor:g} masks every cell")
+        live, ratios = _live_ratios(here, rho_floor)
         terms = []
         for f0, f1, (d, d2), part in zip(prev_f.factors, next_f.factors, ratios, (parts[0], parts[-1])):
             with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at a node no live cell reads
@@ -484,59 +494,50 @@ def least_action_saddle_check(
     mass: float = 1.0,
     n_points: int = 100,
     seed: int = 0,
-    fd_step: float = 1e-3,
-    deltas=(1e-2, 1e-1),
     rho_floor: float = HJ_RHO_FLOOR,
 ) -> SaddleReport:
     """Check the quadratic-Lagrangian inner minimization around V = grad(S)/m.
 
     Objective g(V) = (m/2) V^2 - V.grad(S) + const(V).  At the stationary
-    point the central finite-difference gradient vanishes; real perturbations
-    raise Re g by exactly (m/2)|d|^2 and imaginary ones lower it by the same
-    amount (the saddle that defines a complex minimum).
+    point the central finite-difference gradient (step SADDLE_FD_STEP)
+    vanishes; real perturbations of each size in SADDLE_DELTAS raise Re g by
+    exactly (m/2)|d|^2 and imaginary ones lower it by the same amount (the
+    saddle that defines a complex minimum).  Every evaluation covers the
+    n_points seeded picks of the live cells at once.
     """
-    rx, ry, floor, (ratio_x, ratio_y) = psi_ratios(psi, rho_floor, laplacian=True)
-    live = np.flatnonzero(~(np.outer(rx, ry) < floor))
+    if n_points < 1:
+        raise InvalidInput(f"n_points must be >= 1, got {n_points}")
+    live, (ratio_x, ratio_y) = _live_ratios(psi, rho_floor)
+    cells = np.flatnonzero(live)
     # the seeded picks of the live cells, their ratios and V gathered per axis
-    i, j = np.divmod(live[np.random.default_rng(seed).integers(0, live.size, size=n_points)], psi.grid.n)
+    i, j = np.divmod(cells[np.random.default_rng(seed).integers(0, cells.size, size=n_points)], psi.grid.n)
     (dx, d2x), (dy, d2y) = ratio_x[:, i], ratio_y[:, j]
     grad_s = -1j * hbar * np.array([dx, dy])
     lap_s = -1j * hbar * (d2x + d2y - dx**2 - dy**2)
     parts = _potential_parts(psi.grid, pot, mass)
     v = parts[0][i] + parts[-1][j]
 
-    def objective(vel, p):
-        kinetic = 0.5 * mass * np.sum(vel * vel)
-        return kinetic - v[p] - np.sum(vel * grad_s[:, p]) + 0.5j * hbar / mass * lap_s[p]
+    def objective(vel):  # vel (2, n_points), one velocity per drawn cell
+        kinetic = 0.5 * mass * np.sum(vel * vel, axis=0)
+        return kinetic - v - np.sum(vel * grad_s, axis=0) + 0.5j * hbar / mass * lap_s
 
-    directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / math.sqrt(2)]
-    max_grad = 0.0
-    max_real_mismatch = 0.0
-    max_imag_mismatch = 0.0
-    for p in range(n_points):
-        v_star = grad_s[:, p] / mass
-        base = objective(v_star, p)
-        for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1j * np.array([1.0, 0.0]), 1j * np.array([0.0, 1.0])):
-            fd = (objective(v_star + fd_step * e, p) - objective(v_star - fd_step * e, p)) / (2.0 * fd_step)
-            max_grad = max(max_grad, abs(fd))
-        for d in deltas:
-            for e in directions:
-                up = objective(v_star + d * e, p).real - base.real
-                down = objective(v_star + 1j * d * e, p).real - base.real
-                expected = 0.5 * mass * d**2
-                max_real_mismatch = max(max_real_mismatch, abs(up - expected))
-                max_imag_mismatch = max(max_imag_mismatch, abs(down + expected))
-    scale = 0.5 * mass * max(deltas) ** 2
-    saddle_ok = bool(
-        max_grad < 1e-10
-        and max_real_mismatch < 1e-10 * max(1.0, scale)
-        and max_imag_mismatch < 1e-10 * max(1.0, scale)
-    )
-    return SaddleReport(
-        n_points=n_points,
-        max_stationarity_gradient=float(max_grad),
-        max_real_mismatch=float(max_real_mismatch),
-        max_imag_mismatch=float(max_imag_mismatch),
-        saddle_ok=saddle_ok,
-        parameters={"seed": seed, "fd_step": fd_step, "deltas": list(deltas)},
-    )
+    v_star = grad_s / mass
+    base = objective(v_star).real
+    axes = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    grads = []
+    for e in (*axes, *(1j * e for e in axes)):
+        step = (SADDLE_FD_STEP * e)[:, None]
+        fd = (objective(v_star + step) - objective(v_star - step)) / (2.0 * SADDLE_FD_STEP)
+        grads.append(np.hypot(fd.real, fd.imag))  # abs() of one complex; np.abs of an array can differ in the last bit
+    real_mismatch, imag_mismatch = [], []
+    for d in SADDLE_DELTAS:
+        expected = 0.5 * mass * d**2
+        for e in (*axes, np.array([1.0, 1.0]) / math.sqrt(2)):
+            real_mismatch.append(np.abs(objective(v_star + (d * e)[:, None]).real - base - expected))
+            imag_mismatch.append(np.abs(objective(v_star + (1j * d * e)[:, None]).real - base + expected))
+    # np.max keeps a NaN of any cell, and a NaN fails the check
+    max_grad, max_real, max_imag = (float(np.max(m)) for m in (grads, real_mismatch, imag_mismatch))
+    tol = 1e-10 * max(1.0, 0.5 * mass * max(SADDLE_DELTAS) ** 2)
+    saddle_ok = max_grad < 1e-10 and max_real < tol and max_imag < tol
+    parameters = {"seed": seed, "fd_step": SADDLE_FD_STEP, "deltas": list(SADDLE_DELTAS)}
+    return SaddleReport(n_points, max_grad, max_real, max_imag, saddle_ok, parameters)

@@ -1,7 +1,9 @@
 """Config parsing, scenario runner surface, exit codes, determinism."""
 
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,19 @@ class TestParseConfig:
         assert parse_config("scenario = lemma1\n").velocity == "circular"
         assert parse_config("scenario = convergence\nvelocity = zero\n").velocity == "zero"
         assert parse_config("scenario = free_gaussian\n").n_grid == 256
+
+    @pytest.mark.parametrize(
+        "scenario, sweep",
+        [
+            ("spin_table", (1e-1, 1e-2, 1e-3)),
+            ("heisenberg_table", (1e-1, 1e-2, 1e-3)),
+            ("convergence", (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)),
+            ("lemma1", (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)),
+        ],
+    )
+    def test_parsed_config_holds_the_sweep_it_runs(self, scenario, sweep):
+        assert parse_config(f"scenario = {scenario}\n").epsilons == sweep
+        assert parse_config(f"scenario = {scenario}\nepsilons = 0.5, 0.05\n").epsilons == (0.5, 0.05)
 
 
 # key -> (accepted text, its parsed value, rejected text), one row per config
@@ -473,3 +488,17 @@ def test_every_scenario_name_has_a_runner():
     from zitterlab.scenarios import _RUNNERS
 
     assert tuple(_RUNNERS) == SCENARIOS  # the same names, in the catalog's order
+
+
+def test_readme_defaults_table_names_each_per_scenario_key():
+    """The keys in README's per-scenario default table are the config fields
+    whose metadata holds per-scenario defaults."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | per-scenario default |") + 2  # past the header and its rule
+    named = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        named.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert named == {f.name for f in fields(ScenarioConfig) if f.metadata.get("by_scenario")}
+    assert "epsilons" in named

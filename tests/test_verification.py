@@ -473,6 +473,102 @@ class TestLeastActionSaddle:
         assert '"pass": true' in text
 
 
+def loop_saddle_check(psi, pot, hbar=1.0, mass=1.0, n_points=100, seed=0, fd_step=1e-3, deltas=(1e-2, 1e-1),
+                      rho_floor=ver.HJ_RHO_FLOOR):
+    """One drawn cell at a time, as computed before the check took all its
+    cells at once: the oracle for least_action_saddle_check."""
+    rx, ry, floor, (ratio_x, ratio_y) = schrodinger.psi_ratios(psi, rho_floor, laplacian=True)
+    live = np.flatnonzero(~(np.outer(rx, ry) < floor))
+    i, j = np.divmod(live[np.random.default_rng(seed).integers(0, live.size, size=n_points)], psi.grid.n)
+    (dx, d2x), (dy, d2y) = ratio_x[:, i], ratio_y[:, j]
+    grad_s = -1j * hbar * np.array([dx, dy])
+    lap_s = -1j * hbar * (d2x + d2y - dx**2 - dy**2)
+    parts = schrodinger._potential_parts(psi.grid, pot, mass)
+    v = parts[0][i] + parts[-1][j]
+
+    def objective(vel, p):
+        kinetic = 0.5 * mass * np.sum(vel * vel)
+        return kinetic - v[p] - np.sum(vel * grad_s[:, p]) + 0.5j * hbar / mass * lap_s[p]
+
+    directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / math.sqrt(2)]
+    max_grad = max_real_mismatch = max_imag_mismatch = 0.0
+    for p in range(n_points):
+        v_star = grad_s[:, p] / mass
+        base = objective(v_star, p)
+        for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1j * np.array([1.0, 0.0]), 1j * np.array([0.0, 1.0])):
+            fd = (objective(v_star + fd_step * e, p) - objective(v_star - fd_step * e, p)) / (2.0 * fd_step)
+            max_grad = max(max_grad, abs(fd))
+        for d in deltas:
+            for e in directions:
+                up = objective(v_star + d * e, p).real - base.real
+                down = objective(v_star + 1j * d * e, p).real - base.real
+                expected = 0.5 * mass * d**2
+                max_real_mismatch = max(max_real_mismatch, abs(up - expected))
+                max_imag_mismatch = max(max_imag_mismatch, abs(down + expected))
+    scale = 0.5 * mass * max(deltas) ** 2
+    saddle_ok = bool(
+        max_grad < 1e-10
+        and max_real_mismatch < 1e-10 * max(1.0, scale)
+        and max_imag_mismatch < 1e-10 * max(1.0, scale)
+    )
+    return ver.SaddleReport(
+        n_points=n_points,
+        max_stationarity_gradient=float(max_grad),
+        max_real_mismatch=float(max_real_mismatch),
+        max_imag_mismatch=float(max_imag_mismatch),
+        saddle_ok=saddle_ok,
+        parameters={"seed": seed, "fd_step": fd_step, "deltas": list(deltas)},
+    )
+
+
+class TestSaddleArrayForm:
+    POTENTIALS = {
+        "free": zl.free_potential(),
+        "harmonic": zl.harmonic_potential(0.5),
+        "anisotropic": zl.harmonic_potential(1.0, 1.5),
+    }
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        """Two analytic free packets and a solver frame under the anisotropic harmonic V."""
+        psi0 = zl.init_gaussian(zl.Grid2D(64, 8.0), (0.5, -0.5), 1.0, (1.0, 0.5))
+        return {
+            "analytic": zl.analytic_free_gaussian(zl.Grid2D(128, 20.0), 1.0, (0.5, 0.0), (0, 0), 0.3),
+            "analytic_boosted": zl.analytic_free_gaussian(zl.Grid2D(64, 16.0), 1.0, (0.5, -1.0), (1.0, 0.5), 0.7),
+            "harmonic_solver": list(zl.stream_frames(psi0, self.POTENTIALS["anisotropic"], 1e-3, 4, 2))[-1],
+        }
+
+    @pytest.mark.parametrize("frame", ["analytic", "analytic_boosted", "harmonic_solver"])
+    @pytest.mark.parametrize("pot", ["free", "harmonic", "anisotropic"])
+    @pytest.mark.parametrize(
+        "hbar, mass, n_points, seed",
+        [(1.0, 1.0, 100, 0), (0.7, 2.0, 1, 5), (2.5, 0.3, 37, 11), (1e-3, 1e3, 50, 3), (30.0, 1e-2, 20, 9)],
+    )
+    def test_equals_the_loop_oracle(self, frames, frame, pot, hbar, mass, n_points, seed):
+        """Every term in the loop's order, the gradient's modulus by hypot:
+        the whole report equals the per-point loop's, bit for bit."""
+        psi, potential = frames[frame], self.POTENTIALS[pot]
+        report = ver.least_action_saddle_check(psi, potential, hbar, mass, n_points, seed)
+        assert report == loop_saddle_check(psi, potential, hbar, mass, n_points, seed)
+
+    def test_floor_masking_every_cell_raises(self, packet):
+        with pytest.raises(zl.InvalidInput, match="rho_floor = 2 masks every cell"):
+            ver.least_action_saddle_check(packet, zl.free_potential(), rho_floor=2.0)
+
+    def test_overflow_fails_the_check(self, packet):
+        """hbar = 1e200 squares V past the float range, and inf - inf is NaN
+        at every cell; the loop's builtin max dropped each NaN and passed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = ver.least_action_saddle_check(packet, zl.free_potential(), hbar=1e200, n_points=5)
+        assert math.isnan(report.max_stationarity_gradient) and math.isnan(report.max_real_mismatch)
+        assert not report.saddle_ok
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_no_points_raises(self, packet, n_points):
+        with pytest.raises(zl.InvalidInput, match=f"n_points must be >= 1, got {n_points}"):
+            ver.least_action_saddle_check(packet, zl.free_potential(), n_points=n_points)
+
+
 def test_rate_report_json(tmp_path):
     report = ver.generator_identity_check(
         ver.CATALOG["quadratic"], zl.PhysParams(), zl.Permutation(), zl.CircularVelocity(), 0.5, SWEEP
