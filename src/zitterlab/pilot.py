@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EnsembleFailure, InvalidInput, LeftDomain, NodeRegion, NonFiniteVelocity
 from .fileio import write_csv, write_json
 from .process import PhysParams, Permutation, _assemble_run, _fixed_epsilon, _step_count, _whole_cycles
-from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _densities, psi_ratios
+from .schrodinger import DEFAULT_RHO_FLOOR, Grid2D, WaveFunction, _densities, _stacked_ratios
 
 
 @dataclass
@@ -69,16 +69,18 @@ def velocity_field(
 ) -> VelocityField:
     """V = -i (hbar/m) grad(Psi)/Psi per axis, O(n): vx and vy from the
     per-axis ratios of psi_ratios (2n numbers, 0 at an axis node with no
-    live cell), the cell minima and the floor rho_floor * max(rho).
+    live cell, both axes from one stacked FFT pair), the cell minima and
+    the floor rho_floor * max(rho).
     On the live cells Re V = (hbar/m) Im(grad(Psi)/Psi) and
     Im V = -(hbar/m) Re(grad(Psi)/Psi).  With real=True, v holds Re V alone
     as float64, which is all Bohmian transport reads, and equals the real
     part of the complex field bit for bit.
     """
-    rx, ry, floor, (ratio_x, ratio_y) = psi_ratios(psi, rho_floor)
-    rho = np.column_stack([rx, ry])
-    v = _velocity(np.column_stack([ratio_x[0], ratio_y[0]]), hbar / mass, real)
-    return VelocityField(psi.grid, v, np.minimum(rho, np.roll(rho, -1, axis=0)), floor, psi.time)
+    rho, floor, ratios = _stacked_ratios(psi, rho_floor, False)
+    cell_min = np.empty((psi.grid.n, 2))
+    np.minimum(rho[:, :-1].T, rho[:, 1:].T, out=cell_min[:-1])
+    np.minimum(rho[:, -1], rho[:, 0], out=cell_min[-1])  # the periodic wrap
+    return VelocityField(psi.grid, _velocity(ratios[0].T, hbar / mass, real), cell_min, floor, psi.time)
 
 
 def _in_box(pts: np.ndarray, half_width: float) -> np.ndarray:
@@ -379,11 +381,13 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
     Failed points freeze in place; their first bad step index is recorded in
     fail_step.  A point fails by leaving the box (left_box: its new position
     or one of its RK4 stage points lies outside) or else at a masked cell.
+    The frozen rows are copied back only once some point has failed.
     """
     x = np.array(x0, dtype=float)
     t0, L = interp.t0, interp.grid.half_width
     m = x.shape[0]
     alive = np.ones(m, dtype=bool)
+    dead = None  # the indices of the failed points, once there are some
     fail_step = np.full(m, -1, dtype=np.int64)
     left_box = np.zeros(m, dtype=bool)
     for s in range(n_steps):
@@ -402,8 +406,11 @@ def _rk4_batch(interp: FrameInterpolator, x0: np.ndarray, dt: float, n_steps: in
         if newly_dead.any():
             fail_step[newly_dead] = s
             left_box |= newly_dead & ~(ok_domain & _in_box(x2, L) & _in_box(x3, L) & _in_box(x4, L))
-        alive &= ok_field & ok_domain
-        x = np.where(alive[:, None], x_new, x)
+            alive &= ok_field & ok_domain
+            dead = np.flatnonzero(~alive)
+        if dead is not None:
+            x_new[dead] = x[dead]
+        x = x_new
     return x, alive, fail_step, left_box
 
 

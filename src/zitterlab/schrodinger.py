@@ -57,9 +57,18 @@ class Grid2D:
         x = self.axis
         return np.meshgrid(x, x, indexing="ij")
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        """2 pi fftfreq(n, spacing), computed at the first read and read-only."""
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing))
+
+    @cached_property
+    def _derivatives(self) -> np.ndarray:
+        """The spectral operators (1j k, -k^2) of d/dx and d^2/dx^2, as a
+        read-only (2, 1, n) complex array that broadcasts over stacked
+        factors."""
+        k = self.wavenumbers
+        return _read_only(np.array([1j * k, -(k**2)], dtype=complex)[:, None, :])
 
     @property
     def nyquist(self) -> float:
@@ -67,6 +76,11 @@ class Grid2D:
 
     def cell_area(self) -> float:
         return self.spacing**2
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
@@ -239,11 +253,11 @@ class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
     advance() reuses the operators for every call, and frames() is advance()
-    in a loop.  Each axis factor of psi is evolved alone: by the 1D kinetic
-    phase on its spectrum under the free potential, or by the per-axis
-    operator and half kick under a harmonic one.  The constructor builds the
-    axis aliasing band and, for a harmonic V, the per-axis kicks and kinetic
-    phase.
+    in a loop.  Each axis factor of psi is evolved alone, the two held as
+    the rows of one (2, n) array: by the 1D kinetic phase on their spectra
+    under the free potential, or by the per-axis operators and half kicks
+    under a harmonic one.  The constructor builds the axis aliasing band
+    and, for a harmonic V, the per-axis kicks and kinetic phase.
     """
 
     def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
@@ -258,7 +272,11 @@ class Propagator:
             parts = _potential_parts(grid, pot, mass)
             kinetic = _kinetic_phase(self._hbar_over_2m * dt, k**2)
             self._axes = [(np.exp(-0.5j * dt * p / hbar), np.exp(-1j * dt * p / hbar), kinetic) for p in parts]
-        self._axis_band = np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist
+            self._half_kicks = np.array([self._axes[0][0], self._axes[-1][0]])
+        # |k| >= ALIAS_BAND_FRACTION * k_max: one run of indices around n/2 in fftfreq order; a
+        # slice keeps each row's band sum in the 1D sum's order, where a boolean index may not
+        band = np.flatnonzero(np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist)
+        self._axis_band = slice(band[0], band[-1] + 1)
         # a frame stream advances by one stride throughout, so one cached n suffices
         self._cached_key = None
         self._cached = None
@@ -275,20 +293,20 @@ class Propagator:
             self._cached_key = n_steps
         return self._cached
 
-    def _guard(self, spectra, norm0: float, steps: int) -> None:
-        """Raise ResolutionLoss unless the spectra (fx^, fy^) of a new
-        frame's factors are finite, keep their mass out of the aliasing band,
-        and give a squared norm within _norm_bound(n, steps) of norm0, frame
-        0's."""
-        totals, alias = [], 0.0
-        for spectrum in spectra:
-            power = np.abs(spectrum) ** 2
-            total = float(power.sum())
+    def _guard(self, spectra: np.ndarray, norm0: float, steps: int) -> None:
+        """Raise ResolutionLoss unless the spectra (2, n), rows fx^ and fy^,
+        of a new frame's factors are finite, keep their mass out of the
+        aliasing band, and give a squared norm within _norm_bound(n, steps)
+        of norm0, frame 0's.  Both rows' sums are taken in one pass, each
+        in its 1D order, and checked row by row."""
+        power = np.abs(spectra) ** 2
+        totals = power.sum(axis=1).tolist()
+        alias = 0.0
+        for total, in_band in zip(totals, power[:, self._axis_band].sum(axis=1).tolist()):
             if not math.isfinite(total):
                 raise ResolutionLoss("wave function became non-finite (NaN or inf)")
-            ratio = float(power[self._axis_band].sum()) / total if total > 0.0 else 0.0
+            ratio = in_band / total if total > 0.0 else 0.0
             alias += ratio - alias * ratio  # 1 - (in-band fraction of x) (in-band fraction of y)
-            totals.append(total)
         if alias > ALIAS_MASS_LIMIT:
             raise ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
         # Parseval: the sum of |psi^|^2 over n^2 modes is n^2 times that of |psi|^2
@@ -307,9 +325,11 @@ class Propagator:
         half . [FFT . kinetic . IFFT . full]^(n-1) . FFT . kinetic . IFFT . half,
         run on each factor in 1D: a factor's FFT times the n-step 1D phase
         (free), or A f with the per-axis operator A (harmonic), inverted and
-        given its axis's half kick.  The guards read the factors' spectra
-        before the last IFFT: finiteness, the aliasing band, and the norm
-        against psi's.
+        given its axis's half kick.  The two factors go through each FFT,
+        inverse FFT and kick as the rows of one (2, n) array; each row
+        equals its 1D transform bit for bit.  The guards read the factors'
+        spectra before the last IFFT: finiteness, the aliasing band, and the
+        norm against psi's.
         """
         return self._advance(psi, n_steps, None, n_steps)
 
@@ -326,22 +346,26 @@ class Propagator:
             norm0 = _squared_norm(self.grid, _densities(psi))
         cached = self._cached_for(n_steps)
         if self._axes is None:
-            spectra = [np.fft.fft(f) * cached for f in psi.factors]
+            spectra = np.fft.fft(np.asarray(psi.factors))
+            spectra *= cached
         else:
-            spectra = [f @ op for f, op in zip(psi.factors, cached)]
+            # one matrix-vector product per axis: a stacked product may sum in another order
+            spectra = np.array([f @ op for f, op in zip(psi.factors, cached)])
         self._guard(spectra, norm0, steps)
-        fx, fy = (np.fft.ifft(s) for s in spectra)
+        factors = np.fft.ifft(spectra)
         if self._axes is not None:
-            fx, fy = fx * self._axes[0][0], fy * self._axes[-1][0]
-        return WaveFunction(self.grid, (fx, fy), psi.time + n_steps * self.dt)
+            factors *= self._half_kicks
+        return WaveFunction(self.grid, tuple(factors), psi.time + n_steps * self.dt)
 
     def frames(self, psi: WaveFunction, frame_stride: int, n_frames: int) -> Iterator[WaveFunction]:
         """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time:
         a copy of psi, then advance() of the frame before by frame_stride,
-        each frame's norm guarded against frame 0's.
+        each frame's norm guarded against frame 0's.  A frame is computed
+        only when it is asked for; none is read ahead.
 
-        A frame costs four 1D FFTs (free) or two n x n matrix-vector products
-        and two 1D inverse FFTs (harmonic), and holds 2n numbers until its
+        A frame costs one stacked FFT and one stacked inverse FFT over its
+        two factors (free), or two n x n matrix-vector products and one
+        stacked inverse FFT (harmonic), and holds 2n numbers until its
         values are read.
         """
         if psi.grid != self.grid:
@@ -443,6 +467,22 @@ def harmonic_ground_state(grid: Grid2D, omega: float, hbar: float = 1.0, mass: f
     return _product_state(grid, f, f)
 
 
+def _stacked_ratios(psi: WaveFunction, rho_floor: float, laplacian: bool):
+    """psi_ratios with the axes stacked: (rho, floor, ratios), rho (2, n)
+    the factors' densities and ratios (1|2, 2, n), ratios[d, a] the
+    ratio of derivative d + 1 along axis a.  One FFT and one inverse FFT
+    serve both factors and derivatives."""
+    f = np.asarray(psi.factors)
+    rho = np.abs(f) ** 2
+    peak = rho.max(axis=1)
+    floor = rho_floor * (float(peak[0]) * float(peak[1]))
+    derivs = np.fft.ifft(psi.grid._derivatives[: 2 if laplacian else 1] * np.fft.fft(f))
+    keep = rho * peak[::-1, None] >= floor
+    ratios = np.zeros_like(derivs)
+    ratios[:, keep] = derivs[:, keep] / f[keep]
+    return rho, floor, ratios
+
+
 def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacian: bool = False):
     """The spectral grad(Psi)/Psi of a product frame, per axis: (rx, ry,
     floor, (ratio_x, ratio_y)).
@@ -456,20 +496,12 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
     axis node takes its ratios when it is live against the other axis's
     maximum: rounding is monotone, so that is when its row (or column) holds
     a live cell.  Each such node takes one complex divide per derivative,
-    and every other node holds 0.
+    and every other node holds 0.  Both factors and both derivatives go
+    through one stacked FFT and one stacked inverse FFT, whose rows equal
+    the 1D transforms bit for bit.
     """
-    k = psi.grid.wavenumbers
-    rx, ry = _densities(psi)
-    floor = rho_floor * (float(rx.max()) * float(ry.max()))
-    axis_ratios = []
-    for f, r, other in ((psi.factors[0], rx, ry), (psi.factors[1], ry, rx)):
-        spectrum = np.fft.fft(f)
-        derivs = np.fft.ifft([1j * k * spectrum, -(k**2) * spectrum][: 2 if laplacian else 1], axis=-1)
-        keep = r * float(other.max()) >= floor
-        ratio = np.zeros_like(derivs)
-        ratio[:, keep] = derivs[:, keep] / f[keep]
-        axis_ratios.append(ratio)
-    return rx, ry, floor, axis_ratios
+    rho, floor, ratios = _stacked_ratios(psi, rho_floor, laplacian)
+    return rho[0], rho[1], floor, (ratios[:, 0], ratios[:, 1])
 
 
 def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):

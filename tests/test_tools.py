@@ -302,6 +302,34 @@ def test_scaling_series_with_the_parent_interleaved(scaling, bench_pairs, monkey
     assert doc["parent"]["summary"]["1600"]["peak_rss_mb"]["median"] == 160.0
 
 
+def test_scaling_guided_process_series_grows_the_grid(scaling, bench_pairs, monkeypatch, tmp_path):
+    assert scaling.plan(2, "guided_process") == [128, 256, 512, 128, 256, 512]
+    calls = []
+
+    def fake_run(cmd, env, **kwargs):
+        side = "parent" if env["PYTHONPATH"] == str(tmp_path / "p" / "src") else "change"
+        n = int(cmd[3].removeprefix("scenario = guided_process\nn_grid = ").rstrip("\n"))
+        calls.append((n, side))
+        run = {"wall_s": n / (2000 if side == "change" else 1000), "peak_rss_mb": 40.0, "passed": True, "numpy": "2.4"}
+        return types.SimpleNamespace(stdout=json.dumps(run))
+
+    monkeypatch.setattr(scaling.subprocess, "run", fake_run)
+    monkeypatch.setattr(scaling, "describe", lambda checkout: "abc1234: parent")
+    monkeypatch.chdir(tmp_path)
+    assert scaling.main(["--pr", "9", "--series", "guided_process", "--parent", str(tmp_path / "p")]) == 0
+    sizes = scaling.plan(scaling.RUNS, "guided_process")
+    firsts = [first for _, first in bench_pairs.plan(len(sizes), 9)]
+    assert calls == [
+        (n, side) for n, first in zip(sizes, firsts) for side in (first, "change" if first == "parent" else "parent")
+    ]
+    doc = json.loads((tmp_path / "BENCH_pr9_scaling.json").read_text())
+    assert doc["scenario"] == "guided_process at its default config, n_grid set"
+    assert [r["n_grid"] for r in doc["runs"]] == [r["n_grid"] for r in doc["parent"]["runs"]] == sizes
+    assert list(doc["summary"]) == list(doc["parent"]["summary"]) == ["128", "256", "512"]
+    assert doc["summary"]["512"]["wall_s"]["median"] == 0.256
+    assert doc["parent"]["summary"]["512"]["wall_s"]["median"] == 0.512
+
+
 def test_scaling_parent_outside_git_fails_before_any_run(scaling, monkeypatch, outside_git):
     runs = []
     monkeypatch.setattr(scaling, "run_once", lambda config, root: runs.append(root))

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time one scenario at growing size, in fresh interpreters, and write a BENCH file.
 
-    python3 tools/scaling.py --pr N [--series process_free|convergence] [--parent DIR]
+    python3 tools/scaling.py --pr N [--series process_free|convergence|guided_process] [--parent DIR]
 
 A series is a scenario and the config key that grows: ``equivariance`` (the
 default) sets ``n_grid`` to 256, 512 and 1024 in its default config,
 ``process_free`` sets ``T`` to 400, 800 and 1600 with ``velocity =
-circular``, and ``convergence`` sets ``T`` to 4, 8 and 16 in its default
-config.  It makes RUNS runs per size.  Each run is one fresh interpreter
+circular``, ``convergence`` sets ``T`` to 4, 8 and 16 in its default
+config, and ``guided_process`` sets ``n_grid`` to 128, 256 and 512 in its
+default config.  It makes RUNS runs per size.  Each run is one fresh interpreter
 that parses the config, then times ``run_scenario`` into a temporary
 directory.  It reports that wall time (import excluded) and its own
 ``ru_maxrss`` (import included), the same peak RSS that perfbench reports.
@@ -57,6 +58,12 @@ SERIES = {
         "T",
         (4, 8, 16),
         "scenario = convergence\nT = {}\n",
+    ),
+    "guided_process": (
+        "guided_process at its default config, n_grid set",
+        "n_grid",
+        (128, 256, 512),
+        "scenario = guided_process\nn_grid = {}\n",
     ),
 }
 RUNS = 5
