@@ -516,67 +516,91 @@ def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
     return w, parts
 
 
-def _energy(psi: WaveFunction, rho, w, parts) -> float:
-    """<Psi|H|Psi> over the axis densities rho = (rx, ry) of _densities and
-    the terms w, parts of _energy_terms, summed in 1D: E_kin = K_x N_y +
-    N_x K_y, with N the axis norms and K the axis kinetic sums over each
-    factor's FFT, plus, for a harmonic V = a(x) + b(y), <V> = ((a.rx)
-    sum(ry) + sum(rx) (b.ry)) h^2.
+def _summary_rows(grid: Grid2D, block: np.ndarray, w, parts) -> list:
+    """(norm, energy, x_mean, y_mean, sigma_x, sigma_y) of each frame of
+    block, a (B, 2, n) array whose [j, 0] and [j, 1] are frame j's fx and
+    fy, summed against the terms w, parts of _energy_terms.
+
+    With N the axis norms and K the axis kinetic sums over each factor's
+    FFT, E_kin = K_x N_y + N_x K_y, plus, for a harmonic V = a(x) + b(y),
+    <V> = ((a.rx) sum(ry) + sum(rx) (b.ry)) h^2; the factors' densities rx,
+    ry are the density's two axis marginals.  The densities, the row sums,
+    the FFTs and the kinetic sums are one call each over the block, every
+    op row-wise or elementwise, so each row equals its frame's 1D sums bit
+    for bit.  The dot products stay one call per row: a stacked matrix
+    product may sum in another order.
     """
-    grid = psi.grid
     h = grid.spacing
-    sx, sy = (float(r.sum()) for r in rho)
-    nx, ny = sx * h, sy * h
-    kx, ky = (float(np.sum(w * np.abs(np.fft.fft(f)) ** 2)) * h / grid.n for f in psi.factors)
-    e = kx * ny + nx * ky
+    rho = np.abs(block) ** 2
+    sums = rho.sum(axis=2)
+    norm = np.sqrt(sums[:, 0] * sums[:, 1] * grid.cell_area())
+    kinetic = (w * np.abs(np.fft.fft(block)) ** 2).sum(axis=2) * h / grid.n
+    axis_norms = sums * h
+    energy = kinetic[:, 0] * axis_norms[:, 1] + axis_norms[:, 0] * kinetic[:, 1]
     if parts is not None:
         a, b = parts[0], parts[-1]
-        e += (float(a @ rho[0]) * sy + sx * float(b @ rho[1])) * grid.cell_area()
-    return e
+        v = np.array([(a @ rx, b @ ry) for rx, ry in rho])
+        energy += (v[:, 0] * sums[:, 1] + sums[:, 0] * v[:, 1]) * grid.cell_area()
+    x = grid.axis
+    p = rho / sums[:, :, None]
+    means = np.array([(np.dot(px, x), np.dot(py, x)) for px, py in p])
+    spreads = (x - means[:, :, None]) ** 2
+    sigmas = np.sqrt([(np.dot(px, dx), np.dot(py, dy)) for (px, py), (dx, dy) in zip(p, spreads)])
+    return np.column_stack([norm, energy, means, sigmas]).tolist()
+
+
+def _frame_row(psi: WaveFunction, pot: Potential, hbar: float, mass: float) -> list:
+    """_summary_rows of psi as a one-frame block."""
+    grid = psi.grid
+    return _summary_rows(grid, np.asarray(psi.factors)[None], *_energy_terms(grid, pot, hbar, mass))[0]
 
 
 def energy(psi: WaveFunction, pot: Potential, hbar: float = 1.0, mass: float = 1.0) -> float:
     """<Psi| -hbar^2/2m Lap + V |Psi>, summed over the factors."""
-    return _energy(psi, _densities(psi), *_energy_terms(psi.grid, pot, hbar, mass))
-
-
-def _moments(grid: Grid2D, rho):
-    """(x_mean, y_mean, sigma_x, sigma_y) of rho as _densities gives it: the
-    factors' densities are the density's two axis marginals."""
-    x = grid.axis
-    means, sigmas = [], []
-    for p in rho:
-        p = p / p.sum()
-        mean = float(np.dot(p, x))
-        means.append(mean)
-        sigmas.append(float(np.sqrt(np.dot(p, (x - mean) ** 2))))
-    return (*means, *sigmas)
+    return _frame_row(psi, pot, hbar, mass)[1]
 
 
 def moments(psi: WaveFunction):
     """(x_mean, y_mean, sigma_x, sigma_y) of the density."""
-    return _moments(psi.grid, _densities(psi))
+    return tuple(_frame_row(psi, free_potential(), 1.0, 1.0)[2:])
+
+
+# frames per block of frames_summary_csv, which holds one (SUMMARY_BLOCK, 2, n) complex block
+SUMMARY_BLOCK = 64
 
 
 def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: float = 1.0):
     """Write one row of t, norm, energy and moments per frame to path.
 
-    frames is any iterable of frames on one grid, read once, so a stream is
-    summarized without being held.  The energy terms are built once, at the
-    first frame; per frame rho (the two axis densities) is computed
-    once and feeds the norm, the energy and the moments.  Returns (last
-    frame or None, rows).
+    frames is any iterable of frames on one grid, read once.  Each frame's
+    factors are copied into a (SUMMARY_BLOCK, 2, n) block and the frame is
+    dropped, so a stream is summarized in O(SUMMARY_BLOCK n) numbers and no
+    frame's values are read.  Each full block, and the last partial one, goes
+    through _summary_rows: its densities, sums and FFTs are stacked calls,
+    its moments one np.dot per row, since a stacked matrix product sums in
+    another order.  energy() and moments() run the same kernel on a
+    one-frame block, so every row equals them bit for bit.  The energy terms
+    are built once, at the first frame.  A frame on another grid than the
+    first raises InvalidInput; on any error no file is written.  Returns
+    (last frame or None, rows).
     """
     header = ["t", "norm", "energy", "x_mean", "y_mean", "sigma_x", "sigma_y"]
-    rows = []
-    frame = terms = None
-    for frame in frames:
-        grid = frame.grid
-        if terms is None:
+    rows, times = [], []
+    frame = grid = None
+    for k, frame in enumerate(frames):
+        if grid is None:
+            grid = frame.grid
             terms = _energy_terms(grid, pot, hbar, mass)
-        rho = _densities(frame)
-        norm = math.sqrt(_squared_norm(grid, rho))
-        rows.append([frame.time, norm, _energy(frame, rho, *terms), *_moments(grid, rho)])
+            block = np.empty((SUMMARY_BLOCK, 2, grid.n), dtype=complex)
+        elif frame.grid != grid:
+            raise InvalidInput(f"frame {k} lives on {frame.grid}, the summary's frames on {grid}")
+        block[len(times)] = frame.factors
+        times.append(frame.time)
+        if len(times) == SUMMARY_BLOCK:
+            rows += [[t, *row] for t, row in zip(times, _summary_rows(grid, block, *terms))]
+            times = []
+    if times:
+        rows += [[t, *row] for t, row in zip(times, _summary_rows(grid, block[: len(times)], *terms))]
     write_csv(path, header, zip(*rows))
     return frame, rows
 

@@ -4,6 +4,7 @@ and A/A runs; tools/scaling.py plans and summarizes its runs per grid."""
 import importlib.util
 import json
 import os
+import sys
 import types
 from pathlib import Path
 
@@ -336,3 +337,53 @@ def test_scaling_parent_outside_git_fails_before_any_run(scaling, monkeypatch, o
     with pytest.raises(SystemExit, match="not a git repository"):
         scaling.main(["--pr", "9", "--series", "process_free", "--parent", outside_git[0]])
     assert runs == []
+
+
+def test_scaling_free_gaussian_series_grows_the_frame_count(scaling, bench_pairs, monkeypatch, tmp_path):
+    assert scaling.plan(2, "free_gaussian") == [1, 2, 4, 1, 2, 4]
+    calls = []
+
+    def fake_run(cmd, env, **kwargs):
+        side = "parent" if env["PYTHONPATH"] == str(tmp_path / "p" / "src") else "change"
+        T = int(cmd[3].removeprefix("scenario = free_gaussian\nT = ").rstrip("\n"))
+        calls.append((T, side))
+        run = {"wall_s": T / (40 if side == "change" else 25), "peak_rss_mb": 45.0, "passed": True, "numpy": "2.4"}
+        return types.SimpleNamespace(stdout=json.dumps(run))
+
+    monkeypatch.setattr(scaling.subprocess, "run", fake_run)
+    monkeypatch.setattr(scaling, "describe", lambda checkout: "abc1234: parent")
+    monkeypatch.chdir(tmp_path)
+    assert scaling.main(["--pr", "9", "--series", "free_gaussian", "--parent", str(tmp_path / "p")]) == 0
+    sizes = scaling.plan(scaling.RUNS, "free_gaussian")
+    firsts = [first for _, first in bench_pairs.plan(len(sizes), 9)]
+    assert calls == [
+        (T, side) for T, first in zip(sizes, firsts) for side in (first, "change" if first == "parent" else "parent")
+    ]
+    doc = json.loads((tmp_path / "BENCH_pr9_scaling.json").read_text())
+    assert doc["scenario"] == "free_gaussian at its default config, T set"
+    assert [r["T"] for r in doc["runs"]] == [r["T"] for r in doc["parent"]["runs"]] == sizes
+    assert list(doc["summary"]) == list(doc["parent"]["summary"]) == ["1", "2", "4"]
+    assert doc["summary"]["4"]["wall_s"]["median"] == 0.1
+    assert doc["parent"]["summary"]["4"]["wall_s"]["median"] == 0.16
+
+
+def test_output_digests_write_records_the_environment(monkeypatch, tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("output_digests", TOOLS / "output_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and perfbench/
+        spec.loader.exec_module(module)
+    golden = tmp_path / "data" / "digests.txt"
+    monkeypatch.setattr(module, "GOLDEN", str(golden))
+    listing = ["0:a.csv 11", "1:b.json 22"]
+    monkeypatch.setattr(module, "digest_lines", lambda keep: (listing, []))
+    assert module.main(["--write"]) == 0
+    header, *lines = golden.read_text().splitlines()
+    assert header == module.environment() and header.startswith(f"# numpy {np.__version__}, machine ")
+    assert lines == listing and capsys.readouterr().out == ""
+    # a failed scenario check writes no file and exits 1
+    golden.unlink()
+    monkeypatch.setattr(module, "digest_lines", lambda keep: (listing, ["FAIL 1:x:y (detail)"]))
+    assert module.main(["--write"]) == 1 and not golden.exists()
+    assert capsys.readouterr().err == "FAIL 1:x:y (detail)\n"
+    assert module.main([]) == 1 and capsys.readouterr().out == "0:a.csv 11\n1:b.json 22\n"

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Time one scenario at growing size, in fresh interpreters, and write a BENCH file.
 
-    python3 tools/scaling.py --pr N [--series process_free|convergence|guided_process] [--parent DIR]
+    python3 tools/scaling.py --pr N [--series process_free|convergence|guided_process|free_gaussian] [--parent DIR]
 
 A series is a scenario and the config key that grows: ``equivariance`` (the
 default) sets ``n_grid`` to 256, 512 and 1024 in its default config,
 ``process_free`` sets ``T`` to 400, 800 and 1600 with ``velocity =
 circular``, ``convergence`` sets ``T`` to 4, 8 and 16 in its default
-config, and ``guided_process`` sets ``n_grid`` to 128, 256 and 512 in its
-default config.  It makes RUNS runs per size.  Each run is one fresh interpreter
-that parses the config, then times ``run_scenario`` into a temporary
-directory.  It reports that wall time (import excluded) and its own
+config, ``guided_process`` sets ``n_grid`` to 128, 256 and 512 in its
+default config, and ``free_gaussian`` sets ``T`` to 1, 2 and 4 in its
+default config (201, 401 and 801 frames at 256^2).  It makes RUNS runs per
+size.  Each run is one fresh interpreter that parses the config, then times
+``run_scenario`` into a temporary directory.  It reports that wall time (import excluded) and its own
 ``ru_maxrss`` (import included), the same peak RSS that perfbench reports.
 The runs go size by size in rounds, so that a drift in machine speed falls on
 every size alike.  With ``--parent DIR``, a checkout of the parent commit,
@@ -64,6 +65,12 @@ SERIES = {
         "n_grid",
         (128, 256, 512),
         "scenario = guided_process\nn_grid = {}\n",
+    ),
+    "free_gaussian": (
+        "free_gaussian at its default config, T set",
+        "T",
+        (1, 2, 4),
+        "scenario = free_gaussian\nT = {}\n",
     ),
 }
 RUNS = 5
