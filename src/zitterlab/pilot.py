@@ -188,8 +188,8 @@ class FrameInterpolator:
     A bracket (i, a), a the weight on frame i + 1, is read from one per-axis
     table: v_a = (1 - a) v_i + a v_(i+1), or frame i's own v at a = 0, and
     the cell test of the smaller cell minimum of the two frames against the
-    larger floor.  The last table is kept, so the RK4's two mid-stage reads
-    share one.  A point reads (1 - frac) v_a[lo] + frac v_a[hi] per axis.
+    larger floor, built anew for each read.  A point reads (1 - frac)
+    v_a[lo] + frac v_a[hi] per axis.
     Rounding of a product of non-negative numbers is monotone, so a cell the
     table's test leaves live is live in both frames; the cells it masks take
     each frame's own test, and the ok flags are those of the two frames'
@@ -204,7 +204,6 @@ class FrameInterpolator:
         self.grid, self.t0 = self.frames[0].grid, self.times[0]
         self.spacing = self.times[1] - self.t0 if self._pull() else math.inf
         self.slack = 1e-9 * self.spacing if len(self.times) > 1 else 0.0
-        self._table_key = self._table = None
 
     def _pull(self) -> bool:
         """Append the stream's next field; False once the stream has ended."""
@@ -246,13 +245,8 @@ class FrameInterpolator:
         if a == 0.0:
             f = self.frames[i]
             return f.v, f.cell_min, f.floor
-        key = (self.times[i], a)  # times strictly increase: times[i] names frame i and its successor
-        if key != self._table_key:
-            f0, f1 = self.frames[i], self.frames[i + 1]
-            v = (1.0 - a) * f0.v + a * f1.v
-            self._table = v, np.minimum(f0.cell_min, f1.cell_min), max(f0.floor, f1.floor)
-            self._table_key = key
-        return self._table
+        f0, f1 = self.frames[i], self.frames[i + 1]
+        return (1.0 - a) * f0.v + a * f1.v, np.minimum(f0.cell_min, f1.cell_min), max(f0.floor, f1.floor)
 
     def complex_at(self, t: float, pts: np.ndarray):
         """Field values (M, 2) at time t and points pts, and the ok flags (M,).
@@ -334,7 +328,6 @@ class Trajectory:
 
     times: np.ndarray
     positions: np.ndarray  # (M, 2) real
-    seed_point: np.ndarray
     dt: float
     rk4_dt: float
     rk4_steps: int
@@ -520,7 +513,7 @@ def integrate_trajectory(frames, x0, dt: float, T: float | None = None) -> Traje
     x0 = np.asarray(x0, dtype=float).reshape(2).tolist()
     stepper = _point_rk4_stepper(x0, t0, dt, n_steps, interp.grid.half_width)
     history, _ = _history(_sweep(interp.point_at, [stepper])[0], x0, t0, dt)
-    return Trajectory(t0 + np.arange(n_steps + 1) * dt, history, np.array(x0), dt, dt, n_steps)
+    return Trajectory(t0 + np.arange(n_steps + 1) * dt, history, dt, dt, n_steps)
 
 
 def _guided_stepper(x0, t0: float, eps: float, n_cycles: int, half_width: float):
@@ -606,7 +599,7 @@ def guide_processes(frames, params_list, perm: Permutation, x0, T: float) -> lis
         n, dt = _step_count(t0, t0 + n_steps * eps, eps)
         offsets = np.arange(n + 1) * dt
         positions = _dense_output(history, slopes, h, offsets)
-        pairs.append((run, Trajectory(t0 + offsets, positions, np.array(x0), dt, h, n_ref)))
+        pairs.append((run, Trajectory(t0 + offsets, positions, dt, h, n_ref)))
     return pairs
 
 

@@ -52,11 +52,6 @@ class Grid2D:
     def axis(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.n)
 
-    def mesh(self):
-        """(X, Y) with array index [ix, iy] at position (x[ix], y[iy])."""
-        x = self.axis
-        return np.meshgrid(x, x, indexing="ij")
-
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """2 pi fftfreq(n, spacing), computed at the first read and read-only."""
@@ -141,13 +136,6 @@ class Potential:
 
     kind: PotentialKind = PotentialKind.FREE
     omega: tuple = (1.0, 1.0)
-
-    def values(self, grid: Grid2D, mass: float) -> np.ndarray:
-        if self.kind is PotentialKind.FREE:
-            return np.zeros((grid.n, grid.n))
-        X, Y = grid.mesh()
-        wx, wy = self.omega
-        return 0.5 * mass * ((wx * X) ** 2 + (wy * Y) ** 2)
 
 
 def free_potential() -> Potential:

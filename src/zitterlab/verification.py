@@ -254,6 +254,32 @@ def _rate_report(check, values, errors, target, band, parameters) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
+def _increment_residuals(fs, params: PhysParams, perm: Permutation, vel: VelocityProgram, T: float) -> list:
+    """cycle_increment_residuals of each test function in fs, from one run."""
+    eps = _fixed_epsilon(params, "cycle increments")
+    n_cycles = _whole_cycles(T, eps)
+    _, _, blocks = _run_blocks(params, perm, vel, np.zeros(2, dtype=complex), 4 * n_cycles * eps)
+    residuals = [[] for _ in fs]
+    y_before = [np.empty(0, dtype=complex)] * len(fs)  # each f's Y at the state before the block's first boundary
+    for block in blocks:
+        # the block starts on a boundary: its boundaries are states 0, 4, ..., each after a cycle's
+        # last state 3, 7, ... (in the block before for state 0); n = 0 ends no cycle.  Every batch
+        # stays an array, even of one boundary, so each value is the one a whole-run batch gives.
+        now = slice(4 if block.start == 0 else 0, None, 4)
+        t = block.times[now]
+        drift = _eval_velocity(vel, t)
+        for k, f in enumerate(fs):
+            y_now = np.mean(f.value(block.vertices[now], t[:, None]), axis=1)
+            y_ends = np.mean(f.value(block.vertices[3::4], block.times[3::4, None]), axis=1)
+            y_prev = np.concatenate([y_before[k], y_ends])[: len(y_now)]
+            y_before[k] = y_ends[-1:]
+            gap = (y_now - y_prev) / eps - dynkin_apply(f, block.means[now], t, drift, params)
+            # hypot, as abs() of one complex does; np.abs of a complex array can
+            # differ from it in the last bit
+            residuals[k].append(np.hypot(gap.real, gap.imag))
+    return [np.concatenate(r) for r in residuals]
+
+
 def cycle_increment_residuals(
     f: TestFunction, params: PhysParams, perm: Permutation, vel: VelocityProgram, T: float
 ) -> np.ndarray:
@@ -262,27 +288,21 @@ def cycle_increment_residuals(
     Y(t) is the vertex average of f; D uses the drift value at the boundary
     and is evaluated at the mean process (the expansion lives around it).
     """
-    eps = _fixed_epsilon(params, "cycle increments")
-    n_cycles = _whole_cycles(T, eps)
-    _, _, blocks = _run_blocks(params, perm, vel, np.zeros(2, dtype=complex), 4 * n_cycles * eps)
-    residuals = []
-    y_before = np.empty(0, dtype=complex)  # Y at the state before the block's first boundary; none before n = 0
-    for block in blocks:
-        # the block starts on a boundary: its boundaries are states 0, 4, ..., each after a cycle's
-        # last state 3, 7, ... (in the block before for state 0); n = 0 ends no cycle.  Every batch
-        # stays an array, even of one boundary, so each value is the one a whole-run batch gives.
-        now = slice(4 if block.start == 0 else 0, None, 4)
-        t = block.times[now]
-        y_now = np.mean(f.value(block.vertices[now], t[:, None]), axis=1)
-        y_ends = np.mean(f.value(block.vertices[3::4], block.times[3::4, None]), axis=1)
-        y_prev = np.concatenate([y_before, y_ends])[: len(y_now)]
-        y_before = y_ends[-1:]
-        generator = dynkin_apply(f, block.means[now], t, _eval_velocity(vel, t), params)
-        gap = (y_now - y_prev) / eps - generator
-        # hypot, as abs() of one complex does; np.abs of a complex array can
-        # differ from it in the last bit
-        residuals.append(np.hypot(gap.real, gap.imag))
-    return np.concatenate(residuals)
+    return _increment_residuals((f,), params, perm, vel, T)[0]
+
+
+def increment_maxima(fs, params_template: PhysParams, perm: Permutation, vel: VelocityProgram, T: float, epsilons):
+    """(swept eps, largest first; (eps, f) array of each f's largest cycle_increment_residuals),
+    from one process run per eps for all of fs.  A NaN residual makes its entry NaN."""
+    sweep = _sweep_params(params_template, epsilons)
+    maxima = [[np.max(r) for r in _increment_residuals(fs, params, perm, vel, T)] for params in sweep]
+    return [params.epsilon for params in sweep], np.array(maxima)
+
+
+def _generator_report(f: TestFunction, swept, errors, T: float, vel: VelocityProgram) -> RateReport:
+    """f's rate report from its largest residual at each swept eps (target 1)."""
+    parameters = {"f": f.name, "T": T, "velocity": vel.describe()}
+    return _rate_report("cycle_increment_generator", swept, errors, 1.0, (0.9, 1.1), parameters)
 
 
 def generator_identity_check(
@@ -297,16 +317,8 @@ def generator_identity_check(
 
     T is truncated per eps to a whole number of cycles.
     """
-    sweep = _sweep_params(params_template, epsilons)
-    errors = [float(np.max(cycle_increment_residuals(f, params, perm, vel, T))) for params in sweep]
-    return _rate_report(
-        "cycle_increment_generator",
-        [params.epsilon for params in sweep],
-        errors,
-        target=1.0,
-        band=(0.9, 1.1),
-        parameters={"f": f.name, "T": T, "velocity": vel.describe()},
-    )
+    swept, maxima = increment_maxima((f,), params_template, perm, vel, T, epsilons)
+    return _generator_report(f, swept, maxima[:, 0], T, vel)
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,20 @@ class TestMainEntry:
             ("scenario = harmonic_ground\nhbar = 1e300\n", "FAIL harmonic_ground:energy_conservation (rel drift nan)"),
             ("scenario = hj_residual\nhbar = 1e300\n", "FAIL hj_residual:hj_linf (L_inf nan)"),
             ("scenario = hj_residual\nsigma0 = 1e300\n", "FAIL hj_residual:hj_linf (L_inf nan)"),
+            (
+                "scenario = spin_table\nvelocity_x = 1e308\n",
+                "FAIL spin_table:intrinsic_spin_half (max |dev| nan (tol 1.0e-12))",
+            ),
+            (
+                "scenario = lemma1\nvelocity = polynomial\nvelocity_coeffs_x = 1e308\nT = 4\n",
+                "FAIL lemma1:residual_zero_linear (max nan)",
+            ),
         ],
-        ids=["harmonic_ground_hbar", "hj_residual_hbar", "hj_residual_sigma0"],
+        ids=["harmonic_ground_hbar", "hj_residual_hbar", "hj_residual_sigma0", "spin_table_velocity", "lemma1_velocity"],
     )
     def test_huge_hbar_fails_its_check_without_a_traceback(self, tmp_path, capsys, text, failure):
-        # hbar^2 or sigma0^2 overflows to inf, so the checked number is nan and fails its check
+        # hbar^2 or sigma0^2 overflows to inf, so the checked number is nan and fails its check;
+        # so does a drift of 1e308, and a check over several runs must not drop the NaN ones
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(text)
         assert main(["run", str(cfg), "--check", "--out", str(tmp_path / "o")]) == 1

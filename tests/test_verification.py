@@ -9,9 +9,10 @@ import pytest
 import zitterlab as zl
 from zitterlab import schrodinger, verification as ver
 from zitterlab.cli import parse_config
-from zitterlab.scenarios import _analytic_frame_triple
+from zitterlab.scenarios import _analytic_frame_triple, run_scenario
 
 from gather import gathered_ratios
+from potential_plane import potential_plane
 
 SWEEP = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
@@ -282,6 +283,36 @@ class TestBlocksEqualTheWholeRun:
         assert zl.run_process(params, perm, vel, z0, BLOCK_T).times.size == 4097
 
 
+@pytest.mark.parametrize("text", ["scenario = lemma1\n", "scenario = lemma1\nT = 4\n"], ids=["default", "T4"])
+def test_lemma1_runs_each_process_once(tmp_path, monkeypatch, text):
+    """One _run_blocks run per eps serves quadratic, product and linear, and
+    each function's residuals from it are cycle_increment_residuals' own."""
+    cfg = parse_config(text)
+    runs, shared = [], []
+    run_blocks, increment_residuals = ver._run_blocks, ver._increment_residuals
+
+    def counted(params, *args):
+        runs.append(params.epsilon)
+        return run_blocks(params, *args)
+
+    def recorded(fs, params, *args):
+        residuals = increment_residuals(fs, params, *args)
+        shared.append((fs, params, residuals))
+        return residuals
+
+    monkeypatch.setattr(ver, "_run_blocks", counted)
+    monkeypatch.setattr(ver, "_increment_residuals", recorded)
+    assert run_scenario(cfg, tmp_path).passed
+    monkeypatch.undo()
+    assert sorted(runs) == sorted(cfg.epsilons) and len(runs) == 5
+    assert len(shared) == 5
+    for fs, params, residuals in shared:
+        assert [f.name for f in fs] == ["quadratic", "product", "linear"]
+        for f, res in zip(fs, residuals, strict=True):
+            alone = ver.cycle_increment_residuals(f, params, cfg.perm(), cfg.program(), cfg.T)
+            assert res.dtype == alone.dtype and res.tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("method", ["value", "grad", "laplacian"])
 def test_base_test_function_has_no_closed_forms(method):
     f = ver.TestFunction()
@@ -303,7 +334,7 @@ def plain_hj_residual(psi_frames, pot, hbar=1.0, mass=1.0, rho_floor=ver.HJ_RHO_
     values and one principal log of the 2D ratio per live cell; scale is
     the largest sum |dS/dt| + |(grad S)^2/2m| + |V| + |(hbar/2m) Lap S| of
     the residual's terms over the live cells."""
-    v_grid = pot.values(psi_frames[0].grid, mass).ravel()
+    v_grid = potential_plane(pot, psi_frames[0].grid, mass).ravel()
     linf, linf_centered, scale = [], [], 0.0
     for i in range(1, len(psi_frames) - 1):
         prev_f, here, next_f = psi_frames[i - 1], psi_frames[i], psi_frames[i + 1]
@@ -422,7 +453,7 @@ class TestComplexHJResidual:
         self.assert_matches_plain(frames, pot, stride * 1e-3)
 
     def test_reads_no_plane(self, monkeypatch):
-        """Neither check builds a frame's values or V on the n x n grid."""
+        """Neither check builds a frame's values on the n x n grid (the package has no n x n V)."""
         grid = zl.Grid2D(64, 8.0)
         harmonic = zl.harmonic_potential(1.0, 1.5)
         cases = [
@@ -434,7 +465,6 @@ class TestComplexHJResidual:
             raise AssertionError("an n x n plane was built")
 
         monkeypatch.setattr(schrodinger.WaveFunction, "values", property(refuse))
-        monkeypatch.setattr(schrodinger.Potential, "values", refuse)
         for frames, pot in cases:
             assert math.isfinite(ver.complex_hj_residual(frames, pot).overall_linf)
             assert ver.least_action_saddle_check(frames[1], pot, n_points=20).saddle_ok
