@@ -216,7 +216,7 @@ def _scenario_lemma1(cfg: ScenarioConfig, out) -> ScenarioResult:
     swept, maxima = verification.increment_maxima(fs, cfg.phys(), cfg.perm(), vel, cfg.T, cfg.epsilons)
     files, checks = [], []
     for f, errors in zip(fs[:2], maxima.T):
-        report = verification._generator_report(f, swept, errors, cfg.T, vel)
+        report = verification.generator_report(f, swept, errors, cfg.T, vel)
         path = os.path.join(out, f"lemma1_{f.name}.json")
         report.to_json(path)
         files.append(path)

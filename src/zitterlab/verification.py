@@ -299,7 +299,7 @@ def increment_maxima(fs, params_template: PhysParams, perm: Permutation, vel: Ve
     return [params.epsilon for params in sweep], np.array(maxima)
 
 
-def _generator_report(f: TestFunction, swept, errors, T: float, vel: VelocityProgram) -> RateReport:
+def generator_report(f: TestFunction, swept, errors, T: float, vel: VelocityProgram) -> RateReport:
     """f's rate report from its largest residual at each swept eps (target 1)."""
     parameters = {"f": f.name, "T": T, "velocity": vel.describe()}
     return _rate_report("cycle_increment_generator", swept, errors, 1.0, (0.9, 1.1), parameters)
@@ -318,7 +318,7 @@ def generator_identity_check(
     T is truncated per eps to a whole number of cycles.
     """
     swept, maxima = increment_maxima((f,), params_template, perm, vel, T, epsilons)
-    return _generator_report(f, swept, maxima[:, 0], T, vel)
+    return generator_report(f, swept, maxima[:, 0], T, vel)
 
 
 # ---------------------------------------------------------------------------
