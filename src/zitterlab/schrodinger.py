@@ -200,9 +200,10 @@ def _axis_operator(half_kick: np.ndarray, full_kick: np.ndarray, kinetic: np.nda
     return op
 
 
-def _kinetic_phase(scale: float, k2: np.ndarray) -> np.ndarray:
+def _kinetic_phase(scale, k2: np.ndarray) -> np.ndarray:
     """exp(-i scale k2) on the squared wavenumbers k2: the kinetic phase over
-    a time t, scale = hbar t / 2m."""
+    a time t, scale = hbar t / 2m, a float or an array of them that
+    broadcasts against k2."""
     return np.exp(-1j * scale * k2)
 
 
@@ -228,8 +229,13 @@ def _norm_bound(n: int, steps: int) -> float:
     unit-modulus factor, so a step scales the norm by at most 1 + e,
     e = 7u (2 log2 n^2 + 2).  The fused forms of advance() (the n-step phase,
     the per-axis operators) are held to the bound of the steps they stand
-    for.  Each squared norm is a sum of at most n^2 terms, off by at most
-    gamma = n^2 u / (1 - n^2 u) relative (Higham, eq. 4.4).
+    for.  A free frame of a stream is frame 0's spectra times the phase of
+    its time, one FFT of n points and one unit-modulus multiply per factor:
+    each factor moves by at most (1 + 7u log2 n)(1 + 7u) = 1 + e1, and the
+    product frame by (1 + e1)^2 = 1 + 2 e1 + e1^2 < 1 + e, as e - 2 e1 =
+    14u log2 n exceeds e1^2, so _norm_bound(n, 1) bounds every free frame
+    whatever its time.  Each squared norm is a sum of at most n^2 terms, off
+    by at most gamma = n^2 u / (1 - n^2 u) relative (Higham, eq. 4.4).
     """
     u = np.finfo(float).eps / 2
     e = 7 * u * (2 * math.log2(n * n) + 2)
@@ -237,15 +243,19 @@ def _norm_bound(n: int, steps: int) -> float:
     return math.expm1(2 * steps * math.log1p(e)) * (1 + gamma) / (1 - gamma) + 2 * gamma / (1 - gamma)
 
 
+# frames per block of a free frame stream, which holds a few (FRAME_BLOCK, 2, n) complex arrays
+FRAME_BLOCK = 16
+
+
 class Propagator:
     """Strang-split spectral propagator for one grid, potential, dt, hbar and mass.
 
-    advance() reuses the operators for every call, and frames() is advance()
-    in a loop.  Each axis factor of psi is evolved alone, the two held as
-    the rows of one (2, n) array: by the 1D kinetic phase on their spectra
-    under the free potential, or by the per-axis operators and half kicks
-    under a harmonic one.  The constructor builds the axis aliasing band
-    and, for a harmonic V, the per-axis kicks and kinetic phase.
+    advance() reuses the operators for every call.  Each axis factor of psi
+    is evolved alone, the two held as the rows of one (2, n) array: by the
+    1D kinetic phase on their spectra under the free potential, or by the
+    per-axis operators and half kicks under a harmonic one.  The constructor
+    builds the axis aliasing band and, for a harmonic V, the per-axis kicks
+    and kinetic phase.
     """
 
     def __init__(self, grid: Grid2D, pot: Potential, dt: float, hbar: float = 1.0, mass: float = 1.0):
@@ -265,7 +275,7 @@ class Propagator:
         # slice keeps each row's band sum in the 1D sum's order, where a boolean index may not
         band = np.flatnonzero(np.abs(k) >= ALIAS_BAND_FRACTION * grid.nyquist)
         self._axis_band = slice(band[0], band[-1] + 1)
-        # a frame stream advances by one stride throughout, so one cached n suffices
+        # a harmonic frame stream advances by one stride throughout, so one cached n suffices
         self._cached_key = None
         self._cached = None
 
@@ -281,30 +291,38 @@ class Propagator:
             self._cached_key = n_steps
         return self._cached
 
-    def _guard(self, spectra: np.ndarray, norm0: float, steps: int) -> None:
-        """Raise ResolutionLoss unless the spectra (2, n), rows fx^ and fy^,
-        of a new frame's factors are finite, keep their mass out of the
-        aliasing band, and give a squared norm within _norm_bound(n, steps)
-        of norm0, frame 0's.  Both rows' sums are taken in one pass, each
-        in its 1D order, and checked row by row."""
+    def _guard(self, spectra: np.ndarray, norm0: float, steps: list, bound: float) -> list:
+        """The verdict on each frame j of spectra, a (B, 2, n) array whose
+        rows [j, 0] and [j, 1] are the spectra fx^, fy^ of frame j's
+        factors: None, or the ResolutionLoss that frame j raises.  A frame
+        passes if its spectra are finite, keep their mass out of the aliasing
+        band, and give a squared norm within bound of norm0, frame 0's, the
+        message naming its steps[j] steps.  One stacked pass takes every
+        row's total and band sums, each in its 1D order; the checks then run
+        frame by frame, row by row."""
         power = np.abs(spectra) ** 2
-        totals = power.sum(axis=1).tolist()
+        totals = power.sum(axis=2).tolist()
+        bands = power[:, :, self._axis_band].sum(axis=2).tolist()
+        return [self._verdict(*frame, norm0, bound) for frame in zip(totals, bands, steps)]
+
+    def _verdict(self, totals: list, bands: list, steps: int, norm0: float, bound: float):
+        """_guard's checks on one frame, from its rows' total and band sums."""
         alias = 0.0
-        for total, in_band in zip(totals, power[:, self._axis_band].sum(axis=1).tolist()):
+        for total, in_band in zip(totals, bands):
             if not math.isfinite(total):
-                raise ResolutionLoss("wave function became non-finite (NaN or inf)")
+                return ResolutionLoss("wave function became non-finite (NaN or inf)")
             ratio = in_band / total if total > 0.0 else 0.0
             alias += ratio - alias * ratio  # 1 - (in-band fraction of x) (in-band fraction of y)
         if alias > ALIAS_MASS_LIMIT:
-            raise ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
+            return ResolutionLoss("spectral mass reached the aliasing band; refine the grid")
         # Parseval: the sum of |psi^|^2 over n^2 modes is n^2 times that of |psi|^2
         norm = math.prod(totals) * self.grid.cell_area() / self.grid.n**2
-        bound = _norm_bound(self.grid.n, steps)
         if abs(norm - norm0) > bound * norm0:
-            raise ResolutionLoss(
+            return ResolutionLoss(
                 f"the norm moved by {abs(norm / norm0 - 1.0):.3e} of frame 0's over {steps} steps, "
                 f"past its roundoff bound {bound:.3e}"
             )
+        return None
 
     def advance(self, psi: WaveFunction, n_steps: int) -> WaveFunction:
         """psi advanced by n_steps of dt, in a freshly allocated WaveFunction.
@@ -316,8 +334,8 @@ class Propagator:
         given its axis's half kick.  The two factors go through each FFT,
         inverse FFT and kick as the rows of one (2, n) array; each row
         equals its 1D transform bit for bit.  The guards read the factors'
-        spectra before the last IFFT: finiteness, the aliasing band, and the
-        norm against psi's.
+        spectra before the last IFFT, as _guard's block of one frame:
+        finiteness, the aliasing band, and the norm against psi's.
         """
         return self._advance(psi, n_steps, None, n_steps)
 
@@ -339,31 +357,54 @@ class Propagator:
         else:
             # one matrix-vector product per axis: a stacked product may sum in another order
             spectra = np.array([f @ op for f, op in zip(psi.factors, cached)])
-        self._guard(spectra, norm0, steps)
+        (verdict,) = self._guard(spectra[None], norm0, [steps], _norm_bound(self.grid.n, steps))
+        if verdict is not None:
+            raise verdict
         factors = np.fft.ifft(spectra)
         if self._axes is not None:
             factors *= self._half_kicks
         return WaveFunction(self.grid, tuple(factors), psi.time + n_steps * self.dt)
 
     def frames(self, psi: WaveFunction, frame_stride: int, n_frames: int) -> Iterator[WaveFunction]:
-        """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a time:
-        a copy of psi, then advance() of the frame before by frame_stride,
-        each frame's norm guarded against frame 0's.  A frame is computed
-        only when it is asked for; none is read ahead.
+        """Frames k = 0..n_frames of psi, frame_stride steps apart, one at a
+        time, each frame's norm guarded against frame 0's: a copy of psi,
+        then each frame k equal to advance(psi, k frame_stride) bit for bit,
+        its time included.
 
-        A frame costs one stacked FFT and one stacked inverse FFT over its
-        two factors (free), or two n x n matrix-vector products and one
-        stacked inverse FFT (harmonic), and holds 2n numbers until its
-        values are read.
+        A free stream keeps the spectra of psi's factors and builds frames
+        FRAME_BLOCK at a time: one (B, 2, n) product with the kinetic phases
+        of the block's times, one stacked guard pass and one stacked inverse
+        FFT.  Frame k is then exact in k-space whatever k, held to the
+        bound _norm_bound(n, 1), and costs no forward FFT.  Each frame takes
+        a copy of its two factor rows, so it holds 2n numbers and keeps no
+        block alive, and a frame that fails the guard raises when it is
+        asked for, after the frames before it; the stream keeps none of the
+        frames it yielded.  A harmonic stream advances the frame before by
+        frame_stride, one frame when it is asked for, held to
+        _norm_bound(n, k frame_stride).
         """
         if psi.grid != self.grid:
             raise ValueError(f"psi lives on {psi.grid}, the propagator on {self.grid}")
-        frame = psi.copy()
-        norm0 = _squared_norm(self.grid, _densities(frame))
-        yield frame
-        for k in range(1, n_frames + 1):
-            frame = self._advance(frame, frame_stride, norm0, k * frame_stride)
-            yield frame
+        norm0 = _squared_norm(self.grid, _densities(psi))
+        yield psi.copy()
+        if self._axes is not None:
+            frame = psi
+            for k in range(1, n_frames + 1):
+                frame = self._advance(frame, frame_stride, norm0, k * frame_stride)
+                yield frame
+            return
+        spectra0 = np.fft.fft(np.asarray(psi.factors))
+        bound = _norm_bound(self.grid.n, 1)
+        for start in range(1, n_frames + 1, FRAME_BLOCK):
+            steps = [k * frame_stride for k in range(start, min(start + FRAME_BLOCK, n_frames + 1))]
+            scale = self._hbar_over_2m * np.array(steps, dtype=float)[:, None, None] * self.dt
+            spectra = spectra0 * _kinetic_phase(scale, self.grid.wavenumbers**2)
+            verdicts = self._guard(spectra, norm0, steps, bound)
+            factors = np.fft.ifft(spectra, out=spectra)
+            for n_steps, verdict, (fx, fy) in zip(steps, verdicts, factors):
+                if verdict is not None:
+                    raise verdict
+                yield WaveFunction(self.grid, (fx.copy(), fy.copy()), psi.time + n_steps * self.dt)
 
 
 def split_step_evolve(
@@ -495,13 +536,15 @@ def psi_ratios(psi: WaveFunction, rho_floor: float = DEFAULT_RHO_FLOOR, laplacia
 def _energy_terms(grid: Grid2D, pot: Potential, hbar: float, mass: float):
     """(w, parts): what <Psi|H|Psi> is summed against on one grid.  w holds
     the weights hbar^2 k^2/2m per axis, and parts a harmonic V's per-axis
-    parts (_potential_parts), else None.
+    parts (a, b) of _potential_parts as one (2, n) array, else None.
 
     hbar * hbar, not hbar**2: a float multiply overflows to inf where ** raises.
     """
     w = 0.5 * (hbar * hbar) * grid.wavenumbers**2 / mass
-    parts = _potential_parts(grid, pot, mass) if pot.kind is PotentialKind.HARMONIC else None
-    return w, parts
+    if pot.kind is not PotentialKind.HARMONIC:
+        return w, None
+    parts = _potential_parts(grid, pot, mass)
+    return w, np.array([parts[0], parts[-1]])
 
 
 def _summary_rows(grid: Grid2D, block: np.ndarray, w, parts) -> list:
@@ -515,8 +558,9 @@ def _summary_rows(grid: Grid2D, block: np.ndarray, w, parts) -> list:
     ry are the density's two axis marginals.  The densities, the row sums,
     the FFTs and the kinetic sums are one call each over the block, every
     op row-wise or elementwise, so each row equals its frame's 1D sums bit
-    for bit.  The dot products stay one call per row: a stacked matrix
-    product may sum in another order.
+    for bit.  So are the dot products, each one np.vecdot over the block:
+    it runs np.dot's per-row dot product, where a stacked matrix product
+    (P @ x) may sum in another order.
     """
     h = grid.spacing
     rho = np.abs(block) ** 2
@@ -526,14 +570,12 @@ def _summary_rows(grid: Grid2D, block: np.ndarray, w, parts) -> list:
     axis_norms = sums * h
     energy = kinetic[:, 0] * axis_norms[:, 1] + axis_norms[:, 0] * kinetic[:, 1]
     if parts is not None:
-        a, b = parts[0], parts[-1]
-        v = np.array([(a @ rx, b @ ry) for rx, ry in rho])
+        v = np.vecdot(parts, rho)
         energy += (v[:, 0] * sums[:, 1] + sums[:, 0] * v[:, 1]) * grid.cell_area()
     x = grid.axis
     p = rho / sums[:, :, None]
-    means = np.array([(np.dot(px, x), np.dot(py, x)) for px, py in p])
-    spreads = (x - means[:, :, None]) ** 2
-    sigmas = np.sqrt([(np.dot(px, dx), np.dot(py, dy)) for (px, py), (dx, dy) in zip(p, spreads)])
+    means = np.vecdot(p, x)
+    sigmas = np.sqrt(np.vecdot(p, (x - means[:, :, None]) ** 2))
     return np.column_stack([norm, energy, means, sigmas]).tolist()
 
 
@@ -564,13 +606,13 @@ def frames_summary_csv(path, frames, pot: Potential, hbar: float = 1.0, mass: fl
     factors are copied into a (SUMMARY_BLOCK, 2, n) block and the frame is
     dropped, so a stream is summarized in O(SUMMARY_BLOCK n) numbers and no
     frame's values are read.  Each full block, and the last partial one, goes
-    through _summary_rows: its densities, sums and FFTs are stacked calls,
-    its moments one np.dot per row, since a stacked matrix product sums in
-    another order.  energy() and moments() run the same kernel on a
-    one-frame block, so every row equals them bit for bit.  The energy terms
-    are built once, at the first frame.  A frame on another grid than the
-    first raises InvalidInput; on any error no file is written.  Returns
-    (last frame or None, rows).
+    through _summary_rows: its densities, sums, FFTs and dot products are
+    stacked calls, each row equal to its frame's 1D sums bit for bit.
+    energy() and moments() run the same kernel on a one-frame block, so
+    every row equals them bit for bit.  The energy terms are built once, at
+    the first frame.  A frame on another grid than the first raises
+    InvalidInput; on any error no file is written.  Returns (last frame or
+    None, rows).
     """
     header = ["t", "norm", "energy", "x_mean", "y_mean", "sigma_x", "sigma_y"]
     rows, times = [], []

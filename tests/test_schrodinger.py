@@ -329,7 +329,8 @@ class TestPropagator:
 
 
 class TestFrameStream:
-    """Propagator.frames: advance() in a loop."""
+    """Propagator.frames: frame k is advance() of frame 0 by k strides (free),
+    or of frame k - 1 by one stride (harmonic)."""
 
     @pytest.fixture(scope="class")
     def grid64(self):
@@ -343,14 +344,20 @@ class TestFrameStream:
             frames.append(prop.advance(frames[-1], stride))
         return frames
 
+    @staticmethod
+    def direct_advance(psi0, pot, dt, stride, n_frames):
+        prop = zl.Propagator(psi0.grid, pot, dt)
+        frame0 = psi0.copy()
+        return [prop.advance(frame0, k * stride) for k in range(n_frames + 1)]
+
     def test_free_stream_matches_advance(self, grid64):
         psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
         stream = list(zl.stream_frames(psi0, zl.free_potential(), 2e-2, 28, 4))
-        reference = self.chained_advance(psi0, zl.free_potential(), 2e-2, 4, 7)
+        reference = self.direct_advance(psi0, zl.free_potential(), 2e-2, 4, 7)
         assert [f.time for f in stream] == [f.time for f in reference]
         assert np.array_equal(stream[0].values, psi0.values) and stream[0].values is not psi0.values
         for f, ref in zip(stream, reference):
-            # the stream is advance() in a loop: equal bit for bit
+            # frame k is advance() of frame 0 by k strides: equal bit for bit
             assert np.array_equal(f.values, ref.values)
         listed = zl.evolve_frames(psi0, zl.free_potential(), 2e-2, 28, 4)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(listed, stream))
@@ -574,7 +581,8 @@ class TestProductPath:
         pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0, 1.5)
         psi0 = zl.init_gaussian(grid64, (0.5, -0.5), 1.0, (1.0, 0.5))
         stream = list(zl.stream_frames(psi0, pot, 2e-2, 21, 3))
-        reference = TestFrameStream.chained_advance(psi0, pot, 2e-2, 3, 7)
+        advance = TestFrameStream.direct_advance if kind == "free" else TestFrameStream.chained_advance
+        reference = advance(psi0, pot, 2e-2, 3, 7)
         assert stream[0].factors[0] is not psi0.factors[0]
         for f, ref in zip(stream, reference):
             assert f.time == ref.time
@@ -687,18 +695,22 @@ class TestNormGuard:
 
     @pytest.mark.parametrize("kind, growth", [("free", 4), ("harmonic", 4 * STRIDE)])
     def test_fires_at_the_first_frame_past_the_bound(self, monkeypatch, kind, growth):
-        # A kinetic phase of modulus 1 + d scales frame k's squared norm by
-        # (1 + d)^(growth k): the free path applies the stride's phase once
-        # per frame on each factor (|fx^|^2 |fy^|^2 by (1 + d)^4), and the
-        # harmonic path's per-axis operators hold the 1D phase once per step
-        # on each axis.  d is set so the drift crosses the bound at k = 2.5;
-        # then frames 0..2 pass and frame 3 raises.
+        # A kinetic phase over a time t of modulus (1 + d)^(growth t / 4 t_s),
+        # t_s the stride's time, scales frame k's squared norm by
+        # (1 + d)^(growth k): the free path applies frame k's phase once on
+        # each factor (|fx^|^2 |fy^|^2 by (1 + d)^(growth k)), and the
+        # harmonic path's per-axis operators hold the 1D step phase, of
+        # modulus 1 + d, once per step on each axis.  The free bound is
+        # _norm_bound(n, 1) at every frame, the harmonic one grows with the
+        # steps.  d is set so the drift crosses the bound at k = 2.5; then
+        # frames 0..2 pass and frame 3 raises.
         grid = zl.Grid2D(64, 8.0)
         pot = zl.free_potential() if kind == "free" else zl.harmonic_potential(1.0)
         psi0 = zl.init_gaussian(grid, (0.5, -0.5), 1.0, (1.0, 0.5))
+        dt = 1e-2
 
         def bound(k):
-            return sch._norm_bound(grid.n, k * self.STRIDE)
+            return sch._norm_bound(grid.n, 1 if kind == "free" else k * self.STRIDE)
 
         scale = 1.0 + math.expm1(math.log1p(bound(2.5)) / (2.5 * growth))
 
@@ -708,8 +720,11 @@ class TestNormGuard:
         # the measured norm is off the modelled one by roundoff, ~1e-15
         assert drift(2) < 0.95 * bound(2) and drift(3) > 1.05 * bound(3)
         real_phase = sch._kinetic_phase
-        monkeypatch.setattr(sch, "_kinetic_phase", lambda s, k2: scale * real_phase(s, k2))
-        stream = zl.stream_frames(psi0, pot, 1e-2, 6 * self.STRIDE, self.STRIDE)
+        stride_scale = 0.5 * dt * self.STRIDE  # hbar t_s / 2m
+        monkeypatch.setattr(
+            sch, "_kinetic_phase", lambda s, k2: scale ** (growth * s / (4 * stride_scale)) * real_phase(s, k2)
+        )
+        stream = zl.stream_frames(psi0, pot, dt, 6 * self.STRIDE, self.STRIDE)
         [next(stream) for _ in range(3)]
         with pytest.raises(zl.ResolutionLoss, match="norm moved"):
             next(stream)

@@ -58,12 +58,16 @@ def loop_advance(prop, psi, n_steps, norm0, steps):
 
 
 def loop_frames(prop, psi, stride, n_frames):
-    """The former Propagator.frames over loop_advance."""
+    """Propagator.frames over loop_advance: frame k is frame 0 advanced by
+    k strides (free), or frame k - 1 by one stride (harmonic)."""
     frame = psi.copy()
     norm0 = sch._squared_norm(prop.grid, sch._densities(frame))
     frames = [frame]
     for k in range(1, n_frames + 1):
-        frame = loop_advance(prop, frame, stride, norm0, k * stride)
+        if prop._axes is None:
+            frame = loop_advance(prop, frames[0], k * stride, norm0, k * stride)
+        else:
+            frame = loop_advance(prop, frame, stride, norm0, k * stride)
         frames.append(frame)
     return frames
 
